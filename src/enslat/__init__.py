@@ -78,9 +78,10 @@ from .oracle import (
     OracleConfig,
     analytic_qubit,
     chain_to_ensemble,
-    gauss_nodes,
     mc_average,
     quad_average,
 )
+
+gauss_nodes = gauss_rule      # former name of the single Gauss-rule entry point
 
 __version__ = "0.1.0"

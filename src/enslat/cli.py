@@ -425,7 +425,7 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
     `config` is a YAML path or an equivalent dict (a run manifest also
     works).  Returns a RunResult; never calls sys.exit.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     cfg, base_dir = _load(config)
     cfg = dict(cfg)
     if method is not None:
@@ -539,7 +539,9 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
     }
     if "compare" in cfg:
         resolved["compare"] = cfg["compare"]
-    result_meta["wall_clock_s"] = round(time.time() - t_start, 3)
+    result_meta["oracles"] = {name: dict(traj.info) for name, traj in trajs.items()
+                              if name != "chain"}
+    result_meta["wall_clock_s"] = round(time.perf_counter() - t_start, 3)
     result_meta["outputs"] = outputs + ["manifest.yaml"]
     manifest = {"config": resolved, "result": result_meta}
     _atomic_write(os.path.join(out_dir, "manifest.yaml"),

@@ -34,6 +34,7 @@ from .errors import (
     EmptySupport,
     InvalidOrder,
     NumericalBreakdown,
+    TableTooShort,
     UnboundedSupport,
     UnsupportedFamily,
 )
@@ -563,14 +564,15 @@ def gauss_rule(table: RecurrenceTable, order: int):
     Jacobi matrix built from (alpha, sqrt(beta)); weights are the squared
     first components of its eigenvectors (times the unit total mass).  The
     rule integrates polynomials of degree <= 2*order - 1 exactly against the
-    measure.  Requires ``table.order >= order``.
+    measure.  Weights sum to one.  Raises TableTooShort when
+    ``order > table.order``.
     """
     from scipy.linalg import eigh_tridiagonal
 
     if order < 1:
         raise InvalidOrder(f"order must be >= 1, got {order}")
     if order > table.order:
-        raise InvalidOrder(f"order {order} exceeds table order {table.order}")
+        raise TableTooShort(f"order {order} exceeds table order {table.order}")
     if order == 1:
         return np.array([table.alpha[0]]), np.array([1.0])
     nodes, vecs = eigh_tridiagonal(table.alpha[:order], np.sqrt(table.beta[:order - 1]))

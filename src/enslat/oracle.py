@@ -21,21 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, SystemTooLarge, TableTooShort
+from .errors import NotNormalized, SystemTooLarge
 from .lattice import EnsembleSpec, LinearCoupling
 from .measures import (
     DisorderDistribution,
-    RecurrenceTable,
     characteristic_function,
     gauss_rule,
     quantile,
     recurrence_table,
 )
 from .reduction import DensityTrajectory
+from .states import realization_amplitudes
 
 __all__ = [
     "OracleConfig",
-    "gauss_nodes",
     "mc_average",
     "quad_average",
     "analytic_qubit",
@@ -44,6 +43,7 @@ __all__ = [
 
 _MAX_DENSE_N = 64
 _CHUNK = 4096       # fixed chunk size keeps the summation order reproducible
+_TILE_BYTES = 1 << 18   # per-tile temporaries of evolution and accumulation stay in cache
 
 
 @dataclass(frozen=True)
@@ -68,39 +68,60 @@ class OracleConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-def gauss_nodes(table: RecurrenceTable, order: int):
-    """Gauss nodes and weights of the measure behind a recurrence table.
+# ---------------------------------------------------------------------------
+# counter-based draws
+# ---------------------------------------------------------------------------
 
-    Golub-Welsch construction; weights sum to one.  Raises TableTooShort when
-    the table cannot support the requested order.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments (Weyl)
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit product m * x, via 32-bit limbs."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    lo_lo = x_lo * m_lo
+    lo_hi = x_lo * m_hi
+    hi_lo = x_hi * m_lo
+    carry = ((lo_lo >> _S32) + (lo_hi & _LO32) + (hi_lo & _LO32)) >> _S32
+    hi = x_hi * m_hi + (lo_hi >> _S32) + (hi_lo >> _S32) + carry
+    return hi, x * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, start: int, stop: int, l: int) -> np.ndarray:
+    """Uniforms of samples start..stop-1, as a (stop - start, l) array.
+
+    Row i holds ``np.random.Generator(np.random.Philox(key=[seed, i])).random(l)``
+    bit for bit, computed for all samples at once: Philox4x64-10 with key
+    (seed, i) is evaluated at counters 1, 2, ... (NumPy increments the counter
+    before each block), each counter yields four 64-bit words in order, and a
+    word u becomes the double (u >> 11) * 2**-53.
     """
-    if order > table.order:
-        raise TableTooShort(f"order {order} exceeds table order {table.order}")
-    return gauss_rule(table, order)
+    idx = np.arange(start, stop, dtype=np.uint64)
+    blocks = -(-l // 4)
+    out = np.empty((idx.size, 4 * blocks))
+    zero = np.zeros_like(idx)
+    for blk in range(blocks):
+        x0, x1, x2, x3 = np.full_like(idx, blk + 1), zero, zero, zero
+        k0, k1 = int(seed), idx
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_W[0]) & _MASK64
+                k1 = k1 + np.uint64(_PHILOX_W[1])
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+        for j, word in enumerate((x0, x1, x2, x3)):
+            out[:, 4 * blk + j] = (word >> np.uint64(11)) * 2.0 ** -53
+    return out[:, :l]
 
 
 # ---------------------------------------------------------------------------
 # dense per-realization evolution
 # ---------------------------------------------------------------------------
-
-def _resolve_c(c_fn, lam: np.ndarray, n: int) -> np.ndarray:
-    """Per-realization initial amplitudes for a (B, l) batch of draws."""
-    if c_fn is None:
-        raise ValueError("an initial state (vector or callable) is required")
-    if not callable(c_fn):
-        c = np.asarray(c_fn, dtype=complex).reshape(n)
-        return np.broadcast_to(c, (lam.shape[0], n)).copy()
-    try:
-        out = np.asarray(c_fn(lam), dtype=complex)
-        if out.shape == (lam.shape[0], n):
-            return out
-    except Exception:
-        pass
-    out = np.empty((lam.shape[0], n), dtype=complex)
-    for i, p in enumerate(lam):
-        out[i] = np.asarray(c_fn(p), dtype=complex).reshape(n)
-    return out
-
 
 def _hamiltonian_batch(spec: EnsembleSpec, lam: np.ndarray) -> np.ndarray:
     """H(lambda) for a (B, l) batch of draws, vectorized per coupling."""
@@ -121,13 +142,30 @@ def _hamiltonian_batch(spec: EnsembleSpec, lam: np.ndarray) -> np.ndarray:
     return h
 
 
+def _time_tiles(nt: int, row_bytes: int):
+    """Slices of a time axis whose temporaries, at row_bytes per time, fit a cache tile."""
+    step = max(1, _TILE_BYTES // row_bytes)
+    return [slice(t0, t0 + step) for t0 in range(0, nt, step)]
+
+
 def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """rho_lambda(t) for a batch: (B, N, N), (B, N) -> (B, T, N, N)."""
+    """psi_lambda(t) for a batch: (B, N, N), (B, N) -> amplitudes (T, N, B).
+
+    Phases run relative to each realization's lowest eigenvalue; the global
+    phase dropped that way cancels in rho.
+    """
     evals, vecs = np.linalg.eigh(hb)
-    ceig = np.einsum("bmn,bm->bn", vecs.conj(), c0)
-    phases = np.exp(-1j * evals[:, None, :] * times[None, :, None])     # (B,T,N)
-    amps = np.einsum("bnm,btm->btn", vecs, phases * ceig[:, None, :])
-    return amps[..., :, None] * amps[..., None, :].conj()
+    vecs = vecs.transpose(1, 2, 0)                          # (N, N, B)
+    ceig = (vecs.conj() * c0.T[:, None, :]).sum(axis=0)     # (N, B): V^H c
+    gaps = evals[:, 1:] - evals[:, :1]
+    n, b = ceig.shape
+    amps = np.empty((times.size, n, b), dtype=complex)
+    amps[...] = vecs[:, 0] * ceig[0]
+    for tile in _time_tiles(times.size, 16 * n * b):
+        for m in range(1, n):
+            phase = np.exp(-1j * np.multiply.outer(times[tile], gaps[:, m - 1]))
+            amps[tile] += vecs[:, m] * (phase * ceig[m])[:, None, :]
+    return amps
 
 
 def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
@@ -138,40 +176,39 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     of chunking or execution order.  The ``errors`` field holds the per-entry
     standard error of the mean.
 
-    ``c_fn`` may be a constant amplitude vector or a callable of the disorder
-    (as in :func:`~enslat.states.expanded_initial`); per-realization vectors
-    must be normalized.
+    ``c_fn`` may be a constant amplitude vector or a vectorized callable of
+    the disorder (see :func:`~enslat.states.realization_amplitudes`);
+    per-realization vectors must be normalized.
     """
     if spec.n > _MAX_DENSE_N:
         raise SystemTooLarge(f"dense oracle limited to N <= {_MAX_DENSE_N}")
     times = np.asarray(times, dtype=float)
-    s, l = int(cfg.samples), spec.l
+    s, l, n = int(cfg.samples), spec.l, spec.n
+    rows, cols = np.triu_indices(n)
 
-    uniforms = np.empty((s, l))
-    for i in range(s):
-        gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
-        uniforms[i] = gen.random(l)
-    lam = np.column_stack([quantile(spec.distributions[j], uniforms[:, j])
-                           for j in range(l)])
-
-    n = spec.n
-    # chunked Welford/Chan accumulation: robust to cancellation, exactly zero
-    # spread for degenerate (zero-variance) ensembles
-    mean = np.zeros((times.size, n, n), dtype=complex)
-    m2 = np.zeros((times.size, n, n))
+    # chunked Welford/Chan accumulation over the entries n <= m: robust to
+    # cancellation, exactly zero spread for degenerate (zero-variance) ensembles
+    mean = np.zeros((times.size, rows.size), dtype=complex)
+    m2 = np.zeros((times.size, rows.size))
+    cmean, cm2 = np.empty_like(mean), np.empty_like(m2)
     count = 0
     for s0 in range(0, s, _CHUNK):
-        chunk = lam[s0:s0 + _CHUNK]
-        c0 = _resolve_c(c_fn, chunk, n)
+        u = _philox_uniforms(cfg.seed, s0, min(s0 + _CHUNK, s), l)
+        lam = np.column_stack([quantile(spec.distributions[j], u[:, j]) for j in range(l)])
+        c0 = realization_amplitudes(c_fn, lam, n)
         worst = np.max(np.abs(np.linalg.norm(c0, axis=1) - 1.0))
         if worst > 1e-8:
             raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
-        rho = _evolve_batch(_hamiltonian_batch(spec, chunk), c0, times)
-        nb = rho.shape[0]
-        cmean = rho.mean(axis=0)
-        dev = rho - cmean
-        # corrected two-pass sum of squares (exact zero for identical samples)
-        cm2 = (np.abs(dev) ** 2).sum(axis=0) - np.abs(dev.sum(axis=0)) ** 2 / nb
+        amps = _evolve_batch(_hamiltonian_batch(spec, lam), c0, times)
+        nb = amps.shape[-1]
+        for tile in _time_tiles(times.size, 16 * rows.size * nb):
+            dev = np.conj(amps[tile, cols])                     # (tile, P, B)
+            dev *= amps[tile, rows]                             # rho entries
+            cmean[tile] = dev.mean(axis=-1)
+            dev -= cmean[tile, :, None]
+            # corrected two-pass sum of squares (exact zero for identical samples)
+            sq = dev.view(float)
+            cm2[tile] = np.einsum("tpb,tpb->tp", sq, sq) - np.abs(dev.sum(axis=-1)) ** 2 / nb
         np.clip(cm2, 0.0, None, out=cm2)
         delta = cmean - mean
         total = count + nb
@@ -180,10 +217,18 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
         count = total
     sem = np.sqrt(m2 / s) / np.sqrt(s)
     sem[sem < 1e-18] = 0.0      # float-floor residue of an exactly degenerate spread
-    info = {"method": "mc", "samples": s, "seed": int(cfg.seed)}
-    if s > 1 and float(sem.max()) == 0.0:
-        info["degenerate_distribution"] = True
-    return DensityTrajectory(times, mean, errors=sem, info=info)
+    info = {"method": "mc", "samples": s, "seed": int(cfg.seed),
+            "degenerate_distribution": bool(s > 1 and float(sem.max()) == 0.0)}
+    return DensityTrajectory(times, _hermitian(mean, rows, cols, n),
+                             errors=_hermitian(sem, rows, cols, n), info=info)
+
+
+def _hermitian(upper: np.ndarray, rows, cols, n: int) -> np.ndarray:
+    """(T, N, N) Hermitian matrices from their (T, P) entries n <= m."""
+    out = np.empty((upper.shape[0], n, n), dtype=upper.dtype)
+    out[:, cols, rows] = upper.conj()
+    out[:, rows, cols] = upper          # after the conjugate, so the diagonal is kept as is
+    return out
 
 
 def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig,
@@ -200,7 +245,7 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig,
     orders = cfg.quad_order if np.iterable(cfg.quad_order) else [cfg.quad_order] * spec.l
     if tables is None:
         tables = [recurrence_table(d, int(q)) for d, q in zip(spec.distributions, orders)]
-    rules = [gauss_nodes(t, int(q)) for t, q in zip(tables, orders)]
+    rules = [gauss_rule(t, int(q)) for t, q in zip(tables, orders)]
 
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     lam = np.stack([g.ravel() for g in grids], axis=1)
@@ -211,9 +256,9 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig,
     acc = np.zeros((times.size, n, n), dtype=complex)
     for s0 in range(0, lam.shape[0], _CHUNK):
         chunk = lam[s0:s0 + _CHUNK]
-        c0 = _resolve_c(c_fn, chunk, n)
-        rho = _evolve_batch(_hamiltonian_batch(spec, chunk), c0, times)
-        acc += np.einsum("b,btnm->tnm", weights[s0:s0 + _CHUNK], rho)
+        c0 = realization_amplitudes(c_fn, chunk, n)
+        amps = _evolve_batch(_hamiltonian_batch(spec, chunk), c0, times)   # (T, N, B)
+        acc += (amps * weights[s0:s0 + _CHUNK]) @ amps.conj().transpose(0, 2, 1)
     info = {"method": "quad", "quad_order": list(int(q) for q in orders)}
     return DensityTrajectory(times, acc, info=info)
 

@@ -92,11 +92,11 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
     Parameters
     ----------
     c_fn : callable
-        Per-realization amplitudes.  Called as ``c_fn(lam)`` with an (M, l)
-        array of disorder points, expected to return an (M, N) complex array;
-        a scalar signature ``c_fn(lam_vector) -> (N,)`` also works (detected
-        and looped over).  Each row must be normalized (the norm check happens
-        globally via the Parseval defect).
+        Per-realization amplitudes, as accepted by
+        :func:`realization_amplitudes`: a vectorized callable mapping an
+        (M, l) array of disorder points to an (M, N) complex array.  Each row
+        must be normalized (the norm check happens globally via the Parseval
+        defect).
     dists, tables : sequences, one per disorder variable
         The measures (for the quadrature grid) and their recurrence tables
         (for the orthonormal polynomial values).
@@ -125,7 +125,7 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
     # evaluate c on the tensor grid
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)          # (M, l)
-    cvals = _eval_c(c_fn, pts, basis.n_system)                  # (M, l) -> (M, N)
+    cvals = realization_amplitudes(c_fn, pts, basis.n_system)   # (M, l) -> (M, N)
 
     # d_{n,K} = sum_q (prod_i w_i phi_{k_i}) c_n(q): contract one axis at a time
     shape = tuple(a[0].size for a in axes)
@@ -150,17 +150,26 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
     return LatticeState(basis, d, info={"norm_defect": defect})
 
 
-def _eval_c(c_fn, pts: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate c_fn on (M, l) points, accepting vectorized or scalar callables."""
-    try:
-        out = np.asarray(c_fn(pts), dtype=complex)
-        if out.shape == (pts.shape[0], n):
-            return out
-    except Exception:
-        pass
-    out = np.empty((pts.shape[0], n), dtype=complex)
-    for i, p in enumerate(pts):
-        out[i] = np.asarray(c_fn(p), dtype=complex).reshape(n)
+def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
+    """Initial amplitudes c(lam) of every realization, for (M, l) disorder points.
+
+    ``c`` is either a constant (N,) vector, the same state in every
+    realization, or a vectorized callable mapping the (M, l) points to an
+    (M, N) array.  Returns (M, N) complex amplitudes.  Exceptions raised by
+    the callable propagate; any other shape raises ValueError.
+    """
+    m = pts.shape[0]
+    if c is None:
+        raise ValueError("an initial state (vector or callable) is required")
+    if not callable(c):
+        c = np.asarray(c, dtype=complex)
+        if c.shape != (n,):
+            raise ValueError(f"initial amplitudes have shape {c.shape}, expected ({n},)")
+        return np.broadcast_to(c, (m, n))
+    out = np.asarray(c(pts), dtype=complex)
+    if out.shape != (m, n):
+        raise ValueError(
+            f"initial-state callable returned shape {out.shape}, expected {(m, n)}")
     return out
 
 

@@ -69,6 +69,18 @@ def test_compare_ok_and_manifest(tmp_path):
     assert man["config"]["numeric"]["depths"] == [64]
 
 
+def test_manifest_records_oracles(tmp_path):
+    path = qubit_config(tmp_path, method="compare", samples=300, n_steps=10)
+    result = run(str(path))
+    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+    assert man["result"]["oracles"] == {
+        "quad": {"method": "quad", "quad_order": [40]},
+        "mc": {"method": "mc", "samples": 300, "seed": 9, "degenerate_distribution": False},
+        "analytic": {"method": "analytic"},
+    }
+    assert man["result"] == result.manifest["result"]
+
+
 def test_compare_tolerance_exceeded_exit_4(tmp_path):
     path = qubit_config(tmp_path, method="compare", samples=200, n_steps=10,
                         extra={"compare": {"quad_tol": 1e-30, "analytic_tol": 1e-30}})

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from enslat import oracle
 from enslat import (
     DisorderDistribution,
     EnsembleSpec,
@@ -22,6 +25,7 @@ from enslat import (
     mc_average,
     propagate,
     quad_average,
+    quantile,
     recurrence_analytic,
     trajectory_from_states,
 )
@@ -99,6 +103,94 @@ def test_mc_seed_determinism_bitwise():
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.errors, b.errors)
     c = mc_average(spec, C_HALF, times, OracleConfig(samples=3000, seed=12))
     assert not np.array_equal(a.rho, c.rho)
+
+
+def _numpy_philox_uniforms(seed, indices, l):
+    """The per-sample reference: one NumPy Philox stream per sample."""
+    return np.array([np.random.Generator(np.random.Philox(
+        key=np.array([seed, i], dtype=np.uint64))).random(l) for i in indices])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("l", [1, 4, 5])
+def test_mc_draws_match_numpy_philox_bitwise(seed, l):
+    # l = 5 carries the counter into a second Philox block
+    for start, stop in ((0, 3), (4090, 4102)):      # the second straddles a chunk edge
+        got = oracle._philox_uniforms(seed, start, stop, l)
+        assert np.array_equal(got, _numpy_philox_uniforms(seed, range(start, stop), l))
+
+
+def test_mc_chunking_invariance(monkeypatch):
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    times = np.linspace(0.0, 3.0, 7)
+    runs = {}
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        runs[chunk] = mc_average(spec, C_HALF, times, OracleConfig(samples=500, seed=4))
+    ref = runs[4096]
+    assert (ref.errors == 0.0).any() and (ref.errors > 0.0).any()
+    for chunk in (1, 7):
+        assert np.abs(runs[chunk].rho - ref.rho).max() <= 1e-14
+        assert np.abs(runs[chunk].errors - ref.errors).max() <= 1e-14
+        assert np.array_equal(runs[chunk].errors == 0.0, ref.errors == 0.0)
+
+
+def _hermitian_from(draw, n):
+    vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n, max_size=2 * n * n))
+    m = np.array(vals[:n * n]).reshape(n, n) + 1j * np.array(vals[n * n:]).reshape(n, n)
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mc_matches_slow_reference(data):
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    l = data.draw(st.sampled_from([1, 2]), label="l")
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    families = data.draw(st.lists(st.sampled_from(["gaussian", "uniform", "semicircle"]),
+                                  min_size=l, max_size=l), label="families")
+    h0 = _hermitian_from(data.draw, n)
+    mats = [_hermitian_from(data.draw, n) for _ in range(l)]
+    c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+    c = c[:n] + 1j * c[n:]
+    if np.linalg.norm(c) < 1e-3:
+        c = np.eye(n)[0].astype(complex)
+    c = c / np.linalg.norm(c)
+    dists = tuple(DisorderDistribution(f, width=0.8) for f in families)
+    spec = EnsembleSpec(h0, tuple(LinearCoupling(m) for m in mats), dists)
+    times = np.linspace(0.0, 2.5, 5)
+    samples = 200
+    traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
+
+    # reference: per-sample Philox, expm per realization, plain two-pass moments
+    u = _numpy_philox_uniforms(seed, range(samples), l)
+    rhos = np.empty((samples, times.size, n, n), dtype=complex)
+    for i in range(samples):
+        lam = [float(quantile(d, u[i, j])) for j, d in enumerate(dists)]
+        h = h0 + sum(x * m for x, m in zip(lam, mats))
+        for k, t in enumerate(times):
+            psi = expm(-1j * h * t) @ c
+            rhos[i, k] = np.outer(psi, psi.conj())
+    mean = rhos.mean(axis=0)
+    sem = np.sqrt((np.abs(rhos - mean) ** 2).mean(axis=0) / samples)
+    assert np.abs(traj.rho - mean).max() <= 1e-12
+    assert np.abs(traj.errors - sem).max() <= 1e-12
+
+
+def test_mc_initial_state_callable_errors_propagate():
+    spec = qubit_spec(DisorderDistribution.uniform(1.0))
+
+    class Boom(Exception):
+        pass
+
+    def c_fn(lam):
+        raise Boom("raised inside c_fn")
+
+    with pytest.raises(Boom, match="raised inside c_fn"):
+        mc_average(spec, c_fn, [0.0, 1.0], OracleConfig(samples=10))
+    with pytest.raises(ValueError, match=r"shape \(10, 3\), expected \(10, 2\)"):
+        mc_average(spec, lambda lam: np.ones((lam.shape[0], 3)) / np.sqrt(3),
+                   [0.0, 1.0], OracleConfig(samples=10))
 
 
 def test_mc_system_too_large():

@@ -189,6 +189,25 @@ def test_expanded_norm_defect_warns():
     assert psi.info["norm_defect"] > 1e-12
 
 
+def test_expanded_callable_errors_propagate():
+    dist = DisorderDistribution.uniform(1.0)
+    basis = LatticeBasis(2, (4,))
+    table = recurrence_analytic(dist, 5)
+
+    class Boom(Exception):
+        pass
+
+    def c_fn(pts):
+        raise Boom("raised inside c_fn")
+
+    with pytest.raises(Boom, match="raised inside c_fn"):
+        expanded_initial(c_fn, [dist], [table], basis, quad_points=50)
+    # a scalar-only callable, or any other wrong shape, names both shapes
+    with pytest.raises(ValueError, match=r"shape \(2,\), expected \(\d+, 2\)"):
+        expanded_initial(lambda lam: np.array([1.0, 0.0]), [dist], [table], basis,
+                         quad_points=50)
+
+
 def test_spectral_disorder_gaussian_reduces_to_qubit_machinery():
     energy = DisorderDistribution.gaussian(0.5)
     basis = LatticeBasis(2, (8,))
