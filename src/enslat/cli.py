@@ -211,12 +211,12 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
 
 def _resolve_numeric(cfg: dict) -> dict:
     num = dict(cfg.get("numeric") or {})
+    num.pop("max_krylov_dim", None)     # retired Lanczos knob: old manifests still run
     num.setdefault("tol", 1e-12)
     num.setdefault("depths", "auto")
     num.setdefault("seed", 0)
     num.setdefault("samples", 10_000)
     num.setdefault("quad_order", 40)
-    num.setdefault("max_krylov_dim", 30)
     num.setdefault("leakage_threshold", 1e-8)
     num.setdefault("depth_cap", 4096)
     return num
@@ -242,8 +242,7 @@ def _resolve_time(cfg: dict):
 def _chain_trajectory(spec, initial, times, num):
     """Lattice route: tables, operator, initial state, propagation, trace."""
     tol = float(num["tol"])
-    plan_kw = dict(tol=tol, max_krylov_dim=int(num["max_krylov_dim"]),
-                   leakage_threshold=float(num["leakage_threshold"]))
+    plan_kw = dict(tol=tol, leakage_threshold=float(num["leakage_threshold"]))
     kind, payload = initial
     all_linear = all(isinstance(c, LinearCoupling) for c in spec.couplings)
     max_deg = max(getattr(c, "degree", 1) for c in spec.couplings)
@@ -471,6 +470,10 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
         emit("leakage_chain.csv", _leakage_csv(report))
         result_meta["accepted_depths"] = [int(d) for d in depths_used]
         result_meta["max_leakage"] = report.max_leakage
+        result_meta["propagator"] = {
+            "spectral_centre": report.centre, "spectral_half_width": report.half_width,
+            "windows": report.windows, "matvecs": report.matvecs,
+            "max_norm_drift": report.norm_drift}
     if meth in ("mc", "quad"):
         traj = _oracle_trajectory(meth, spec, initial, times, num)
         trajs[meth] = traj

@@ -1,12 +1,18 @@
 """Exact time propagation of lattice states.
 
-The operator is large, sparse and Hermitian, so states are advanced with
-short-iterate Krylov exponentiation: a Lanczos basis of modest dimension is
-built per substep and the small tridiagonal projection is exponentiated
-exactly.  The substep is halved adaptively until the a-posteriori error
-estimate (the weight leaking past the last Krylov vector) meets the step
-tolerance, which preserves the norm to the same order and makes the result
-insensitive to the substep partition.
+The operator is large, sparse and Hermitian, so states are advanced with a
+Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967, 1984).  Gershgorin discs give the centre c and half-width a of an
+interval holding the spectrum, and for either sign of tau
+
+    exp(-i H tau) phi = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(a tau) T_k((H - c)/a) phi.
+
+One recurrence serves a window of consecutive output times: the vectors
+T_k phi are shared and only the Bessel coefficients differ, so each term
+costs one product with the operator, two vector updates for the recurrence
+and one per output of the window.  The series is cut where the Bessel tail
+bound 2 sum_{k >= K} |J_k(a tau)| meets the budget, an a-priori error bound
+that needs no inner products.
 
 Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
@@ -21,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.linalg.blas import zaxpy
+from scipy.special import jv
 
 from .errors import DepthCapExceeded, KrylovBreakdown, LeakageExceeded
 from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, build_linear
@@ -39,18 +47,21 @@ __all__ = [
     "auto_depth",
 ]
 
+_WINDOW = 32.0   # largest a * (t_last - t_start) that one recurrence serves
+_TAIL = 1e-3     # Bessel tail bound of the expansion, in units of the tolerance
+
 
 @dataclass(frozen=True)
 class PropagationPlan:
     """Time grid and numerical controls for one propagation run.
 
     ``times`` must be strictly increasing and start at 0; ``tol`` is the
-    per-output-step local error budget.
+    error budget per Chebyshev window (the expansion is cut where its Bessel
+    tail bound reaches ``1e-3 * tol``).
     """
 
     times: np.ndarray
     tol: float = 1e-12
-    max_krylov_dim: int = 30
     leakage_threshold: float = 1e-8
     leakage_width: int = 1
 
@@ -64,8 +75,6 @@ class PropagationPlan:
             raise ValueError("times must be strictly increasing")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_krylov_dim < 2:
-            raise ValueError("max_krylov_dim must be >= 2")
         object.__setattr__(self, "times", times)
 
     @classmethod
@@ -75,12 +84,23 @@ class PropagationPlan:
 
 @dataclass
 class LeakageReport:
-    """Boundary-shell population along the trajectory."""
+    """Boundary-shell population along the trajectory, plus propagator counters.
+
+    ``centre`` and ``half_width`` describe the Gershgorin interval the
+    expansion was scaled to; ``norm_drift`` is the largest
+    |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
+    normalized start).
+    """
 
     times: np.ndarray
     leakage: np.ndarray
     threshold: float
     width: int
+    centre: float = 0.0
+    half_width: float = 0.0
+    windows: int = 0
+    matvecs: int = 0
+    norm_drift: float = 0.0
 
     @property
     def max_leakage(self) -> float:
@@ -97,84 +117,83 @@ def _as_csr(h) -> sp.csr_matrix:
     return sp.csr_matrix(h)
 
 
-def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12,
-           max_krylov_dim: int = 30) -> np.ndarray:
-    """Apply exp(-i H dt) to a vector (dt of either sign); adaptive Lanczos.
+def _spectral_bounds(h) -> tuple[float, float]:
+    """Centre and half-width of the Gershgorin interval holding the spectrum of h."""
+    if isinstance(h, LatticeOperator):
+        on = h.rows == h.cols
+        diag = np.bincount(h.rows[on], h.vals[on].real, minlength=h.dim)
+        mag = np.abs(h.vals[~on])
+        radius = (np.bincount(h.rows[~on], mag, minlength=h.dim)
+                  + np.bincount(h.cols[~on], mag, minlength=h.dim))
+    else:
+        m = sp.csr_matrix(h)
+        diag = m.diagonal().real
+        radius = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(m.diagonal())
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise KrylovBreakdown("non-finite operator entries")
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _coefficients(tau: float, centre: float, half: float, budget: float) -> np.ndarray:
+    """e^{-i c tau} (2 - delta_k0) (-1)^k J_k(a tau) for k < K.
+
+    These expand exp(-i H tau) phi in the vectors p_k = i^k T_k((H - c)/a) phi;
+    K is the smallest order whose tail bound 2 sum_{k >= K} |J_k(a tau)| is
+    within ``budget``.
+    """
+    x = half * tau
+    n = int(abs(x)) + 32
+    while True:
+        bessel = jv(np.arange(n), x)
+        if abs(bessel[-1]) <= 1e-3 * budget:   # past k = |x| the terms fall off monotonically
+            break
+        n *= 2
+    tail = 2.0 * np.cumsum(np.abs(bessel[::-1]))[::-1]
+    order = max(int(np.argmax(tail <= budget)), 1)
+    coef = bessel[:order] * np.exp(-1j * centre * tau)
+    coef[1:] *= 2.0
+    coef[1::2] *= -1.0
+    return coef
+
+
+def _chebyshev(mat, phi: np.ndarray, taus, centre: float, half: float,
+               budget: float) -> tuple[list[np.ndarray], list[float], int]:
+    """exp(-i H tau) phi for every tau of one window, from one recurrence.
+
+    ``mat`` is only applied with ``@``.  The recurrence runs on
+    p_k = i^k T_k((H - c)/a) phi, which obeys p_{k+1} = p_{k-1} + (2i/a)(H - c) p_k:
+    two ``axpy`` updates per term and no separate scaling pass.  Returns the
+    vectors, their norms and the number of products with ``mat``.
+    """
+    coefs = [_coefficients(tau, centre, half, budget) for tau in taus]
+    outs = [c[0] * phi for c in coefs]     # with a == 0 (H = c I) this is all: a pure phase
+    order = max(c.size for c in coefs)
+    if order > 1:
+        prev = phi.copy()
+        cur = zaxpy(phi, (1j / half) * (mat @ phi), a=-1j * centre / half)
+        for k in range(1, order):
+            for i, c in enumerate(coefs):
+                if k < c.size:
+                    outs[i] = zaxpy(cur, outs[i], a=c[k])
+            if k + 1 < order:
+                prev = zaxpy(mat @ cur, prev, a=2j / half)
+                prev = zaxpy(cur, prev, a=-2j * centre / half)
+                prev, cur = cur, prev
+    norms = [float(np.linalg.norm(v)) for v in outs]
+    if not np.all(np.isfinite(norms)):
+        raise KrylovBreakdown("non-finite values during propagation")
+    return outs, norms, order - 1
+
+
+def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
+    """Apply exp(-i H dt) to a vector (dt of either sign); one Chebyshev window.
 
     Low-level kernel behind :func:`propagate`; returns a new vector.
     """
-    csr = _as_csr(h)
-    work = np.empty((max_krylov_dim, psi.size), dtype=complex)
-    return _expm_krylov(csr, np.asarray(psi, dtype=complex), dt, tol,
-                        max_krylov_dim, work)
-
-
-def _small_expm(alph, bet, used, tau):
-    """x = exp(-i tau T) e1 for the tridiagonal Krylov projection T."""
-    evals, evecs = eigh_tridiagonal(alph[:used], bet[:used - 1])
-    return evecs @ (np.exp(-1j * tau * evals) * evecs[0])
-
-
-def _expm_krylov(csr, v, dt, tol, m, work) -> np.ndarray:
-    """exp(-i H dt) v with substep adaptivity; |dt| may be subdivided.
-
-    The Lanczos basis grows until the a-posteriori error estimate (weight
-    pushed past the last basis vector) meets the budget; if the full basis is
-    not enough the substep is halved.  Error checks run at checkpoints: the
-    small exponential costs microseconds against matvecs on the full space.
-    """
-    total = abs(dt)
-    if total == 0.0:
-        return v.copy()
-    sign = 1.0 if dt >= 0 else -1.0
-    remaining = total
-    out = v
-    while remaining > 0.0:
-        sub = remaining
-        while True:
-            nrm = np.linalg.norm(out)
-            if nrm == 0.0:
-                return out
-            budget = tol * (sub / total)
-            work[0] = out / nrm
-            alph = np.zeros(m)
-            bet = np.zeros(m)
-            w = csr @ work[0]
-            alph[0] = np.vdot(work[0], w).real
-            w -= alph[0] * work[0]
-            used = 1
-            happy = False
-            small = None
-            for j in range(1, m):
-                b = np.linalg.norm(w)
-                if not np.isfinite(b):
-                    raise KrylovBreakdown("non-finite Krylov iterate")
-                if b < 1e-14:
-                    happy = True   # Krylov space is invariant: result exact
-                    break
-                bet[j - 1] = b
-                work[j] = w / b
-                w = csr @ work[j]
-                w -= b * work[j - 1]
-                alph[j] = np.vdot(work[j], w).real
-                w -= alph[j] * work[j]
-                used = j + 1
-                if used >= 6 and (used % 4 == 0 or used == m):
-                    x = _small_expm(alph, bet, used, sign * sub)
-                    if bet[used - 2] * abs(x[-1]) * sub <= budget:
-                        small = x
-                        break
-            if small is None:
-                small = _small_expm(alph, bet, used, sign * sub)
-                err = 0.0 if (happy or used < 2) else bet[used - 2] * abs(small[-1]) * sub
-                if not (happy or err <= budget):
-                    sub /= 2.0
-                    if sub < 1e-300:
-                        raise KrylovBreakdown("substep underflow; operator may be ill-formed")
-                    continue
-            out = nrm * (work[:used].T @ small)
-            break
-        remaining -= sub
+    centre, half = _spectral_bounds(h)
+    (out,), _, _ = _chebyshev(_as_csr(h), np.asarray(psi, dtype=complex), [float(dt)],
+                              centre, half, _TAIL * tol)
     return out
 
 
@@ -184,8 +203,11 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan
 
     Returns the states psi(t_j) = exp(-i H t_j) psi0 together with a
     :class:`LeakageReport` of the boundary-shell population at each grid
-    time.  The norm is preserved to the propagator tolerance (the evolution
-    is unitary; leakage is *monitored*, not absorbed).
+    time and the propagator's counters.  Consecutive grid times are grouped
+    into windows with a * (t_last - t_start) <= 32, each served by one
+    Chebyshev recurrence from the state at t_start.  The norm is preserved to
+    the expansion tolerance (the evolution is unitary; leakage is
+    *monitored*, not absorbed).
 
     Raises
     ------
@@ -197,35 +219,47 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan
     csr = _as_csr(h)
     if csr.shape[0] != basis.size:
         raise ValueError(f"operator dim {csr.shape[0]} != basis size {basis.size}")
+    centre, half = _spectral_bounds(h)
     shell = boundary_shell(basis, plan.leakage_width)
-    work = np.empty((plan.max_krylov_dim, basis.size), dtype=complex)
+    times = plan.times
+    stats = {"windows": 0, "matvecs": 0, "norm_drift": 0.0}
+
+    def report(n: int) -> LeakageReport:
+        return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
+                             plan.leakage_width, centre, half, **stats)
 
     states: list[LatticeState] = []
-    leak = np.zeros(plan.times.size)
+    leak = np.zeros(times.size)
     cur = psi0.amplitudes.astype(complex)
-    t_prev = 0.0
-    for j, t in enumerate(plan.times):
-        if t > t_prev:
-            cur = _expm_krylov(csr, cur, t - t_prev, plan.tol, plan.max_krylov_dim, work)
-        t_prev = t
-        leak[j] = float(np.sum(np.abs(cur[shell]) ** 2))
-        states.append(LatticeState(basis, cur.copy()))
-        if leak[j] > plan.leakage_threshold:
-            report = LeakageReport(plan.times[: j + 1], leak[: j + 1],
-                                   plan.leakage_threshold, plan.leakage_width)
-            raise LeakageExceeded(
-                f"boundary-shell population {leak[j]:.3e} > {plan.leakage_threshold:.1e} "
-                f"at t = {t:g}: lattice depth too small for this horizon",
-                time=t, leakage=leak[j], states=states, report=report)
-    report = LeakageReport(plan.times.copy(), leak, plan.leakage_threshold,
-                           plan.leakage_width)
-    return states, report
+    norm0 = float(np.linalg.norm(cur))
+    start, block, norms = 0, [cur], [norm0]
+    while True:
+        for j, (vec, nrm) in enumerate(zip(block, norms), start):
+            leak[j] = float(np.sum(np.abs(vec[shell]) ** 2))
+            stats["norm_drift"] = max(stats["norm_drift"], abs(nrm - norm0))
+            states.append(LatticeState(basis, vec))
+            if leak[j] > plan.leakage_threshold:
+                raise LeakageExceeded(
+                    f"boundary-shell population {leak[j]:.3e} > {plan.leakage_threshold:.1e} "
+                    f"at t = {times[j]:g}: lattice depth too small for this horizon",
+                    time=times[j], leakage=leak[j], states=states, report=report(j + 1))
+        base = start + len(block) - 1
+        if base + 1 == times.size:
+            return states, report(times.size)
+        stop = base + 2
+        while stop < times.size and half * (times[stop] - times[base]) <= _WINDOW:
+            stop += 1
+        block, norms, used = _chebyshev(csr, block[-1], times[base + 1:stop] - times[base],
+                                        centre, half, _TAIL * plan.tol)
+        stats["windows"] += 1
+        stats["matvecs"] += used
+        start = base + 1
 
 
 def propagate_dense(h, psi0: LatticeState, times) -> list[LatticeState]:
     """Reference path: exact evolution by dense eigendecomposition.
 
-    Cross-check for the Krylov propagator; refuses dimensions above 2000.
+    Cross-check for the Chebyshev propagator; refuses dimensions above 2000.
     """
     basis = psi0.basis
     hd = h.to_dense() if isinstance(h, LatticeOperator) else np.asarray(h)
@@ -269,7 +303,6 @@ def auto_depth(spec, psi0_builder, horizon: float, plan: PropagationPlan | None 
         plan = PropagationPlan(np.array([0.0, float(horizon)]))
     else:
         plan = PropagationPlan(np.array([0.0, float(horizon)]), tol=plan.tol,
-                               max_krylov_dim=plan.max_krylov_dim,
                                leakage_threshold=plan.leakage_threshold,
                                leakage_width=plan.leakage_width)
     if table_builder is None:

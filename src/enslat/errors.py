@@ -66,7 +66,7 @@ class LeakageExceeded(EnslatError):
 
 
 class KrylovBreakdown(EnslatError):
-    """Non-finite values appeared during Krylov propagation."""
+    """Non-finite values during propagation."""
 
 
 class DepthCapExceeded(EnslatError):

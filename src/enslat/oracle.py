@@ -209,6 +209,9 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
             # corrected two-pass sum of squares (exact zero for identical samples)
             sq = dev.view(float)
             cm2[tile] = np.einsum("tpb,tpb->tp", sq, sq) - np.abs(dev.sum(axis=-1)) ** 2 / nb
+        # free this chunk's amplitudes before the next chunk's are made: with
+        # both alive, peak memory doubled and depended on heap layout
+        del amps
         np.clip(cm2, 0.0, None, out=cm2)
         delta = cmean - mean
         total = count + nb
@@ -216,7 +219,9 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
         m2 += cm2 + np.abs(delta) ** 2 * (count * nb / total)
         count = total
     sem = np.sqrt(m2 / s) / np.sqrt(s)
-    sem[sem < 1e-18] = 0.0      # float-floor residue of an exactly degenerate spread
+    # rounding residue of an exactly constant entry: its spread is a few eps
+    # in units of the answer, so its standard error scales as eps * |rho| / sqrt(s)
+    sem[sem <= 8 * np.finfo(float).eps * np.abs(mean).max() / np.sqrt(s)] = 0.0
     info = {"method": "mc", "samples": s, "seed": int(cfg.seed),
             "degenerate_distribution": bool(s > 1 and float(sem.max()) == 0.0)}
     return DensityTrajectory(times, _hermitian(mean, rows, cols, n),

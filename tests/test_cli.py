@@ -81,6 +81,22 @@ def test_manifest_records_oracles(tmp_path):
     assert man["result"] == result.manifest["result"]
 
 
+def test_manifest_records_propagator(tmp_path):
+    path = qubit_config(tmp_path)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["numeric"]["max_krylov_dim"] = 30      # retired knob, still found in old manifests
+    path.write_text(yaml.safe_dump(cfg))
+    result = run(str(path))
+    assert result.exit_code == 0
+    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+    prop = man["result"]["propagator"]
+    assert set(prop) == {"spectral_centre", "spectral_half_width", "windows", "matvecs",
+                         "max_norm_drift"}
+    assert prop["matvecs"] > 0 and prop["windows"] > 0 and prop["spectral_half_width"] > 0
+    assert prop["max_norm_drift"] <= 1e-10
+    assert "max_krylov_dim" not in man["config"]["numeric"]
+
+
 def test_compare_tolerance_exceeded_exit_4(tmp_path):
     path = qubit_config(tmp_path, method="compare", samples=200, n_steps=10,
                         extra={"compare": {"quad_tol": 1e-30, "analytic_tol": 1e-30}})

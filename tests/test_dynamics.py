@@ -1,9 +1,12 @@
-"""Krylov propagation: correctness, conservation laws, leakage, auto depth."""
+"""Chebyshev propagation: correctness against the dense reference, conservation
+laws, leakage, auto depth, and the operator contract the benchmark relies on."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from enslat import dynamics
 from enslat import (
     DepthCapExceeded,
     DisorderDistribution,
@@ -12,10 +15,12 @@ from enslat import (
     LeakageExceeded,
     PropagationPlan,
     auto_depth,
+    boundary_shell,
     build_linear,
     characteristic_function,
     evolve,
     localized_initial,
+    partial_trace,
     propagate,
     propagate_dense,
     recurrence_analytic,
@@ -233,3 +238,142 @@ def test_plan_validation():
         PropagationPlan(np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         PropagationPlan(np.array([0.0, 1.0]), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev windows against the dense reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def hermitian_lattices(draw):
+    """(basis, H, offset): a random sparse complex-Hermitian operator of
+    dimension <= 120, either with O(1) entries or dimer-like (entries of a few
+    hundred on a diagonal offset of 12,000)."""
+    n = draw(st.integers(1, 3))
+    nodes = draw(st.integers(2, 120 // n))
+    basis = LatticeBasis(n, (nodes - 1,))
+    dim = basis.size
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.floats(0.0, 0.2))
+    scale, offset = draw(st.sampled_from([(1.0, 0.0), (1.0, 3.0), (300.0, 12_000.0)]))
+    upper = sp.random(dim, dim, density=density, random_state=rng, dtype=complex,
+                      data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+    h = sp.triu(upper, 1) + sp.diags(rng.normal(size=dim - 1) + 0j, 1)
+    h = h + h.conj().T + sp.diags(rng.normal(size=dim))
+    return basis, sp.csr_matrix(scale * h + offset * sp.identity(dim)), offset
+
+
+@st.composite
+def time_grids(draw):
+    """Strictly increasing grids from 0 in units of 1/a: short steps share a
+    window, long ones (a * dt up to 40) need windows of their own."""
+    steps = draw(st.lists(st.one_of(st.floats(1e-3, 2.0), st.floats(2.0, 40.0)),
+                          min_size=1, max_size=12))
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_lattices(), time_grids(), st.integers(0, 2 ** 32 - 1))
+def test_chebyshev_matches_dense(lattice, grid, seed):
+    basis, h, offset = lattice
+    psi0 = random_state(np.random.default_rng(seed), basis)
+    # the offset is an exact global phase; removing it keeps the dense eigenvalues accurate
+    shifted = h - offset * sp.identity(h.shape[0])
+    times = grid / abs(shifted).sum(axis=1).max()      # a time unit near 1/half-width
+    states, report = propagate(h, psi0, PropagationPlan(times, leakage_threshold=np.inf))
+    dense = propagate_dense(shifted.toarray(), psi0, times)
+    assert report.norm_drift <= 1e-12
+    for t, got, want in zip(times, states, dense):
+        assert np.abs(partial_trace(got) - partial_trace(want)).max() <= 1e-12
+        if offset <= 3.0:
+            want = want.amplitudes * np.exp(-1j * offset * t)
+            assert np.abs(got.amplitudes - want).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# edge cases and the operator contract
+# ---------------------------------------------------------------------------
+
+def test_evolve_backward_undoes_forward_with_offset(rng):
+    # dt < 0 runs the same expansion; the e^{-i c tau} phase must flip with it
+    basis, h = random_hermitian_lattice(rng)
+    h = 300.0 * h + 12_000.0 * sp.identity(basis.size, format="csr")
+    psi0 = random_state(rng, basis)
+    fwd = evolve(h, psi0.amplitudes, 0.02)
+    assert np.abs(fwd - psi0.amplitudes).max() > 0.1
+    back = evolve(h, fwd, -0.02)
+    assert np.abs(back - psi0.amplitudes).max() <= 1e-10
+
+
+def test_constant_operator_is_pure_phase():
+    # H = c I has Gershgorin half-width 0: no products with H, only the phase
+    basis = LatticeBasis(2, (8,))
+    op = LatticeOperator(basis.size, np.arange(basis.size), np.arange(basis.size),
+                         np.full(basis.size, 2.5))
+    psi0 = localized_initial(np.array([0.6, 0.8]), basis)
+    plan = PropagationPlan(np.array([0.0, 0.7, 1.9, 40.0]))
+    states, report = propagate(op, psi0, plan)
+    assert report.half_width == 0.0 and report.centre == 2.5
+    assert report.matvecs == 0 and report.norm_drift <= 1e-15
+    for t, s in zip(plan.times, states):
+        assert np.abs(s.amplitudes - np.exp(-2.5j * t) * psi0.amplitudes).max() <= 1e-14
+    back = evolve(op, psi0.amplitudes, -3.0)
+    assert np.abs(back - np.exp(7.5j) * psi0.amplitudes).max() <= 1e-14
+
+
+def test_leakage_exceeded_inside_a_window():
+    dist = DisorderDistribution.semicircle(1.0)
+    spec = qubit_spec(dist)
+    d = 4
+    op = build_linear(spec, [recurrence_analytic(dist, d + 1)], [d])
+    basis = LatticeBasis(2, (d,))
+    psi0 = localized_initial(np.array([0.0, 1.0]), basis)
+    plan = PropagationPlan.linspace(6.0, 25, leakage_threshold=1e-3)
+    shell = boundary_shell(basis, 1)
+    dense = propagate_dense(op, psi0, plan.times)
+    leak = np.array([np.sum(np.abs(s.amplitudes[shell]) ** 2) for s in dense])
+    first = int(np.argmax(leak > plan.leakage_threshold))
+    assert 1 < first < plan.times.size - 1
+    with pytest.raises(LeakageExceeded) as exc:
+        propagate(op, psi0, plan)
+    err = exc.value
+    assert err.report.windows == 1          # the whole grid is one window
+    assert err.time == plan.times[first]
+    assert len(err.states) == first + 1 and err.report.times.size == first + 1
+    assert abs(err.leakage - leak[first]) <= 1e-12
+    assert np.abs(err.report.leakage - leak[:first + 1]).max() <= 1e-12
+    assert err.report.matvecs > 0
+
+
+class _ShapeAndMatmul:
+    """What the benchmark's counting wrapper exposes: ``shape`` and ``@``."""
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self.shape = matrix.shape
+
+    def __matmul__(self, vec):
+        return self._matrix @ vec
+
+
+def test_propagator_needs_only_shape_and_matmul(monkeypatch):
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    op = build_linear(spec, [recurrence_analytic(spec.distributions[0], 33)], [32])
+    psi0 = localized_initial(c, LatticeBasis(2, (32,)))
+    plan = PropagationPlan.linspace(2.0, 9)
+
+    def run():
+        states, report = propagate(op, psi0, plan)
+        return ([s.amplitudes for s in states], report.matvecs,
+                evolve(op, psi0.amplitudes, -1.3),
+                auto_depth(spec, lambda b: localized_initial(c, b), horizon=3.0))
+
+    want = run()
+    as_csr = dynamics._as_csr
+    monkeypatch.setattr(dynamics, "_as_csr", lambda h: _ShapeAndMatmul(as_csr(h)))
+    got = run()
+    assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+    assert got[1] == want[1] > 0
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3]

@@ -1,7 +1,10 @@
 """Reference routes: Monte Carlo, Gauss quadrature, closed forms, reverse map."""
 
+import pathlib
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -32,6 +35,7 @@ from enslat import (
 from conftest import qubit_spec
 
 C_HALF = np.array([1.0, 1.0]) / np.sqrt(2)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,24 @@ def test_mc_chunking_invariance(monkeypatch):
         assert np.abs(runs[chunk].rho - ref.rho).max() <= 1e-14
         assert np.abs(runs[chunk].errors - ref.errors).max() <= 1e-14
         assert np.array_equal(runs[chunk].errors == 0.0, ref.errors == 0.0)
+
+
+def test_mc_sem_zero_exactly_on_constant_entries():
+    # gaussian qubit config: populations are constant at every time and the
+    # coherence at t = 0, so those entries (and no others) have zero SEM at
+    # any sample count
+    from enslat.cli import parse_initial, parse_spec
+    cfg = yaml.safe_load(open(CONFIGS / "qubit_gaussian.yaml"))
+    spec = parse_spec(cfg, str(CONFIGS))
+    c = parse_initial(cfg, spec, str(CONFIGS))[1]
+    times = np.linspace(0.0, cfg["time"]["t_max"], cfg["time"]["n_steps"])
+    constant = np.zeros((times.size, 2, 2), dtype=bool)
+    constant[:, [0, 1], [0, 1]] = True
+    constant[0] = True
+    for samples in (500, 100_000):
+        traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=1))
+        assert np.array_equal(traj.errors == 0.0, constant)
+        assert traj.errors[~constant].min() > 1e-2 / np.sqrt(samples)
 
 
 def _hermitian_from(draw, n):
