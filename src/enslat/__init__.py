@@ -21,7 +21,6 @@ from .errors import (
     NotHermitian,
     NotNormalized,
     NumericalBreakdown,
-    QuadratureUnderResolved,
     SystemTooLarge,
     TableTooShort,
     UnboundedSupport,
@@ -52,6 +51,7 @@ from .lattice import (
     build_linear,
     load_triplets,
     save_triplets,
+    table_orders,
 )
 from .states import (
     LatticeState,

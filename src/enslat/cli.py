@@ -41,11 +41,13 @@ from .errors import (
 from .dynamics import PropagationPlan, auto_depth, propagate
 from .lattice import (
     EnsembleSpec,
+    LatticeBasis,
     LinearCoupling,
     PolynomialCoupling,
     TabulatedCoupling,
     build_general,
-    build_linear,
+    build_linear,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
+    table_orders,
 )
 from .measures import DisorderDistribution, recurrence_table
 from .oracle import OracleConfig, analytic_qubit, mc_average, quad_average
@@ -211,7 +213,9 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
 
 def _resolve_numeric(cfg: dict) -> dict:
     num = dict(cfg.get("numeric") or {})
-    num.pop("max_krylov_dim", None)     # retired Lanczos knob: old manifests still run
+    # retired knobs (Lanczos dimension, assembly quadrature order): old manifests still run
+    num.pop("max_krylov_dim", None)
+    num.pop("quad_points", None)
     num.setdefault("tol", 1e-12)
     num.setdefault("depths", "auto")
     num.setdefault("seed", 0)
@@ -244,11 +248,9 @@ def _chain_trajectory(spec, initial, times, num):
     tol = float(num["tol"])
     plan_kw = dict(tol=tol, leakage_threshold=float(num["leakage_threshold"]))
     kind, payload = initial
-    all_linear = all(isinstance(c, LinearCoupling) for c in spec.couplings)
-    max_deg = max(getattr(c, "degree", 1) for c in spec.couplings)
 
-    def tables_for(dists, order):
-        return [recurrence_table(d, order) for d in dists]
+    def tables_for(dists, depths):
+        return [recurrence_table(d, order) for d, order in zip(dists, table_orders(spec, depths))]
 
     def psi0_for(basis, tables):
         if kind == "localized":
@@ -262,15 +264,10 @@ def _chain_trajectory(spec, initial, times, num):
     if depths == "auto":
         if kind == "spectral":
             _fail("numeric.depths", "spectral initial states need explicit depths")
-        def builder(basis):
-            order = (basis.depths[0] + 1) if all_linear else \
-                (basis.depths[0] + max_deg + 1)
-            return psi0_for(basis, tables_for(spec.distributions, order))
         depths = auto_depth(
-            spec, builder, float(times[-1]),
-            PropagationPlan(np.array([0.0, float(times[-1])]), **plan_kw),
-            cap=int(num["depth_cap"]),
-            quad_points=None if all_linear else (lambda d: d + max_deg + 1))
+            spec, lambda basis: psi0_for(basis, tables_for(spec.distributions, basis.depths)),
+            float(times[-1]), PropagationPlan(np.array([0.0, float(times[-1])]), **plan_kw),
+            cap=int(num["depth_cap"]))
     elif isinstance(depths, int):
         depths = tuple([int(depths)] * spec.l)
     else:
@@ -286,15 +283,8 @@ def _chain_trajectory(spec, initial, times, num):
             _fail("initial", "spectral initial states support a single disorder variable")
         assemble_spec = EnsembleSpec(spec.h0, spec.couplings, (dist,))
 
-    if all_linear:
-        tables = tables_for(assemble_spec.distributions, max(depths) + 1)
-        op = build_linear(assemble_spec, tables, depths)
-    else:
-        qp = int(num.get("quad_points") or (max(depths) + max_deg + 1))
-        tables = tables_for(assemble_spec.distributions, qp)
-        op = build_general(assemble_spec, tables, depths, qp)
-
-    from .lattice import LatticeBasis
+    tables = tables_for(assemble_spec.distributions, depths)
+    op = build_general(assemble_spec, tables, depths)
     basis = LatticeBasis(spec.n, depths)
     psi0 = psi0_for(basis, tables)
     plan = PropagationPlan(times, **plan_kw)
@@ -305,12 +295,8 @@ def _chain_trajectory(spec, initial, times, num):
 
 
 def _oracle_trajectory(method, spec, initial, times, num):
-    kind, payload = initial
-    if kind == "localized":
-        c_fn = payload
-    elif kind == "tabulated":
-        c_fn = payload
-    else:
+    kind, c_fn = initial
+    if kind == "spectral":
         _fail("initial", f"method {method!r} does not support spectral initial states")
     cfg = OracleConfig(samples=int(num["samples"]), seed=int(num["seed"]),
                        quad_order=num["quad_order"])
@@ -451,6 +437,10 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
 
     outputs = []
     result_meta: dict = {"package_version": __version__, "method": meth}
+    residuals = {i: c.fit_residual for i, c in enumerate(spec.couplings)
+                 if isinstance(c, TabulatedCoupling)}
+    if residuals:
+        result_meta["tabulated_fit_residual"] = residuals
     if threads is not None:
         result_meta["threads_requested"] = int(threads)
     compare_rows = []

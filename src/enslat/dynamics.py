@@ -32,8 +32,9 @@ from scipy.linalg.blas import zaxpy
 from scipy.special import jv
 
 from .errors import DepthCapExceeded, KrylovBreakdown, LeakageExceeded
-from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, build_linear
-from .lattice import LinearCoupling
+from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, table_orders
+# same function as build_general, unused here: perfbench/tracing.py rebinds it in this module
+from .lattice import build_linear  # noqa: F401
 from .measures import recurrence_table
 from .reduction import partial_trace
 from .states import LatticeState
@@ -272,27 +273,22 @@ def propagate_dense(h, psi0: LatticeState, times) -> list[LatticeState]:
 
 
 def auto_depth(spec, psi0_builder, horizon: float, plan: PropagationPlan | None = None,
-               *, start: int = 16, cap: int = 4096, quad_points=None,
-               table_builder=None, grid_points=None) -> tuple:
+               *, start: int = 16, cap: int = 4096) -> tuple:
     """Choose truncation depths by doubling until the dynamics are stable.
 
     Per-dimension depth starts at `start` and doubles until (a) the final-time
     boundary leakage is below the plan threshold and (b) the reduced density
     matrix at the horizon changes by less than ``10 * plan.tol`` in max entry
     between successive depths.  Convergence-by-doubling is its own oracle: the
-    accepted depth is returned, not the trajectory.
+    accepted depth is returned, not the trajectory.  At each depth the
+    operator is assembled by :func:`build_general` from the
+    :func:`~enslat.measures.recurrence_table` of each distribution, at the
+    orders :func:`~enslat.lattice.table_orders` gives.
 
     Parameters
     ----------
     psi0_builder : callable
         ``basis -> LatticeState`` (e.g. a localized_initial closure).
-    table_builder : callable, optional
-        ``(axis_index, order) -> RecurrenceTable``; defaults to
-        :func:`~enslat.measures.recurrence_table` on the ensemble's
-        distributions.
-    quad_points : callable or int, optional
-        When set, assembly goes through :func:`build_general` with this
-        quadrature order (an int, or a callable of the current depth).
 
     Raises
     ------
@@ -305,24 +301,15 @@ def auto_depth(spec, psi0_builder, horizon: float, plan: PropagationPlan | None 
         plan = PropagationPlan(np.array([0.0, float(horizon)]), tol=plan.tol,
                                leakage_threshold=plan.leakage_threshold,
                                leakage_width=plan.leakage_width)
-    if table_builder is None:
-        def table_builder(i, order):
-            return recurrence_table(spec.distributions[i], order, grid_points)
 
     prev_rho = None
     depth = start
     while depth <= cap:
         depths = tuple([depth] * spec.l)
         basis = LatticeBasis(spec.n, depths)
-        if quad_points is None and all(isinstance(c, LinearCoupling) for c in spec.couplings):
-            tables = [table_builder(i, depth + 1) for i in range(spec.l)]
-            op = build_linear(spec, tables, depths)
-        else:
-            qp = quad_points(depth) if callable(quad_points) else quad_points
-            if qp is None:
-                qp = depth + 1 + max(getattr(c, "degree", 1) for c in spec.couplings)
-            tables = [table_builder(i, qp) for i in range(spec.l)]
-            op = build_general(spec, tables, depths, qp)
+        tables = [recurrence_table(dist, order)
+                  for dist, order in zip(spec.distributions, table_orders(spec, depths))]
+        op = build_general(spec, tables, depths)
         psi0 = psi0_builder(basis)
         try:
             states, report = propagate(op, psi0, plan)

@@ -37,10 +37,6 @@ class DimensionMismatch(EnslatError):
     """Inconsistent number of disorder dimensions between inputs."""
 
 
-class QuadratureUnderResolved(EnslatError):
-    """Quadrature order below the exactness threshold for the coupling degree."""
-
-
 # --- states ---
 
 class NotNormalized(EnslatError):

@@ -5,10 +5,13 @@ An :class:`EnsembleSpec` describes a family of N-level Hamiltonians
 ``lambda_i``.  Expanding over polynomials orthonormal under each disorder
 measure turns the continuum of realizations into a single lattice whose nodes
 carry a multi-index K = (k_1, ..., k_l): the disorder-free part H0 lands on
-every node, a linear coupling ``C * lambda_i`` produces nearest-neighbour
-hops ``C * sqrt(beta_{k_i+1})`` along axis i (plus on-node shifts
-``C * alpha_{k_i}``), and a degree-d polynomial coupling produces bands of
-width d.
+every node, and a coupling ``f_i(lambda_i)`` acts along axis i as f_i(J_i),
+where J_i is the Jacobi matrix of the axis's measure (``alpha_k`` on the
+diagonal, ``sqrt(beta_{k+1})`` beside it).  A linear coupling ``C * lambda_i``
+thus produces nearest-neighbour hops ``C * sqrt(beta_{k_i+1})`` plus on-node
+shifts ``C * alpha_{k_i}``, and a degree-d polynomial coupling produces bands
+of width d.  Every coupling is a polynomial once the spec is built: tabulated
+couplings are fitted on construction.
 
 The assembled operator is Hermitian and sparse; it is stored as upper-triangle
 triplets (:class:`LatticeOperator`) and converted to CSR for propagation.
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, NotHermitian, QuadratureUnderResolved, TableTooShort
-from .measures import DisorderDistribution, RecurrenceTable, gauss_rule, orthonormal_values
+from .errors import DimensionMismatch, NotHermitian, TableTooShort
+from .measures import DisorderDistribution, RecurrenceTable
 
 __all__ = [
     "LinearCoupling",
@@ -33,6 +36,7 @@ __all__ = [
     "LatticeOperator",
     "build_linear",
     "build_general",
+    "table_orders",
     "boundary_shell",
     "save_triplets",
     "load_triplets",
@@ -61,6 +65,11 @@ class LinearCoupling:
         object.__setattr__(self, "matrix", _check_hermitian(self.matrix, "coupling matrix"))
 
     @property
+    def matrices(self) -> tuple:
+        """Coefficients of lambda**0 and lambda**1: ``(0, matrix)``."""
+        return (np.zeros_like(self.matrix), self.matrix)
+
+    @property
     def degree(self) -> int:
         return 1
 
@@ -87,15 +96,19 @@ class PolynomialCoupling:
 class TabulatedCoupling:
     """Matrix-valued disorder function sampled on a grid, entry-wise.
 
-    Before assembly the samples are fitted with a degree-``fit_degree``
-    polynomial (the lattice is only banded for polynomial couplings); the
-    maximum fit residual on the grid is reported in the assembled operator's
-    ``info``.
+    The samples are fitted once, on construction, with a least-squares
+    polynomial of degree ``min(fit_degree, npoints - 1)``; ``matrices`` holds
+    its (Hermitian) coefficients and ``fit_residual`` the largest deviation of
+    the fit from the samples on the grid.  Every route, lattice and oracles
+    alike, uses that polynomial: the lattice is only banded for polynomial
+    couplings, and the routes must describe the same ensemble.
     """
 
     lam: np.ndarray
     values: np.ndarray  # (npoints, N, N)
     fit_degree: int = 8
+    matrices: tuple = field(init=False, repr=False)
+    fit_residual: float = field(init=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -106,23 +119,20 @@ class TabulatedCoupling:
             raise ValueError("tabulated coupling grid must be strictly increasing")
         for i in range(lam.size):
             _check_hermitian(vals[i], f"tabulated coupling sample {i}")
+        vander = np.vander(lam, min(self.fit_degree, lam.size - 1) + 1, increasing=True)
+        flat = vals.reshape(lam.size, -1)
+        coef, *_ = np.linalg.lstsq(vander, flat, rcond=None)
+        n = vals.shape[1]
+        mats = tuple(0.5 * (c.reshape(n, n) + c.reshape(n, n).conj().T) for c in coef)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "fit_residual",
+                           float(np.max(np.abs(vander @ coef - flat))) if flat.size else 0.0)
 
     @property
     def degree(self) -> int:
-        return self.fit_degree
-
-    def fit(self) -> tuple["PolynomialCoupling", float]:
-        """Least-squares polynomial fit; returns (coupling, max residual)."""
-        deg = min(self.fit_degree, self.lam.size - 1)
-        V = np.vander(self.lam, deg + 1, increasing=True)
-        flat = self.values.reshape(self.lam.size, -1)
-        coef, *_ = np.linalg.lstsq(V, flat, rcond=None)
-        resid = float(np.max(np.abs(V @ coef - flat))) if flat.size else 0.0
-        n = self.values.shape[1]
-        mats = [0.5 * (c.reshape(n, n) + c.reshape(n, n).conj().T) for c in coef]
-        return PolynomialCoupling(tuple(mats)), resid
+        return len(self.matrices) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +144,8 @@ class EnsembleSpec:
     h0 : ndarray (N, N)
         Disorder-independent Hermitian part (energy units).
     couplings : tuple
-        One coupling (Linear/Polynomial/Tabulated) per disorder variable.
+        One coupling (Linear/Polynomial/Tabulated) per disorder variable;
+        each is the polynomial ``sum_p matrices[p] * lambda**p``.
     distributions : tuple of DisorderDistribution
         One measure per disorder variable.
     """
@@ -154,10 +165,10 @@ class EnsembleSpec:
                 f"{len(couplings)} couplings vs {len(dists)} distributions")
         n = self.h0.shape[0]
         for i, c in enumerate(couplings):
-            mat = c.matrix if isinstance(c, LinearCoupling) else (
-                c.matrices[0] if isinstance(c, PolynomialCoupling) else c.values[0])
-            if mat.shape != (n, n):
-                raise DimensionMismatch(f"coupling {i} has shape {mat.shape}, expected {(n, n)}")
+            for mat in c.matrices:
+                if mat.shape != (n, n):
+                    raise DimensionMismatch(
+                        f"coupling {i} has shape {mat.shape}, expected {(n, n)}")
             if not isinstance(dists[i], DisorderDistribution):
                 raise TypeError(f"distributions[{i}] is not a DisorderDistribution")
         object.__setattr__(self, "couplings", couplings)
@@ -174,22 +185,19 @@ class EnsembleSpec:
         return len(self.couplings)
 
     def hamiltonian(self, lam) -> np.ndarray:
-        """Dense H(lambda) for one realization (used by the oracles)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.size != self.l:
-            raise DimensionMismatch(f"expected {self.l} disorder values, got {lam.size}")
-        h = self.h0.copy()
-        for li, c in zip(lam, self.couplings):
-            if isinstance(c, LinearCoupling):
-                h = h + li * c.matrix
-            elif isinstance(c, PolynomialCoupling):
-                for d, m in enumerate(c.matrices):
-                    h = h + (li ** d) * m
-            else:
-                for a in range(self.n):
-                    for b in range(self.n):
-                        h[a, b] += np.interp(li, c.lam, c.values[:, a, b].real) \
-                            + 1j * np.interp(li, c.lam, c.values[:, a, b].imag)
+        """H(lambda) of a (B, l) batch of realizations, as a (B, N, N) array.
+
+        The one realization Hamiltonian: every oracle evolves these matrices.
+        """
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim != 2 or lam.shape[1] != self.l:
+            raise DimensionMismatch(
+                f"expected a (B, {self.l}) batch of disorder values, got shape {lam.shape}")
+        h = np.broadcast_to(self.h0, (lam.shape[0], self.n, self.n)).copy()
+        for i, c in enumerate(self.couplings):
+            for p, m in enumerate(c.matrices):
+                if m.any():         # e.g. the zero constant term of a linear coupling
+                    h += (lam[:, i] ** p)[:, None, None] * m
         return h
 
 
@@ -248,15 +256,13 @@ class LatticeOperator:
     """Sparse Hermitian operator stored as upper-triangle triplets.
 
     Only entries with ``row <= col`` are stored; the lower triangle is implied
-    by Hermitian completion.  ``info`` carries assembly diagnostics (e.g.
-    tabulated-coupling fit residuals).
+    by Hermitian completion.
     """
 
     dim: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
@@ -289,8 +295,8 @@ class LatticeOperator:
         return self.to_csr().toarray()
 
 
-def _merge_triplets(dim: int, rows, cols, vals, info=None, drop_tol: float = 0.0) -> LatticeOperator:
-    """Accumulate-then-merge by (row, col) with summation; fixed ordering."""
+def _merge_triplets(dim: int, rows, cols, vals) -> LatticeOperator:
+    """Accumulate-then-merge by (row, col) with summation; fixed ordering; exact zeros dropped."""
     rows = np.concatenate(rows) if rows else np.empty(0, np.int64)
     cols = np.concatenate(cols) if cols else np.empty(0, np.int64)
     vals = np.concatenate(vals) if vals else np.empty(0, complex)
@@ -298,15 +304,18 @@ def _merge_triplets(dim: int, rows, cols, vals, info=None, drop_tol: float = 0.0
     uniq, inv = np.unique(keys, return_inverse=True)
     merged = np.zeros(uniq.size, dtype=complex)
     np.add.at(merged, inv, vals)
-    keep = np.abs(merged) > drop_tol
+    keep = merged != 0
     uniq, merged = uniq[keep], merged[keep]
-    return LatticeOperator(dim, uniq // dim, uniq % dim, merged, info=info or {})
+    return LatticeOperator(dim, uniq // dim, uniq % dim, merged)
 
 
-def _require_linear(spec: EnsembleSpec):
-    for i, c in enumerate(spec.couplings):
-        if not isinstance(c, LinearCoupling):
-            raise TypeError(f"coupling {i} is not linear; use build_general")
+def table_orders(spec: EnsembleSpec, depths) -> list:
+    """Recurrence-table order each axis needs to assemble the lattice at ``depths``.
+
+    The blocks of a degree-d coupling at depth D are entries of powers of the
+    Jacobi matrix truncated to D + d // 2 + 1 rows (see :func:`build_general`).
+    """
+    return [int(d) + c.degree // 2 + 1 for c, d in zip(spec.couplings, depths)]
 
 
 def _check_tables(spec: EnsembleSpec, tables, min_order):
@@ -321,26 +330,59 @@ def _check_tables(spec: EnsembleSpec, tables, min_order):
     return tables
 
 
-def build_linear(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
-    """Assemble the lattice operator for linear couplings.
+def _axis_bands(coupling, table: RecurrenceTable, depth: int) -> list:
+    """Bands of the coupling block f(J) along one axis.
 
-    On-node blocks are ``H0 + sum_i alpha_i[k_i] C_i``; the hop block between
-    K and K+1_i along axis i is ``sqrt(beta_i[k_i + 1]) C_i``.  Only
-    nearest-neighbour inter-node blocks appear, so the operator is a chain for
-    l = 1 and an l-dimensional nearest-neighbour lattice in general.
+    ``bands[o][a, b][k] = sum_p M_p[a, b] (J^p)[k, k + o]`` for o = 0..min(degree,
+    depth) and k + o <= depth, kept only for the entries (a, b) with a nonzero
+    coefficient.  J is truncated to m = depth + degree // 2 + 1 rows: a path of
+    p <= degree steps between two indices <= depth never climbs above
+    depth + p // 2, so the entries read from the truncated powers are exact.
+    """
+    m = depth + coupling.degree // 2 + 1
+    hop = np.sqrt(table.beta[:m - 1])
+    jac = sp.diags([hop, table.alpha[:m], hop], [-1, 0, 1], format="csr")
+    power = sp.identity(m, format="csr")
+    width = min(coupling.degree, depth)
+    bands = [{} for _ in range(width + 1)]
+    for p, mat in enumerate(coupling.matrices):
+        if p:
+            power = power @ jac
+        for o in range(min(p, width) + 1):
+            diag = power.diagonal(o)[:depth + 1 - o]
+            for a, b in zip(*np.nonzero(mat)):
+                term = mat[a, b] * diag
+                bands[o][a, b] = bands[o][a, b] + term if (a, b) in bands[o] else term
+    return bands
+
+
+def build_general(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
+    """Assemble the lattice operator of an ensemble.
+
+    Along axis i the coupling ``f_i = sum_p M_p lambda**p`` acts on the node
+    index as f_i(J_i), J_i the Jacobi matrix of the axis's measure, so the
+    block between K and K' differing only in k_i is
+    ``<phi_k|f_i|phi_k'> = sum_p M_p (J_i^p)[k, k']`` (Gautschi, *Orthogonal
+    Polynomials*, 2004): exact, with no quadrature.  On-node blocks are
+    ``H0 + sum_i f_i(J_i)[k_i, k_i]``; a degree-d coupling adds bands of
+    width d along its axis, and entries beyond the band are not stored.  For
+    a linear coupling C these are the on-node shifts ``alpha_i[k_i] C`` and
+    the hops ``sqrt(beta_i[k_i + 1]) C``: a chain for l = 1 and an
+    l-dimensional nearest-neighbour lattice in general.
 
     Parameters
     ----------
     tables : sequence of RecurrenceTable
-        One per disorder variable, order >= depth + 1.
+        One per disorder variable, of at least the orders
+        :func:`table_orders` gives.
     depths : sequence of int
         Truncation depth D_i per axis (k_i = 0..D_i).
     """
-    _require_linear(spec)
     depths = tuple(int(d) for d in (depths if np.iterable(depths) else [depths]))
     if len(depths) != spec.l:
         raise DimensionMismatch(f"{spec.l} disorder variables but {len(depths)} depths")
-    tables = _check_tables(spec, tables, [d + 1 for d in depths])
+    tables = _check_tables(spec, tables, table_orders(spec, depths))
+    bands = [_axis_bands(c, t, d) for c, t, d in zip(spec.couplings, tables, depths)]
 
     basis = LatticeBasis(spec.n, depths)
     n = spec.n
@@ -349,118 +391,30 @@ def build_linear(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
     strides = np.array([int(np.prod(basis.shape[i + 1:])) for i in range(basis.l)])
 
     rows, cols, vals = [], [], []
-    # on-node blocks: upper triangle of H0 + sum_i alpha_i[k_i] C_i per node
+    # on-node blocks: upper triangle of H0 + sum_i f_i(J_i)[k_i, k_i] per node
     for a in range(n):
         for b in range(a, n):
             per_node = np.full(basis.node_count, spec.h0[a, b], dtype=complex)
-            for i, (c, t) in enumerate(zip(spec.couplings, tables)):
-                if c.matrix[a, b] != 0:
-                    per_node = per_node + c.matrix[a, b] * t.alpha[multi[:, i]]
-            nz = per_node != 0
-            if np.any(nz):
-                rows.append(node[nz] * n + a)
-                cols.append(node[nz] * n + b)
-                vals.append(per_node[nz])
-    # hop blocks along each axis: sqrt(beta[k+1]) C_i between node and node+stride
-    for i, (c, t) in enumerate(zip(spec.couplings, tables)):
-        if depths[i] == 0:
-            continue
-        sel = multi[:, i] < depths[i]
-        src = node[sel]
-        dst = src + strides[i]
-        hop = np.sqrt(t.beta[multi[sel, i]])    # beta_{k+1} at index k
-        for a in range(n):
-            for b in range(n):
-                if c.matrix[a, b] != 0:
-                    rows.append(src * n + a)
-                    cols.append(dst * n + b)
-                    vals.append(c.matrix[a, b] * hop)
+            for i, axis in enumerate(bands):
+                if (a, b) in axis[0]:
+                    per_node = per_node + axis[0][a, b][multi[:, i]]
+            rows.append(node * n + a)
+            cols.append(node * n + b)
+            vals.append(per_node)
+    # inter-node bands along each axis, between K and K + o along axis i
+    for i, axis in enumerate(bands):
+        for o in range(1, len(axis)):
+            sel = multi[:, i] + o <= depths[i]
+            src = node[sel]
+            dst = src + o * strides[i]
+            for (a, b), band in axis[o].items():
+                rows.append(src * n + a)
+                cols.append(dst * n + b)
+                vals.append(band[multi[sel, i]])
     return _merge_triplets(basis.size, rows, cols, vals)
 
 
-def build_general(spec: EnsembleSpec, tables, depths, quad_points: int) -> LatticeOperator:
-    """Assemble the lattice operator for polynomial or tabulated couplings.
-
-    Every coupling block ``F_i[k, k'] = int dp_i f_i phi_k phi_k'`` is computed
-    by Gauss quadrature built from the recurrence table of axis i, which is
-    exact for polynomial couplings whenever ``2*quad_points - 1`` covers the
-    integrand degree.  A degree-d coupling yields a banded operator with
-    bandwidth d along its axis; entries beyond the band are identically zero
-    and not stored.  Tabulated couplings are fitted with a polynomial first
-    (residual reported under ``info["tabulated_fit_residual"]``).
-
-    Requires ``quad_points >= depth + degree + 1`` per axis
-    (QuadratureUnderResolved otherwise) and table order >= quad_points.
-    """
-    depths = tuple(int(d) for d in (depths if np.iterable(depths) else [depths]))
-    if len(depths) != spec.l:
-        raise DimensionMismatch(f"{spec.l} disorder variables but {len(depths)} depths")
-    info: dict = {}
-    couplings = []
-    for i, c in enumerate(spec.couplings):
-        if isinstance(c, LinearCoupling):
-            zero = np.zeros_like(c.matrix)
-            couplings.append(PolynomialCoupling((zero, c.matrix)))
-        elif isinstance(c, TabulatedCoupling):
-            fitted, resid = c.fit()
-            info.setdefault("tabulated_fit_residual", {})[i] = resid
-            couplings.append(fitted)
-        else:
-            couplings.append(c)
-    for i, (c, d) in enumerate(zip(couplings, depths)):
-        if quad_points < d + c.degree + 1:
-            raise QuadratureUnderResolved(
-                f"axis {i}: quad_points={quad_points} < depth + degree + 1 = {d + c.degree + 1}")
-    tables = _check_tables(spec, tables, [quad_points] * spec.l)
-
-    basis = LatticeBasis(spec.n, depths)
-    n = spec.n
-    multi = basis.node_multi_indices()
-    node = np.arange(basis.node_count)
-    strides = np.array([int(np.prod(basis.shape[i + 1:])) for i in range(basis.l)])
-
-    # per-axis coupling blocks F_i[:, :, k, k'] via Gauss quadrature
-    blocks = []
-    for i, (c, t, d) in enumerate(zip(couplings, tables, depths)):
-        x, w = gauss_rule(t, quad_points)
-        phi = orthonormal_values(t, x, d)                       # (d+1, Q)
-        fvals = np.zeros((n, n, x.size), dtype=complex)
-        for dd, m in enumerate(c.matrices):
-            fvals += m[:, :, None] * (x ** dd)[None, None, :]
-        F = np.einsum("kq,abq,mq->abkm", phi, fvals * w[None, None, :], phi, optimize=True)
-        # exact band structure: zero everything beyond |k - k'| > degree
-        k1, k2 = np.meshgrid(np.arange(d + 1), np.arange(d + 1), indexing="ij")
-        F[:, :, np.abs(k1 - k2) > c.degree] = 0.0
-        blocks.append(F)
-
-    rows, cols, vals = [], [], []
-    # on-node: H0 + sum_i F_i[k_i, k_i]
-    for a in range(n):
-        for b in range(a, n):
-            per_node = np.full(basis.node_count, spec.h0[a, b], dtype=complex)
-            for i, F in enumerate(blocks):
-                per_node = per_node + F[a, b, multi[:, i], multi[:, i]]
-            nz = per_node != 0
-            if np.any(nz):
-                rows.append(node[nz] * n + a)
-                cols.append(node[nz] * n + b)
-                vals.append(per_node[nz])
-    # inter-node bands along each axis, offsets 1..degree
-    for i, (c, F) in enumerate(zip(couplings, blocks)):
-        for off in range(1, min(c.degree, depths[i]) + 1):
-            sel = multi[:, i] + off <= depths[i]
-            src = node[sel]
-            dst = src + off * strides[i]
-            fk = F[:, :, multi[sel, i], multi[sel, i] + off]    # (n, n, nsel)
-            for a in range(n):
-                for b in range(n):
-                    v = fk[a, b]
-                    nz = v != 0
-                    if np.any(nz):
-                        rows.append(src[nz] * n + a)
-                        cols.append(dst[nz] * n + b)
-                        vals.append(v[nz])
-    return _merge_triplets(basis.size, rows, cols, vals, info=info)
+build_linear = build_general      # former name of the linear-coupling assembler
 
 
 def boundary_shell(basis: LatticeBasis, width: int = 1) -> np.ndarray:

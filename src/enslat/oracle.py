@@ -123,25 +123,6 @@ def _philox_uniforms(seed: int, start: int, stop: int, l: int) -> np.ndarray:
 # dense per-realization evolution
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_batch(spec: EnsembleSpec, lam: np.ndarray) -> np.ndarray:
-    """H(lambda) for a (B, l) batch of draws, vectorized per coupling."""
-    b = lam.shape[0]
-    h = np.broadcast_to(spec.h0, (b, spec.n, spec.n)).astype(complex).copy()
-    for i, c in enumerate(spec.couplings):
-        li = lam[:, i]
-        if isinstance(c, LinearCoupling):
-            h += li[:, None, None] * c.matrix
-        elif hasattr(c, "matrices"):
-            for d, m in enumerate(c.matrices):
-                h += (li ** d)[:, None, None] * m
-        else:
-            for a in range(spec.n):
-                for bb in range(spec.n):
-                    h[:, a, bb] += np.interp(li, c.lam, c.values[:, a, bb].real) \
-                        + 1j * np.interp(li, c.lam, c.values[:, a, bb].imag)
-    return h
-
-
 def _time_tiles(nt: int, row_bytes: int):
     """Slices of a time axis whose temporaries, at row_bytes per time, fit a cache tile."""
     step = max(1, _TILE_BYTES // row_bytes)
@@ -199,7 +180,7 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
         worst = np.max(np.abs(np.linalg.norm(c0, axis=1) - 1.0))
         if worst > 1e-8:
             raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
-        amps = _evolve_batch(_hamiltonian_batch(spec, lam), c0, times)
+        amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
         nb = amps.shape[-1]
         for tile in _time_tiles(times.size, 16 * rows.size * nb):
             dev = np.conj(amps[tile, cols])                     # (tile, P, B)
@@ -262,7 +243,7 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig,
     for s0 in range(0, lam.shape[0], _CHUNK):
         chunk = lam[s0:s0 + _CHUNK]
         c0 = realization_amplitudes(c_fn, chunk, n)
-        amps = _evolve_batch(_hamiltonian_batch(spec, chunk), c0, times)   # (T, N, B)
+        amps = _evolve_batch(spec.hamiltonian(chunk), c0, times)   # (T, N, B)
         acc += (amps * weights[s0:s0 + _CHUNK]) @ amps.conj().transpose(0, 2, 1)
     info = {"method": "quad", "quad_order": list(int(q) for q in orders)}
     return DensityTrajectory(times, acc, info=info)

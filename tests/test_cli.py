@@ -1,10 +1,16 @@
 """CLI: config parsing, outputs, exit codes, manifest round trip."""
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import yaml
 
+import enslat.cli
+import enslat.dynamics
+import enslat.oracle
+from enslat import TabulatedCoupling
 from enslat.cli import main, run, trajectory_csv, validate_config
 
 INV = 0.70710678118654746
@@ -84,7 +90,8 @@ def test_manifest_records_oracles(tmp_path):
 def test_manifest_records_propagator(tmp_path):
     path = qubit_config(tmp_path)
     cfg = yaml.safe_load(path.read_text())
-    cfg["numeric"]["max_krylov_dim"] = 30      # retired knob, still found in old manifests
+    cfg["numeric"]["max_krylov_dim"] = 30      # retired knobs, still found in old manifests
+    cfg["numeric"]["quad_points"] = 12
     path.write_text(yaml.safe_dump(cfg))
     result = run(str(path))
     assert result.exit_code == 0
@@ -95,6 +102,7 @@ def test_manifest_records_propagator(tmp_path):
     assert prop["matvecs"] > 0 and prop["windows"] > 0 and prop["spectral_half_width"] > 0
     assert prop["max_norm_drift"] <= 1e-10
     assert "max_krylov_dim" not in man["config"]["numeric"]
+    assert "quad_points" not in man["config"]["numeric"]
 
 
 def test_compare_tolerance_exceeded_exit_4(tmp_path):
@@ -256,3 +264,53 @@ def test_compare_skips_analytic_for_cut_distribution(tmp_path):
     assert result.exit_code == 0
     pairs = [r["pair"] for r in result.manifest["result"]["compare"]]
     assert "chain_vs_quad" in pairs and "chain_vs_analytic" not in pairs
+
+
+def abs_coupling_config(tmp_path, method, **kw):
+    """Qubit with coupling |lambda| diag(0, 1), tabulated, on uniform disorder."""
+    lam = np.linspace(-1.0, 1.0, 201)
+    cols = [lam] + [np.abs(lam) * (a == b == 1) if part == 0 else np.zeros_like(lam)
+                    for a in range(2) for b in range(2) for part in range(2)]
+    np.savetxt(tmp_path / "abs.txt", np.column_stack(cols))
+    path = qubit_config(tmp_path, method=method,
+                        dist={"family": "uniform", "width": 1.0}, **kw)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["system"]["couplings"] = [{"type": "tabulated", "file": "abs.txt", "fit_degree": 8}]
+    path.write_text(yaml.safe_dump(cfg))
+    return path, TabulatedCoupling(lam, np.abs(lam)[:, None, None] * np.diag([0.0, 1.0]),
+                                   fit_degree=8)
+
+
+def test_tabulated_coupling_compare_agrees(tmp_path):
+    # every route uses the fitted polynomial, so chain and quad solve the same
+    # Hamiltonian even though |lambda| is not a polynomial
+    path, _ = abs_coupling_config(tmp_path, "compare", depths=64, samples=1000, n_steps=20)
+    result = run(str(path))
+    assert result.exit_code == 0
+    pairs = {row["pair"]: row for row in result.manifest["result"]["compare"]}
+    assert pairs["chain_vs_quad"]["max_abs_error"] <= 1e-8
+
+
+def test_manifest_records_tabulated_fit_residual(tmp_path):
+    path, coupling = abs_coupling_config(tmp_path, "chain", depths=32, n_steps=6)
+    assert run(str(path)).exit_code == 0
+    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+    assert man["result"]["tabulated_fit_residual"] == {0: coupling.fit_residual}
+    assert coupling.fit_residual > 1e-3         # |lambda| is no polynomial
+    run(str(qubit_config(tmp_path, n_steps=6)))
+    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+    assert "tabulated_fit_residual" not in man["result"]
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py rebinds these names in the enslat modules by name;
+    # a rename must not silently stop it from tracing a layer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"cli": enslat.cli, "dynamics": enslat.dynamics, "oracle": enslat.oracle}
+    missing = [f"{mod}.{name}" for mod, name, *_ in tracing._SPANS
+               if not hasattr(modules[mod], name)]
+    assert missing == []
+    assert hasattr(enslat.oracle, "_evolve_batch")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enslat import (
     DimensionMismatch,
@@ -10,7 +12,6 @@ from enslat import (
     LatticeBasis,
     LinearCoupling,
     PolynomialCoupling,
-    QuadratureUnderResolved,
     TableTooShort,
     TabulatedCoupling,
     boundary_shell,
@@ -22,6 +23,7 @@ from enslat import (
     recurrence_analytic,
     recurrence_table,
     save_triplets,
+    table_orders,
 )
 from conftest import dimer_spec, qubit_spec
 
@@ -162,11 +164,6 @@ def test_build_linear_errors():
         build_linear(spec, [short], [8])
     with pytest.raises(DimensionMismatch):
         build_linear(spec, [short, short], [3])
-    with pytest.raises(TypeError):
-        build_linear(EnsembleSpec(np.zeros((1, 1)),
-                                  (PolynomialCoupling((np.ones((1, 1)),)),),
-                                  (DisorderDistribution.uniform(1.0),)),
-                     [short], [3])
 
 
 def test_hermiticity_random_specs(rng):
@@ -232,7 +229,7 @@ def test_general_degree_one_equals_linear():
         spec.distributions)
     table = recurrence_analytic(spec.distributions[0], 2 * d)
     h_lin = build_linear(spec, [table], [d]).to_dense()
-    h_gen = build_general(poly_spec, [table], [d], quad_points=d + 2).to_dense()
+    h_gen = build_general(poly_spec, [table], [d]).to_dense()
     assert np.abs(h_lin - h_gen).max() < 1e-12
 
 
@@ -246,7 +243,7 @@ def test_general_quadratic_coupling_values():
                         (dist,))
     d = 4
     table = recurrence_analytic(dist, 12)
-    h = build_general(spec, [table], [d], quad_points=8).to_dense()
+    h = build_general(spec, [table], [d]).to_dense()
     assert abs(h[0, 0] - 1.0) < 1e-12
     assert abs(h[0, 2] - np.sqrt(2.0)) < 1e-12
     # degree-2 band: nothing beyond |k - k'| = 2
@@ -261,7 +258,7 @@ def test_general_band_structure():
     spec = EnsembleSpec(np.zeros((1, 1)), (PolynomialCoupling(mats),), (dist,))
     d = 8
     table = recurrence_analytic(dist, 2 * d)
-    op = build_general(spec, [table], [d], quad_points=d + deg + 1)
+    op = build_general(spec, [table], [d])
     assert int(np.abs(np.asarray(op.cols) - np.asarray(op.rows)).max()) <= deg
 
 
@@ -270,11 +267,11 @@ def test_general_quadrature_validation():
     spec = EnsembleSpec(np.zeros((1, 1)),
                         (PolynomialCoupling((np.zeros((1, 1)), np.ones((1, 1)))),),
                         (dist,))
-    table = recurrence_analytic(dist, 30)
-    with pytest.raises(QuadratureUnderResolved):
-        build_general(spec, [table], [8], quad_points=6)
+    need = table_orders(spec, [8])[0]
+    assert need == 9
     with pytest.raises(TableTooShort):
-        build_general(spec, [recurrence_analytic(dist, 5)], [8], quad_points=10)
+        build_general(spec, [recurrence_analytic(dist, need - 1)], [8])
+    build_general(spec, [recurrence_analytic(dist, need)], [8])
 
 
 def test_tabulated_coupling_matches_polynomial():
@@ -291,11 +288,76 @@ def test_tabulated_coupling_matches_polynomial():
                                                   -0.5 * np.ones((1, 1)))),), (dist,))
     d = 5
     table = recurrence_analytic(dist, 24)
-    op_tab = build_general(tab_spec, [table], [d], quad_points=12)
-    op_pol = build_general(poly_spec, [table], [d], quad_points=12)
-    resid = op_tab.info["tabulated_fit_residual"][0]
+    op_tab = build_general(tab_spec, [table], [d])
+    op_pol = build_general(poly_spec, [table], [d])
+    resid = tab_spec.couplings[0].fit_residual
     assert resid < 1e-13
     assert np.abs(op_tab.to_dense() - op_pol.to_dense()).max() < max(1e-12, 10 * resid)
+
+
+def _quadrature_operator(spec, tables, depths):
+    """Dense lattice operator from blocks F[k, k'] = sum_q w_q f(x_q) phi_k(x_q) phi_k'(x_q).
+
+    A Gauss rule of depth + degree + 1 points integrates every block exactly.
+    """
+    n = spec.n
+    nodes = [d + 1 for d in depths]
+    h = np.kron(np.eye(int(np.prod(nodes))), spec.h0)
+    for i, (c, t, d) in enumerate(zip(spec.couplings, tables, depths)):
+        x, w = gauss_rule(t, d + c.degree + 1)
+        phi = orthonormal_values(t, x, d)
+        f = sum(m[:, :, None] * x ** p for p, m in enumerate(c.matrices))   # (n, n, Q)
+        blocks = np.einsum("kq,abq,mq->kamb", phi, f * w, phi)             # (D+1, n, D+1, n)
+        before, after = int(np.prod(nodes[:i])), int(np.prod(nodes[i + 1:]))
+        h = h + np.einsum("jJ,kamb,lL->jklaJmLb", np.eye(before), blocks,
+                          np.eye(after)).reshape(h.shape)
+    return h
+
+
+_FAMILIES = {
+    "gaussian": DisorderDistribution.gaussian,
+    "uniform": DisorderDistribution.uniform,
+    "semicircle": DisorderDistribution.semicircle,
+    "cut-gaussian": lambda w: DisorderDistribution.gaussian(w, cutoff=(-2.5 * w, 2.0 * w)),
+}
+
+
+@st.composite
+def _polynomial_specs(draw):
+    n = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def hermitian():
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        keep = rng.random((n, n)) < 0.7          # some entries exactly zero
+        return 0.5 * (a + a.conj().T) * (keep & keep.T)
+
+    couplings = tuple(PolynomialCoupling(tuple(hermitian() for _ in range(draw(st.integers(1, 4)) + 1)))
+                      for _ in range(l))
+    dists = tuple(_FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))](
+        draw(st.floats(0.3, 2.0))) for _ in range(l))
+    depths = tuple(draw(st.integers(0, 7 if l == 1 else 4)) for _ in range(l))
+    return EnsembleSpec(hermitian(), couplings, dists), depths
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polynomial_specs())
+def test_general_blocks_match_quadrature(case):
+    # exact Jacobi-matrix blocks against Gauss quadrature of the same integrals
+    spec, depths = case
+    tables = [recurrence_table(dist, d + c.degree + 1)
+              for dist, c, d in zip(spec.distributions, spec.couplings, depths)]
+    h = build_general(spec, tables, depths).to_dense()
+    ref = _quadrature_operator(spec, tables, depths)
+    assert np.abs(h - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    # beyond the band, along one axis or across two, entries are exactly zero
+    basis = LatticeBasis(spec.n, depths)
+    multi = np.repeat(basis.node_multi_indices(), spec.n, axis=0)
+    gap = np.abs(multi[:, None, :] - multi[None, :, :])
+    degrees = np.array([c.degree for c in spec.couplings])
+    band = ((gap > 0).sum(axis=-1) <= 1) & np.all(gap <= degrees, axis=-1)
+    assert np.all(h[~band] == 0)
 
 
 # ---------------------------------------------------------------------------
