@@ -14,6 +14,10 @@ and one per output of the window.  The series is cut where the Bessel tail
 bound 2 sum_{k >= K} |J_k(a tau)| meets the budget, an a-priori error bound
 that needs no inner products.
 
+Only the trace over the node index is read from the lattice, so each output
+is reduced to its density matrix as soon as it is made and then dropped: at
+most one window's outputs are alive at a time.
+
 Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
 dynamics are no longer those of the semi-infinite lattice, so crossing the
@@ -85,8 +89,10 @@ class PropagationPlan:
 
 @dataclass
 class LeakageReport:
-    """Boundary-shell population along the trajectory, plus propagator counters.
+    """Boundary-shell population and reduced density matrix along the
+    trajectory, plus propagator counters.
 
+    ``rho`` holds the partial trace of each output, shape (T, N, N).
     ``centre`` and ``half_width`` describe the Gershgorin interval the
     expansion was scaled to; ``norm_drift`` is the largest
     |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
@@ -102,6 +108,7 @@ class LeakageReport:
     windows: int = 0
     matvecs: int = 0
     norm_drift: float = 0.0
+    rho: np.ndarray | None = None
 
     @property
     def max_leakage(self) -> float:
@@ -198,23 +205,26 @@ def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def propagate(h, psi0: LatticeState, plan: PropagationPlan
+def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool = False
               ) -> tuple[list[LatticeState], LeakageReport]:
     """Propagate psi0 over the plan's time grid under the lattice operator.
 
-    Returns the states psi(t_j) = exp(-i H t_j) psi0 together with a
-    :class:`LeakageReport` of the boundary-shell population at each grid
-    time and the propagator's counters.  Consecutive grid times are grouped
-    into windows with a * (t_last - t_start) <= 32, each served by one
-    Chebyshev recurrence from the state at t_start.  The norm is preserved to
-    the expansion tolerance (the evolution is unitary; leakage is
-    *monitored*, not absorbed).
+    Returns the states psi(t_j) = exp(-i H t_j) psi0 (an empty list unless
+    ``keep_states``) together with a :class:`LeakageReport` holding the
+    partial trace of each state, the boundary-shell population at each grid
+    time and the propagator's counters.  Each output is reduced as soon as
+    its window is computed, so without ``keep_states`` at most one window's
+    states are alive at a time.  Consecutive grid times are grouped into
+    windows with a * (t_last - t_start) <= 32, each served by one Chebyshev
+    recurrence from the state at t_start.  The norm is preserved to the
+    expansion tolerance (the evolution is unitary; leakage is *monitored*,
+    not absorbed).
 
     Raises
     ------
     LeakageExceeded
         When the shell population crosses ``plan.leakage_threshold``; the
-        exception carries the partial trajectory and report.
+        exception's report carries the partial trajectory.
     """
     basis = psi0.basis
     csr = _as_csr(h)
@@ -227,30 +237,36 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan
 
     def report(n: int) -> LeakageReport:
         return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
-                             plan.leakage_width, centre, half, **stats)
+                             plan.leakage_width, centre, half, **stats, rho=rho[:n].copy())
 
     states: list[LatticeState] = []
     leak = np.zeros(times.size)
+    rho = np.zeros((times.size, basis.n_system, basis.n_system), dtype=complex)
     cur = psi0.amplitudes.astype(complex)
     norm0 = float(np.linalg.norm(cur))
     start, block, norms = 0, [cur], [norm0]
     while True:
         for j, (vec, nrm) in enumerate(zip(block, norms), start):
+            state = LatticeState(basis, vec)
             leak[j] = float(np.sum(np.abs(vec[shell]) ** 2))
+            rho[j] = partial_trace(state)
             stats["norm_drift"] = max(stats["norm_drift"], abs(nrm - norm0))
-            states.append(LatticeState(basis, vec))
+            if keep_states:
+                states.append(state)
             if leak[j] > plan.leakage_threshold:
                 raise LeakageExceeded(
                     f"boundary-shell population {leak[j]:.3e} > {plan.leakage_threshold:.1e} "
                     f"at t = {times[j]:g}: lattice depth too small for this horizon",
-                    time=times[j], leakage=leak[j], states=states, report=report(j + 1))
+                    time=times[j], leakage=leak[j], report=report(j + 1))
         base = start + len(block) - 1
         if base + 1 == times.size:
             return states, report(times.size)
         stop = base + 2
         while stop < times.size and half * (times[stop] - times[base]) <= _WINDOW:
             stop += 1
-        block, norms, used = _chebyshev(csr, block[-1], times[base + 1:stop] - times[base],
+        phi = block[-1]
+        del block            # drop this window's outputs; only the next base stays alive
+        block, norms, used = _chebyshev(csr, phi, times[base + 1:stop] - times[base],
                                         centre, half, _TAIL * plan.tol)
         stats["windows"] += 1
         stats["matvecs"] += used
@@ -288,7 +304,8 @@ def auto_depth(spec, psi0_builder, horizon: float, plan: PropagationPlan | None 
     Parameters
     ----------
     psi0_builder : callable
-        ``basis -> LatticeState`` (e.g. a localized_initial closure).
+        ``(basis, tables) -> LatticeState``, given the recurrence tables the
+        operator of that depth was built from.
 
     Raises
     ------
@@ -310,16 +327,16 @@ def auto_depth(spec, psi0_builder, horizon: float, plan: PropagationPlan | None 
         tables = [recurrence_table(dist, order)
                   for dist, order in zip(spec.distributions, table_orders(spec, depths))]
         op = build_general(spec, tables, depths)
-        psi0 = psi0_builder(basis)
+        psi0 = psi0_builder(basis, tables)
         try:
-            states, report = propagate(op, psi0, plan)
+            _, report = propagate(op, psi0, plan)
         except LeakageExceeded:
             prev_rho = None
             depth *= 2
             continue
         if report.leakage[-1] == 0.0:
             return depths          # nothing reached the boundary: no transport
-        rho = partial_trace(states[-1])
+        rho = report.rho[-1]
         if prev_rho is not None and np.max(np.abs(rho - prev_rho)) < 10 * plan.tol:
             return depths
         prev_rho = rho

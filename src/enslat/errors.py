@@ -51,13 +51,13 @@ class NormDefectExceeded(EnslatError):
 
 class LeakageExceeded(EnslatError):
     """Boundary-shell population crossed the threshold: lattice depth too small
-    for the requested horizon."""
+    for the requested horizon.  ``report`` holds the trajectory up to the
+    offending output."""
 
-    def __init__(self, message, time=None, leakage=None, states=None, report=None):
+    def __init__(self, message, time=None, leakage=None, report=None):
         super().__init__(message)
         self.time = time
         self.leakage = leakage
-        self.states = states
         self.report = report
 
 

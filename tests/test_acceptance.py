@@ -53,7 +53,7 @@ def _chain_qubit(dist, times, depths, tol=1e-12):
     basis = LatticeBasis(2, depths)
     psi0 = localized_initial(C_HALF, basis)
     plan = PropagationPlan(times, tol=tol)
-    states, report = propagate(op, psi0, plan)
+    states, report = propagate(op, psi0, plan, keep_states=True)
     return trajectory_from_states(times, states), report
 
 
@@ -67,7 +67,7 @@ def test_criterion_1_qubit_dephasing_exactness(family):
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
     times = np.linspace(0.0, 6.0, 200)
     t0 = time.perf_counter()
-    depths = auto_depth(spec, lambda b: localized_initial(C_HALF, b), horizon=6.0)
+    depths = auto_depth(spec, lambda b, _: localized_initial(C_HALF, b), horizon=6.0)
     traj, _ = _chain_qubit(dist, times, depths)
     ref = analytic_qubit(*C_HALF, 0.0, 1.0, dist, times)
     err = float(np.max(np.abs(np.abs(traj.rho[:, 0, 1]) - np.abs(ref.rho[:, 0, 1]))))
@@ -147,7 +147,7 @@ def test_criterion_3_dimer_populations():
     basis = LatticeBasis(2, (d, d))
     psi0 = localized_initial(np.array([1.0, 0.0]), basis)
     times = np.linspace(0.0, t_2ps, 161)
-    states, report = propagate(op, psi0, PropagationPlan(times))
+    states, report = propagate(op, psi0, PropagationPlan(times), keep_states=True)
     traj = trajectory_from_states(times, states)
 
     quad = quad_average(spec, np.array([1.0, 0.0]), times,
@@ -199,7 +199,8 @@ def test_criterion_4_conservation():
         op = build_linear(spec, [table], (d,))
         basis = LatticeBasis(spec.n, (d,))
         times = np.linspace(0.0, 6.0, 61)
-        states, _ = propagate(op, localized_initial(c, basis), PropagationPlan(times))
+        states, _ = propagate(op, localized_initial(c, basis), PropagationPlan(times),
+                              keep_states=True)
         traj = trajectory_from_states(times, states)
         pops = traj.populations()
         worst_diag = max(worst_diag, float(np.abs(pops - np.abs(c) ** 2).max()))
@@ -276,7 +277,7 @@ def test_criterion_6_reverse_map():
     basis = LatticeBasis(1, (d,))
     times = np.linspace(0.0, t_max, 201)
     states, _ = propagate(op, localized_initial(np.array([1.0]), basis),
-                          PropagationPlan(times))
+                          PropagationPlan(times), keep_states=True)
     surv = np.array([s.amplitudes[0] for s in states])
     bessel = characteristic_function(spec.distributions[0], times)  # 2 J1(2gt)/(2gt)
     amp_err = float(np.abs(surv - bessel).max())
@@ -288,7 +289,8 @@ def test_criterion_6_reverse_map():
     opq = build_linear(qspec, [tq], [dq])
     basq = LatticeBasis(2, (dq,))
     tgrid = np.linspace(0.0, 8.0, 81)
-    sts, _ = propagate(opq, localized_initial(C_HALF, basq), PropagationPlan(tgrid))
+    sts, _ = propagate(opq, localized_initial(C_HALF, basq), PropagationPlan(tgrid),
+                       keep_states=True)
     chain = trajectory_from_states(tgrid, sts)
     mc = mc_average(qspec, C_HALF, tgrid, OracleConfig(samples=100_000, seed=66))
     gap = float((np.abs(chain.rho - mc.rho) - (4 * mc.errors + 1e-10)).max())
@@ -329,7 +331,7 @@ def test_criterion_7_propagator_properties():
     tol = 1e-12
     t_max = 5.0
     plan = PropagationPlan.linspace(t_max, 11, tol=tol, leakage_threshold=np.inf)
-    states, _ = propagate(h, psi0, plan)
+    states, _ = propagate(h, psi0, plan, keep_states=True)
 
     norm_err = max(abs(s.norm - 1.0) for s in states)
     energies = [np.vdot(s.amplitudes, h @ s.amplitudes).real for s in states]
@@ -337,7 +339,7 @@ def test_criterion_7_propagator_properties():
     back = evolve(h, states[-1].amplitudes, -t_max, tol=tol)
     reversal_err = float(np.abs(back - amps).max())
     halved = PropagationPlan.linspace(t_max, 21, tol=tol, leakage_threshold=np.inf)
-    fine, _ = propagate(h, psi0, halved)
+    fine, _ = propagate(h, psi0, halved, keep_states=True)
     substep_err = float(np.abs(states[-1].amplitudes - fine[-1].amplitudes).max())
 
     ok = (norm_err <= 10 * tol * t_max and reversal_err <= 1e2 * tol
@@ -381,7 +383,7 @@ def test_criterion_8_disorder_dependent_initial_state():
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
     op = build_linear(spec, [table], (d,))
     times = np.linspace(0.0, 6.0, 61)
-    states, _ = propagate(op, psi0, PropagationPlan(times))
+    states, _ = propagate(op, psi0, PropagationPlan(times), keep_states=True)
     chain = trajectory_from_states(times, states)
     mc = mc_average(spec, c_fn, times, OracleConfig(samples=100_000, seed=77))
     gap = float((np.abs(chain.rho - mc.rho) - (4 * mc.errors + 1e-10)).max())

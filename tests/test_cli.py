@@ -10,8 +10,18 @@ import yaml
 import enslat.cli
 import enslat.dynamics
 import enslat.oracle
-from enslat import TabulatedCoupling
+from enslat import (
+    DisorderDistribution,
+    LatticeBasis,
+    PropagationPlan,
+    TabulatedCoupling,
+    build_general,
+    localized_initial,
+    propagate,
+    recurrence_analytic,
+)
 from enslat.cli import main, run, trajectory_csv, validate_config
+from conftest import qubit_spec
 
 INV = 0.70710678118654746
 
@@ -302,15 +312,64 @@ def test_manifest_records_tabulated_fit_residual(tmp_path):
     assert "tabulated_fit_residual" not in man["result"]
 
 
-def test_traced_names_resolve():
-    # perfbench/tracing.py rebinds these names in the enslat modules by name;
-    # a rename must not silently stop it from tracing a layer
+def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py rebinds these names in the enslat modules by name;
+    # a rename must not silently stop it from tracing a layer
+    tracing = _load_tracing()
     modules = {"cli": enslat.cli, "dynamics": enslat.dynamics, "oracle": enslat.oracle}
     missing = [f"{mod}.{name}" for mod, name, *_ in tracing._SPANS
                if not hasattr(modules[mod], name)]
     assert missing == []
     assert hasattr(enslat.oracle, "_evolve_batch")
+
+
+def test_tracer_reads_propagate_result():
+    # the benchmark's tracer counts the lattice states propagate returns; a
+    # change of the return type must not break a traced run
+    tracing = _load_tracing()
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    d = 32
+    op = build_general(spec, [recurrence_analytic(spec.distributions[0], d + 1)], [d])
+    psi0 = localized_initial(np.array([INV, INV]), LatticeBasis(2, (d,)))
+    plan = PropagationPlan.linspace(2.0, 9)
+    held = {}
+    for keep in (False, True):
+        tracer = tracing.Tracer()
+        out = propagate(op, psi0, plan, keep_states=keep)
+        assert tracer._on_propagate((op, psi0, plan), out) is out
+        held[keep] = tracer.counts["dynamics.states_held_bytes"]
+    assert held[False] == 0
+    assert held[True] == plan.times.size * psi0.amplitudes.nbytes
+
+
+def test_compare_mc_row_reports_excess(tmp_path):
+    # the 4-SEM band is applied to every entry at every time; the row says how
+    # many entries that was and how far, in SEM units, the worst one strayed
+    n_steps = 12
+    path = qubit_config(tmp_path, method="compare", samples=500, n_steps=n_steps)
+    result = run(str(path))
+    assert result.exit_code == 0
+    row = {r["pair"]: r for r in result.manifest["result"]["compare"]}["chain_vs_mc_4sem"]
+    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+    assert man["result"]["compare"] == result.manifest["result"]["compare"]
+    assert row["entries_tested"] == n_steps * 2 * 2
+
+    out = tmp_path / "out"
+    chain = np.loadtxt(out / "trajectory_chain.csv", delimiter=",", skiprows=1)
+    mc = np.loadtxt(out / "trajectory_mc.csv", delimiter=",", skiprows=1)
+    dev = np.abs((chain[:, 1:7:2] - mc[:, 1:7:2]) + 1j * (chain[:, 2:7:2] - mc[:, 2:7:2]))
+    sem = mc[:, 7:]
+    noisy = sem > 0
+    assert noisy.any() and not noisy.all()      # the populations are constant: SEM 0
+    assert row["worst_excess_sem"] == np.max((dev[noisy] - 1e-10) / sem[noisy])
+    assert 0.0 < row["worst_excess_sem"] <= 4.0
+    assert (out / "compare_errors.csv").read_text().splitlines()[0] == \
+        "pair,max_abs_error,tolerance,pass"

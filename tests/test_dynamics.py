@@ -1,6 +1,8 @@
 """Chebyshev propagation: correctness against the dense reference, conservation
 laws, leakage, auto depth, and the operator contract the benchmark relies on."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,7 @@ from enslat import (
     propagate,
     propagate_dense,
     recurrence_analytic,
+    trajectory_from_states,
 )
 from conftest import qubit_spec
 
@@ -70,7 +73,7 @@ def test_diagonal_evolution_is_pure_phase():
     basis = LatticeBasis(2, (8,))
     psi0 = localized_initial(np.array([0.6, 0.8]), basis)
     plan = PropagationPlan(np.array([0.0, 0.7, 1.9]))
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     for t, s in zip(plan.times, states):
         want = psi0.amplitudes.copy()
         want[0] *= np.exp(-1j * 0.3 * t)
@@ -91,7 +94,7 @@ def test_qubit_chain_overlap_is_characteristic_function(family, width):
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([0.0, 1.0]), basis)
     plan = PropagationPlan.linspace(6.0, 31)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     overlap = np.array([s.amplitudes[basis.flat_index(1, (0,))] for s in states])
     phi = characteristic_function(dist, plan.times)
     assert np.abs(overlap - np.conj(phi) * np.exp(-1j * plan.times)).max() < 1e-11
@@ -104,7 +107,7 @@ def test_krylov_matches_dense(rng):
     plan = PropagationPlan(times, leakage_threshold=np.inf)
     krylov, _ = propagate(LatticeOperator(
         basis.size, *sp.triu(h).nonzero(),
-        np.asarray(sp.triu(h).tocoo().data)), psi0, plan)
+        np.asarray(sp.triu(h).tocoo().data)), psi0, plan, keep_states=True)
     dense = propagate_dense(h.toarray(), psi0, times)
     for a, b in zip(krylov, dense):
         assert np.abs(a.amplitudes - b.amplitudes).max() < 5e-12
@@ -119,7 +122,7 @@ def test_unitarity(rng):
     psi0 = random_state(rng, basis)
     t_max = 5.0
     plan = PropagationPlan.linspace(t_max, 11, leakage_threshold=np.inf)
-    states, _ = propagate(h, psi0, plan)
+    states, _ = propagate(h, psi0, plan, keep_states=True)
     for s in states:
         assert abs(s.norm - 1.0) <= 10 * plan.tol * max(t_max, 1.0)
 
@@ -137,7 +140,7 @@ def test_energy_conservation(rng):
     basis, h = random_hermitian_lattice(rng)
     psi0 = random_state(rng, basis)
     plan = PropagationPlan.linspace(4.0, 9, leakage_threshold=np.inf)
-    states, _ = propagate(h, psi0, plan)
+    states, _ = propagate(h, psi0, plan, keep_states=True)
     energies = [np.vdot(s.amplitudes, h @ s.amplitudes).real for s in states]
     scale = max(abs(energies[0]), 1.0)
     assert (max(energies) - min(energies)) / scale < 1e-10
@@ -151,8 +154,8 @@ def test_substep_invariance(rng):
     t_max = 3.0
     coarse = PropagationPlan(np.linspace(0.0, t_max, 7), leakage_threshold=np.inf)
     fine = PropagationPlan(np.linspace(0.0, t_max, 13), leakage_threshold=np.inf)
-    a, _ = propagate(h, psi0, coarse)
-    b, _ = propagate(h, psi0, fine)
+    a, _ = propagate(h, psi0, coarse, keep_states=True)
+    b, _ = propagate(h, psi0, fine, keep_states=True)
     assert np.abs(a[-1].amplitudes - b[-1].amplitudes).max() <= coarse.tol
 
 
@@ -188,8 +191,72 @@ def test_leakage_exceeded_carries_partial_trajectory():
         propagate(op, psi0, plan)
     err = exc.value
     assert err.leakage > plan.leakage_threshold
-    assert err.states and err.report is not None
+    assert err.report is not None and err.report.rho.shape == (err.report.times.size, 2, 2)
     assert err.report.leakage[-1] == err.leakage
+
+
+# ---------------------------------------------------------------------------
+# streaming: each output is traced as it is made
+# ---------------------------------------------------------------------------
+
+def test_streamed_trace_equals_traced_states():
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    d = 160
+    op = build_linear(spec, [recurrence_analytic(spec.distributions[0], d + 1)], [d])
+    psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
+    plan = PropagationPlan.linspace(6.0, 41)
+    streamed, report = propagate(op, psi0, plan)
+    states, kept = propagate(op, psi0, plan, keep_states=True)
+    assert streamed == [] and len(states) == plan.times.size
+    assert report.windows > 1
+    assert np.array_equal(report.rho, trajectory_from_states(plan.times, states).rho)
+    for name in ("times", "leakage", "rho"):
+        assert np.array_equal(getattr(report, name), getattr(kept, name))
+    for name in ("centre", "half_width", "windows", "matvecs", "norm_drift"):
+        assert getattr(report, name) == getattr(kept, name)
+
+
+def _largest_window(times, half):
+    """Outputs in the largest Chebyshev window of a grid, as propagate groups them."""
+    sizes, base = [], 0
+    while base + 1 < times.size:
+        stop = base + 2
+        while stop < times.size and half * (times[stop] - times[base]) <= dynamics._WINDOW:
+            stop += 1
+        sizes.append(stop - base - 1)
+        base = stop - 1
+    return max(sizes)
+
+
+def _peak_traced_bytes(fn):
+    """Peak memory traced while fn runs; NumPy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_memory_does_not_grow_with_outputs():
+    dist = DisorderDistribution.semicircle(1.0)
+    d = 9_999                                       # dim 20,000; the front stays far inside
+    h = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d]).to_csr()
+    psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
+    vec = psi0.amplitudes.nbytes
+    _, half = dynamics._spectral_bounds(h)
+    dt = 2.0 / half                                 # sixteen outputs per window
+
+    def plan(n):
+        return PropagationPlan(dt * np.arange(n))
+
+    few = _peak_traced_bytes(lambda: propagate(h, psi0, plan(50)))
+    many = _peak_traced_bytes(lambda: propagate(h, psi0, plan(400)))
+    assert abs(many - few) < vec
+    width = _largest_window(plan(400).times, half)
+    assert max(few, many) < (width + 8) * vec
+    kept = _peak_traced_bytes(lambda: propagate(h, psi0, plan(50), keep_states=True))
+    assert kept >= 50 * vec
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +269,14 @@ def test_auto_depth_zero_coupling_accepts_start():
                         (LinearCoupling(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    depths = auto_depth(spec, lambda b: localized_initial(c, b), horizon=5.0)
+    depths = auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=5.0)
     assert depths == (16,)
 
 
 def test_auto_depth_gaussian_qubit_converges():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    depths = auto_depth(spec, lambda b: localized_initial(c, b), horizon=6.0)
+    depths = auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=6.0)
     assert 16 < depths[0] <= 4096
     # accepted depth carries the horizon without tripping the monitor
     table = recurrence_analytic(spec.distributions[0], depths[0] + 1)
@@ -220,11 +287,30 @@ def test_auto_depth_gaussian_qubit_converges():
     assert not report.exceeded
 
 
+def test_auto_depth_hands_its_tables_to_the_builder(monkeypatch):
+    # a disorder-dependent initial state is expanded over the tables the
+    # operator of that depth was built from, not over a second set
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    built, given = [], []
+    table_fn = dynamics.recurrence_table
+    monkeypatch.setattr(dynamics, "recurrence_table",
+                        lambda *args: built.append(table_fn(*args)) or built[-1])
+
+    def builder(basis, tables):
+        given.extend(tables)
+        return localized_initial(c, basis)
+
+    auto_depth(spec, builder, horizon=3.0)
+    assert len(given) == len(built) > 1
+    assert all(g is b for g, b in zip(given, built))
+
+
 def test_auto_depth_cap():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     with pytest.raises(DepthCapExceeded):
-        auto_depth(spec, lambda b: localized_initial(c, b), horizon=6.0, cap=32)
+        auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=6.0, cap=32)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +366,8 @@ def test_chebyshev_matches_dense(lattice, grid, seed):
     # the offset is an exact global phase; removing it keeps the dense eigenvalues accurate
     shifted = h - offset * sp.identity(h.shape[0])
     times = grid / abs(shifted).sum(axis=1).max()      # a time unit near 1/half-width
-    states, report = propagate(h, psi0, PropagationPlan(times, leakage_threshold=np.inf))
+    states, report = propagate(h, psi0, PropagationPlan(times, leakage_threshold=np.inf),
+                               keep_states=True)
     dense = propagate_dense(shifted.toarray(), psi0, times)
     assert report.norm_drift <= 1e-12
     for t, got, want in zip(times, states, dense):
@@ -312,7 +399,7 @@ def test_constant_operator_is_pure_phase():
                          np.full(basis.size, 2.5))
     psi0 = localized_initial(np.array([0.6, 0.8]), basis)
     plan = PropagationPlan(np.array([0.0, 0.7, 1.9, 40.0]))
-    states, report = propagate(op, psi0, plan)
+    states, report = propagate(op, psi0, plan, keep_states=True)
     assert report.half_width == 0.0 and report.centre == 2.5
     assert report.matvecs == 0 and report.norm_drift <= 1e-15
     for t, s in zip(plan.times, states):
@@ -339,7 +426,9 @@ def test_leakage_exceeded_inside_a_window():
     err = exc.value
     assert err.report.windows == 1          # the whole grid is one window
     assert err.time == plan.times[first]
-    assert len(err.states) == first + 1 and err.report.times.size == first + 1
+    assert len(err.report.rho) == first + 1 and err.report.times.size == first + 1
+    want = np.array([partial_trace(st) for st in dense[:first + 1]])
+    assert np.abs(err.report.rho - want).max() <= 1e-12
     assert abs(err.leakage - leak[first]) <= 1e-12
     assert np.abs(err.report.leakage - leak[:first + 1]).max() <= 1e-12
     assert err.report.matvecs > 0
@@ -364,10 +453,10 @@ def test_propagator_needs_only_shape_and_matmul(monkeypatch):
     plan = PropagationPlan.linspace(2.0, 9)
 
     def run():
-        states, report = propagate(op, psi0, plan)
+        states, report = propagate(op, psi0, plan, keep_states=True)
         return ([s.amplitudes for s in states], report.matvecs,
                 evolve(op, psi0.amplitudes, -1.3),
-                auto_depth(spec, lambda b: localized_initial(c, b), horizon=3.0))
+                auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=3.0))
 
     want = run()
     as_csr = dynamics._as_csr

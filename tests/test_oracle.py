@@ -346,7 +346,7 @@ def test_chain_survival_amplitude_is_semicircle_cf():
     basis = LatticeBasis(1, (d,))
     psi0 = localized_initial(np.array([1.0]), basis)
     plan = PropagationPlan.linspace(10.0, 21)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     surv = np.array([s.amplitudes[0] for s in states])
     phi = characteristic_function(spec.distributions[0], plan.times)
     assert np.abs(surv - phi).max() < 1e-10
@@ -362,7 +362,7 @@ def test_chain_qubit_cell_matches_mc():
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(C_HALF, basis)
     plan = PropagationPlan.linspace(8.0, 17)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     chain = trajectory_from_states(plan.times, states)
     mc = mc_average(spec, C_HALF, plan.times, OracleConfig(samples=30_000, seed=21))
     assert np.all(np.abs(chain.rho - mc.rho) <= 4 * mc.errors + 1e-10)

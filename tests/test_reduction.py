@@ -52,7 +52,7 @@ def test_observable_average_identity_and_population():
     b_amp = 0.8
     psi0 = localized_initial(np.array([0.6, b_amp]), basis)
     plan = PropagationPlan.linspace(4.0, 9)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     for s in states:
         assert abs(observable_average(s, np.eye(2)) - 1.0) < 1e-11
         # population of |1> is conserved under diagonal disorder
@@ -75,7 +75,7 @@ def test_coherence_trace_initial_value():
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 25)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     coh = coherence_trace(states, 0, 1)
     assert abs(coh[0] - 0.5) < 1e-12
     # uniform disorder: |rho01| = |sin(t)/t| / 2, revives after the first zero
@@ -93,7 +93,7 @@ def test_purity_bounds_and_gaussian_decay():
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(5.0, 26)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     purity = np.array([np.trace(partial_trace(s) @ partial_trace(s)).real
                        for s in states])
     assert abs(purity[0] - 1.0) < 1e-12
@@ -111,7 +111,7 @@ def test_purity_revives_for_bounded_support():
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(10.0, 51)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     purity = np.array([np.trace(partial_trace(s) @ partial_trace(s)).real
                        for s in states])
     assert abs(purity[0] - 1.0) < 1e-12
@@ -128,7 +128,7 @@ def test_trajectory_validation():
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 13)
-    states, _ = propagate(op, psi0, plan)
+    states, _ = propagate(op, psi0, plan, keep_states=True)
     traj = trajectory_from_states(plan.times, states, method="chain")
     traj.validate()                                # hermitian, trace 1, psd
     assert traj.n == 2

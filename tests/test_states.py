@@ -231,7 +231,7 @@ def test_spectral_disorder_narrow_energy_distribution_slows_dephasing():
         spec = EnsembleSpec(np.diag([0.0, 1.0]),
                             (LinearCoupling(np.diag([0.0, 1.0])),), (energy,))
         op = build_linear(spec, [table], basis.depths)
-        states, _ = propagate(op, psi, PropagationPlan(np.array([0.0, 2.0])))
+        states, _ = propagate(op, psi, PropagationPlan(np.array([0.0, 2.0])), keep_states=True)
         cohs[sigma] = abs(coherence_trace(states, 0, 1)[-1])
     assert abs(cohs[0.5] - 0.5 * np.exp(-0.25 * 4 / 2)) < 1e-10
     assert abs(cohs[0.05] - 0.5 * np.exp(-0.0025 * 4 / 2)) < 1e-10
