@@ -64,6 +64,7 @@ from .dynamics import (
     PropagationPlan,
     auto_depth,
     evolve,
+    lattice_at,
     propagate,
     propagate_dense,
 )

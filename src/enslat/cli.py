@@ -38,24 +38,25 @@ from .errors import (
     UnboundedSupport,
     UnsupportedFamily,
 )
-from .dynamics import PropagationPlan, auto_depth, propagate
+from .dynamics import PropagationPlan, auto_depth, lattice_at, propagate
 from .lattice import (
     EnsembleSpec,
-    LatticeBasis,
     LinearCoupling,
     PolynomialCoupling,
     TabulatedCoupling,
-    build_general,
+    build_general,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
     build_linear,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
-    table_orders,
 )
-from .measures import DisorderDistribution, recurrence_table
+from .measures import (
+    DisorderDistribution,
+    recurrence_table,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
+)
 from .oracle import OracleConfig, analytic_qubit, mc_average, quad_average
 from .reduction import (
     DensityTrajectory,
     trajectory_from_states,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 )
-from .states import expanded_initial, localized_initial, spectral_disorder_initial
+from .states import expanded_initial, localized_initial
 
 __all__ = ["run", "validate_config", "main", "RunResult"]
 
@@ -205,6 +206,8 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
 
         return ("tabulated", c_fn)
     if kind == "spectral":
+        if spec.l != 1:
+            _fail("initial", "spectral initial states support a single disorder variable")
         amps = block.get("amplitudes")
         if not isinstance(amps, list) or len(amps) != spec.n:
             _fail("initial.amplitudes", f"need {spec.n} amplitudes")
@@ -247,10 +250,14 @@ def _resolve_time(cfg: dict):
 # ---------------------------------------------------------------------------
 
 def _chain_trajectory(spec, initial, times, num):
-    """Lattice route: tables, operator, initial state, propagation, trace."""
-    tol = float(num["tol"])
-    plan_kw = dict(tol=tol, leakage_threshold=float(num["leakage_threshold"]))
+    """Lattice route: one lattice set-up, one propagation traced as it runs."""
+    plan = PropagationPlan(times, tol=float(num["tol"]),
+                           leakage_threshold=float(num["leakage_threshold"]))
     kind, payload = initial
+    if kind == "spectral":
+        # eigenstate ensemble: a localized state on the chain of the energy measure
+        dist, payload = payload
+        spec, kind = EnsembleSpec(spec.h0, spec.couplings, (dist,)), "localized"
 
     def psi0_for(basis, tables):
         if kind == "localized":
@@ -259,35 +266,15 @@ def _chain_trajectory(spec, initial, times, num):
 
     depths = num["depths"]
     if depths == "auto":
-        if kind == "spectral":
-            _fail("numeric.depths", "spectral initial states need explicit depths")
-        depths = auto_depth(
-            spec, psi0_for, float(times[-1]),
-            PropagationPlan(np.array([0.0, float(times[-1])]), **plan_kw),
-            cap=int(num["depth_cap"]))
-    elif isinstance(depths, int):
-        depths = tuple([int(depths)] * spec.l)
+        depths, op, psi0 = auto_depth(spec, psi0_for, plan, cap=int(num["depth_cap"]))
     else:
+        if isinstance(depths, int):
+            depths = (depths,) * spec.l
         depths = tuple(int(d) for d in depths)
         if len(depths) != spec.l:
             _fail("numeric.depths", f"need {spec.l} depths, got {len(depths)}")
-
-    basis = LatticeBasis(spec.n, depths)
-    orders = table_orders(spec, depths)
-    chain_spec = spec
-    if kind == "spectral":
-        # eigenstate ensemble: the chain is built from the energy measure
-        dist, c = payload
-        if spec.l != 1:
-            _fail("initial", "spectral initial states support a single disorder variable")
-        chain_spec = EnsembleSpec(spec.h0, spec.couplings, (dist,))
-        psi0, table = spectral_disorder_initial(dist, basis, c, order=orders[0])
-        tables = [table]
-    else:
-        tables = [recurrence_table(d, order) for d, order in zip(spec.distributions, orders)]
-        psi0 = psi0_for(basis, tables)
-    op = build_general(chain_spec, tables, depths)
-    _, report = propagate(op, psi0, PropagationPlan(times, **plan_kw))
+        op, psi0 = lattice_at(spec, psi0_for, depths)
+    _, report = propagate(op, psi0, plan)
     traj = DensityTrajectory(times, report.rho, info={"method": "chain",
                                                       "depths": list(depths)})
     return traj, report, depths

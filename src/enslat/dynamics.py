@@ -22,7 +22,10 @@ Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
 dynamics are no longer those of the semi-infinite lattice, so crossing the
 leakage threshold raises :class:`~enslat.errors.LeakageExceeded`.
-:func:`auto_depth` turns that monitor into a depth-selection loop.
+:func:`lattice_at` sets up a lattice: the recurrence tables, the operator
+built from them and the initial state expanded over the same tables.
+:func:`auto_depth` turns the leakage monitor into a depth-selection loop over
+such lattices and hands back the one it accepts, ready for :func:`propagate`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "propagate",
     "evolve",
     "propagate_dense",
+    "lattice_at",
     "auto_depth",
 ]
 
@@ -68,7 +72,6 @@ class PropagationPlan:
     times: np.ndarray
     tol: float = 1e-12
     leakage_threshold: float = 1e-8
-    leakage_width: int = 1
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -102,7 +105,6 @@ class LeakageReport:
     times: np.ndarray
     leakage: np.ndarray
     threshold: float
-    width: int
     centre: float = 0.0
     half_width: float = 0.0
     windows: int = 0
@@ -231,13 +233,13 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     if csr.shape[0] != basis.size:
         raise ValueError(f"operator dim {csr.shape[0]} != basis size {basis.size}")
     centre, half = _spectral_bounds(h)
-    shell = boundary_shell(basis, plan.leakage_width)
+    shell = boundary_shell(basis)
     times = plan.times
     stats = {"windows": 0, "matvecs": 0, "norm_drift": 0.0}
 
     def report(n: int) -> LeakageReport:
         return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
-                             plan.leakage_width, centre, half, **stats, rho=rho[:n].copy())
+                             centre, half, **stats, rho=rho[:n].copy())
 
     states: list[LatticeState] = []
     leak = np.zeros(times.size)
@@ -288,57 +290,68 @@ def propagate_dense(h, psi0: LatticeState, times) -> list[LatticeState]:
             for t in np.asarray(times, dtype=float)]
 
 
-def auto_depth(spec, psi0_builder, horizon: float, plan: PropagationPlan | None = None,
-               *, start: int = 16, cap: int = 4096) -> tuple:
+def lattice_at(spec, psi0_builder, depths) -> tuple[LatticeOperator, LatticeState]:
+    """Operator and initial state of the lattice truncated at ``depths``.
+
+    The operator is assembled by :func:`build_general` from the
+    :func:`~enslat.measures.recurrence_table` of each distribution, at the
+    orders :func:`~enslat.lattice.table_orders` gives; ``psi0_builder(basis,
+    tables)`` returns the initial :class:`LatticeState`, given those same
+    tables.
+    """
+    tables = [recurrence_table(dist, order)
+              for dist, order in zip(spec.distributions, table_orders(spec, depths))]
+    # the state before the operator: built after it, the 2-D dimer peaks one
+    # state vector (~5 MB) higher
+    psi0 = psi0_builder(LatticeBasis(spec.n, depths), tables)
+    return build_general(spec, tables, depths), psi0
+
+
+def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
+               cap: int = 4096) -> tuple[tuple, LatticeOperator, LatticeState]:
     """Choose truncation depths by doubling until the dynamics are stable.
 
-    Per-dimension depth starts at `start` and doubles until (a) the final-time
-    boundary leakage is below the plan threshold and (b) the reduced density
-    matrix at the horizon changes by less than ``10 * plan.tol`` in max entry
-    between successive depths.  Convergence-by-doubling is its own oracle: the
-    accepted depth is returned, not the trajectory.  At each depth the
-    operator is assembled by :func:`build_general` from the
-    :func:`~enslat.measures.recurrence_table` of each distribution, at the
-    orders :func:`~enslat.lattice.table_orders` gives.
+    Per-dimension depth starts at `start` and doubles until (a) the boundary
+    leakage at the plan's last time is below the plan threshold and (b) the
+    reduced density matrix at that time changes by less than
+    ``10 * plan.tol`` in max entry between successive depths.  Each depth is
+    set up by :func:`lattice_at` and probed by one propagation to the last
+    time of the plan, with the plan's tolerance and threshold.
 
     Parameters
     ----------
     psi0_builder : callable
-        ``(basis, tables) -> LatticeState``, given the recurrence tables the
-        operator of that depth was built from.
+        ``(basis, tables) -> LatticeState``, as for :func:`lattice_at`.
+
+    Returns
+    -------
+    depths, op, psi0
+        The accepted depths and the operator and initial state of that
+        lattice, ready for :func:`propagate` over the full plan.
 
     Raises
     ------
     DepthCapExceeded
         If the cap is reached without satisfying both criteria.
     """
-    if plan is None:
-        plan = PropagationPlan(np.array([0.0, float(horizon)]))
-    else:
-        plan = PropagationPlan(np.array([0.0, float(horizon)]), tol=plan.tol,
-                               leakage_threshold=plan.leakage_threshold,
-                               leakage_width=plan.leakage_width)
-
+    probe = PropagationPlan(np.array([0.0, plan.times[-1]]), tol=plan.tol,
+                            leakage_threshold=plan.leakage_threshold)
     prev_rho = None
     depth = start
     while depth <= cap:
-        depths = tuple([depth] * spec.l)
-        basis = LatticeBasis(spec.n, depths)
-        tables = [recurrence_table(dist, order)
-                  for dist, order in zip(spec.distributions, table_orders(spec, depths))]
-        op = build_general(spec, tables, depths)
-        psi0 = psi0_builder(basis, tables)
+        depths = (depth,) * spec.l
+        op, psi0 = lattice_at(spec, psi0_builder, depths)
         try:
-            _, report = propagate(op, psi0, plan)
+            _, report = propagate(op, psi0, probe)
         except LeakageExceeded:
             prev_rho = None
             depth *= 2
             continue
         if report.leakage[-1] == 0.0:
-            return depths          # nothing reached the boundary: no transport
+            return depths, op, psi0      # nothing reached the boundary: no transport
         rho = report.rho[-1]
         if prev_rho is not None and np.max(np.abs(rho - prev_rho)) < 10 * plan.tol:
-            return depths
+            return depths, op, psi0
         prev_rho = rho
         depth *= 2
     raise DepthCapExceeded(f"no stable depth found up to cap {cap}")

@@ -397,12 +397,11 @@ def recurrence_stieltjes(dist: DisorderDistribution, order: int,
     return RecurrenceTable(order, alpha, beta)
 
 
-def recurrence_table(dist: DisorderDistribution, order: int,
-                     grid_points: int | None = None) -> RecurrenceTable:
+def recurrence_table(dist: DisorderDistribution, order: int) -> RecurrenceTable:
     """Analytic coefficients when a closed form exists, Stieltjes otherwise."""
     if dist.cutoff is None and dist.family in ("gaussian", "semicircle", "uniform"):
         return recurrence_analytic(dist, order)
-    return recurrence_stieltjes(dist, order, grid_points)
+    return recurrence_stieltjes(dist, order)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class OracleConfig:
     samples: int = 10_000
     seed: int = 0
     quad_order: int = 40
-    method: str = "mc"
 
     def __post_init__(self):
         if self.samples < 1:
@@ -217,20 +216,18 @@ def _hermitian(upper: np.ndarray, rows, cols, n: int) -> np.ndarray:
     return out
 
 
-def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig,
-                 tables=None) -> DensityTrajectory:
+def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
     """Disorder average over tensor-product Gauss nodes (deterministic).
 
     Nodes and weights per dimension come from the recurrence tables of the
-    disorder measures (computed here unless supplied).  Exact realization
-    evolution at every node, weighted mean; no error bars.
+    disorder measures.  Exact realization evolution at every node, weighted
+    mean; no error bars.
     """
     if spec.n > _MAX_DENSE_N:
         raise SystemTooLarge(f"dense oracle limited to N <= {_MAX_DENSE_N}")
     times = np.asarray(times, dtype=float)
     orders = cfg.quad_order if np.iterable(cfg.quad_order) else [cfg.quad_order] * spec.l
-    if tables is None:
-        tables = [recurrence_table(d, int(q)) for d, q in zip(spec.distributions, orders)]
+    tables = [recurrence_table(d, int(q)) for d, q in zip(spec.distributions, orders)]
     rules = [gauss_rule(t, int(q)) for t, q in zip(tables, orders)]
 
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")

@@ -174,9 +174,7 @@ def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
 
 
 def spectral_disorder_initial(energy_dist: DisorderDistribution, basis: LatticeBasis,
-                              c, order: int | None = None,
-                              grid_points: int | None = None
-                              ) -> tuple[LatticeState, RecurrenceTable]:
+                              c) -> tuple[LatticeState, RecurrenceTable]:
     """Initial state and chain table for an ensemble of stationary states.
 
     When every realization sits in an eigenstate, only the eigenenergy
@@ -186,13 +184,11 @@ def spectral_disorder_initial(energy_dist: DisorderDistribution, basis: LatticeB
     ``c``.  Dynamics then reproduce eigenstate-ensemble dephasing with the
     same machinery as any other diagonal-disorder model.
 
-    Returns the localized state together with the energy-measure table (order
-    defaults to depth + 1).  Raises as :func:`measures.recurrence_stieltjes`
-    for measures needing a cutoff.
+    Returns the localized state together with the energy-measure table of
+    order depth + 1, as a linear coupling needs.  Raises as
+    :func:`measures.recurrence_stieltjes` for measures needing a cutoff.
     """
     if basis.l != 1:
         raise DimensionMismatch("spectral disorder uses a single energy variable (l = 1)")
-    if order is None:
-        order = basis.depths[0] + 1
-    table = recurrence_table(energy_dist, order, grid_points)
+    table = recurrence_table(energy_dist, basis.depths[0] + 1)
     return localized_initial(c, basis), table

@@ -67,7 +67,8 @@ def test_criterion_1_qubit_dephasing_exactness(family):
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
     times = np.linspace(0.0, 6.0, 200)
     t0 = time.perf_counter()
-    depths = auto_depth(spec, lambda b, _: localized_initial(C_HALF, b), horizon=6.0)
+    depths, _, _ = auto_depth(spec, lambda b, _: localized_initial(C_HALF, b),
+                              PropagationPlan(times))
     traj, _ = _chain_qubit(dist, times, depths)
     ref = analytic_qubit(*C_HALF, 0.0, 1.0, dist, times)
     err = float(np.max(np.abs(np.abs(traj.rho[:, 0, 1]) - np.abs(ref.rho[:, 0, 1]))))
@@ -150,8 +151,7 @@ def test_criterion_3_dimer_populations():
     states, report = propagate(op, psi0, PropagationPlan(times), keep_states=True)
     traj = trajectory_from_states(times, states)
 
-    quad = quad_average(spec, np.array([1.0, 0.0]), times,
-                        OracleConfig(quad_order=384), tables=[table, table])
+    quad = quad_average(spec, np.array([1.0, 0.0]), times, OracleConfig(quad_order=384))
     err = float(np.max(np.abs(traj.rho - quad.rho)))
     mc = mc_average(spec, np.array([1.0, 0.0]), times,
                     OracleConfig(samples=40_000, seed=33))

@@ -1,5 +1,6 @@
 """CLI: config parsing, outputs, exit codes, manifest round trip."""
 
+import ast
 import importlib.util
 import os
 from pathlib import Path
@@ -228,6 +229,48 @@ def test_spectral_initial_runs(tmp_path):
     assert result.exit_code == 0
 
 
+def test_spectral_initial_with_auto_depth(tmp_path):
+    path = qubit_config(tmp_path, depths="auto", n_steps=8)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["initial"] = {"kind": "spectral",
+                      "amplitudes": [[INV, 0], [INV, 0]],
+                      "distribution": {"family": "gaussian", "width": 0.5}}
+    path.write_text(yaml.safe_dump(cfg))
+    result = run(str(path))
+    assert result.exit_code == 0
+    assert result.manifest["result"]["accepted_depths"][0] > 16
+
+
+def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
+    # --validate must refuse what the run refuses
+    path = qubit_config(tmp_path)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["system"]["couplings"] *= 2
+    cfg["system"]["distributions"] *= 2
+    cfg["initial"] = {"kind": "spectral",
+                      "amplitudes": [[INV, 0], [INV, 0]],
+                      "distribution": {"family": "gaussian", "width": 0.5}}
+    path.write_text(yaml.safe_dump(cfg))
+    assert validate_config(str(path)) == [
+        "initial: spectral initial states support a single disorder variable"]
+    assert main(["--config", str(path), "--validate"]) == 2
+
+
+def test_auto_depth_run_builds_each_probed_depth_once(tmp_path, monkeypatch):
+    # the run propagates the lattice auto_depth accepted instead of building it again
+    built = []
+    for module in (enslat.cli, enslat.dynamics):
+        build = module.build_general
+        monkeypatch.setattr(module, "build_general",
+                            lambda spec, tables, depths, build=build:
+                            built.append(tuple(depths)) or build(spec, tables, depths))
+    path = qubit_config(tmp_path, depths="auto", n_steps=25)
+    result = run(str(path))
+    assert result.exit_code == 0
+    assert len(built) == len(set(built)) > 1
+    assert list(built[-1]) == result.manifest["result"]["accepted_depths"]
+
+
 def test_output_written_atomically(tmp_path):
     # no temp droppings left next to the outputs
     path = qubit_config(tmp_path, n_steps=6)
@@ -329,6 +372,28 @@ def test_traced_names_resolve():
                if not hasattr(modules[mod], name)]
     assert missing == []
     assert hasattr(enslat.oracle, "_evolve_batch")
+
+
+def test_no_unused_imports():
+    # no linter runs on this code: fail on any module-level import its module
+    # never reads, except the names perfbench/tracing.py rebinds
+    traced = {(mod, name) for mod, name, *_ in _load_tracing()._SPANS}
+    unused = []
+    for path in sorted(Path(enslat.cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read and (path.stem, name) not in traced]
+    assert unused == []
 
 
 def test_tracer_reads_propagate_result():

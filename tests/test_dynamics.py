@@ -21,6 +21,8 @@ from enslat import (
     build_linear,
     characteristic_function,
     evolve,
+    expanded_initial,
+    lattice_at,
     localized_initial,
     partial_trace,
     propagate,
@@ -269,21 +271,19 @@ def test_auto_depth_zero_coupling_accepts_start():
                         (LinearCoupling(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    depths = auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=5.0)
+    depths, _, _ = auto_depth(spec, lambda b, _: localized_initial(c, b),
+                              PropagationPlan.linspace(5.0, 2))
     assert depths == (16,)
 
 
 def test_auto_depth_gaussian_qubit_converges():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    depths = auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=6.0)
-    assert 16 < depths[0] <= 4096
-    # accepted depth carries the horizon without tripping the monitor
-    table = recurrence_analytic(spec.distributions[0], depths[0] + 1)
-    op = build_linear(spec, [table], depths)
-    basis = LatticeBasis(2, depths)
     plan = PropagationPlan.linspace(6.0, 41)
-    _, report = propagate(op, localized_initial(c, basis), plan)
+    depths, op, psi0 = auto_depth(spec, lambda b, _: localized_initial(c, b), plan)
+    assert 16 < depths[0] <= 4096
+    # the accepted lattice carries the horizon without tripping the monitor
+    _, report = propagate(op, psi0, plan)
     assert not report.exceeded
 
 
@@ -301,16 +301,39 @@ def test_auto_depth_hands_its_tables_to_the_builder(monkeypatch):
         given.extend(tables)
         return localized_initial(c, basis)
 
-    auto_depth(spec, builder, horizon=3.0)
+    auto_depth(spec, builder, PropagationPlan.linspace(3.0, 2))
     assert len(given) == len(built) > 1
     assert all(g is b for g, b in zip(given, built))
+
+
+def test_auto_depth_returns_the_accepted_lattice():
+    # the lattice handed back is, bit for bit, the one lattice_at sets up at
+    # the accepted depths, so a caller propagates it without building it again
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)))
+
+    def c_fn(pts):
+        c = np.array([1.0, 0.5]) + pts[:, :1] * np.array([0.0, 0.1])
+        return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+    def builder(basis, tables):
+        return expanded_initial(c_fn, spec.distributions, tables, basis)
+
+    depths, op, psi0 = auto_depth(spec, builder, PropagationPlan.linspace(3.0, 2))
+    fresh_op, fresh_psi0 = lattice_at(spec, builder, depths)
+    assert depths[0] > 16
+    assert op.dim == fresh_op.dim
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(op, name), getattr(fresh_op, name))
+    assert psi0.basis == fresh_psi0.basis
+    assert np.array_equal(psi0.amplitudes, fresh_psi0.amplitudes)
 
 
 def test_auto_depth_cap():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     with pytest.raises(DepthCapExceeded):
-        auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=6.0, cap=32)
+        auto_depth(spec, lambda b, _: localized_initial(c, b), PropagationPlan.linspace(6.0, 2),
+                   cap=32)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +479,8 @@ def test_propagator_needs_only_shape_and_matmul(monkeypatch):
         states, report = propagate(op, psi0, plan, keep_states=True)
         return ([s.amplitudes for s in states], report.matvecs,
                 evolve(op, psi0.amplitudes, -1.3),
-                auto_depth(spec, lambda b, _: localized_initial(c, b), horizon=3.0))
+                auto_depth(spec, lambda b, _: localized_initial(c, b),
+                           PropagationPlan.linspace(3.0, 2))[0])
 
     want = run()
     as_csr = dynamics._as_csr
