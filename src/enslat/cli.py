@@ -217,7 +217,23 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
     _fail("initial.kind", f"unknown kind {kind!r}")
 
 
-def _resolve_numeric(cfg: dict) -> dict:
+def _positive_int(value, path: str):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        _fail(path, f"expected a positive integer, got {value!r}")
+
+
+def _positive_number(value, path: str):
+    try:
+        ok = not isinstance(value, bool) and float(value) > 0
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        _fail(path, f"expected a positive number, got {value!r}")
+
+
+def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
+    """The numeric block with its defaults, checked; ``n_vars`` disorder
+    variables, when known, fix the length of a list of depths."""
     num = dict(cfg.get("numeric") or {})
     # retired knobs (Lanczos dimension, assembly quadrature order): old manifests still run
     num.pop("max_krylov_dim", None)
@@ -229,6 +245,17 @@ def _resolve_numeric(cfg: dict) -> dict:
     num.setdefault("quad_order", 40)
     num.setdefault("leakage_threshold", 1e-8)
     num.setdefault("depth_cap", 4096)
+    depths = num["depths"]
+    if isinstance(depths, (list, tuple)):
+        if n_vars is not None and len(depths) != n_vars:
+            _fail("numeric.depths", f"need {n_vars} depths, got {len(depths)}")
+        for i, d in enumerate(depths):
+            _positive_int(d, f"numeric.depths[{i}]")
+    elif depths != "auto":
+        _positive_int(depths, "numeric.depths")
+    _positive_int(num["depth_cap"], "numeric.depth_cap")
+    _positive_number(num["tol"], "numeric.tol")
+    _positive_number(num["leakage_threshold"], "numeric.leakage_threshold")
     return num
 
 
@@ -268,11 +295,7 @@ def _chain_trajectory(spec, initial, times, num):
     if depths == "auto":
         depths, op, psi0 = auto_depth(spec, psi0_for, plan, cap=int(num["depth_cap"]))
     else:
-        if isinstance(depths, int):
-            depths = (depths,) * spec.l
-        depths = tuple(int(d) for d in depths)
-        if len(depths) != spec.l:
-            _fail("numeric.depths", f"need {spec.l} depths, got {len(depths)}")
+        depths = tuple(depths) if isinstance(depths, (list, tuple)) else (depths,) * spec.l
         op, psi0 = lattice_at(spec, psi0_for, depths)
     _, report = propagate(op, psi0, plan)
     traj = DensityTrajectory(times, report.rho, info={"method": "chain",
@@ -416,7 +439,7 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
     initial = parse_initial(cfg, spec, base_dir)
     t_max, n_steps = _resolve_time(cfg)
     times = np.linspace(0.0, t_max, n_steps)
-    num = _resolve_numeric(cfg)
+    num = _resolve_numeric(cfg, spec.l)
     meth = cfg.get("method", "chain")
     if meth not in _METHODS:
         _fail("method", f"unknown method {meth!r}; expected one of {_METHODS}")
@@ -454,7 +477,10 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
         result_meta["propagator"] = {
             "spectral_centre": report.centre, "spectral_half_width": report.half_width,
             "windows": report.windows, "matvecs": report.matvecs,
-            "max_norm_drift": report.norm_drift}
+            "max_norm_drift": report.norm_drift, "op_dim": report.op_dim,
+            "op_nnz": report.op_nnz, "box": [int(b) for b in report.box],
+            "box_growths": report.box_growths, "redos": report.redos,
+            "active_fraction": report.active_fraction}
     if meth in ("mc", "quad"):
         traj = _oracle_trajectory(meth, spec, initial, times, num)
         trajs[meth] = traj
@@ -558,6 +584,10 @@ def validate_config(config) -> list:
             failures.append(str(exc))
     try:
         _resolve_time(cfg)
+    except ConfigError as exc:
+        failures.append(str(exc))
+    try:
+        _resolve_numeric(cfg, spec.l if spec is not None else None)
     except ConfigError as exc:
         failures.append(str(exc))
     meth = cfg.get("method", "chain")

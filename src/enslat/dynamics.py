@@ -18,6 +18,15 @@ Only the trace over the node index is read from the lattice, so each output
 is reduced to its density matrix as soon as it is made and then dropped: at
 most one window's outputs are alive at a time.
 
+The wavefront moves out from the origin at a finite speed, so each window
+runs on the box of the lattice it occupies, the nodes with max_i k_i up to
+some radius: the smaller of the window's light cone, where the result is
+exact, and the measured front plus its projected advance.  The box leaves at
+most (1e-3 * tol)**2 of the population outside; a window whose outputs put
+more than that on the box's outer shells is run again on a wider box.  Nodes
+are laid out by that radius, so every box is a prefix of the vectors and a
+block of leading rows of one CSR matrix.
+
 Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
 dynamics are no longer those of the semi-infinite lattice, so crossing the
@@ -58,6 +67,8 @@ __all__ = [
 
 _WINDOW = 32.0   # largest a * (t_last - t_start) that one recurrence serves
 _TAIL = 1e-3     # Bessel tail bound of the expansion, in units of the tolerance
+_SHELLS = 4      # shells a box keeps beyond the front's projected advance
+_GROW = 2.0      # factor a redo widens that margin by
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,12 @@ class LeakageReport:
     ``centre`` and ``half_width`` describe the Gershgorin interval the
     expansion was scaled to; ``norm_drift`` is the largest
     |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
-    normalized start).
+    normalized start).  ``op_dim`` and ``op_nnz`` are the dimension and
+    stored nonzeros of the whole operator.  The box record: ``box`` holds the
+    per-axis depths of the last box the windows ran on, ``box_growths`` how
+    often it grew, ``redos`` how many windows were run again on a larger box,
+    and ``active_fraction`` the products' share of the work a whole-lattice
+    run would do, sum(box size * products) / (operator dim * products).
     """
 
     times: np.ndarray
@@ -111,6 +127,12 @@ class LeakageReport:
     matvecs: int = 0
     norm_drift: float = 0.0
     rho: np.ndarray | None = None
+    op_dim: int = 0
+    op_nnz: int = 0
+    box: tuple = ()
+    box_growths: int = 0
+    redos: int = 0
+    active_fraction: float = 1.0
 
     @property
     def max_leakage(self) -> float:
@@ -124,7 +146,7 @@ class LeakageReport:
 def _as_csr(h) -> sp.csr_matrix:
     if isinstance(h, LatticeOperator):
         return h.to_csr()
-    return sp.csr_matrix(h)
+    return h if isinstance(h, sp.csr_matrix) else sp.csr_matrix(h)
 
 
 def _spectral_bounds(h) -> tuple[float, float]:
@@ -167,30 +189,41 @@ def _coefficients(tau: float, centre: float, half: float, budget: float) -> np.n
     return coef
 
 
-def _chebyshev(mat, phi: np.ndarray, taus, centre: float, half: float,
-               budget: float) -> tuple[list[np.ndarray], list[float], int]:
+def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
+               ) -> tuple[list[np.ndarray], list[float], int]:
     """exp(-i H tau) phi for every tau of one window, from one recurrence.
 
-    ``mat`` is only applied with ``@``.  The recurrence runs on
-    p_k = i^k T_k((H - c)/a) phi, which obeys p_{k+1} = p_{k-1} + (2i/a)(H - c) p_k:
-    two ``axpy`` updates per term and no separate scaling pass.  Returns the
-    vectors, their norms and the number of products with ``mat``.
+    ``coefs`` holds the :func:`_coefficients` of each tau.  Of ``mat`` only
+    ``shape`` is read and ``@`` applied.  It may be the leading block of rows
+    of H, of shape (m, n), n <= len(phi): a box (see :class:`_Boxes`).  Then
+    only the first n entries of each vector are computed, and the rest, zero
+    in ``phi``, stay zero.  The recurrence runs on p_k = i^k T_k((H - c)/a) phi, which
+    obeys p_{k+1} = p_{k-1} + (2i/a)(H - c) p_k: two ``axpy`` updates per term,
+    in place on those leading entries, and no separate scaling pass.  It takes
+    ``phi`` over as p_0, so ``phi`` is overwritten.  Returns the vectors,
+    their norms and the number of products with ``mat``.
     """
-    coefs = [_coefficients(tau, centre, half, budget) for tau in taus]
-    outs = [c[0] * phi for c in coefs]     # with a == 0 (H = c I) this is all: a pure phase
+    rows, act = mat.shape
+    outs = [np.zeros_like(phi) for _ in coefs]
+    heads = [out[:act] for out in outs]
+    for head, c in zip(heads, coefs):  # with a == 0 (H = c I) this is all: a pure phase
+        np.multiply(c[0], phi[:act], out=head)
     order = max(c.size for c in coefs)
     if order > 1:
-        prev = phi.copy()
-        cur = zaxpy(phi, (1j / half) * (mat @ phi), a=-1j * centre / half)
+        # views of the leading entries, which zaxpy updates in place; an update
+        # by a product (m entries) reaches the first m
+        prev, cur = phi[:act], np.zeros_like(phi)[:act]
+        np.multiply(1j / half, mat @ prev, out=cur[:rows])
+        zaxpy(prev, cur, a=-1j * centre / half)
         for k in range(1, order):
-            for i, c in enumerate(coefs):
+            for head, c in zip(heads, coefs):
                 if k < c.size:
-                    outs[i] = zaxpy(cur, outs[i], a=c[k])
+                    zaxpy(cur, head, a=c[k])
             if k + 1 < order:
-                prev = zaxpy(mat @ cur, prev, a=2j / half)
-                prev = zaxpy(cur, prev, a=-2j * centre / half)
+                zaxpy(mat @ cur, prev, a=2j / half)
+                zaxpy(cur, prev, a=-2j * centre / half)
                 prev, cur = cur, prev
-    norms = [float(np.linalg.norm(v)) for v in outs]
+    norms = [float(np.linalg.norm(head)) for head in heads]
     if not np.all(np.isfinite(norms)):
         raise KrylovBreakdown("non-finite values during propagation")
     return outs, norms, order - 1
@@ -202,9 +235,117 @@ def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
     Low-level kernel behind :func:`propagate`; returns a new vector.
     """
     centre, half = _spectral_bounds(h)
-    (out,), _, _ = _chebyshev(_as_csr(h), np.asarray(psi, dtype=complex), [float(dt)],
-                              centre, half, _TAIL * tol)
+    coefs = [_coefficients(float(dt), centre, half, _TAIL * tol)]
+    (out,), _, _ = _chebyshev(_as_csr(h), np.array(psi, dtype=complex), coefs, centre, half)
     return out
+
+
+class _Boxes:
+    """The lattice as nested boxes, for :func:`propagate`.
+
+    Nodes are laid out by shell s = max_i k_i (in node order within a shell),
+    so the box of radius r, every node with s <= r, is a prefix of the flat
+    layout, and its operator a block of leading rows of one CSR matrix, built
+    once.  One product moves amplitude across at most ``band`` shells, so the
+    rows of box r reach only the columns of box r + band.  Vectors keep the
+    whole lattice's length, zero outside the box: a box limits which entries
+    are computed, not what is allocated, so every vector has one size.  An
+    operator that is not a :class:`LatticeOperator` is one shell: its only box
+    is the whole lattice.
+    """
+
+    def __init__(self, h, basis: LatticeBasis):
+        n = self.n = basis.n_system
+        self.basis = basis
+        self.order = None               # node at each position, unless in node order
+        if isinstance(h, LatticeOperator):
+            radius = np.zeros(basis.shape, dtype=np.int32)      # shell of each node
+            for i, size in enumerate(basis.shape):
+                axis = np.arange(size, dtype=np.int32).reshape((-1,) + (1,) * (basis.l - 1 - i))
+                np.maximum(radius, axis, out=radius)
+            radius = radius.ravel()
+            self.band = _shell_band(h, radius)
+            counts = np.bincount(radius)
+            relabel = None
+            if np.any(np.diff(radius) < 0):
+                self.order = np.argsort(radius, kind="stable").astype(np.int32)
+                pos = np.empty(radius.size, dtype=np.int64)
+                pos[self.order] = np.arange(radius.size)
+                relabel = (pos[:, None] * n + np.arange(n)).ravel()
+                del pos, radius
+            self.csr = h.to_csr(relabel)
+            self.nnz = self.csr.nnz
+        else:
+            self.band, self.csr, counts = 0, h, [basis.node_count]
+            self.nnz = h.nnz if sp.issparse(h) else int(np.count_nonzero(h))
+        self.starts = n * np.concatenate([[0], np.cumsum(counts)])
+        self.outer = len(counts) - 1    # radius of the whole lattice
+
+    def rows(self, r: int) -> int:
+        """Size of box r."""
+        return int(self.starts[min(r, self.outer) + 1])
+
+    def depths(self, r: int) -> tuple:
+        """Per-axis depths of box r."""
+        if r >= self.outer:             # also the one shell of an operator given as a matrix
+            return self.basis.depths
+        return tuple(min(r, d) for d in self.basis.depths)
+
+    def layout(self, amps: np.ndarray) -> np.ndarray:
+        """A copy of a whole-lattice vector, in shell order."""
+        return amps.copy() if self.order is None else amps.reshape(-1, self.n)[self.order].ravel()
+
+    def op(self, r: int):
+        """The operator of box r, through :func:`_as_csr`: the box's rows and
+        the columns they reach, as views of the whole CSR matrix."""
+        if r >= self.outer:
+            return _as_csr(self.csr)
+        m, cols = self.rows(r), self.rows(r + self.band)
+        end = self.csr.indptr[m]
+        box = sp.csr_matrix((m, cols), dtype=self.csr.dtype)
+        # assigned, not passed to the constructor, which copies arrays under half their base
+        box.indptr, box.indices, box.data = (
+            self.csr.indptr[:m + 1], self.csr.indices[:end], self.csr.data[:end])
+        return _as_csr(box)
+
+    def populations(self, vec: np.ndarray, r: int) -> np.ndarray:
+        """Population of each shell of box r."""
+        return np.add.reduceat(np.abs(vec[:self.rows(r)]) ** 2,
+                               self.starts[:min(r, self.outer) + 1])
+
+    def edge(self, vec: np.ndarray, r: int) -> float:
+        """Population on the outer ``band`` shells of box r."""
+        outer = vec[self.starts[max(r - self.band + 1, 0)]:self.rows(r)]
+        return float(np.vdot(outer, outer).real)
+
+    def whole(self, vecs, r: int):
+        """The vectors of box r, one at a time, in the flat layout of the whole
+        lattice: themselves in node order, else one buffer that lives for this
+        call, zero outside the box."""
+        if self.order is None:
+            yield from vecs
+            return
+        m = self.rows(r)
+        buf = np.zeros(self.basis.size, dtype=complex)
+        for vec in vecs:
+            buf.reshape(-1, self.n)[self.order[:m // self.n]] = vec[:m].reshape(-1, self.n)
+            yield buf
+
+
+def _shell_band(op: LatticeOperator, radius: np.ndarray) -> int:
+    """Largest shell difference between the two nodes of an operator entry."""
+    n, step, band = op.dim // radius.size, 1 << 16, 0
+    for lo in range(0, op.nnz, step):       # in pieces: no temporaries the operator's size
+        rows, cols = op.rows[lo:lo + step] // n, op.cols[lo:lo + step] // n
+        band = max(band, int(np.max(np.abs(radius[rows] - radius[cols]))))
+    return band
+
+
+def _front(pops: np.ndarray, floor: float) -> int:
+    """Smallest shell beyond which the population is at most ``floor``."""
+    beyond = np.cumsum(pops[::-1])[::-1]        # population on shells >= s
+    above = np.flatnonzero(beyond > floor)
+    return int(above[-1]) if above.size else 0
 
 
 def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool = False
@@ -222,6 +363,17 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     expansion tolerance (the evolution is unitary; leakage is *monitored*,
     not absorbed).
 
+    Each window of a :class:`LatticeOperator` runs on the box of the lattice
+    the wavefront occupies (see :class:`_Boxes`), leaving at most
+    (``_TAIL`` * tol)**2 of the population outside.  The box is the smaller
+    of the light cone (the base state's support plus the window's products
+    times the band width), inside which the result is exact, and the
+    measured front plus its projected advance and ``_SHELLS`` shells.  A
+    window whose outputs put more than that population on the box's outer
+    band shells is run again on a wider box.  The start keeps its shells out
+    to its front.  The Gershgorin interval, and so every window's order, is
+    that of the whole operator.
+
     Raises
     ------
     LeakageExceeded
@@ -229,32 +381,41 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         exception's report carries the partial trajectory.
     """
     basis = psi0.basis
-    csr = _as_csr(h)
-    if csr.shape[0] != basis.size:
-        raise ValueError(f"operator dim {csr.shape[0]} != basis size {basis.size}")
+    dim = h.dim if isinstance(h, LatticeOperator) else np.shape(h)[0]
+    if dim != basis.size:
+        raise ValueError(f"operator dim {dim} != basis size {basis.size}")
+    boxes = _Boxes(h, basis)
     centre, half = _spectral_bounds(h)
     shell = boundary_shell(basis)
+    floor = (_TAIL * plan.tol) ** 2             # population a box may leave outside
     times = plan.times
-    stats = {"windows": 0, "matvecs": 0, "norm_drift": 0.0}
+    stats = {"windows": 0, "matvecs": 0, "norm_drift": 0.0, "box_growths": 0, "redos": 0}
+    work = 0                                    # sum of box size * products
 
     def report(n: int) -> LeakageReport:
+        active = work / (dim * stats["matvecs"]) if stats["matvecs"] else 1.0
         return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
-                             centre, half, **stats, rho=rho[:n].copy())
+                             centre, half, **stats, rho=rho[:n].copy(), op_dim=dim,
+                             op_nnz=boxes.nnz, box=boxes.depths(r), active_fraction=active)
 
     states: list[LatticeState] = []
     leak = np.zeros(times.size)
     rho = np.zeros((times.size, basis.n_system, basis.n_system), dtype=complex)
-    cur = psi0.amplitudes.astype(complex)
+    cur = boxes.layout(psi0.amplitudes)
     norm0 = float(np.linalg.norm(cur))
+    r = _front(boxes.populations(cur, boxes.outer), floor)
+    cur[boxes.rows(r):] = 0.0                   # the start keeps its shells out to its front
     start, block, norms = 0, [cur], [norm0]
+    del cur
+    mat, last = None, None
     while True:
-        for j, (vec, nrm) in enumerate(zip(block, norms), start):
+        for j, (vec, nrm) in enumerate(zip(boxes.whole(block, r), norms), start):
             state = LatticeState(basis, vec)
             leak[j] = float(np.sum(np.abs(vec[shell]) ** 2))
             rho[j] = partial_trace(state)
             stats["norm_drift"] = max(stats["norm_drift"], abs(nrm - norm0))
             if keep_states:
-                states.append(state)
+                states.append(LatticeState(basis, vec.copy()))
             if leak[j] > plan.leakage_threshold:
                 raise LeakageExceeded(
                     f"boundary-shell population {leak[j]:.3e} > {plan.leakage_threshold:.1e} "
@@ -266,12 +427,36 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         stop = base + 2
         while stop < times.size and half * (times[stop] - times[base]) <= _WINDOW:
             stop += 1
+        coefs = [_coefficients(tau, centre, half, _TAIL * plan.tol)
+                 for tau in times[base + 1:stop] - times[base]]
+        products = max(c.size for c in coefs) - 1
         phi = block[-1]
         del block            # drop this window's outputs; only the next base stays alive
-        block, norms, used = _chebyshev(csr, phi, times[base + 1:stop] - times[base],
-                                        centre, half, _TAIL * plan.tol)
+        pops = boxes.populations(phi, r)
+        front = _front(pops, floor)
+        support = np.flatnonzero(pops)
+        cone = min(int(support[-1] if support.size else 0) + products * boxes.band, boxes.outer)
+        if last is None:     # no measured advance yet: the front may move as far as the cone
+            margin = products * boxes.band + _SHELLS
+        else:
+            speed = max(front - last[0], 0) / (times[base] - last[1])
+            margin = int(np.ceil(speed * (times[stop - 1] - times[base]))) + _SHELLS
+        last = (front, times[base])
+        while True:
+            box = max(r, min(front + margin, cone))
+            stats["box_growths"] += box != r
+            if mat is None or box != r:
+                r, mat = box, boxes.op(box)
+            # the recurrence overwrites its start: a copy, while a redo may need it
+            block, norms, used = _chebyshev(mat, phi if r >= cone else phi.copy(), coefs,
+                                            centre, half)
+            stats["matvecs"] += used
+            work += boxes.rows(r) * used
+            if r >= cone or all(boxes.edge(vec, r) <= floor for vec in block):
+                break
+            stats["redos"] += 1  # the front outran the box: widen it and run the window again
+            margin = int(np.ceil(_GROW * margin))
         stats["windows"] += 1
-        stats["matvecs"] += used
         start = base + 1
 
 

@@ -281,13 +281,22 @@ class LatticeOperator:
     def nnz(self) -> int:
         return self.vals.size
 
-    def to_csr(self) -> sp.csr_matrix:
-        """Hermitian completion as a CSR matrix."""
+    def to_csr(self, relabel=None) -> sp.csr_matrix:
+        """Hermitian completion as a CSR matrix.
+
+        With ``relabel`` (an array mapping each flat index to a new one), row
+        and column ``relabel[i]`` of the result hold those of index i.
+        """
         off = self.rows != self.cols
         r = np.concatenate([self.rows, self.cols[off]])
         c = np.concatenate([self.cols, self.rows[off]])
-        v = np.concatenate([self.vals, self.vals[off].conj()])
-        m = sp.coo_matrix((v, (r, c)), shape=(self.dim, self.dim)).tocsr()
+        if relabel is not None:
+            np.take(relabel, r, out=r)
+            np.take(relabel, c, out=c)
+        coo = sp.coo_matrix((np.concatenate([self.vals, self.vals[off].conj()]), (r, c)),
+                            shape=(self.dim, self.dim))
+        del off, r, c       # the COO matrix holds 32-bit copies: free these before the CSR
+        m = coo.tocsr()
         m.sum_duplicates()
         return m
 

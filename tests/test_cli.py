@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 import enslat.cli
@@ -109,9 +110,16 @@ def test_manifest_records_propagator(tmp_path):
     man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
     prop = man["result"]["propagator"]
     assert set(prop) == {"spectral_centre", "spectral_half_width", "windows", "matvecs",
-                         "max_norm_drift"}
+                         "max_norm_drift", "op_dim", "op_nnz", "box", "box_growths",
+                         "redos", "active_fraction"}
     assert prop["matvecs"] > 0 and prop["windows"] > 0 and prop["spectral_half_width"] > 0
     assert prop["max_norm_drift"] <= 1e-10
+    # depth 64 qubit chain, dim 130: level 1 has an on-node entry on each of the 65
+    # nodes (level 0's is zero) and a hop between neighbours, stored both ways
+    assert prop["op_dim"] == 130 and prop["op_nnz"] == 65 + 2 * 64
+    assert prop["box"] == [64] or 0 < prop["box"][0] < 64
+    assert prop["box_growths"] >= 1 and prop["redos"] >= 0
+    assert 0 < prop["active_fraction"] <= 1
     assert "max_krylov_dim" not in man["config"]["numeric"]
     assert "quad_points" not in man["config"]["numeric"]
 
@@ -157,6 +165,31 @@ def test_exit_code_2_on_bad_config(tmp_path):
     cfg["system"]["h0"] = [[0, 1], [0, 1]]
     p2.write_text(yaml.safe_dump(cfg))
     assert main(["--config", str(p2)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("depths", "sixteen"), ("depths", -3), ("depths", 0), ("depths", 2.5), ("depths", True),
+    ("depths", [16, 16]), ("depths", [0]), ("depth_cap", 0), ("depth_cap", "many"),
+    ("tol", 0.0), ("tol", "small"), ("leakage_threshold", -1e-8),
+])
+def test_bad_numeric_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    path = qubit_config(tmp_path, n_steps=5)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["numeric"][key] = value
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert f"numeric.{key}" in capsys.readouterr().out
+    assert main(["--config", str(path)]) == 2
+    assert f"config error: numeric.{key}" in capsys.readouterr().err
+
+
+def test_shipped_configs_validate(capsys):
+    # a schema check must not reject a config the package ships
+    shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert shipped
+    for path in shipped:
+        assert main(["--config", str(path), "--validate"]) == 0, path.name
+        assert capsys.readouterr().out.strip() == "OK"
 
 
 def test_exit_code_3_on_leakage(tmp_path):

@@ -490,3 +490,117 @@ def test_propagator_needs_only_shape_and_matmul(monkeypatch):
     assert got[1] == want[1] > 0
     assert np.array_equal(got[2], want[2])
     assert got[3] == want[3]
+
+
+# ---------------------------------------------------------------------------
+# windows on the box the wavefront occupies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def box_lattices(draw):
+    """(op, psi0) of a build_general lattice: one axis of depth 120 or two of
+    depths (80, <= 10); linear or degree-2 couplings; a localized or an
+    expanded initial state."""
+    from enslat import EnsembleSpec, LatticeState, PolynomialCoupling
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    l = draw(st.sampled_from([1, 2]))
+    n = 1 if l == 2 else draw(st.sampled_from([1, 2]))
+    depths = (120,) if l == 1 else (80, draw(st.integers(4, 10)))
+
+    def herm(scale):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return scale * (m + m.conj().T) / 2
+
+    couplings = []
+    for _ in range(l):
+        mats = [np.zeros((n, n)), herm(0.5)]
+        if draw(st.booleans()):
+            mats.append(herm(0.1))            # degree 2: bands of width 2
+        couplings.append(PolynomialCoupling(tuple(mats)))
+    dists = tuple(draw(st.sampled_from([DisorderDistribution.semicircle(1.0),
+                                        DisorderDistribution.gaussian(0.5)]))
+                  for _ in range(l))
+    spec = EnsembleSpec(herm(1.0), tuple(couplings), dists)
+    spread = draw(st.sampled_from([0, 3]))
+
+    def builder(basis, tables):
+        # on the origin, or spread over the first shells: the image of a
+        # disorder-dependent state of low degree in the disorder
+        amps = rng.normal(size=(basis.node_count, n)) + 1j * rng.normal(size=(basis.node_count, n))
+        amps[basis.node_multi_indices().max(axis=1) > spread] = 0.0
+        return LatticeState(basis, (amps / np.linalg.norm(amps)).ravel())
+
+    return lattice_at(spec, builder, depths)
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_lattices(), st.lists(st.floats(0.25, 2.0), min_size=1, max_size=8))
+def test_box_windows_match_dense(lattice, steps):
+    # a * t <= 16 in all: the first window's light cone stays inside the lattice
+    op, psi0 = lattice
+    centre, half = dynamics._spectral_bounds(op)
+    times = np.concatenate([[0.0], np.cumsum(steps)]) / half
+    states, report = propagate(op, psi0, PropagationPlan(times, leakage_threshold=np.inf),
+                               keep_states=True)
+    # the centre is an exact global phase; removing it keeps the dense eigenvalues accurate
+    dense = propagate_dense(op.to_dense() - centre * np.eye(op.dim), psi0, times)
+    for t, got, want in zip(times, states, dense):
+        assert np.abs(got.amplitudes - np.exp(-1j * centre * t) * want.amplitudes).max() <= 1e-12
+    assert report.active_fraction < 1          # the box started smaller than the lattice
+    assert report.op_dim == psi0.basis.size
+
+
+def test_box_redone_when_front_outruns_it():
+    # one output just after another measures no advance, so the long window
+    # after it starts on a box a few shells past the front; the front reaches
+    # the box's edge and the window is run again on wider boxes
+    dist = DisorderDistribution.semicircle(1.0)
+    d = 150
+    op = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
+    psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
+    _, half = dynamics._spectral_bounds(op)
+    times = np.array([0.0, 40.0, 40.001, 80.0]) / half      # one output per window
+    states, report = propagate(op, psi0, PropagationPlan(times), keep_states=True)
+    assert report.windows == 3 and report.redos > 0
+    assert report.box[0] < d
+    for got, want in zip(states, propagate_dense(op, psi0, times)):
+        assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+
+
+def test_box_stays_on_the_light_cone():
+    # no hops: the light cone never leaves the start's support, however far
+    # the measured front is projected
+    from enslat import EnsembleSpec, LinearCoupling
+    spec = EnsembleSpec(np.diag([0.0, 1.0]), (LinearCoupling(np.zeros((2, 2))),),
+                        (DisorderDistribution.gaussian(1.0),))
+    op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.array([0.6, 0.8]), b), (40,))
+    times = np.linspace(0.0, 60.0, 7)
+    states, report = propagate(op, psi0, PropagationPlan(times), keep_states=True)
+    assert report.box == (0,) and report.box_growths == 0
+    assert report.active_fraction == 2 / psi0.basis.size
+    for t, s in zip(times, states):
+        want = psi0.amplitudes * np.exp(-1j * np.array([0.0, 1.0] * 41) * t)
+        assert np.abs(s.amplitudes - want).max() <= 1e-13
+
+
+def test_box_memory_is_one_operator_and_a_window_of_vectors():
+    # a 2-D lattice whose box grows: propagate holds the operator once, in the
+    # shell layout of the boxes, and at most a window's outputs plus a few
+    # working vectors.  One output per window keeps that allowance small
+    # enough that a second copy of the operator does not fit in it.
+    from enslat import EnsembleSpec, LinearCoupling
+    spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
+                        (DisorderDistribution.semicircle(1.0),) * 2)
+    op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.ones(1), b), (300, 300))
+    csr = op.to_csr()
+    csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+    del csr
+    vec = psi0.amplitudes.nbytes
+    _, half = dynamics._spectral_bounds(op)
+    plan = PropagationPlan(np.arange(6) * 40.0 / half)
+    report = []
+    peak = _peak_traced_bytes(lambda: report.append(propagate(op, psi0, plan)[1]))
+    assert report[0].box_growths > 1 and report[0].active_fraction < 1
+    width = _largest_window(plan.times, half)
+    assert width == 1
+    assert peak <= csr_bytes + (width + 8) * vec
