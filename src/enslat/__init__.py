@@ -70,7 +70,6 @@ from .dynamics import (
 )
 from .reduction import (
     DensityTrajectory,
-    coherence_trace,
     observable_average,
     partial_trace,
     trajectory_from_states,
@@ -82,7 +81,5 @@ from .oracle import (
     mc_average,
     quad_average,
 )
-
-gauss_nodes = gauss_rule      # former name of the single Gauss-rule entry point
 
 __version__ = "0.1.0"

@@ -93,6 +93,17 @@ def _matrix_to_yaml(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
 
 
+def _data_file(block: dict, path: str, base_dir: str, what: str) -> np.ndarray:
+    """The table in the file a block's ``file`` key names, relative to the config."""
+    fname = block.get("file")
+    if fname is None:
+        _fail(f"{path}.file", f"{what} needs a data file")
+    fpath = os.path.join(base_dir, fname)
+    if not os.path.exists(fpath):
+        _fail(f"{path}.file", f"no such file: {fpath}")
+    return np.loadtxt(fpath, ndmin=2)
+
+
 def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
     if not isinstance(block, dict) or "family" not in block:
         _fail(path, "expected a mapping with a 'family' key")
@@ -104,13 +115,7 @@ def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
         cutoff = (float(cutoff[0]), float(cutoff[1]))
     try:
         if family == "tabulated":
-            fname = block.get("file")
-            if fname is None:
-                _fail(f"{path}.file", "tabulated distribution needs a data file")
-            fpath = os.path.join(base_dir, fname)
-            if not os.path.exists(fpath):
-                _fail(f"{path}.file", f"no such file: {fpath}")
-            data = np.loadtxt(fpath, ndmin=2)
+            data = _data_file(block, path, base_dir, "tabulated distribution")
             return DisorderDistribution.tabulated(data[:, 0], data[:, 1], cutoff=cutoff)
         if "width" not in block:
             _fail(f"{path}.width", f"{family} distribution needs a width")
@@ -130,13 +135,7 @@ def _coupling(block, path: str, base_dir: str):
         return PolynomialCoupling(tuple(_matrix(m, f"{path}.matrices[{d}]")
                                         for d, m in enumerate(mats)))
     if kind == "tabulated":
-        fname = block.get("file")
-        if fname is None:
-            _fail(f"{path}.file", "tabulated coupling needs a data file")
-        fpath = os.path.join(base_dir, fname)
-        if not os.path.exists(fpath):
-            _fail(f"{path}.file", f"no such file: {fpath}")
-        data = np.loadtxt(fpath, ndmin=2)
+        data = _data_file(block, path, base_dir, "tabulated coupling")
         lam = data[:, 0]
         n = int(round(np.sqrt((data.shape[1] - 1) / 2)))
         if 1 + 2 * n * n != data.shape[1]:
@@ -183,13 +182,7 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
     if kind == "tabulated":
         if spec.l != 1:
             _fail("initial", "tabulated initial states support a single disorder variable")
-        fname = block.get("file")
-        if fname is None:
-            _fail("initial.file", "tabulated initial state needs a data file")
-        fpath = os.path.join(base_dir, fname)
-        if not os.path.exists(fpath):
-            _fail("initial.file", f"no such file: {fpath}")
-        data = np.loadtxt(fpath, ndmin=2)
+        data = _data_file(block, "initial", base_dir, "tabulated initial state")
         if data.shape[1] != 1 + 2 * spec.n:
             _fail("initial.file", f"need 1 + 2*N columns, got {data.shape[1]}")
         lam = data[:, 0]
@@ -418,7 +411,7 @@ def _load(config) -> tuple[dict, str]:
     return doc, base
 
 
-def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult:
+def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     """Execute one configured run and write its outputs.
 
     `config` is a YAML path or an equivalent dict (a run manifest also
@@ -455,8 +448,6 @@ def run(config, out_dir=None, method=None, seed=None, threads=None) -> RunResult
                  if isinstance(c, TabulatedCoupling)}
     if residuals:
         result_meta["tabulated_fit_residual"] = residuals
-    if threads is not None:
-        result_meta["threads_requested"] = int(threads)
     compare_rows = []
     exit_code = 0
 
@@ -624,8 +615,6 @@ def main(argv=None) -> int:
     parser.add_argument("--method", choices=_METHODS, help="override the configured method")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--seed", type=int, help="override the random seed")
-    parser.add_argument("--threads", type=int,
-                        help="recorded in the manifest; BLAS threading follows the environment")
     args = parser.parse_args(argv)
 
     if args.validate:
@@ -638,8 +627,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        result = run(args.config, out_dir=args.out, method=args.method,
-                     seed=args.seed, threads=args.threads)
+        result = run(args.config, out_dir=args.out, method=args.method, seed=args.seed)
     except (LeakageExceeded, NumericalBreakdown, DepthCapExceeded, KrylovBreakdown,
             NormDefectExceeded, UnboundedSupport, NotNormalized, EmptySupport) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

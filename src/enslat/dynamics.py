@@ -23,9 +23,9 @@ runs on the box of the lattice it occupies, the nodes with max_i k_i up to
 some radius: the smaller of the window's light cone, where the result is
 exact, and the measured front plus its projected advance.  The box leaves at
 most (1e-3 * tol)**2 of the population outside; a window whose outputs put
-more than that on the box's outer shells is run again on a wider box.  Nodes
-are laid out by that radius, so every box is a prefix of the vectors and a
-block of leading rows of one CSR matrix.
+more than that on the box's outer shells is run again on a wider box.  The
+lattice basis lays its nodes out by that radius, so every box is a prefix of
+the vectors and a block of leading rows of one CSR matrix.
 
 Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
@@ -243,42 +243,29 @@ def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
 class _Boxes:
     """The lattice as nested boxes, for :func:`propagate`.
 
-    Nodes are laid out by shell s = max_i k_i (in node order within a shell),
-    so the box of radius r, every node with s <= r, is a prefix of the flat
-    layout, and its operator a block of leading rows of one CSR matrix, built
-    once.  One product moves amplitude across at most ``band`` shells, so the
-    rows of box r reach only the columns of box r + band.  Vectors keep the
-    whole lattice's length, zero outside the box: a box limits which entries
-    are computed, not what is allocated, so every vector has one size.  An
+    The basis lays its nodes out by shell s = max_i k_i, so the box of radius
+    r, every node with s <= r, is a prefix of the flat layout, and its
+    operator a block of leading rows of one CSR matrix, built once.  One
+    product moves amplitude across at most ``band`` shells, so the rows of
+    box r reach only the columns of box r + band.  Vectors keep the whole
+    lattice's length, zero outside the box: a box limits which entries are
+    computed, not what is allocated, so every vector has one size.  An
     operator that is not a :class:`LatticeOperator` is one shell: its only box
     is the whole lattice.
     """
 
     def __init__(self, h, basis: LatticeBasis):
-        n = self.n = basis.n_system
         self.basis = basis
-        self.order = None               # node at each position, unless in node order
         if isinstance(h, LatticeOperator):
-            radius = np.zeros(basis.shape, dtype=np.int32)      # shell of each node
-            for i, size in enumerate(basis.shape):
-                axis = np.arange(size, dtype=np.int32).reshape((-1,) + (1,) * (basis.l - 1 - i))
-                np.maximum(radius, axis, out=radius)
-            radius = radius.ravel()
-            self.band = _shell_band(h, radius)
-            counts = np.bincount(radius)
-            relabel = None
-            if np.any(np.diff(radius) < 0):
-                self.order = np.argsort(radius, kind="stable").astype(np.int32)
-                pos = np.empty(radius.size, dtype=np.int64)
-                pos[self.order] = np.arange(radius.size)
-                relabel = (pos[:, None] * n + np.arange(n)).ravel()
-                del pos, radius
-            self.csr = h.to_csr(relabel)
+            shells = basis.node_multi_indices().max(axis=1)
+            self.band = _shell_band(h, shells)
+            counts = np.bincount(shells)
+            self.csr = h.to_csr()
             self.nnz = self.csr.nnz
         else:
             self.band, self.csr, counts = 0, h, [basis.node_count]
             self.nnz = h.nnz if sp.issparse(h) else int(np.count_nonzero(h))
-        self.starts = n * np.concatenate([[0], np.cumsum(counts)])
+        self.starts = basis.n_system * np.concatenate([[0], np.cumsum(counts)])
         self.outer = len(counts) - 1    # radius of the whole lattice
 
     def rows(self, r: int) -> int:
@@ -290,10 +277,6 @@ class _Boxes:
         if r >= self.outer:             # also the one shell of an operator given as a matrix
             return self.basis.depths
         return tuple(min(r, d) for d in self.basis.depths)
-
-    def layout(self, amps: np.ndarray) -> np.ndarray:
-        """A copy of a whole-lattice vector, in shell order."""
-        return amps.copy() if self.order is None else amps.reshape(-1, self.n)[self.order].ravel()
 
     def op(self, r: int):
         """The operator of box r, through :func:`_as_csr`: the box's rows and
@@ -318,26 +301,13 @@ class _Boxes:
         outer = vec[self.starts[max(r - self.band + 1, 0)]:self.rows(r)]
         return float(np.vdot(outer, outer).real)
 
-    def whole(self, vecs, r: int):
-        """The vectors of box r, one at a time, in the flat layout of the whole
-        lattice: themselves in node order, else one buffer that lives for this
-        call, zero outside the box."""
-        if self.order is None:
-            yield from vecs
-            return
-        m = self.rows(r)
-        buf = np.zeros(self.basis.size, dtype=complex)
-        for vec in vecs:
-            buf.reshape(-1, self.n)[self.order[:m // self.n]] = vec[:m].reshape(-1, self.n)
-            yield buf
 
-
-def _shell_band(op: LatticeOperator, radius: np.ndarray) -> int:
+def _shell_band(op: LatticeOperator, shells: np.ndarray) -> int:
     """Largest shell difference between the two nodes of an operator entry."""
-    n, step, band = op.dim // radius.size, 1 << 16, 0
+    n, step, band = op.dim // shells.size, 1 << 16, 0
     for lo in range(0, op.nnz, step):       # in pieces: no temporaries the operator's size
         rows, cols = op.rows[lo:lo + step] // n, op.cols[lo:lo + step] // n
-        band = max(band, int(np.max(np.abs(radius[rows] - radius[cols]))))
+        band = max(band, int(np.max(np.abs(shells[rows] - shells[cols]))))
     return band
 
 
@@ -401,7 +371,7 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     states: list[LatticeState] = []
     leak = np.zeros(times.size)
     rho = np.zeros((times.size, basis.n_system, basis.n_system), dtype=complex)
-    cur = boxes.layout(psi0.amplitudes)
+    cur = psi0.amplitudes.copy()
     norm0 = float(np.linalg.norm(cur))
     r = _front(boxes.populations(cur, boxes.outer), floor)
     cur[boxes.rows(r):] = 0.0                   # the start keeps its shells out to its front
@@ -409,7 +379,7 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     del cur
     mat, last = None, None
     while True:
-        for j, (vec, nrm) in enumerate(zip(boxes.whole(block, r), norms), start):
+        for j, (vec, nrm) in enumerate(zip(block, norms), start):
             state = LatticeState(basis, vec)
             leak[j] = float(np.sum(np.abs(vec[shell]) ** 2))
             rho[j] = partial_trace(state)

@@ -15,11 +15,15 @@ couplings are fitted on construction.
 
 The assembled operator is Hermitian and sparse; it is stored as upper-triangle
 triplets (:class:`LatticeOperator`) and converted to CSR for propagation.
+Its rows and columns follow the node order of :class:`LatticeBasis`, the one
+place that order is decided: by shell max_i k_i, so that the nodes within
+any radius of the origin come first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -205,8 +209,11 @@ class EnsembleSpec:
 class LatticeBasis:
     """Truncated basis |n, K> with K = (k_1..k_l), 0 <= k_i <= depths[i].
 
-    Flat layout is node-major: ``flat = node * N + n`` where ``node`` is the
-    row-major raveled multi-index.  The origin K = 0 is node 0.
+    Flat layout is node-major: ``flat = node * N + n``.  Nodes are ordered by
+    shell s = max_i k_i, row-major within a shell, so the box of radius r
+    (every node with s <= r) is a prefix of the layout.  The origin K = 0 is
+    node 0, and in 1-D node k is k_1.  Only the trace over the node index is
+    read from a lattice, and it does not depend on this order.
     """
 
     n_system: int
@@ -235,20 +242,36 @@ class LatticeBasis:
         """Per-axis node counts (D_i + 1)."""
         return tuple(d + 1 for d in self.depths)
 
-    def node_index(self, multi) -> int:
-        return int(np.ravel_multi_index(tuple(int(k) for k in multi), self.shape))
+    @cached_property
+    def _multi(self) -> np.ndarray:
+        grid = np.indices(self.shape).reshape(self.l, -1).T     # row-major
+        multi = grid[np.argsort(grid.max(axis=1), kind="stable")]
+        multi.setflags(write=False)
+        return multi
 
-    def flat_index(self, n: int, multi) -> int:
+    @cached_property
+    def _node_of(self) -> np.ndarray:
+        """Node of each multi-index, at the multi-index's row-major position."""
+        node = np.empty(self.node_count, dtype=np.int64)
+        node[np.ravel_multi_index(tuple(self._multi.T), self.shape)] = np.arange(self.node_count)
+        return node
+
+    def node_index(self, multi):
+        """Node of a multi-index, or of each row of an (M, l) array of them."""
+        k = np.asarray(multi, dtype=np.int64)
+        node = self._node_of[np.ravel_multi_index(tuple(np.moveaxis(k, -1, 0)), self.shape)]
+        return int(node) if k.ndim == 1 else node
+
+    def flat_index(self, n: int, multi):
         return self.node_index(multi) * self.n_system + int(n)
 
     def unflatten(self, flat: int) -> tuple[int, tuple]:
         node, n = divmod(int(flat), self.n_system)
-        return n, tuple(int(k) for k in np.unravel_index(node, self.shape))
+        return n, tuple(int(k) for k in self._multi[node])
 
     def node_multi_indices(self) -> np.ndarray:
-        """(node_count, l) array of multi-indices in node order."""
-        grids = np.meshgrid(*[np.arange(s) for s in self.shape], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        """(node_count, l) array of multi-indices in node order (read-only)."""
+        return self._multi
 
 
 @dataclass(eq=False)
@@ -281,18 +304,11 @@ class LatticeOperator:
     def nnz(self) -> int:
         return self.vals.size
 
-    def to_csr(self, relabel=None) -> sp.csr_matrix:
-        """Hermitian completion as a CSR matrix.
-
-        With ``relabel`` (an array mapping each flat index to a new one), row
-        and column ``relabel[i]`` of the result hold those of index i.
-        """
+    def to_csr(self) -> sp.csr_matrix:
+        """Hermitian completion as a CSR matrix."""
         off = self.rows != self.cols
         r = np.concatenate([self.rows, self.cols[off]])
         c = np.concatenate([self.cols, self.rows[off]])
-        if relabel is not None:
-            np.take(relabel, r, out=r)
-            np.take(relabel, c, out=c)
         coo = sp.coo_matrix((np.concatenate([self.vals, self.vals[off].conj()]), (r, c)),
                             shape=(self.dim, self.dim))
         del off, r, c       # the COO matrix holds 32-bit copies: free these before the CSR
@@ -397,7 +413,6 @@ def build_general(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
     n = spec.n
     multi = basis.node_multi_indices()          # (nodes, l)
     node = np.arange(basis.node_count)
-    strides = np.array([int(np.prod(basis.shape[i + 1:])) for i in range(basis.l)])
 
     rows, cols, vals = [], [], []
     # on-node blocks: upper triangle of H0 + sum_i f_i(J_i)[k_i, k_i] per node
@@ -415,7 +430,9 @@ def build_general(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
         for o in range(1, len(axis)):
             sel = multi[:, i] + o <= depths[i]
             src = node[sel]
-            dst = src + o * strides[i]
+            step = multi[sel]
+            step[:, i] += o
+            dst = basis.node_index(step)
             for (a, b), band in axis[o].items():
                 rows.append(src * n + a)
                 cols.append(dst * n + b)

@@ -19,7 +19,6 @@ __all__ = [
     "DensityTrajectory",
     "partial_trace",
     "observable_average",
-    "coherence_trace",
     "trajectory_from_states",
 ]
 
@@ -96,14 +95,6 @@ def observable_average(state: LatticeState, observable: np.ndarray) -> float:
     if np.max(np.abs(o - o.conj().T)) > 1e-12:
         raise NotHermitian("observable must be Hermitian")
     return float(np.trace(o @ partial_trace(state)).real)
-
-
-def coherence_trace(states, a: int, b: int) -> np.ndarray:
-    """Time series rho_{ab}(t) over a list of lattice states (a != b)."""
-    if a == b:
-        raise ValueError("coherence_trace needs two different levels; "
-                         "use DensityTrajectory.populations for diagonals")
-    return np.array([partial_trace(s)[a, b] for s in states])
 
 
 def trajectory_from_states(times, states, **info) -> DensityTrajectory:

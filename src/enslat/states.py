@@ -40,7 +40,8 @@ __all__ = [
 class LatticeState:
     """Wavefunction over a truncated lattice basis.
 
-    Amplitudes are indexed by the basis flat layout (node-major).  States
+    Amplitudes are indexed by the basis flat layout: node-major, with the
+    nodes in the basis's shell order (see :class:`LatticeBasis`).  States
     produced by the constructors below are normalized to 1 within 1e-10,
     except for truncated expansions, whose norm defect is the truncation
     diagnostic reported in ``info["norm_defect"]``.
@@ -137,8 +138,8 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
         work = np.moveaxis(work, 0, len(shape) - 1)
         shape = shape[1:]
     work = work.transpose(*range(basis.l - 1, -1, -1), basis.l)
-    # shape (D_1+1, ..., D_l+1, N): flatten node-major (row-major multi-index)
-    d = work.reshape(basis.node_count, basis.n_system).reshape(-1)
+    # shape (D_1+1, ..., D_l+1, N): pick the nodes in the basis's order
+    d = work[tuple(basis.node_multi_indices().T)].ravel()
 
     defect = abs(float(np.sum(np.abs(d) ** 2)) - 1.0)
     if defect > max_defect:

@@ -27,7 +27,7 @@ from enslat import (
     characteristic_function,
     evolve,
     expanded_initial,
-    gauss_nodes,
+    gauss_rule,
     localized_initial,
     mc_average,
     propagate,
@@ -249,7 +249,7 @@ def test_criterion_5_recurrence_and_quadrature():
                  DisorderDistribution.semicircle(1.0)):
         for q in (2, 5, 13):
             table = recurrence_analytic(dist, q)
-            nodes, weights = gauss_nodes(table, q)
+            nodes, weights = gauss_rule(table, q)
             for m in range(0, 2 * q):
                 exact = moment(dist, m)
                 scale = max(abs(exact), moment(dist, m + (m % 2)))

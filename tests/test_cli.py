@@ -324,12 +324,27 @@ def test_tabulated_distribution_from_file(tmp_path):
     assert man["config"]["system"]["distributions"][0]["file"] == "dist.txt"
 
 
-def test_threads_flag_recorded(tmp_path):
+@pytest.mark.parametrize("fault", ["no file key", "no such file"])
+@pytest.mark.parametrize("table, key", [
+    ("distribution", "system.distributions[0].file"),
+    ("coupling", "system.couplings[0].file"),
+    ("initial", "initial.file"),
+])
+def test_data_file_errors_exit_2_naming_the_key(tmp_path, capsys, table, key, fault):
     path = qubit_config(tmp_path, n_steps=6)
-    rc = main(["--config", str(path), "--threads", "4"])
-    assert rc == 0
-    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
-    assert man["result"]["threads_requested"] == 4
+    cfg = yaml.safe_load(path.read_text())
+    block = {} if fault == "no file key" else {"file": "absent.txt"}
+    if table == "distribution":
+        cfg["system"]["distributions"][0] = {"family": "tabulated", **block}
+    elif table == "coupling":
+        cfg["system"]["couplings"][0] = {"type": "tabulated", **block}
+    else:
+        cfg["initial"] = {"kind": "tabulated", **block}
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert key in capsys.readouterr().out
+    assert main(["--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_analytic_route_rejects_cut_distribution(tmp_path):

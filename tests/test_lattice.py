@@ -1,5 +1,7 @@
 """Lattice assembly: structure, Hermiticity, sparsity, quadrature consistency."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,31 @@ def test_origin_is_node_zero():
     basis = LatticeBasis(2, (4, 4))
     assert basis.flat_index(0, (0, 0)) == 0
     assert basis.flat_index(1, (0, 0)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda l: st.tuples(*[st.integers(0, 6)] * l)),
+       st.integers(1, 3))
+def test_basis_layout_by_shell(depths, n):
+    basis = LatticeBasis(n, depths)
+    multi = basis.node_multi_indices()
+    # shells never decrease along the nodes, so every box is a prefix
+    assert np.all(np.diff(multi.max(axis=1)) >= 0)
+    # the origin is node 0; in 1-D node k is k_1
+    assert basis.node_index((0,) * basis.l) == 0
+    if basis.l == 1:
+        assert np.array_equal(multi[:, 0], np.arange(depths[0] + 1))
+    # every multi-index of the box once, and flat_index / unflatten invert each other
+    assert sorted(map(tuple, multi)) == list(itertools.product(*map(range, basis.shape)))
+    assert np.array_equal(basis.node_index(multi), np.arange(basis.node_count))
+    for flat in range(basis.size):
+        a, k = basis.unflatten(flat)
+        assert basis.flat_index(a, k) == flat
+    # the boundary shell is exactly the nodes with some k_i = D_i
+    if min(depths) >= 1:
+        want = [basis.flat_index(a, k) for k in map(tuple, multi) for a in range(n)
+                if any(ki == d for ki, d in zip(k, depths))]
+        assert sorted(boundary_shell(basis)) == sorted(want)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +376,13 @@ def test_general_blocks_match_quadrature(case):
     tables = [recurrence_table(dist, d + c.degree + 1)
               for dist, c, d in zip(spec.distributions, spec.couplings, depths)]
     h = build_general(spec, tables, depths).to_dense()
-    ref = _quadrature_operator(spec, tables, depths)
+    # the reference is laid out row-major: take its rows and columns in node order
+    basis = LatticeBasis(spec.n, depths)
+    row_major = np.ravel_multi_index(tuple(basis.node_multi_indices().T), basis.shape)
+    flat = (row_major[:, None] * spec.n + np.arange(spec.n)).ravel()
+    ref = _quadrature_operator(spec, tables, depths)[np.ix_(flat, flat)]
     assert np.abs(h - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     # beyond the band, along one axis or across two, entries are exactly zero
-    basis = LatticeBasis(spec.n, depths)
     multi = np.repeat(basis.node_multi_indices(), spec.n, axis=0)
     gap = np.abs(multi[:, None, :] - multi[None, :, :])
     degrees = np.array([c.degree for c in spec.couplings])

@@ -23,7 +23,7 @@ from enslat import (
     build_linear,
     chain_to_ensemble,
     characteristic_function,
-    gauss_nodes,
+    gauss_rule,
     localized_initial,
     mc_average,
     propagate,
@@ -44,20 +44,20 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 def test_gauss_nodes_uniform_two_point():
     table = recurrence_analytic(DisorderDistribution.uniform(1.0), 4)
-    nodes, weights = gauss_nodes(table, 2)
+    nodes, weights = gauss_rule(table, 2)
     assert np.allclose(np.sort(nodes), [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-14)
     assert np.allclose(weights, [0.5, 0.5], atol=1e-14)
 
 
 def test_gauss_nodes_semicircle_single():
     table = recurrence_analytic(DisorderDistribution.semicircle(1.0), 2)
-    nodes, weights = gauss_nodes(table, 1)
+    nodes, weights = gauss_rule(table, 1)
     assert abs(nodes[0]) < 1e-15 and abs(weights[0] - 1.0) < 1e-15
 
 
 def test_gauss_nodes_gaussian_three_point():
     table = recurrence_analytic(DisorderDistribution.gaussian(1.0), 4)
-    nodes, weights = gauss_nodes(table, 3)
+    nodes, weights = gauss_rule(table, 3)
     assert np.allclose(np.sort(nodes), [-np.sqrt(3), 0.0, np.sqrt(3)], atol=1e-13)
     assert np.allclose(np.sort(weights), [1 / 6, 1 / 6, 2 / 3][::1] if False else
                        sorted([1 / 6, 2 / 3, 1 / 6]), atol=1e-13)
@@ -66,7 +66,7 @@ def test_gauss_nodes_gaussian_three_point():
 def test_gauss_nodes_table_too_short():
     table = recurrence_analytic(DisorderDistribution.uniform(1.0), 3)
     with pytest.raises(TableTooShort):
-        gauss_nodes(table, 5)
+        gauss_rule(table, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from enslat import (
     NotHermitian,
     PropagationPlan,
     build_linear,
-    coherence_trace,
     localized_initial,
     observable_average,
     partial_trace,
@@ -76,12 +75,10 @@ def test_coherence_trace_initial_value():
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 25)
     states, _ = propagate(op, psi0, plan, keep_states=True)
-    coh = coherence_trace(states, 0, 1)
+    coh = trajectory_from_states(plan.times, states).entry(0, 1)
     assert abs(coh[0] - 0.5) < 1e-12
     # uniform disorder: |rho01| = |sin(t)/t| / 2, revives after the first zero
     assert np.abs(np.abs(coh) - 0.5 * np.abs(np.sinc(plan.times / np.pi))).max() < 1e-11
-    with pytest.raises(ValueError):
-        coherence_trace(states, 1, 1)
 
 
 def test_purity_bounds_and_gaussian_decay():

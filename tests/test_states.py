@@ -155,7 +155,8 @@ def test_expanded_two_axes_linear_c():
         return (lam * np.sqrt(3.0))[:, None].astype(complex)  # E[3 lam^2] = 1
 
     psi = expanded_initial(c_fn, [dist, dist], [table, table], basis)
-    amps = psi.node_amplitudes().reshape(5, 5)
+    amps = np.array([[psi.amplitudes[basis.flat_index(0, (k1, k2))] for k2 in range(5)]
+                     for k1 in range(5)])
     assert abs(amps[1, 0] - np.sqrt(3.0) * np.sqrt(1.0 / 3.0)) < 1e-12
     mask = np.ones((5, 5), bool)
     mask[1, 0] = False
@@ -221,7 +222,7 @@ def test_spectral_disorder_gaussian_reduces_to_qubit_machinery():
 def test_spectral_disorder_narrow_energy_distribution_slows_dephasing():
     # coherence decay timescale scales like 1/sigma of the energy measure
     from enslat import (LinearCoupling, EnsembleSpec, PropagationPlan,
-                        build_linear, coherence_trace, propagate)
+                        build_linear, propagate, trajectory_from_states)
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     cohs = {}
     for sigma in (0.5, 0.05):
@@ -231,8 +232,9 @@ def test_spectral_disorder_narrow_energy_distribution_slows_dephasing():
         spec = EnsembleSpec(np.diag([0.0, 1.0]),
                             (LinearCoupling(np.diag([0.0, 1.0])),), (energy,))
         op = build_linear(spec, [table], basis.depths)
-        states, _ = propagate(op, psi, PropagationPlan(np.array([0.0, 2.0])), keep_states=True)
-        cohs[sigma] = abs(coherence_trace(states, 0, 1)[-1])
+        times = np.array([0.0, 2.0])
+        states, _ = propagate(op, psi, PropagationPlan(times), keep_states=True)
+        cohs[sigma] = abs(trajectory_from_states(times, states).entry(0, 1)[-1])
     assert abs(cohs[0.5] - 0.5 * np.exp(-0.25 * 4 / 2)) < 1e-10
     assert abs(cohs[0.05] - 0.5 * np.exp(-0.0025 * 4 / 2)) < 1e-10
     assert cohs[0.05] > cohs[0.5]
