@@ -104,6 +104,19 @@ def _data_file(block: dict, path: str, base_dir: str, what: str) -> np.ndarray:
     return np.loadtxt(fpath, ndmin=2)
 
 
+def _file_from(block, base_dir: str, out_dir: str):
+    """The block with its ``file`` key, if any, relative to the manifest's directory.
+
+    A config's ``file`` is relative to the config; the manifest written to
+    out_dir is read back with out_dir as its base, so it names the same file
+    from there.
+    """
+    if not isinstance(block, dict) or "file" not in block:
+        return block
+    fpath = os.path.join(base_dir, block["file"])
+    return {**block, "file": os.path.relpath(fpath, os.path.abspath(out_dir))}
+
+
 def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
     if not isinstance(block, dict) or "family" not in block:
         _fail(path, "expected a mapping with a 'family' key")
@@ -533,10 +546,11 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
         "unit": cfg.get("unit", "energy"),
         "system": {
             "h0": _matrix_to_yaml(spec.h0),
-            "couplings": cfg["system"]["couplings"],
-            "distributions": cfg["system"]["distributions"],
+            "couplings": [_file_from(c, base_dir, out_dir) for c in cfg["system"]["couplings"]],
+            "distributions": [_file_from(d, base_dir, out_dir)
+                              for d in cfg["system"]["distributions"]],
         },
-        "initial": cfg["initial"],
+        "initial": _file_from(cfg["initial"], base_dir, out_dir),
         "time": {"t_max": t_max, "n_steps": n_steps},
         "method": meth,
         "numeric": {**num, "depths": ([int(d) for d in depths_used]

@@ -110,12 +110,18 @@ class LeakageReport:
     ``centre`` and ``half_width`` describe the Gershgorin interval the
     expansion was scaled to; ``norm_drift`` is the largest
     |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
-    normalized start).  ``op_dim`` and ``op_nnz`` are the dimension and
-    stored nonzeros of the whole operator.  The box record: ``box`` holds the
-    per-axis depths of the last box the windows ran on, ``box_growths`` how
-    often it grew, ``redos`` how many windows were run again on a larger box,
-    and ``active_fraction`` the products' share of the work a whole-lattice
-    run would do, sum(box size * products) / (operator dim * products).
+    normalized start).  ``op_dim`` is the dimension of the whole operator
+    and ``op_nnz`` the nonzeros of the matrix it runs on; for a
+    :class:`~enslat.lattice.LatticeOperator` that is the CSR matrix of its
+    Hermitian completion (1,184,260 on the shipped dimer).  It is not
+    :attr:`LatticeOperator.nnz <enslat.lattice.LatticeOperator.nnz>`, the
+    stored upper-triangle triplets (740,355 there), which
+    ``perfbench/tracing.py`` reports as ``lattice.op_nnz``.  The box record:
+    ``box`` holds the per-axis depths of the last box the windows ran on,
+    ``box_growths`` how often it grew, ``redos`` how many windows were run
+    again on a larger box, and ``active_fraction`` the products' share of the
+    work a whole-lattice run would do, sum(box size * products) / (operator
+    dim * products).
     """
 
     times: np.ndarray

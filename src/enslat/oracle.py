@@ -17,6 +17,7 @@ so lattice dynamics can be reproduced by averaging over an ensemble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
 _MAX_DENSE_N = 64
 _CHUNK = 4096       # fixed chunk size keeps the summation order reproducible
 _TILE_BYTES = 1 << 18   # per-tile temporaries of evolution and accumulation stay in cache
+_UNIFORM_ULPS = 4       # a time grid this close to t_0 + j dt gets factorized phases
 
 
 @dataclass(frozen=True)
@@ -128,23 +130,67 @@ def _time_tiles(nt: int, row_bytes: int):
     return [slice(t0, t0 + step) for t0 in range(0, nt, step)]
 
 
+def _fine_length(times: np.ndarray):
+    """b = ceil(sqrt(T)) if the T times are uniform to a few ulp, else None.
+
+    Uniform means every t_j lies within _UNIFORM_ULPS ulp (of the grid's
+    largest |t|) of t_0 + j (t_{T-1} - t_0) / (T - 1).
+    """
+    nt = times.size
+    if nt > 2:
+        ramp = times[0] + np.arange(nt) * ((times[-1] - times[0]) / (nt - 1))
+        slack = _UNIFORM_ULPS * np.spacing(np.abs(times).max())
+        if not np.all(np.abs(times - ramp) <= slack):
+            return None
+    return math.isqrt(nt - 1) + 1 if nt else None
+
+
+def _phase_rows(times: np.ndarray, g: np.ndarray):
+    """Phases exp(-i t g) of one gap per realization, g of shape (B,).
+
+    Returns ``phase(tile)``, the (tile, B) phases of a slice of the times.
+    On a uniform grid t_j = t_0 + j dt the phase factorizes: with j = q b + r
+    and b = ceil(sqrt(T)),
+
+        exp(-i g t_j) = exp(-i g t_{qb}) exp(-i g (t_r - t_0)),
+
+    so a realization costs ceil(T / b) + b ``exp`` calls, not T, and only
+    those two tables are held.  The coarse factor is the direct phase of the
+    grid's own times t_{qb}, and the fine factor of r = 0 is exactly 1, so
+    at every j = q b (t_0 included) the phase equals the direct one bitwise.
+    Elsewhere it is off by a few ulp of g t.  Any other grid takes the direct
+    ``exp`` per tile.
+    """
+    b = _fine_length(times)
+    if b is None:
+        return lambda tile: np.exp(-1j * np.multiply.outer(times[tile], g))
+    coarse = np.multiply.outer(times[::b], -1j * g)
+    fine = np.multiply.outer(times[:b] - times[0], -1j * g)
+    np.exp(coarse, out=coarse)          # in place: no second table-sized temporary
+    np.exp(fine, out=fine)
+    q, r = np.divmod(np.arange(times.size), b)
+    return lambda tile: coarse[q[tile]] * fine[r[tile]]
+
+
 def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """psi_lambda(t) for a batch: (B, N, N), (B, N) -> amplitudes (T, N, B).
 
     Phases run relative to each realization's lowest eigenvalue; the global
-    phase dropped that way cancels in rho.
+    phase dropped that way cancels in rho.  They come from
+    :func:`_phase_rows` one gap and one time tile at a time, so no (T, B)
+    phase array is held.
     """
     evals, vecs = np.linalg.eigh(hb)
     vecs = vecs.transpose(1, 2, 0)                          # (N, N, B)
     ceig = (vecs.conj() * c0.T[:, None, :]).sum(axis=0)     # (N, B): V^H c
-    gaps = evals[:, 1:] - evals[:, :1]
     n, b = ceig.shape
     amps = np.empty((times.size, n, b), dtype=complex)
     amps[...] = vecs[:, 0] * ceig[0]
-    for tile in _time_tiles(times.size, 16 * n * b):
-        for m in range(1, n):
-            phase = np.exp(-1j * np.multiply.outer(times[tile], gaps[:, m - 1]))
-            amps[tile] += vecs[:, m] * (phase * ceig[m])[:, None, :]
+    tiles = _time_tiles(times.size, 16 * n * b)
+    for m in range(1, n):
+        phase = _phase_rows(times, evals[:, m] - evals[:, 0])
+        for tile in tiles:
+            amps[tile] += vecs[:, m] * (phase(tile) * ceig[m])[:, None, :]
     return amps
 
 

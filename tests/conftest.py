@@ -1,6 +1,13 @@
 """Shared builders for the test suite."""
 
-import numpy as np
+import os
+
+# one BLAS thread, set before NumPy loads its BLAS: the suite's matrices are
+# small, and threads only contend for the cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from enslat import DisorderDistribution, EnsembleSpec, LinearCoupling

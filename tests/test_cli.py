@@ -242,6 +242,28 @@ def test_tabulated_initial_state(tmp_path):
     assert abs(row0[1] - 0.25) < 1e-4
 
 
+def test_manifest_with_data_file_reruns_from_its_directory(tmp_path):
+    # the initial state's file is relative to the config; the manifest names
+    # it relative to its own directory, where a rerun resolves it.  Tabulated
+    # at the support's edges only, c(lam) is smooth, so every compare gate holds
+    (tmp_path / "tables").mkdir()
+    np.savetxt(tmp_path / "tables" / "c.txt",
+               [[-1.0, 1.0, 0.0, 0.2, 0.0], [1.0, 1.0, 0.0, 0.8, 0.1]])
+    path = qubit_config(tmp_path, method="compare", samples=500,
+                        dist={"family": "semicircle", "width": 1.0}, depths=48, n_steps=10)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["initial"] = {"kind": "tabulated", "file": "tables/c.txt"}
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    first = run(str(path))
+    assert first.exit_code == 0
+    csvs = {name: (out / name).read_bytes() for name in first.outputs if name.endswith(".csv")}
+    assert {"trajectory_chain.csv", "trajectory_mc.csv", "trajectory_quad.csv"} <= set(csvs)
+    rerun = run(str(out / "manifest.yaml"))
+    assert rerun.exit_code == 0
+    assert {name: (out / name).read_bytes() for name in csvs} == csvs
+
+
 def test_trajectory_csv_precision():
     from enslat import DensityTrajectory
     rho = np.array([[[1 / 3, 1j / 7], [-1j / 7, 2 / 3]]])
@@ -321,7 +343,8 @@ def test_tabulated_distribution_from_file(tmp_path):
     result = run(str(path))
     assert result.exit_code == 0
     man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
-    assert man["config"]["system"]["distributions"][0]["file"] == "dist.txt"
+    recorded = man["config"]["system"]["distributions"][0]["file"]
+    assert (tmp_path / "out" / recorded).resolve() == (tmp_path / "dist.txt").resolve()
 
 
 @pytest.mark.parametrize("fault", ["no file key", "no such file"])

@@ -1,11 +1,12 @@
 """Reference routes: Monte Carlo, Gauss quadrature, closed forms, reverse map."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from enslat import oracle
@@ -197,6 +198,84 @@ def test_mc_matches_slow_reference(data):
     sem = np.sqrt((np.abs(rhos - mean) ** 2).mean(axis=0) / samples)
     assert np.abs(traj.rho - mean).max() <= 1e-12
     assert np.abs(traj.errors - sem).max() <= 1e-12
+
+
+def _direct_amplitudes(hb, c0, times):
+    """The evolution with one direct exp per time, on the tiles of _evolve_batch."""
+    evals, vecs = np.linalg.eigh(hb)
+    vecs = vecs.transpose(1, 2, 0)
+    ceig = (vecs.conj() * c0.T[:, None, :]).sum(axis=0)
+    n, b = ceig.shape
+    amps = np.empty((times.size, n, b), dtype=complex)
+    amps[...] = vecs[:, 0] * ceig[0]
+    for tile in oracle._time_tiles(times.size, 16 * n * b):
+        for m in range(1, n):
+            phase = np.exp(-1j * np.multiply.outer(times[tile], evals[:, m] - evals[:, 0]))
+            amps[tile] += vecs[:, m] * (phase * ceig[m])[:, None, :]
+    return amps
+
+
+@settings(max_examples=60, deadline=None)
+@given(nt=st.integers(1, 300),
+       t0=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+       span=st.floats(1e-3, 50.0),
+       gt_max=st.floats(1e-3, 200.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(nt=200, t0=0.0, span=6.0, gt_max=200.0, seed=0)      # b = 15, T = 13 b + 5
+@example(nt=17, t0=3.5, span=9.0, gt_max=150.0, seed=1)       # b = 5, T = 3 b + 2
+def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
+    times = np.linspace(t0, t0 + span, nt)
+    b = oracle._fine_length(times)
+    assert (b - 1) ** 2 < nt <= b * b                 # b = ceil(sqrt(T))
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.0, gt_max / (t0 + span), size=(64, 3))
+    gaps[0] = 0.0                                   # degenerate levels: phase exactly 1
+    eps = np.finfo(float).eps
+    for m in range(gaps.shape[1]):
+        phase = oracle._phase_rows(times, gaps[:, m])
+        direct = np.exp(-1j * np.multiply.outer(times, gaps[:, m]))
+        got = phase(slice(0, nt))
+        bound = 8 * eps * np.maximum(1.0, np.abs(np.multiply.outer(times, gaps[:, m])))
+        assert np.all(np.abs(got - direct) <= bound)
+        # the coarse times, t_0 first, keep the direct phase bit for bit
+        assert np.array_equal(got[::b], direct[::b])
+        assert np.array_equal(got[:, 0], np.ones(nt))
+        # any tiling of the time axis gives the same rows
+        tiles = [slice(j, j + 7) for j in range(0, nt, 7)]
+        assert np.array_equal(np.concatenate([phase(t) for t in tiles]), got)
+
+    # a grid that is not uniform takes the direct exp: amplitudes bit for bit
+    if nt >= 3:
+        geom = t0 + np.geomspace(span / 100, span, nt)
+        assert oracle._fine_length(geom) is None
+        a = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
+        c0 = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        hb, c0 = a + a.conj().transpose(0, 2, 1), c0 / np.linalg.norm(c0, axis=1)[:, None]
+        assert np.array_equal(oracle._evolve_batch(hb, c0, geom),
+                              _direct_amplitudes(hb, c0, geom))
+
+
+def test_evolve_batch_holds_no_phase_array():
+    # one qubit chunk: the peak is the (T, N, B) amplitudes, the two factor
+    # tables and per-tile temporaries; a whole (T, B) phase array, half the
+    # amplitudes' size, would push the peak past the bound
+    nb, nt = 4096, 200
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    hb = spec.hamiltonian(np.random.default_rng(5).normal(size=(nb, 1)))
+    c0 = np.tile(C_HALF.astype(complex), (nb, 1))
+    times = np.linspace(0.0, 6.0, nt)
+    b = oracle._fine_length(times)
+    tables = 16 * nb * (-(-nt // b) + b)
+    phase_array = 16 * nt * nb
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        amps = oracle._evolve_batch(hb, c0, times)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (nt, 2, nb)
+    assert peak <= amps.nbytes + tables + phase_array // 4
 
 
 def test_mc_initial_state_callable_errors_propagate():
