@@ -237,9 +237,21 @@ def _positive_number(value, path: str):
         _fail(path, f"expected a positive number, got {value!r}")
 
 
+def _positive_ints(value, path: str, n_vars: int | None):
+    """A positive integer, or a list of one per disorder variable."""
+    if not isinstance(value, (list, tuple)):
+        _positive_int(value, path)
+        return
+    if n_vars is not None and len(value) != n_vars:
+        _fail(path, f"need {n_vars} entries, one per disorder variable, got {len(value)}")
+    for i, v in enumerate(value):
+        _positive_int(v, f"{path}[{i}]")
+
+
 def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
     """The numeric block with its defaults, checked; ``n_vars`` disorder
-    variables, when known, fix the length of a list of depths."""
+    variables, when known, fix the length of a list of depths or
+    quadrature orders."""
     num = dict(cfg.get("numeric") or {})
     # retired knobs (Lanczos dimension, assembly quadrature order): old manifests still run
     num.pop("max_krylov_dim", None)
@@ -251,14 +263,10 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
     num.setdefault("quad_order", 40)
     num.setdefault("leakage_threshold", 1e-8)
     num.setdefault("depth_cap", 4096)
-    depths = num["depths"]
-    if isinstance(depths, (list, tuple)):
-        if n_vars is not None and len(depths) != n_vars:
-            _fail("numeric.depths", f"need {n_vars} depths, got {len(depths)}")
-        for i, d in enumerate(depths):
-            _positive_int(d, f"numeric.depths[{i}]")
-    elif depths != "auto":
-        _positive_int(depths, "numeric.depths")
+    if num["depths"] != "auto":
+        _positive_ints(num["depths"], "numeric.depths", n_vars)
+    _positive_ints(num["quad_order"], "numeric.quad_order", n_vars)
+    _positive_int(num["samples"], "numeric.samples")
     _positive_int(num["depth_cap"], "numeric.depth_cap")
     _positive_number(num["tol"], "numeric.tol")
     _positive_number(num["leakage_threshold"], "numeric.leakage_threshold")
@@ -510,20 +518,19 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
         err = float(np.max(np.abs(chain.rho - qt.rho)))
         compare_rows.append(_compare_row("chain_vs_quad", err, quad_tol, err <= quad_tol))
 
-        if int(num["samples"]) > 0:
-            mt = _oracle_trajectory("mc", spec, initial, times, num)
-            trajs["mc"] = mt
-            emit("trajectory_mc.csv", trajectory_csv(mt))
-            dev = np.abs(chain.rho - mt.rho)
-            worst = float(np.max(dev - (mc_sigmas * mt.errors + mc_floor)))
-            # the band is applied to every entry at every time, so a chance
-            # excursion beyond it is readable from these two numbers
-            noisy = mt.errors > 0
-            excess = (float(np.max((dev[noisy] - mc_floor) / mt.errors[noisy]))
-                      if noisy.any() else None)
-            compare_rows.append(_compare_row(
-                f"chain_vs_mc_{mc_sigmas:g}sem", max(worst, 0.0), 0.0, worst <= 0.0,
-                entries_tested=int(dev.size), worst_excess_sem=excess))
+        mt = _oracle_trajectory("mc", spec, initial, times, num)
+        trajs["mc"] = mt
+        emit("trajectory_mc.csv", trajectory_csv(mt))
+        dev = np.abs(chain.rho - mt.rho)
+        worst = float(np.max(dev - (mc_sigmas * mt.errors + mc_floor)))
+        # the band is applied to every entry at every time, so a chance
+        # excursion beyond it is readable from these two numbers
+        noisy = mt.errors > 0
+        excess = (float(np.max((dev[noisy] - mc_floor) / mt.errors[noisy]))
+                  if noisy.any() else None)
+        compare_rows.append(_compare_row(
+            f"chain_vs_mc_{mc_sigmas:g}sem", max(worst, 0.0), 0.0, worst <= 0.0,
+            entries_tested=int(dev.size), worst_excess_sem=excess))
 
         try:
             at = _analytic_trajectory(spec, initial, times)

@@ -111,12 +111,9 @@ class LeakageReport:
     expansion was scaled to; ``norm_drift`` is the largest
     |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
     normalized start).  ``op_dim`` is the dimension of the whole operator
-    and ``op_nnz`` the nonzeros of the matrix it runs on; for a
-    :class:`~enslat.lattice.LatticeOperator` that is the CSR matrix of its
-    Hermitian completion (1,184,260 on the shipped dimer).  It is not
-    :attr:`LatticeOperator.nnz <enslat.lattice.LatticeOperator.nnz>`, the
-    stored upper-triangle triplets (740,355 there), which
-    ``perfbench/tracing.py`` reports as ``lattice.op_nnz``.  The box record:
+    and ``op_nnz`` the entries of the matrix it runs on, both triangles:
+    for a :class:`~enslat.lattice.LatticeOperator`, its ``nnz`` (1,184,260
+    on the shipped dimer).  The box record:
     ``box`` holds the per-axis depths of the last box the windows ran on,
     ``box_growths`` how often it grew, ``redos`` how many windows were run
     again on a larger box, and ``active_fraction`` the products' share of the
@@ -150,24 +147,25 @@ class LeakageReport:
 
 
 def _as_csr(h) -> sp.csr_matrix:
-    if isinstance(h, LatticeOperator):
-        return h.to_csr()
     return h if isinstance(h, sp.csr_matrix) else sp.csr_matrix(h)
 
 
 def _spectral_bounds(h) -> tuple[float, float]:
-    """Centre and half-width of the Gershgorin interval holding the spectrum of h."""
-    if isinstance(h, LatticeOperator):
-        on = h.rows == h.cols
-        diag = np.bincount(h.rows[on], h.vals[on].real, minlength=h.dim)
-        mag = np.abs(h.vals[~on])
-        radius = (np.bincount(h.rows[~on], mag, minlength=h.dim)
-                  + np.bincount(h.cols[~on], mag, minlength=h.dim))
-    else:
-        m = sp.csr_matrix(h)
-        diag = m.diagonal().real
-        radius = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(m.diagonal())
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    """Centre and half-width of the Gershgorin interval holding the spectrum of h.
+
+    Each row's entries above and below the diagonal are summed apart, in
+    column order; rows are taken in pieces, so no temporaries the matrix's size.
+    """
+    m = sp.csr_matrix(h.csr if isinstance(h, LatticeOperator) else h)
+    lo, hi = np.inf, -np.inf
+    for start in range(0, m.shape[0], 1 << 15):
+        ptr = m.indptr[start:start + (1 << 15) + 1]
+        rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        side, vals = m.indices[ptr[0]:ptr[-1]] - rows - start, m.data[ptr[0]:ptr[-1]]
+        diag = np.bincount(rows[side == 0], vals[side == 0].real, minlength=ptr.size - 1)
+        radius = sum(np.bincount(rows[s], np.abs(vals[s]), minlength=ptr.size - 1)
+                     for s in (side > 0, side < 0))
+        lo, hi = min(lo, float(np.min(diag - radius))), max(hi, float(np.max(diag + radius)))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise KrylovBreakdown("non-finite operator entries")
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -240,6 +238,7 @@ def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
 
     Low-level kernel behind :func:`propagate`; returns a new vector.
     """
+    h = h.csr if isinstance(h, LatticeOperator) else h
     centre, half = _spectral_bounds(h)
     coefs = [_coefficients(float(dt), centre, half, _TAIL * tol)]
     (out,), _, _ = _chebyshev(_as_csr(h), np.array(psi, dtype=complex), coefs, centre, half)
@@ -251,7 +250,7 @@ class _Boxes:
 
     The basis lays its nodes out by shell s = max_i k_i, so the box of radius
     r, every node with s <= r, is a prefix of the flat layout, and its
-    operator a block of leading rows of one CSR matrix, built once.  One
+    operator a block of leading rows of the operator's CSR matrix.  One
     product moves amplitude across at most ``band`` shells, so the rows of
     box r reach only the columns of box r + band.  Vectors keep the whole
     lattice's length, zero outside the box: a box limits which entries are
@@ -264,13 +263,10 @@ class _Boxes:
         self.basis = basis
         if isinstance(h, LatticeOperator):
             shells = basis.node_multi_indices().max(axis=1)
-            self.band = _shell_band(h, shells)
-            counts = np.bincount(shells)
-            self.csr = h.to_csr()
-            self.nnz = self.csr.nnz
+            self.csr, self.band, counts = h.csr, _shell_band(h.csr, shells), np.bincount(shells)
         else:
-            self.band, self.csr, counts = 0, h, [basis.node_count]
-            self.nnz = h.nnz if sp.issparse(h) else int(np.count_nonzero(h))
+            self.csr, self.band, counts = h, 0, [basis.node_count]
+        self.nnz = self.csr.nnz if sp.issparse(self.csr) else int(np.count_nonzero(self.csr))
         self.starts = basis.n_system * np.concatenate([[0], np.cumsum(counts)])
         self.outer = len(counts) - 1    # radius of the whole lattice
 
@@ -308,13 +304,14 @@ class _Boxes:
         return float(np.vdot(outer, outer).real)
 
 
-def _shell_band(op: LatticeOperator, shells: np.ndarray) -> int:
-    """Largest shell difference between the two nodes of an operator entry."""
-    n, step, band = op.dim // shells.size, 1 << 16, 0
-    for lo in range(0, op.nnz, step):       # in pieces: no temporaries the operator's size
-        rows, cols = op.rows[lo:lo + step] // n, op.cols[lo:lo + step] // n
-        band = max(band, int(np.max(np.abs(shells[rows] - shells[cols]))))
-    return band
+def _shell_band(csr: sp.csr_matrix, shells: np.ndarray) -> int:
+    """Largest shell difference between the two nodes of a stored entry.  Nodes
+    are laid out by shell and the matrix is Hermitian with sorted columns, so
+    each row's last column reaches farthest."""
+    n = csr.shape[0] // shells.size
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    last = csr.indices[csr.indptr[rows + 1] - 1]
+    return int(np.max(shells[last // n] - shells[rows // n], initial=0))
 
 
 def _front(pops: np.ndarray, floor: float) -> int:
@@ -361,7 +358,7 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     if dim != basis.size:
         raise ValueError(f"operator dim {dim} != basis size {basis.size}")
     boxes = _Boxes(h, basis)
-    centre, half = _spectral_bounds(h)
+    centre, half = _spectral_bounds(boxes.csr)
     shell = boundary_shell(basis)
     floor = (_TAIL * plan.tol) ** 2             # population a box may leave outside
     times = plan.times

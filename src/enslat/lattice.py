@@ -13,11 +13,11 @@ shifts ``C * alpha_{k_i}``, and a degree-d polynomial coupling produces bands
 of width d.  Every coupling is a polynomial once the spec is built: tabulated
 couplings are fitted on construction.
 
-The assembled operator is Hermitian and sparse; it is stored as upper-triangle
-triplets (:class:`LatticeOperator`) and converted to CSR for propagation.
-Its rows and columns follow the node order of :class:`LatticeBasis`, the one
-place that order is decided: by shell max_i k_i, so that the nodes within
-any radius of the origin come first.
+The assembled operator is Hermitian and sparse: :class:`LatticeOperator`
+holds it as one CSR matrix of both triangles, whose ``nnz`` is its one entry
+count.  Its rows and columns follow the node order of :class:`LatticeBasis`,
+the one place that order is decided: by shell max_i k_i, so that the nodes
+within any radius of the origin come first.
 """
 
 from __future__ import annotations
@@ -274,64 +274,68 @@ class LatticeBasis:
         return self._multi
 
 
-@dataclass(eq=False)
 class LatticeOperator:
-    """Sparse Hermitian operator stored as upper-triangle triplets.
+    """Sparse Hermitian operator, held as one CSR matrix of both triangles.
 
-    Only entries with ``row <= col`` are stored; the lower triangle is implied
-    by Hermitian completion.
+    ``blocks()`` returns ``(rows, cols, vals)`` arrays of upper-triangle
+    entries (row <= col, each (row, col) at most once), made afresh on each
+    call; the lower triangle is their conjugate.  One pass over the blocks
+    counts each row's entries and a second places them, so only one block
+    need be alive at a time.  Columns are sorted within rows, and exact
+    zeros dropped.
     """
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    def __init__(self, dim: int, blocks):
+        per_row = (_row_counts(dim, *block) for block in blocks())
+        indptr = np.concatenate([[0], np.cumsum(sum(per_row, np.zeros(dim, np.int64)))])
+        index = np.int32 if max(dim, indptr[-1]) < 2 ** 31 else np.int64
+        indices, data = np.empty(indptr[-1], index), np.empty(indptr[-1], complex)
+        free = indptr[:-1].copy()           # next free place of each row
+        for block in blocks():
+            _place(*block, free, indices, data)
+        self.csr = sp.csr_matrix((data, indices, indptr.astype(index)), shape=(dim, dim))
+        self.csr.sort_indices()
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        vals = np.asarray(self.vals, dtype=complex)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("rows, cols, vals must have identical shapes")
-        if np.any(rows > cols):
-            raise ValueError("only the upper triangle (row <= col) may be stored")
-        diag = rows == cols
-        if np.any(np.abs(vals[diag].imag) > 1e-14):
-            raise NotHermitian("diagonal entries must be real to 1e-14")
-        self.rows, self.cols, self.vals = rows, cols, vals
+    @property
+    def dim(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return self.vals.size
-
-    def to_csr(self) -> sp.csr_matrix:
-        """Hermitian completion as a CSR matrix."""
-        off = self.rows != self.cols
-        r = np.concatenate([self.rows, self.cols[off]])
-        c = np.concatenate([self.cols, self.rows[off]])
-        coo = sp.coo_matrix((np.concatenate([self.vals, self.vals[off].conj()]), (r, c)),
-                            shape=(self.dim, self.dim))
-        del off, r, c       # the COO matrix holds 32-bit copies: free these before the CSR
-        m = coo.tocsr()
-        m.sum_duplicates()
-        return m
+        """Stored entries of the CSR matrix, both triangles."""
+        return self.csr.nnz
 
     def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        return self.csr.toarray()
 
 
-def _merge_triplets(dim: int, rows, cols, vals) -> LatticeOperator:
-    """Accumulate-then-merge by (row, col) with summation; fixed ordering; exact zeros dropped."""
-    rows = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, np.int64)
-    vals = np.concatenate(vals) if vals else np.empty(0, complex)
-    keys = rows * dim + cols
-    uniq, inv = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.size, dtype=complex)
-    np.add.at(merged, inv, vals)
-    keep = merged != 0
-    uniq, merged = uniq[keep], merged[keep]
-    return LatticeOperator(dim, uniq // dim, uniq % dim, merged)
+def _row_counts(dim: int, rows, cols, vals) -> np.ndarray:
+    """Check a block of upper-triangle entries and count its nonzeros per row."""
+    if not rows.shape == cols.shape == vals.shape:
+        raise ValueError("rows, cols, vals must have identical shapes")
+    if np.any(rows > cols) or rows.size and (rows.min() < 0 or cols.max() >= dim):
+        raise ValueError(f"upper-triangle entries need 0 <= row <= col < {dim}")
+    if np.any(np.abs(vals[rows == cols].imag) > 1e-14):
+        raise NotHermitian("diagonal entries must be real to 1e-14")
+    keep = vals != 0
+    return (np.bincount(rows[keep], minlength=dim)
+            + np.bincount(cols[keep & (rows != cols)], minlength=dim))
+
+
+def _place(rows, cols, vals, free, indices, data):
+    """Put the nonzero entries of a block, and below the diagonal their
+    conjugates, in the next free places of their rows, in entry order."""
+    keep = vals != 0
+    # + 0.0 turns negative zeros positive, so a dump prints "0" for them
+    rows, cols, vals = rows[keep], cols[keep], vals[keep] + 0.0
+    off = rows != cols
+    for r, c, v in ((rows, cols, vals), (cols[off], rows[off], vals[off].conj())):
+        order = np.argsort(r, kind="stable")
+        ranked = r[order]
+        slot = np.empty_like(r)
+        slot[order] = free[ranked] + np.arange(r.size) - np.searchsorted(ranked, ranked)
+        free += np.bincount(r, minlength=free.size)
+        indices[slot], data[slot] = c, v
 
 
 def table_orders(spec: EnsembleSpec, depths) -> list:
@@ -413,31 +417,26 @@ def build_general(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
     n = spec.n
     multi = basis.node_multi_indices()          # (nodes, l)
     node = np.arange(basis.node_count)
+    unit = np.eye(spec.l, dtype=np.int64)
 
-    rows, cols, vals = [], [], []
-    # on-node blocks: upper triangle of H0 + sum_i f_i(J_i)[k_i, k_i] per node
-    for a in range(n):
-        for b in range(a, n):
-            per_node = np.full(basis.node_count, spec.h0[a, b], dtype=complex)
-            for i, axis in enumerate(bands):
-                if (a, b) in axis[0]:
-                    per_node = per_node + axis[0][a, b][multi[:, i]]
-            rows.append(node * n + a)
-            cols.append(node * n + b)
-            vals.append(per_node)
-    # inter-node bands along each axis, between K and K + o along axis i
-    for i, axis in enumerate(bands):
-        for o in range(1, len(axis)):
-            sel = multi[:, i] + o <= depths[i]
-            src = node[sel]
-            step = multi[sel]
-            step[:, i] += o
-            dst = basis.node_index(step)
-            for (a, b), band in axis[o].items():
-                rows.append(src * n + a)
-                cols.append(dst * n + b)
-                vals.append(band[multi[sel, i]])
-    return _merge_triplets(basis.size, rows, cols, vals)
+    def blocks():
+        # on-node blocks: upper triangle of H0 + sum_i f_i(J_i)[k_i, k_i] per node
+        for a in range(n):
+            for b in range(a, n):
+                per_node = np.full(basis.node_count, spec.h0[a, b], dtype=complex)
+                for i, axis in enumerate(bands):
+                    if (a, b) in axis[0]:
+                        per_node = per_node + axis[0][a, b][multi[:, i]]
+                yield node * n + a, node * n + b, per_node
+        # inter-node bands along each axis, between K and K + o along axis i
+        for i, axis in enumerate(bands):
+            for o in range(1, len(axis)):
+                sel = multi[:, i] + o <= depths[i]
+                src, dst = node[sel], basis.node_index(multi[sel] + o * unit[i])
+                for (a, b), band in axis[o].items():
+                    yield src * n + a, dst * n + b, band[multi[sel, i]]
+
+    return LatticeOperator(basis.size, blocks)
 
 
 build_linear = build_general      # former name of the linear-coupling assembler
@@ -460,10 +459,12 @@ def boundary_shell(basis: LatticeBasis, width: int = 1) -> np.ndarray:
 
 
 def save_triplets(op: LatticeOperator, path) -> None:
-    """Dump as text: header ``dim nnz``, then ``row col re im`` per line."""
+    """Dump the upper triangle as text: header ``dim entries``, then
+    ``row col re im`` per line, in (row, col) order."""
+    upper = sp.triu(op.csr, format="coo")
     with open(path, "w") as fh:
-        fh.write(f"{op.dim} {op.nnz}\n")
-        for r, c, v in zip(op.rows, op.cols, op.vals):
+        fh.write(f"{op.dim} {upper.nnz}\n")
+        for r, c, v in zip(upper.row, upper.col, upper.data):
             fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
@@ -477,4 +478,4 @@ def load_triplets(path) -> LatticeOperator:
         for i in range(nnz):
             r, c, re, im = fh.readline().split()
             rows[i], cols[i], vals[i] = int(r), int(c), complex(float(re), float(im))
-    return LatticeOperator(dim, rows, cols, vals)
+    return LatticeOperator(dim, lambda: [(rows, cols, vals)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, SystemTooLarge
+from .errors import DimensionMismatch, NotNormalized, SystemTooLarge
 from .lattice import EnsembleSpec, LinearCoupling
 from .measures import (
     DisorderDistribution,
@@ -54,17 +54,22 @@ class OracleConfig:
 
     ``seed`` keys the counter-based per-sample random streams, so mc_average
     output is bitwise reproducible and independent of execution order.
+    ``quad_order`` is the Gauss order of every disorder variable, or a
+    sequence of one order per variable.
     """
 
     samples: int = 10_000
     seed: int = 0
-    quad_order: int = 40
+    quad_order: int | tuple = 40
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.quad_order < 1:
-            raise ValueError("quad_order must be >= 1")
+        if np.iterable(self.quad_order):
+            object.__setattr__(self, "quad_order", tuple(self.quad_order))
+        orders = np.atleast_1d(self.quad_order)
+        if orders.size == 0 or np.any(orders < 1):
+            raise ValueError("quad_order must be >= 1, for every disorder variable")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -273,6 +278,8 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
         raise SystemTooLarge(f"dense oracle limited to N <= {_MAX_DENSE_N}")
     times = np.asarray(times, dtype=float)
     orders = cfg.quad_order if np.iterable(cfg.quad_order) else [cfg.quad_order] * spec.l
+    if len(orders) != spec.l:
+        raise DimensionMismatch(f"{spec.l} disorder variables but {len(orders)} quadrature orders")
     tables = [recurrence_table(d, int(q)) for d, q in zip(spec.distributions, orders)]
     rules = [gauss_rule(t, int(q)) for t, q in zip(tables, orders)]
 

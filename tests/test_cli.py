@@ -183,6 +183,41 @@ def test_bad_numeric_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     assert f"config error: numeric.{key}" in capsys.readouterr().err
 
 
+DIMER = {"system": {
+    "h0": [[0.2, 0.3], [0.3, -0.1]],
+    "couplings": [{"type": "linear", "matrix": [[1, 0], [0, 0]]},
+                  {"type": "linear", "matrix": [[0, 0], [0, 1]]}],
+    "distributions": [{"family": "semicircle", "width": 1.0},
+                      {"family": "uniform", "width": 0.8}]}}
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("quad", "quad_order", 0), ("quad", "quad_order", [48]), ("quad", "quad_order", [48, 0]),
+    ("quad", "quad_order", 2.5), ("mc", "samples", 0), ("compare", "samples", 0),
+])
+def test_bad_oracle_setting_exits_2_naming_the_key(tmp_path, capsys, method, key, value):
+    # on a two-variable lattice, a per-axis quadrature order needs two entries
+    path = qubit_config(tmp_path, method=method, depths=[8, 8], n_steps=5, extra=DIMER)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["numeric"][key] = value
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert f"numeric.{key}" in capsys.readouterr().out
+    assert main(["--config", str(path)]) == 2
+    assert f"config error: numeric.{key}" in capsys.readouterr().err
+
+
+def test_per_axis_quad_order_runs(tmp_path):
+    path = qubit_config(tmp_path, method="quad", depths=[8, 8], n_steps=5, extra=DIMER)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["numeric"]["quad_order"] = [12, 16]
+    path.write_text(yaml.safe_dump(cfg))
+    assert validate_config(str(path)) == []
+    result = run(str(path))
+    assert result.exit_code == 0
+    assert result.manifest["result"]["oracles"]["quad"]["quad_order"] == [12, 16]
+
+
 def test_shipped_configs_validate(capsys):
     # a schema check must not reject a config the package ships
     shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))

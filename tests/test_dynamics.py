@@ -107,9 +107,9 @@ def test_krylov_matches_dense(rng):
     psi0 = random_state(rng, basis)
     times = np.array([0.0, 0.9, 2.2])
     plan = PropagationPlan(times, leakage_threshold=np.inf)
-    krylov, _ = propagate(LatticeOperator(
-        basis.size, *sp.triu(h).nonzero(),
-        np.asarray(sp.triu(h).tocoo().data)), psi0, plan, keep_states=True)
+    up = sp.triu(h, format="coo")
+    krylov, _ = propagate(LatticeOperator(basis.size, lambda: [(up.row, up.col, up.data)]),
+                          psi0, plan, keep_states=True)
     dense = propagate_dense(h.toarray(), psi0, times)
     for a, b in zip(krylov, dense):
         assert np.abs(a.amplitudes - b.amplitudes).max() < 5e-12
@@ -243,7 +243,7 @@ def _peak_traced_bytes(fn):
 def test_streaming_memory_does_not_grow_with_outputs():
     dist = DisorderDistribution.semicircle(1.0)
     d = 9_999                                       # dim 20,000; the front stays far inside
-    h = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d]).to_csr()
+    h = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d]).csr
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
     vec = psi0.amplitudes.nbytes
     _, half = dynamics._spectral_bounds(h)
@@ -322,8 +322,8 @@ def test_auto_depth_returns_the_accepted_lattice():
     fresh_op, fresh_psi0 = lattice_at(spec, builder, depths)
     assert depths[0] > 16
     assert op.dim == fresh_op.dim
-    for name in ("rows", "cols", "vals"):
-        assert np.array_equal(getattr(op, name), getattr(fresh_op, name))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.csr, name), getattr(fresh_op.csr, name))
     assert psi0.basis == fresh_psi0.basis
     assert np.array_equal(psi0.amplitudes, fresh_psi0.amplitudes)
 
@@ -418,8 +418,8 @@ def test_evolve_backward_undoes_forward_with_offset(rng):
 def test_constant_operator_is_pure_phase():
     # H = c I has Gershgorin half-width 0: no products with H, only the phase
     basis = LatticeBasis(2, (8,))
-    op = LatticeOperator(basis.size, np.arange(basis.size), np.arange(basis.size),
-                         np.full(basis.size, 2.5))
+    op = LatticeOperator(basis.size, lambda: [(np.arange(basis.size), np.arange(basis.size),
+                                               np.full(basis.size, 2.5))])
     psi0 = localized_initial(np.array([0.6, 0.8]), basis)
     plan = PropagationPlan(np.array([0.0, 0.7, 1.9, 40.0]))
     states, report = propagate(op, psi0, plan, keep_states=True)
@@ -592,7 +592,7 @@ def test_box_memory_is_one_operator_and_a_window_of_vectors():
     spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
                         (DisorderDistribution.semicircle(1.0),) * 2)
     op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.ones(1), b), (300, 300))
-    csr = op.to_csr()
+    csr = op.csr
     csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     del csr
     vec = psi0.amplitudes.nbytes

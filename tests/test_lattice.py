@@ -1,9 +1,12 @@
 """Lattice assembly: structure, Hermiticity, sparsity, quadrature consistency."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,7 +127,8 @@ def test_block_count_chain():
     d = 11
     table = recurrence_analytic(spec.distributions[0], d + 1)
     op = build_linear(spec, [table], [d])
-    node_pairs = {(int(r) // 2, int(c) // 2) for r, c in zip(op.rows, op.cols)}
+    up = sp.triu(op.csr, format="coo")
+    node_pairs = {(int(r) // 2, int(c) // 2) for r, c in zip(up.row, up.col)}
     on_node = {p for p in node_pairs if p[0] == p[1]}
     hops = node_pairs - on_node
     assert len(on_node) == d + 1
@@ -207,15 +211,16 @@ def test_hermiticity_random_specs(rng):
 
 
 def test_nearest_neighbour_sparsity(rng):
-    # no triplet may connect nodes whose multi-indices differ by more than one
+    # no entry may connect nodes whose multi-indices differ by more than one
     spec = dimer_spec(1.0, 0.5, 0.2, 0.6)
     d = 5
     table = recurrence_analytic(spec.distributions[0], d + 1)
     op = build_linear(spec, [table, table], (d, d))
     basis = LatticeBasis(2, (d, d))
     multi = basis.node_multi_indices()
-    src = multi[np.asarray(op.rows) // 2]
-    dst = multi[np.asarray(op.cols) // 2]
+    up = sp.triu(op.csr, format="coo")
+    src = multi[up.row // 2]
+    dst = multi[up.col // 2]
     assert int(np.abs(src - dst).sum(axis=1).max()) <= 1
 
 
@@ -223,7 +228,8 @@ def test_no_duplicate_triplets():
     spec = dimer_spec(1.0, 0.5, 0.2, 0.6)
     table = recurrence_analytic(spec.distributions[0], 5)
     op = build_linear(spec, [table, table], (4, 4))
-    keys = np.asarray(op.rows) * op.dim + np.asarray(op.cols)
+    up = sp.triu(op.csr, format="coo")
+    keys = up.row.astype(np.int64) * op.dim + up.col
     assert np.unique(keys).size == keys.size
 
 
@@ -286,7 +292,8 @@ def test_general_band_structure():
     d = 8
     table = recurrence_analytic(dist, 2 * d)
     op = build_general(spec, [table], [d])
-    assert int(np.abs(np.asarray(op.cols) - np.asarray(op.rows)).max()) <= deg
+    up = sp.triu(op.csr, format="coo")
+    assert int(np.abs(up.col - up.row).max()) <= deg
 
 
 def test_general_quadrature_validation():
@@ -424,9 +431,39 @@ def test_boundary_shell_validation():
 def test_operator_rejects_imaginary_diagonal():
     from enslat import LatticeOperator, NotHermitian
     with pytest.raises(NotHermitian):
-        LatticeOperator(2, np.array([0]), np.array([0]), np.array([1.0 + 1e-10j]))
+        LatticeOperator(2, lambda: [(np.array([0]), np.array([0]), np.array([1.0 + 1e-10j]))])
     with pytest.raises(ValueError):
-        LatticeOperator(2, np.array([1]), np.array([0]), np.array([1.0 + 0j]))
+        LatticeOperator(2, lambda: [(np.array([1]), np.array([0]), np.array([1.0 + 0j]))])
+
+
+def test_triplet_dump_is_byte_stable(tmp_path):
+    # the upper triangle in (row, col) order: this digest is that of the dump
+    # written when the operator was still stored as upper-triangle triplets
+    spec = dimer_spec(1.5, 0.9, 0.3, 0.8)
+    op = build_general(spec, [recurrence_analytic(spec.distributions[0], 5)] * 2, (3, 4))
+    path = tmp_path / "op.txt"
+    save_triplets(op, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "40ea1ca7a0431b5c155568b314a670a84e71c74348323ec4f615c8f9ab744fe0")
+
+
+def test_assembly_memory_is_a_few_operators():
+    # the operator is filled block by block: the entries are never all held
+    # beside the matrix, and the matrix is all the operator keeps
+    spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
+                        (DisorderDistribution.semicircle(1.0),) * 2)
+    depths = (300, 300)
+    tables = [recurrence_table(dist, order)
+              for dist, order in zip(spec.distributions, table_orders(spec, depths))]
+    tracemalloc.start()
+    try:
+        op = build_general(spec, tables, depths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr_bytes = op.csr.data.nbytes + op.csr.indices.nbytes + op.csr.indptr.nbytes
+    assert peak < 4 * csr_bytes
+    assert list(vars(op)) == ["csr"]
 
 
 def test_triplet_file_roundtrip(tmp_path):
@@ -436,7 +473,7 @@ def test_triplet_file_roundtrip(tmp_path):
     path = tmp_path / "op.txt"
     save_triplets(op, path)
     header = path.read_text().splitlines()[0]
-    assert header == f"{op.dim} {op.nnz}"
+    assert header == f"{op.dim} {sp.triu(op.csr).nnz}"
     back = load_triplets(path)
     assert back.dim == op.dim
     assert np.abs(back.to_dense() - op.to_dense()).max() < 1e-15

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from enslat import oracle
 from enslat import (
+    DimensionMismatch,
     DisorderDistribution,
     EnsembleSpec,
     LatticeBasis,
@@ -345,6 +346,20 @@ def test_quad_order_one_is_disorder_free():
     free = analytic_qubit(C_HALF[0], C_HALF[1], 0.0, 1.0,
                           DisorderDistribution.uniform(1e-12), times)
     assert np.abs(traj.rho - free.rho).max() < 1e-9
+
+
+def test_quad_order_per_axis():
+    # a list names one order per disorder variable; each must be positive
+    spec = qubit_spec(DisorderDistribution.semicircle(1.0))
+    times = np.linspace(0.0, 6.0, 13)
+    one = quad_average(spec, C_HALF, times, OracleConfig(quad_order=16))
+    assert np.array_equal(quad_average(spec, C_HALF, times, OracleConfig(quad_order=[16])).rho,
+                          one.rho)
+    for bad in (0, [16, 0], []):
+        with pytest.raises(ValueError):
+            OracleConfig(quad_order=bad)
+    with pytest.raises(DimensionMismatch):
+        quad_average(spec, C_HALF, times, OracleConfig(quad_order=[16, 16]))
 
 
 def test_quad_convergence_with_order():
