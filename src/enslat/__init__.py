@@ -10,7 +10,6 @@ Gauss-quadrature and closed-form oracles, or run the map in reverse
 
 from .errors import (
     ConfigError,
-    DepthCapExceeded,
     DimensionMismatch,
     EmptySupport,
     EnslatError,

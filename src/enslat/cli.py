@@ -26,7 +26,6 @@ import yaml
 from . import __version__
 from .errors import (
     ConfigError,
-    DepthCapExceeded,
     EmptySupport,
     EnslatError,
     KrylovBreakdown,
@@ -38,7 +37,8 @@ from .errors import (
     UnboundedSupport,
     UnsupportedFamily,
 )
-from .dynamics import PropagationPlan, auto_depth, lattice_at, propagate
+from .dynamics import PropagationPlan, auto_depth
+from .dynamics import propagate  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 from .lattice import (
     EnsembleSpec,
     LinearCoupling,
@@ -265,6 +265,8 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
     num.setdefault("depth_cap", 4096)
     if num["depths"] != "auto":
         _positive_ints(num["depths"], "numeric.depths", n_vars)
+        if n_vars is not None and not isinstance(num["depths"], (list, tuple)):
+            num["depths"] = [num["depths"]] * n_vars
     _positive_ints(num["quad_order"], "numeric.quad_order", n_vars)
     _positive_int(num["samples"], "numeric.samples")
     _positive_int(num["depth_cap"], "numeric.depth_cap")
@@ -277,13 +279,19 @@ def _resolve_time(cfg: dict):
     tb = cfg.get("time")
     if not isinstance(tb, dict) or "t_max" not in tb:
         _fail("time", "missing time block with t_max")
-    t_max = float(tb["t_max"])
-    n_steps = int(tb.get("n_steps", 200))
+    n_steps = tb.get("n_steps", 200)
+    _positive_number(tb["t_max"], "time.t_max")
+    _positive_int(n_steps, "time.n_steps")
     if n_steps < 2:
         _fail("time.n_steps", "need n_steps >= 2")
-    if not t_max > 0:
-        _fail("time.t_max", "need t_max > 0")
-    return t_max, n_steps
+    return float(tb["t_max"]), n_steps
+
+
+def _resolve_output(cfg: dict) -> str:
+    out_block = dict(cfg.get("output") or {})
+    if any(f != "csv" for f in out_block.get("formats", ["csv"])):
+        _fail("output.formats", "only 'csv' is supported")
+    return out_block.get("directory", "out")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def _resolve_time(cfg: dict):
 # ---------------------------------------------------------------------------
 
 def _chain_trajectory(spec, initial, times, num):
-    """Lattice route: one lattice set-up, one propagation traced as it runs."""
+    """Lattice route: one propagation, on a lattice grown or pinned, traced as it runs."""
     plan = PropagationPlan(times, tol=float(num["tol"]),
                            leakage_threshold=float(num["leakage_threshold"]))
     kind, payload = initial
@@ -305,13 +313,9 @@ def _chain_trajectory(spec, initial, times, num):
             return localized_initial(payload, basis)
         return expanded_initial(payload, spec.distributions, tables, basis)
 
-    depths = num["depths"]
-    if depths == "auto":
-        depths, op, psi0 = auto_depth(spec, psi0_for, plan, cap=int(num["depth_cap"]))
-    else:
-        depths = tuple(depths) if isinstance(depths, (list, tuple)) else (depths,) * spec.l
-        op, psi0 = lattice_at(spec, psi0_for, depths)
-    _, report = propagate(op, psi0, plan)
+    auto = num["depths"] == "auto"
+    cap = num["depth_cap"] if auto else num["depths"]
+    depths, report = auto_depth(spec, psi0_for, plan, start=16 if auto else max(cap), cap=cap)
     traj = DensityTrajectory(times, report.rho, info={"method": "chain",
                                                       "depths": list(depths)})
     return traj, report, depths
@@ -457,11 +461,7 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     meth = cfg.get("method", "chain")
     if meth not in _METHODS:
         _fail("method", f"unknown method {meth!r}; expected one of {_METHODS}")
-    out_block = dict(cfg.get("output") or {})
-    out_dir = out_block.get("directory", "out")
-    formats = out_block.get("formats", ["csv"])
-    if any(f != "csv" for f in formats):
-        _fail("output.formats", "only 'csv' is supported")
+    out_dir = _resolve_output(cfg)
 
     outputs = []
     result_meta: dict = {"package_version": __version__, "method": meth}
@@ -478,19 +478,19 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
         outputs.append(name)
 
     trajs: dict[str, DensityTrajectory] = {}
-    depths_used = None
     if meth in ("chain", "compare"):
-        traj, report, depths_used = _chain_trajectory(spec, initial, times, num)
+        traj, report, depths = _chain_trajectory(spec, initial, times, num)
         trajs["chain"] = traj
         emit("trajectory_chain.csv", trajectory_csv(traj))
         emit("leakage_chain.csv", _leakage_csv(report))
-        result_meta["accepted_depths"] = [int(d) for d in depths_used]
+        result_meta["accepted_depths"] = [int(d) for d in depths]
         result_meta["max_leakage"] = report.max_leakage
         result_meta["propagator"] = {
             "spectral_centre": report.centre, "spectral_half_width": report.half_width,
             "windows": report.windows, "matvecs": report.matvecs,
             "max_norm_drift": report.norm_drift, "op_dim": report.op_dim,
-            "op_nnz": report.op_nnz, "box": [int(b) for b in report.box],
+            "op_nnz": report.op_nnz, "growth": [[int(d) for d in g] for g in report.growth],
+            "box": [int(b) for b in report.box],
             "box_growths": report.box_growths, "redos": report.redos,
             "active_fraction": report.active_fraction}
     if meth in ("mc", "quad"):
@@ -560,8 +560,8 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
         "initial": _file_from(cfg["initial"], base_dir, out_dir),
         "time": {"t_max": t_max, "n_steps": n_steps},
         "method": meth,
-        "numeric": {**num, "depths": ([int(d) for d in depths_used]
-                                      if depths_used is not None else num["depths"])},
+        # auto stays auto: a rerun grows the lattice the same way, bitwise
+        "numeric": num,
         "output": {"directory": out_dir, "formats": ["csv"]},
     }
     if "compare" in cfg:
@@ -577,8 +577,9 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     return RunResult(exit_code, outputs, manifest)
 
 
-def validate_config(config) -> list:
-    """Dry-run schema and physics checks; returns a list of failure strings."""
+def validate_config(config, method=None) -> list:
+    """Dry-run schema and physics checks, with ``method`` overriding the
+    configured one as in :func:`run`; returns a list of failure strings."""
     failures = []
     try:
         cfg, base_dir = _load(config)
@@ -594,15 +595,14 @@ def validate_config(config) -> list:
             parse_initial(cfg, spec, base_dir)
         except ConfigError as exc:
             failures.append(str(exc))
-    try:
-        _resolve_time(cfg)
-    except ConfigError as exc:
-        failures.append(str(exc))
-    try:
-        _resolve_numeric(cfg, spec.l if spec is not None else None)
-    except ConfigError as exc:
-        failures.append(str(exc))
-    meth = cfg.get("method", "chain")
+    for check in (lambda: _resolve_time(cfg),
+                  lambda: _resolve_numeric(cfg, spec.l if spec is not None else None),
+                  lambda: _resolve_output(cfg)):
+        try:
+            check()
+        except ConfigError as exc:
+            failures.append(str(exc))
+    meth = method or cfg.get("method", "chain")
     if meth not in _METHODS:
         failures.append(f"method: unknown method {meth!r}")
     if spec is not None and meth in ("chain", "quad", "compare"):
@@ -639,7 +639,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.validate:
-        failures = validate_config(args.config)
+        failures = validate_config(args.config, method=args.method)
         if failures:
             for f in failures:
                 print(f"FAIL {f}")
@@ -649,8 +649,8 @@ def main(argv=None) -> int:
 
     try:
         result = run(args.config, out_dir=args.out, method=args.method, seed=args.seed)
-    except (LeakageExceeded, NumericalBreakdown, DepthCapExceeded, KrylovBreakdown,
-            NormDefectExceeded, UnboundedSupport, NotNormalized, EmptySupport) as exc:
+    except (LeakageExceeded, NumericalBreakdown, KrylovBreakdown, NormDefectExceeded,
+            UnboundedSupport, NotNormalized, EmptySupport) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, EnslatError) as exc:

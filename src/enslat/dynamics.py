@@ -33,8 +33,8 @@ dynamics are no longer those of the semi-infinite lattice, so crossing the
 leakage threshold raises :class:`~enslat.errors.LeakageExceeded`.
 :func:`lattice_at` sets up a lattice: the recurrence tables, the operator
 built from them and the initial state expanded over the same tables.
-:func:`auto_depth` turns the leakage monitor into a depth-selection loop over
-such lattices and hands back the one it accepts, ready for :func:`propagate`.
+:func:`auto_depth` propagates once, on a lattice that grows toward a cap as
+the wavefront needs it; a pinned depth is a lattice that starts at its cap.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import zaxpy
 from scipy.special import jv
 
-from .errors import DepthCapExceeded, KrylovBreakdown, LeakageExceeded
+from .errors import KrylovBreakdown, LeakageExceeded
 from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, table_orders
 # same function as build_general, unused here: perfbench/tracing.py rebinds it in this module
 from .lattice import build_linear  # noqa: F401
@@ -68,7 +68,7 @@ __all__ = [
 _WINDOW = 32.0   # largest a * (t_last - t_start) that one recurrence serves
 _TAIL = 1e-3     # Bessel tail bound of the expansion, in units of the tolerance
 _SHELLS = 4      # shells a box keeps beyond the front's projected advance
-_GROW = 2.0      # factor a redo widens that margin by
+_GROW = 2        # factor a redo widens that margin by
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ class LeakageReport:
     ``centre`` and ``half_width`` describe the Gershgorin interval the
     expansion was scaled to; ``norm_drift`` is the largest
     |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
-    normalized start).  ``op_dim`` is the dimension of the whole operator
-    and ``op_nnz`` the entries of the matrix it runs on, both triangles:
-    for a :class:`~enslat.lattice.LatticeOperator`, its ``nnz`` (1,184,260
-    on the shipped dimer).  The box record:
+    normalized start).  ``growth`` holds the per-axis depths of each lattice
+    the run used; the interval and ``op_dim``, the dimension of the whole
+    operator, and ``op_nnz``, the entries of its matrix, both triangles
+    (1,184,260 on the shipped dimer), are the last one's.  The box record:
     ``box`` holds the per-axis depths of the last box the windows ran on,
     ``box_growths`` how often it grew, ``redos`` how many windows were run
     again on a larger box, and ``active_fraction`` the products' share of the
@@ -132,6 +132,7 @@ class LeakageReport:
     rho: np.ndarray | None = None
     op_dim: int = 0
     op_nnz: int = 0
+    growth: tuple = ()
     box: tuple = ()
     box_growths: int = 0
     redos: int = 0
@@ -208,7 +209,7 @@ def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
     their norms and the number of products with ``mat``.
     """
     rows, act = mat.shape
-    outs = [np.zeros_like(phi) for _ in coefs]
+    outs = [np.zeros(phi.shape, phi.dtype) for _ in coefs]
     heads = [out[:act] for out in outs]
     for head, c in zip(heads, coefs):  # with a == 0 (H = c I) this is all: a pure phase
         np.multiply(c[0], phi[:act], out=head)
@@ -216,7 +217,7 @@ def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
     if order > 1:
         # views of the leading entries, which zaxpy updates in place; an update
         # by a product (m entries) reaches the first m
-        prev, cur = phi[:act], np.zeros_like(phi)[:act]
+        prev, cur = phi[:act], np.zeros(act, phi.dtype)
         np.multiply(1j / half, mat @ prev, out=cur[:rows])
         zaxpy(prev, cur, a=-1j * centre / half)
         for k in range(1, order):
@@ -269,6 +270,8 @@ class _Boxes:
         self.nnz = self.csr.nnz if sp.issparse(self.csr) else int(np.count_nonzero(self.csr))
         self.starts = basis.n_system * np.concatenate([[0], np.cumsum(counts)])
         self.outer = len(counts) - 1    # radius of the whole lattice
+        self.centre, self.half = _spectral_bounds(self.csr)   # the Gershgorin interval
+        self.shell = boundary_shell(basis)
 
     def rows(self, r: int) -> int:
         """Size of box r."""
@@ -321,8 +324,8 @@ def _front(pops: np.ndarray, floor: float) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool = False
-              ) -> tuple[list[LatticeState], LeakageReport]:
+def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool = False,
+              grow=None) -> tuple[list[LatticeState], LeakageReport]:
     """Propagate psi0 over the plan's time grid under the lattice operator.
 
     Returns the states psi(t_j) = exp(-i H t_j) psi0 (an empty list unless
@@ -345,7 +348,9 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     window whose outputs put more than that population on the box's outer
     band shells is run again on a wider box.  The start keeps its shells out
     to its front.  The Gershgorin interval, and so every window's order, is
-    that of the whole operator.
+    that of the whole operator.  Before a window whose box and band reach
+    past the lattice, ``grow(radius)`` may return the operator and basis of
+    a larger lattice whose layout starts with this one's, to plan it on.
 
     Raises
     ------
@@ -358,18 +363,19 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     if dim != basis.size:
         raise ValueError(f"operator dim {dim} != basis size {basis.size}")
     boxes = _Boxes(h, basis)
-    centre, half = _spectral_bounds(boxes.csr)
-    shell = boundary_shell(basis)
+    growth = [basis.depths]
     floor = (_TAIL * plan.tol) ** 2             # population a box may leave outside
     times = plan.times
     stats = {"windows": 0, "matvecs": 0, "norm_drift": 0.0, "box_growths": 0, "redos": 0}
     work = 0                                    # sum of box size * products
 
     def report(n: int) -> LeakageReport:
+        dim = boxes.basis.size
         active = work / (dim * stats["matvecs"]) if stats["matvecs"] else 1.0
         return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
-                             centre, half, **stats, rho=rho[:n].copy(), op_dim=dim,
-                             op_nnz=boxes.nnz, box=boxes.depths(r), active_fraction=active)
+                             boxes.centre, boxes.half, **stats, rho=rho[:n].copy(), op_dim=dim,
+                             op_nnz=boxes.nnz, growth=tuple(growth), box=boxes.depths(r),
+                             active_fraction=active)
 
     states: list[LatticeState] = []
     leak = np.zeros(times.size)
@@ -383,12 +389,12 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     mat, last = None, None
     while True:
         for j, (vec, nrm) in enumerate(zip(block, norms), start):
-            state = LatticeState(basis, vec)
-            leak[j] = float(np.sum(np.abs(vec[shell]) ** 2))
+            state = LatticeState(boxes.basis, vec)
+            leak[j] = float(np.sum(np.abs(vec[boxes.shell]) ** 2))
             rho[j] = partial_trace(state)
             stats["norm_drift"] = max(stats["norm_drift"], abs(nrm - norm0))
             if keep_states:
-                states.append(LatticeState(basis, vec.copy()))
+                states.append(LatticeState(boxes.basis, vec.copy()))
             if leak[j] > plan.leakage_threshold:
                 raise LeakageExceeded(
                     f"boundary-shell population {leak[j]:.3e} > {plan.leakage_threshold:.1e} "
@@ -397,38 +403,45 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         base = start + len(block) - 1
         if base + 1 == times.size:
             return states, report(times.size)
-        stop = base + 2
-        while stop < times.size and half * (times[stop] - times[base]) <= _WINDOW:
-            stop += 1
-        coefs = [_coefficients(tau, centre, half, _TAIL * plan.tol)
-                 for tau in times[base + 1:stop] - times[base]]
-        products = max(c.size for c in coefs) - 1
         phi = block[-1]
         del block            # drop this window's outputs; only the next base stays alive
         pops = boxes.populations(phi, r)
         front = _front(pops, floor)
-        support = np.flatnonzero(pops)
-        cone = min(int(support[-1] if support.size else 0) + products * boxes.band, boxes.outer)
-        if last is None:     # no measured advance yet: the front may move as far as the cone
-            margin = products * boxes.band + _SHELLS
-        else:
-            speed = max(front - last[0], 0) / (times[base] - last[1])
-            margin = int(np.ceil(speed * (times[stop - 1] - times[base]))) + _SHELLS
+        reach = int(np.flatnonzero(pops).max(initial=0))     # the base state's support
+        # no measured advance before the first window: the front may move as far as the cone
+        speed = None if last is None else max(front - last[0], 0) / (times[base] - last[1])
         last = (front, times[base])
-        while True:
-            box = max(r, min(front + margin, cone))
+        redone = 0
+        while True:          # plan the window on the current lattice, then run it
+            stop = base + 2
+            while stop < times.size and boxes.half * (times[stop] - times[base]) <= _WINDOW:
+                stop += 1
+            coefs = [_coefficients(tau, boxes.centre, boxes.half, _TAIL * plan.tol)
+                     for tau in times[base + 1:stop] - times[base]]
+            products = max(c.size for c in coefs) - 1
+            cone = reach + products * boxes.band
+            margin = (products * boxes.band if speed is None
+                      else int(np.ceil(speed * (times[stop - 1] - times[base])))) + _SHELLS
+            box = max(r, min(front + margin * _GROW ** redone, cone))
+            bigger = grow(box + boxes.band) if grow and box + boxes.band > boxes.outer else None
+            if bigger is not None:
+                boxes, mat = _Boxes(*bigger), None
+                phi = np.concatenate([phi, np.zeros(boxes.basis.size - phi.size, phi.dtype)])
+                growth.append(boxes.basis.depths)
+                continue
+            cone, box = min(cone, boxes.outer), min(box, boxes.outer)
             stats["box_growths"] += box != r
             if mat is None or box != r:
                 r, mat = box, boxes.op(box)
             # the recurrence overwrites its start: a copy, while a redo may need it
             block, norms, used = _chebyshev(mat, phi if r >= cone else phi.copy(), coefs,
-                                            centre, half)
+                                            boxes.centre, boxes.half)
             stats["matvecs"] += used
             work += boxes.rows(r) * used
             if r >= cone or all(boxes.edge(vec, r) <= floor for vec in block):
                 break
             stats["redos"] += 1  # the front outran the box: widen it and run the window again
-            margin = int(np.ceil(_GROW * margin))
+            redone += 1
         stats["windows"] += 1
         start = base + 1
 
@@ -449,14 +462,10 @@ def propagate_dense(h, psi0: LatticeState, times) -> list[LatticeState]:
 
 
 def lattice_at(spec, psi0_builder, depths) -> tuple[LatticeOperator, LatticeState]:
-    """Operator and initial state of the lattice truncated at ``depths``.
-
-    The operator is assembled by :func:`build_general` from the
-    :func:`~enslat.measures.recurrence_table` of each distribution, at the
-    orders :func:`~enslat.lattice.table_orders` gives; ``psi0_builder(basis,
-    tables)`` returns the initial :class:`LatticeState`, given those same
-    tables.
-    """
+    """Operator and initial state of the lattice truncated at ``depths``: the
+    operator :func:`build_general` assembles from the recurrence tables at the
+    orders :func:`~enslat.lattice.table_orders` gives, and the state
+    ``psi0_builder(basis, tables)`` returns, given those same tables."""
     tables = [recurrence_table(dist, order)
               for dist, order in zip(spec.distributions, table_orders(spec, depths))]
     # the state before the operator: built after it, the 2-D dimer peaks one
@@ -466,50 +475,41 @@ def lattice_at(spec, psi0_builder, depths) -> tuple[LatticeOperator, LatticeStat
 
 
 def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
-               cap: int = 4096) -> tuple[tuple, LatticeOperator, LatticeState]:
-    """Choose truncation depths by doubling until the dynamics are stable.
+               cap=4096) -> tuple[tuple, LeakageReport]:
+    """Propagate over the plan once, on a lattice that grows with the wavefront.
 
-    Per-dimension depth starts at `start` and doubles until (a) the boundary
-    leakage at the plan's last time is below the plan threshold and (b) the
-    reduced density matrix at that time changes by less than
-    ``10 * plan.tol`` in max entry between successive depths.  Each depth is
-    set up by :func:`lattice_at` and probed by one propagation to the last
-    time of the plan, with the plan's tolerance and threshold.
-
-    Parameters
-    ----------
-    psi0_builder : callable
-        ``(basis, tables) -> LatticeState``, as for :func:`lattice_at`.
-
-    Returns
-    -------
-    depths, op, psi0
-        The accepted depths and the operator and initial state of that
-        lattice, ready for :func:`propagate` over the full plan.
-
-    Raises
-    ------
-    DepthCapExceeded
-        If the cap is reached without satisfying both criteria.
+    The depths are min(cap_i, D) (``cap``: an int or one per axis), so each
+    lattice's layout starts with the last one's.  D starts at ``start``,
+    doubled while the state ``psi0_builder(basis, tables)`` builds on a start
+    lattice (set up by :func:`lattice_at`; it is called for no other) puts
+    more than a box's floor on its outer band shells, then whenever a
+    window's box needs shells the lattice lacks, up to ``cap``, where
+    :class:`LeakageExceeded` may be raised.  Grown lattices use recurrence
+    tables of twice the orders they need, as Stieltjes tables are accurate
+    only in their lower part.  ``start >= max(cap)`` pins the depths at
+    ``cap``.  Returns the last depths and the :class:`LeakageReport`.
     """
-    probe = PropagationPlan(np.array([0.0, plan.times[-1]]), tol=plan.tol,
-                            leakage_threshold=plan.leakage_threshold)
-    prev_rho = None
+    caps = tuple(int(c) for c in (cap if np.iterable(cap) else [cap] * spec.l))
     depth = start
-    while depth <= cap:
-        depths = (depth,) * spec.l
+    while True:
+        depths = tuple(min(c, depth) for c in caps)
         op, psi0 = lattice_at(spec, psi0_builder, depths)
-        try:
-            _, report = propagate(op, psi0, probe)
-        except LeakageExceeded:
-            prev_rho = None
-            depth *= 2
-            continue
-        if report.leakage[-1] == 0.0:
-            return depths, op, psi0      # nothing reached the boundary: no transport
-        rho = report.rho[-1]
-        if prev_rho is not None and np.max(np.abs(rho - prev_rho)) < 10 * plan.tol:
-            return depths, op, psi0
-        prev_rho = rho
+        # below the cap the lattice's radius is the depth
+        if depths == caps or _Boxes(op, psi0.basis).edge(psi0.amplitudes, depth) <= (
+                _TAIL * plan.tol) ** 2:
+            break
         depth *= 2
-    raise DepthCapExceeded(f"no stable depth found up to cap {cap}")
+
+    def grow(radius):
+        nonlocal depth
+        if depth >= max(caps):
+            return None
+        while depth < min(radius, max(caps)):
+            depth *= 2
+        depths = tuple(min(c, depth) for c in caps)
+        tables = [recurrence_table(dist, order) for dist, order in
+                  zip(spec.distributions, table_orders(spec, [2 * d for d in depths]))]
+        return build_general(spec, tables, depths), LatticeBasis(spec.n, depths)
+
+    _, report = propagate(op, psi0, plan, grow=grow)
+    return report.growth[-1], report

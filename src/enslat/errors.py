@@ -65,10 +65,6 @@ class KrylovBreakdown(EnslatError):
     """Non-finite values during propagation."""
 
 
-class DepthCapExceeded(EnslatError):
-    """Depth doubling hit the configured cap without converging."""
-
-
 # --- oracle ---
 
 class SystemTooLarge(EnslatError):

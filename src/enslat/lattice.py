@@ -330,11 +330,13 @@ def _place(rows, cols, vals, free, indices, data):
     rows, cols, vals = rows[keep], cols[keep], vals[keep] + 0.0
     off = rows != cols
     for r, c, v in ((rows, cols, vals), (cols[off], rows[off], vals[off].conj())):
-        order = np.argsort(r, kind="stable")
-        ranked = r[order]
-        slot = np.empty_like(r)
-        slot[order] = free[ranked] + np.arange(r.size) - np.searchsorted(ranked, ranked)
-        free += np.bincount(r, minlength=free.size)
+        counts = np.bincount(r, minlength=free.size)
+        slot = free[r]
+        if counts.max(initial=0) > 1:   # a row repeats: rank its entries, in entry order
+            order = np.argsort(r, kind="stable")
+            ranked = r[order]
+            slot[order] += np.arange(r.size) - np.searchsorted(ranked, ranked)
+        free += counts
         indices[slot], data[slot] = c, v
 
 

@@ -358,7 +358,10 @@ def recurrence_stieltjes(dist: DisorderDistribution, order: int,
     support; the monic recurrence is then run on the discrete measure, with
     the polynomial iterates kept normalized so the procedure is stable to
     orders of several hundred.  The grid defaults to ``max(4*order, 1000)``
-    points; coefficients are accurate to the quadrature error of the grid.
+    points, so only the lower part of a long table is accurate: for
+    ``uniform(1)`` cut to (-1, 1), at order 385 the relative error of
+    ``beta[k]`` passes 1e-12 from k = 158, 1e-8 from k = 200 and 1e-4 from
+    k = 263, up to 5.6e-2; at order 257 it reaches 7.4e-2.
 
     Raises
     ------

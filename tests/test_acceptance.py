@@ -67,11 +67,11 @@ def test_criterion_1_qubit_dephasing_exactness(family):
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
     times = np.linspace(0.0, 6.0, 200)
     t0 = time.perf_counter()
-    depths, _, _ = auto_depth(spec, lambda b, _: localized_initial(C_HALF, b),
-                              PropagationPlan(times))
-    traj, _ = _chain_qubit(dist, times, depths)
+    # the auto-depth run itself: one propagation on a lattice grown as it runs
+    depths, report = auto_depth(spec, lambda b, _: localized_initial(C_HALF, b),
+                                PropagationPlan(times))
     ref = analytic_qubit(*C_HALF, 0.0, 1.0, dist, times)
-    err = float(np.max(np.abs(np.abs(traj.rho[:, 0, 1]) - np.abs(ref.rho[:, 0, 1]))))
+    err = float(np.max(np.abs(np.abs(report.rho[:, 0, 1]) - np.abs(ref.rho[:, 0, 1]))))
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-10 and elapsed <= 30.0
     _report(f"1 [{family}]", ok,

@@ -110,8 +110,9 @@ def test_manifest_records_propagator(tmp_path):
     man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
     prop = man["result"]["propagator"]
     assert set(prop) == {"spectral_centre", "spectral_half_width", "windows", "matvecs",
-                         "max_norm_drift", "op_dim", "op_nnz", "box", "box_growths",
+                         "max_norm_drift", "op_dim", "op_nnz", "growth", "box", "box_growths",
                          "redos", "active_fraction"}
+    assert prop["growth"] == [[64]]          # pinned: the one lattice
     assert prop["matvecs"] > 0 and prop["windows"] > 0 and prop["spectral_half_width"] > 0
     assert prop["max_norm_drift"] <= 1e-10
     # depth 64 qubit chain, dim 130: level 1 has an on-node entry on each of the 65
@@ -140,9 +141,10 @@ def test_manifest_roundtrip_bitwise(tmp_path):
     a = (tmp_path / "out" / "trajectory_chain.csv").read_bytes()
     b = (rt_dir / "trajectory_chain.csv").read_bytes()
     assert a == b
-    # the manifest pins the auto-resolved depth
+    # the manifest keeps auto, and the rerun grows the lattice the same way
     man = yaml.safe_load(man_path.read_text())
-    assert isinstance(man["config"]["numeric"]["depths"], list)
+    assert man["config"]["numeric"]["depths"] == "auto"
+    assert result.manifest["result"]["propagator"]["growth"] == man["result"]["propagator"]["growth"]
 
 
 def test_method_and_seed_override(tmp_path):
@@ -359,6 +361,69 @@ def test_auto_depth_run_builds_each_probed_depth_once(tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert len(built) == len(set(built)) > 1
     assert list(built[-1]) == result.manifest["result"]["accepted_depths"]
+
+
+def test_auto_depth_run_propagates_once(tmp_path, monkeypatch):
+    # one propagation grows the lattice; the initial state is set up only on
+    # start lattices, never on one the run grew into
+    calls, starts = [], []
+    propagate_fn = enslat.dynamics.propagate
+    monkeypatch.setattr(enslat.dynamics, "propagate",
+                        lambda *a, **kw: calls.append(1) or propagate_fn(*a, **kw))
+    for name in ("localized_initial", "expanded_initial"):
+        fn = getattr(enslat.cli, name)
+        monkeypatch.setattr(enslat.cli, name, lambda *a, fn=fn: starts.append(a[-1].depths)
+                            or fn(*a))
+    for kind in ("localized", "tabulated"):
+        calls.clear()
+        starts.clear()
+        path = qubit_config(tmp_path, depths="auto", n_steps=25)
+        cfg = yaml.safe_load(path.read_text())
+        cfg["system"]["distributions"] = [{"family": "gaussian", "width": 1.0,
+                                           "cutoff": [-5.0, 5.0]}]
+        if kind == "tabulated":
+            (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n5 0.6 0 0.8 0\n")
+            cfg["initial"] = {"kind": "tabulated", "file": "c.txt"}
+        path.write_text(yaml.safe_dump(cfg))
+        result = run(str(path))
+        assert result.exit_code == 0
+        growth = result.manifest["result"]["propagator"]["growth"]
+        assert len(calls) == 1 and len(growth) > 1
+        assert growth[-1] == result.manifest["result"]["accepted_depths"]
+        assert list(starts[-1]) == growth[0] and all(s[0] <= growth[0][0] for s in starts)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_max", "soon"), ("t_max", 0), ("t_max", None), ("n_steps", "many"), ("n_steps", 1),
+    ("n_steps", 2.5),
+])
+def test_bad_time_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    path = qubit_config(tmp_path, n_steps=5)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["time"][key] = value
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert f"time.{key}" in capsys.readouterr().out
+    assert main(["--config", str(path)]) == 2
+    assert f"config error: time.{key}" in capsys.readouterr().err
+
+
+def test_validate_applies_the_method_override_and_checks_formats(tmp_path, capsys):
+    # --validate refuses what the run with the same flags refuses
+    path = qubit_config(tmp_path, method="mc", dist={"family": "cauchy", "width": 1.0})
+    assert main(["--config", str(path), "--validate"]) == 0
+    assert main(["--config", str(path), "--validate", "--method", "chain"]) == 2
+    assert "system.distributions[0]" in capsys.readouterr().out
+    assert validate_config(str(path), method="chain") == [
+        "system.distributions[0]: moments undefined; set cutoff"]
+    cfg = yaml.safe_load(path.read_text())
+    cfg["output"]["formats"] = ["hdf5"]
+    path.write_text(yaml.safe_dump(cfg))
+    for flags in ([], ["--method", "chain"]):
+        assert main(["--config", str(path), "--validate", *flags]) == 2
+        assert "FAIL output.formats" in capsys.readouterr().out
+        assert main(["--config", str(path), *flags]) == 2
+        assert "config error: output.formats" in capsys.readouterr().err
 
 
 def test_output_written_atomically(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from enslat import dynamics
 from enslat import (
-    DepthCapExceeded,
     DisorderDistribution,
     LatticeBasis,
     LatticeOperator,
@@ -271,69 +270,76 @@ def test_auto_depth_zero_coupling_accepts_start():
                         (LinearCoupling(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    depths, _, _ = auto_depth(spec, lambda b, _: localized_initial(c, b),
-                              PropagationPlan.linspace(5.0, 2))
-    assert depths == (16,)
+    depths, report = auto_depth(spec, lambda b, _: localized_initial(c, b),
+                                PropagationPlan.linspace(5.0, 2))
+    assert depths == (16,) and report.growth == ((16,),)
 
 
 def test_auto_depth_gaussian_qubit_converges():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
+    builder = lambda b, _: localized_initial(c, b)
     plan = PropagationPlan.linspace(6.0, 41)
-    depths, op, psi0 = auto_depth(spec, lambda b, _: localized_initial(c, b), plan)
+    depths, report = auto_depth(spec, builder, plan)
     assert 16 < depths[0] <= 4096
-    # the accepted lattice carries the horizon without tripping the monitor
-    _, report = propagate(op, psi0, plan)
-    assert not report.exceeded
+    # below the cap the wavefront never reaches the boundary shell
+    assert report.max_leakage == 0.0
+    # the final lattice carries the horizon without tripping the monitor
+    _, pinned = propagate(*lattice_at(spec, builder, depths), plan)
+    assert not pinned.exceeded
 
 
 def test_auto_depth_hands_its_tables_to_the_builder(monkeypatch):
     # a disorder-dependent initial state is expanded over the tables the
-    # operator of that depth was built from, not over a second set
+    # start operator was built from, not over a second set
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     built, given = [], []
-    table_fn = dynamics.recurrence_table
-    monkeypatch.setattr(dynamics, "recurrence_table",
-                        lambda *args: built.append(table_fn(*args)) or built[-1])
+    build_fn = dynamics.build_general
+    monkeypatch.setattr(dynamics, "build_general",
+                        lambda spec, tables, depths: built.append(tables) or build_fn(
+                            spec, tables, depths))
 
     def builder(basis, tables):
-        given.extend(tables)
+        given.append(tables)
         return localized_initial(c, basis)
 
     auto_depth(spec, builder, PropagationPlan.linspace(3.0, 2))
-    assert len(given) == len(built) > 1
-    assert all(g is b for g, b in zip(given, built))
-
-
-def test_auto_depth_returns_the_accepted_lattice():
-    # the lattice handed back is, bit for bit, the one lattice_at sets up at
-    # the accepted depths, so a caller propagates it without building it again
-    spec = qubit_spec(DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)))
-
-    def c_fn(pts):
-        c = np.array([1.0, 0.5]) + pts[:, :1] * np.array([0.0, 0.1])
-        return c / np.linalg.norm(c, axis=1, keepdims=True)
-
-    def builder(basis, tables):
-        return expanded_initial(c_fn, spec.distributions, tables, basis)
-
-    depths, op, psi0 = auto_depth(spec, builder, PropagationPlan.linspace(3.0, 2))
-    fresh_op, fresh_psi0 = lattice_at(spec, builder, depths)
-    assert depths[0] > 16
-    assert op.dim == fresh_op.dim
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(op.csr, name), getattr(fresh_op.csr, name))
-    assert psi0.basis == fresh_psi0.basis
-    assert np.array_equal(psi0.amplitudes, fresh_psi0.amplitudes)
+    assert len(given) == 1 and len(built) > 1
+    assert len(given[0]) == 1 and all(g is b for g, b in zip(given[0], built[0]))
 
 
 def test_auto_depth_cap():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    with pytest.raises(DepthCapExceeded):
+    with pytest.raises(LeakageExceeded) as err:
         auto_depth(spec, lambda b, _: localized_initial(c, b), PropagationPlan.linspace(6.0, 2),
                    cap=32)
+    assert err.value.report.growth[-1] == (32,)
+
+
+def _cut_gaussian_dimer():
+    from enslat import EnsembleSpec, LinearCoupling
+    dist = DisorderDistribution.gaussian(1.0, cutoff=(-4.0, 4.0))
+    return EnsembleSpec(np.array([[0.5, 0.3], [0.3, -0.5]]),
+                        (LinearCoupling(np.diag([1.0, 0.0])), LinearCoupling(np.diag([0.0, 1.0]))),
+                        (dist, dist))
+
+
+@pytest.mark.parametrize("spec, t_max", [
+    (qubit_spec(DisorderDistribution.gaussian(1.0)), 6.0),
+    (_cut_gaussian_dimer(), 20.0),
+])
+def test_growth_matches_the_pinned_final_lattice(spec, t_max):
+    # one propagation on a growing lattice gives the rho of a propagation on
+    # the final lattice from the start
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    builder = lambda b, _: localized_initial(c, b)
+    plan = PropagationPlan.linspace(t_max, 41)
+    depths, grown = auto_depth(spec, builder, plan)
+    assert len(grown.growth) > 1 and grown.growth[-1] == depths
+    _, pinned = propagate(*lattice_at(spec, builder, depths), plan)
+    assert np.abs(grown.rho - pinned.rho).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,17 @@ def test_origin_is_node_zero():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda l: st.tuples(*[st.integers(0, 6)] * l)),
-       st.integers(1, 3))
-def test_basis_layout_by_shell(depths, n):
+       st.integers(1, 3), st.tuples(*[st.integers(0, 4)] * 3))
+def test_basis_layout_by_shell(depths, n, extra):
     basis = LatticeBasis(n, depths)
     multi = basis.node_multi_indices()
     # shells never decrease along the nodes, so every box is a prefix
     assert np.all(np.diff(multi.max(axis=1)) >= 0)
+    # so is the whole lattice, in one grown from it: the axes shorter than its
+    # radius stay at their caps, the others grow by as much as their caps allow
+    radius = max(depths)
+    grown = LatticeBasis(n, [d if d < radius else d + e for d, e in zip(depths, extra)])
+    assert np.array_equal(grown.node_multi_indices()[:basis.node_count], multi)
     # the origin is node 0; in 1-D node k is k_1
     assert basis.node_index((0,) * basis.l) == 0
     if basis.l == 1:
