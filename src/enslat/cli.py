@@ -62,6 +62,10 @@ __all__ = ["run", "validate_config", "main", "RunResult"]
 
 _METHODS = ("chain", "mc", "quad", "analytic", "compare")
 
+# numeric failures: the run exits 3 on these, after recording them in its manifest
+_NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, KrylovBreakdown, NormDefectExceeded,
+                     UnboundedSupport, NotNormalized, EmptySupport)
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -408,6 +412,17 @@ def _compare_row(pair, err, tol, ok, **extra) -> dict:
     return {"pair": pair, "max_abs_error": err, "tolerance": tol, "pass": bool(ok), **extra}
 
 
+def _propagator_record(report) -> dict:
+    return {
+        "spectral_centre": report.centre, "spectral_half_width": report.half_width,
+        "windows": report.windows, "matvecs": report.matvecs,
+        "max_norm_drift": report.norm_drift, "op_dim": report.op_dim,
+        "op_nnz": report.op_nnz, "growth": [[int(d) for d in g] for g in report.growth],
+        "box": [int(b) for b in report.box],
+        "box_growths": report.box_growths, "redos": report.redos,
+        "active_fraction": report.active_fraction}
+
+
 # ---------------------------------------------------------------------------
 # run / validate
 # ---------------------------------------------------------------------------
@@ -440,7 +455,10 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     """Execute one configured run and write its outputs.
 
     `config` is a YAML path or an equivalent dict (a run manifest also
-    works).  Returns a RunResult; never calls sys.exit.
+    works).  Returns a RunResult; never calls sys.exit.  A numeric failure
+    in a stage (the errors ``main`` exits 3 on) still writes the manifest,
+    with ``result.failure`` naming the stage, the error class and its
+    message, and is then raised again.
     """
     t_start = time.perf_counter()
     cfg, base_dir = _load(config)
@@ -477,77 +495,6 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
         _atomic_write(path, text)
         outputs.append(name)
 
-    trajs: dict[str, DensityTrajectory] = {}
-    if meth in ("chain", "compare"):
-        traj, report, depths = _chain_trajectory(spec, initial, times, num)
-        trajs["chain"] = traj
-        emit("trajectory_chain.csv", trajectory_csv(traj))
-        emit("leakage_chain.csv", _leakage_csv(report))
-        result_meta["accepted_depths"] = [int(d) for d in depths]
-        result_meta["max_leakage"] = report.max_leakage
-        result_meta["propagator"] = {
-            "spectral_centre": report.centre, "spectral_half_width": report.half_width,
-            "windows": report.windows, "matvecs": report.matvecs,
-            "max_norm_drift": report.norm_drift, "op_dim": report.op_dim,
-            "op_nnz": report.op_nnz, "growth": [[int(d) for d in g] for g in report.growth],
-            "box": [int(b) for b in report.box],
-            "box_growths": report.box_growths, "redos": report.redos,
-            "active_fraction": report.active_fraction}
-    if meth in ("mc", "quad"):
-        traj = _oracle_trajectory(meth, spec, initial, times, num)
-        trajs[meth] = traj
-        emit(f"trajectory_{meth}.csv", trajectory_csv(traj))
-    if meth == "analytic":
-        traj = _analytic_trajectory(spec, initial, times)
-        trajs["analytic"] = traj
-        emit("trajectory_analytic.csv", trajectory_csv(traj))
-
-    if meth == "compare":
-        cmp_block = dict(cfg.get("compare") or {})
-        quad_tol = float(cmp_block.get("quad_tol", 1e-8))
-        analytic_tol = float(cmp_block.get("analytic_tol", 1e-9))
-        mc_sigmas = float(cmp_block.get("mc_sigmas", 4.0))
-        # absolute floor under the MC band: zero-variance entries would
-        # otherwise flag the propagator's own float-level error
-        mc_floor = float(cmp_block.get("mc_floor", 1e-10))
-        chain = trajs["chain"]
-
-        qt = _oracle_trajectory("quad", spec, initial, times, num)
-        trajs["quad"] = qt
-        emit("trajectory_quad.csv", trajectory_csv(qt))
-        err = float(np.max(np.abs(chain.rho - qt.rho)))
-        compare_rows.append(_compare_row("chain_vs_quad", err, quad_tol, err <= quad_tol))
-
-        mt = _oracle_trajectory("mc", spec, initial, times, num)
-        trajs["mc"] = mt
-        emit("trajectory_mc.csv", trajectory_csv(mt))
-        dev = np.abs(chain.rho - mt.rho)
-        worst = float(np.max(dev - (mc_sigmas * mt.errors + mc_floor)))
-        # the band is applied to every entry at every time, so a chance
-        # excursion beyond it is readable from these two numbers
-        noisy = mt.errors > 0
-        excess = (float(np.max((dev[noisy] - mc_floor) / mt.errors[noisy]))
-                  if noisy.any() else None)
-        compare_rows.append(_compare_row(
-            f"chain_vs_mc_{mc_sigmas:g}sem", max(worst, 0.0), 0.0, worst <= 0.0,
-            entries_tested=int(dev.size), worst_excess_sem=excess))
-
-        try:
-            at = _analytic_trajectory(spec, initial, times)
-        except (ConfigError, UnsupportedFamily):
-            at = None      # no closed form for this setup: skip that pair
-        if at is not None:
-            trajs["analytic"] = at
-            emit("trajectory_analytic.csv", trajectory_csv(at))
-            err = float(np.max(np.abs(chain.rho - at.rho)))
-            compare_rows.append(
-                _compare_row("chain_vs_analytic", err, analytic_tol, err <= analytic_tol))
-
-        emit("compare_errors.csv", _compare_csv(compare_rows))
-        result_meta["compare"] = compare_rows
-        if not all(r["pass"] for r in compare_rows):
-            exit_code = 4
-
     # resolved config: everything needed to reproduce this run
     resolved = {
         "unit": cfg.get("unit", "energy"),
@@ -566,15 +513,98 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     }
     if "compare" in cfg:
         resolved["compare"] = cfg["compare"]
-    result_meta["oracles"] = {name: dict(traj.info) for name, traj in trajs.items()
-                              if name != "chain"}
-    result_meta["wall_clock_s"] = round(time.perf_counter() - t_start, 3)
-    result_meta["outputs"] = outputs + ["manifest.yaml"]
-    manifest = {"config": resolved, "result": result_meta}
-    _atomic_write(os.path.join(out_dir, "manifest.yaml"),
-                  yaml.safe_dump(manifest, sort_keys=False))
-    outputs.append("manifest.yaml")
-    return RunResult(exit_code, outputs, manifest)
+
+    def write_manifest() -> dict:
+        result_meta["oracles"] = {name: dict(traj.info) for name, traj in trajs.items()
+                                  if name != "chain"}
+        result_meta["wall_clock_s"] = round(time.perf_counter() - t_start, 3)
+        result_meta["outputs"] = outputs + ["manifest.yaml"]
+        manifest = {"config": resolved, "result": result_meta}
+        _atomic_write(os.path.join(out_dir, "manifest.yaml"),
+                      yaml.safe_dump(manifest, sort_keys=False))
+        outputs.append("manifest.yaml")
+        return manifest
+
+    trajs: dict[str, DensityTrajectory] = {}
+    stage = None
+    try:
+        if meth in ("chain", "compare"):
+            stage = "chain"
+            traj, report, depths = _chain_trajectory(spec, initial, times, num)
+            trajs["chain"] = traj
+            emit("trajectory_chain.csv", trajectory_csv(traj))
+            emit("leakage_chain.csv", _leakage_csv(report))
+            result_meta["accepted_depths"] = [int(d) for d in depths]
+            result_meta["max_leakage"] = report.max_leakage
+            result_meta["propagator"] = _propagator_record(report)
+        if meth in ("mc", "quad"):
+            stage = meth
+            traj = _oracle_trajectory(meth, spec, initial, times, num)
+            trajs[meth] = traj
+            emit(f"trajectory_{meth}.csv", trajectory_csv(traj))
+        if meth == "analytic":
+            stage = "analytic"
+            traj = _analytic_trajectory(spec, initial, times)
+            trajs["analytic"] = traj
+            emit("trajectory_analytic.csv", trajectory_csv(traj))
+
+        if meth == "compare":
+            cmp_block = dict(cfg.get("compare") or {})
+            quad_tol = float(cmp_block.get("quad_tol", 1e-8))
+            analytic_tol = float(cmp_block.get("analytic_tol", 1e-9))
+            mc_sigmas = float(cmp_block.get("mc_sigmas", 4.0))
+            # absolute floor under the MC band: zero-variance entries would
+            # otherwise flag the propagator's own float-level error
+            mc_floor = float(cmp_block.get("mc_floor", 1e-10))
+            chain = trajs["chain"]
+
+            stage = "quad"
+            qt = _oracle_trajectory("quad", spec, initial, times, num)
+            trajs["quad"] = qt
+            emit("trajectory_quad.csv", trajectory_csv(qt))
+            err = float(np.max(np.abs(chain.rho - qt.rho)))
+            compare_rows.append(_compare_row("chain_vs_quad", err, quad_tol, err <= quad_tol))
+
+            stage = "mc"
+            mt = _oracle_trajectory("mc", spec, initial, times, num)
+            trajs["mc"] = mt
+            emit("trajectory_mc.csv", trajectory_csv(mt))
+            dev = np.abs(chain.rho - mt.rho)
+            worst = float(np.max(dev - (mc_sigmas * mt.errors + mc_floor)))
+            # the band is applied to every entry at every time, so a chance
+            # excursion beyond it is readable from these two numbers
+            noisy = mt.errors > 0
+            excess = (float(np.max((dev[noisy] - mc_floor) / mt.errors[noisy]))
+                      if noisy.any() else None)
+            compare_rows.append(_compare_row(
+                f"chain_vs_mc_{mc_sigmas:g}sem", max(worst, 0.0), 0.0, worst <= 0.0,
+                entries_tested=int(dev.size), worst_excess_sem=excess))
+
+            stage = "analytic"
+            try:
+                at = _analytic_trajectory(spec, initial, times)
+            except (ConfigError, UnsupportedFamily):
+                at = None      # no closed form for this setup: skip that pair
+            if at is not None:
+                trajs["analytic"] = at
+                emit("trajectory_analytic.csv", trajectory_csv(at))
+                err = float(np.max(np.abs(chain.rho - at.rho)))
+                compare_rows.append(
+                    _compare_row("chain_vs_analytic", err, analytic_tol, err <= analytic_tol))
+
+            emit("compare_errors.csv", _compare_csv(compare_rows))
+            result_meta["compare"] = compare_rows
+            if not all(r["pass"] for r in compare_rows):
+                exit_code = 4
+    except _NUMERIC_FAILURES as exc:
+        # a failed run still leaves a record of the stage that failed and why
+        result_meta["failure"] = {"stage": stage, "error": type(exc).__name__,
+                                  "message": str(exc)}
+        if isinstance(exc, LeakageExceeded) and exc.report is not None:
+            result_meta["propagator"] = _propagator_record(exc.report)
+        write_manifest()
+        raise
+    return RunResult(exit_code, outputs, write_manifest())
 
 
 def validate_config(config, method=None) -> list:
@@ -649,8 +679,7 @@ def main(argv=None) -> int:
 
     try:
         result = run(args.config, out_dir=args.out, method=args.method, seed=args.seed)
-    except (LeakageExceeded, NumericalBreakdown, KrylovBreakdown, NormDefectExceeded,
-            UnboundedSupport, NotNormalized, EmptySupport) as exc:
+    except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, EnslatError) as exc:

@@ -461,13 +461,19 @@ def propagate_dense(h, psi0: LatticeState, times) -> list[LatticeState]:
             for t in np.asarray(times, dtype=float)]
 
 
+def _tables(spec, depths) -> list:
+    """The recurrence tables of the lattice at ``depths``, each at the order
+    :func:`~enslat.lattice.table_orders` gives, and exact to that order."""
+    return [recurrence_table(dist, order)
+            for dist, order in zip(spec.distributions, table_orders(spec, depths))]
+
+
 def lattice_at(spec, psi0_builder, depths) -> tuple[LatticeOperator, LatticeState]:
     """Operator and initial state of the lattice truncated at ``depths``: the
-    operator :func:`build_general` assembles from the recurrence tables at the
-    orders :func:`~enslat.lattice.table_orders` gives, and the state
-    ``psi0_builder(basis, tables)`` returns, given those same tables."""
-    tables = [recurrence_table(dist, order)
-              for dist, order in zip(spec.distributions, table_orders(spec, depths))]
+    operator :func:`build_general` assembles from the lattice's recurrence
+    tables, and the state ``psi0_builder(basis, tables)`` returns, given those
+    same tables.  A lattice :func:`auto_depth` grows to is this one, bitwise."""
+    tables = _tables(spec, depths)
     # the state before the operator: built after it, the 2-D dimer peaks one
     # state vector (~5 MB) higher
     psi0 = psi0_builder(LatticeBasis(spec.n, depths), tables)
@@ -480,23 +486,26 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
 
     The depths are min(cap_i, D) (``cap``: an int or one per axis), so each
     lattice's layout starts with the last one's.  D starts at ``start``,
-    doubled while the state ``psi0_builder(basis, tables)`` builds on a start
-    lattice (set up by :func:`lattice_at`; it is called for no other) puts
-    more than a box's floor on its outer band shells, then whenever a
-    window's box needs shells the lattice lacks, up to ``cap``, where
-    :class:`LeakageExceeded` may be raised.  Grown lattices use recurrence
-    tables of twice the orders they need, as Stieltjes tables are accurate
-    only in their lower part.  ``start >= max(cap)`` pins the depths at
-    ``cap``.  Returns the last depths and the :class:`LeakageReport`.
+    doubled while the state ``psi0_builder(basis, tables)`` puts more than a
+    box's floor on the ``boundary_shell`` as wide as the largest coupling
+    degree; the operator is assembled only for the accepted start.  D is
+    then doubled whenever a window's box needs shells the lattice lacks, up
+    to ``cap``, where :class:`LeakageExceeded` may be raised.  Every lattice,
+    the start and each grown one, is the one :func:`lattice_at` sets up at
+    its depths.  ``start >= max(cap)`` pins the depths at ``cap``.  Returns
+    the last depths and the :class:`LeakageReport`.
     """
     caps = tuple(int(c) for c in (cap if np.iterable(cap) else [cap] * spec.l))
+    band = max(1, *(c.degree for c in spec.couplings))
     depth = start
     while True:
         depths = tuple(min(c, depth) for c in caps)
-        op, psi0 = lattice_at(spec, psi0_builder, depths)
-        # below the cap the lattice's radius is the depth
-        if depths == caps or _Boxes(op, psi0.basis).edge(psi0.amplitudes, depth) <= (
-                _TAIL * plan.tol) ** 2:
+        tables = _tables(spec, depths)
+        psi0 = psi0_builder(LatticeBasis(spec.n, depths), tables)
+        if depths == caps:
+            break
+        edge = psi0.amplitudes[boundary_shell(psi0.basis, min(band, *depths))]
+        if np.vdot(edge, edge).real <= (_TAIL * plan.tol) ** 2:
             break
         depth *= 2
 
@@ -507,9 +516,7 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
         while depth < min(radius, max(caps)):
             depth *= 2
         depths = tuple(min(c, depth) for c in caps)
-        tables = [recurrence_table(dist, order) for dist, order in
-                  zip(spec.distributions, table_orders(spec, [2 * d for d in depths]))]
-        return build_general(spec, tables, depths), LatticeBasis(spec.n, depths)
+        return build_general(spec, _tables(spec, depths), depths), LatticeBasis(spec.n, depths)
 
-    _, report = propagate(op, psi0, plan, grow=grow)
+    _, report = propagate(build_general(spec, tables, depths), psi0, plan, grow=grow)
     return report.growth[-1], report

@@ -236,6 +236,23 @@ def test_exit_code_3_on_leakage(tmp_path):
     assert main(["--config", str(path)]) == 3
 
 
+def test_exit_3_leaves_a_record_of_the_failure(tmp_path, capsys):
+    # the manifest says which stage failed and why, and holds the partial
+    # propagator record; the error still reaches main, which exits 3
+    path = qubit_config(tmp_path, dist={"family": "semicircle", "width": 1.0},
+                        depths=4, n_steps=30)
+    assert main(["--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: boundary-shell population")
+    man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+    failure = man["result"]["failure"]
+    assert failure["stage"] == "chain" and failure["error"] == "LeakageExceeded"
+    assert failure["message"].startswith("boundary-shell population")
+    prop = man["result"]["propagator"]
+    assert prop["growth"] == [[4]] and prop["matvecs"] > 0 and prop["op_dim"] == 10
+    assert man["config"]["numeric"]["depths"] == [4]
+    assert "trajectory_chain.csv" not in man["result"]["outputs"]
+
+
 def test_validate_reports(tmp_path, capsys):
     ok = qubit_config(tmp_path)
     assert main(["--config", str(ok), "--validate"]) == 0
@@ -348,7 +365,7 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
     assert main(["--config", str(path), "--validate"]) == 2
 
 
-def test_auto_depth_run_builds_each_probed_depth_once(tmp_path, monkeypatch):
+def test_auto_depth_run_builds_each_lattice_once(tmp_path, monkeypatch):
     # the run propagates the lattice auto_depth accepted instead of building it again
     built = []
     for module in (enslat.cli, enslat.dynamics):

@@ -342,6 +342,46 @@ def test_growth_matches_the_pinned_final_lattice(spec, t_max):
     assert np.abs(grown.rho - pinned.rho).max() <= 1e-13
 
 
+def _recording_builds(monkeypatch) -> list:
+    """Wrap ``dynamics.build_general``; returns the list of (depths, operator) it built."""
+    built = []
+    build_fn = dynamics.build_general
+
+    def build(spec, tables, depths):
+        op = build_fn(spec, tables, depths)
+        built.append((tuple(depths), op))
+        return op
+
+    monkeypatch.setattr(dynamics, "build_general", build)
+    return built
+
+
+def test_grown_lattice_is_the_pinned_lattice(monkeypatch):
+    # a lattice grown during the run is the one lattice_at sets up at its
+    # depths, entry for entry: one table rule for both
+    spec = _cut_gaussian_dimer()
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    builder = lambda b, _: localized_initial(c, b)
+    built = _recording_builds(monkeypatch)
+    depths, report = auto_depth(spec, builder, PropagationPlan.linspace(20.0, 41))
+    assert len(report.growth) > 1 and built[-1][0] == depths
+    grown, (pinned, _) = built[-1][1].csr, lattice_at(spec, builder, depths)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(grown, field), getattr(pinned.csr, field))
+
+
+def test_start_search_builds_no_operator_for_a_rejected_depth(monkeypatch):
+    # the start search reads the expanded state's boundary population and
+    # assembles an operator only for the start it accepts
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)))
+    c_fn = lambda lam: np.stack([np.cos(lam[:, 0]), np.sin(lam[:, 0])], axis=1)
+    builder = lambda basis, tables: expanded_initial(c_fn, spec.distributions, tables, basis)
+    built = _recording_builds(monkeypatch)
+    _, report = auto_depth(spec, builder, PropagationPlan.linspace(6.0, 41))
+    assert report.growth[0] > (16,)        # the start search rejected depth 16
+    assert [d for d, _ in built] == list(report.growth)
+
+
 # ---------------------------------------------------------------------------
 # plan validation
 # ---------------------------------------------------------------------------

@@ -173,6 +173,27 @@ def test_stieltjes_tabulated_gaussian():
     assert np.abs(t.alpha).max() < 1e-12
 
 
+@pytest.mark.parametrize("dist, reference", [
+    (DisorderDistribution.uniform(1.0, cutoff=(-1.0, 1.0)), DisorderDistribution.uniform(1.0)),
+    (DisorderDistribution.semicircle(1.0, cutoff=(-1.0, 1.0)),
+     DisorderDistribution.semicircle(1.0)),
+    (DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)), None),
+    (DisorderDistribution.cauchy(1.0, cutoff=(-30.0, 30.0)), None),
+])
+def test_stieltjes_default_grid_is_exact_to_the_full_order(dist, reference):
+    # every row of an order-385 table (the pinned 384x384 dimer's) is right,
+    # not only the lower part: against the closed form of the same measure,
+    # or else against the same table on a grid four times finer than the default
+    order = 385
+    t = recurrence_stieltjes(dist, order)
+    if reference is not None:
+        assert np.abs(t.beta / recurrence_analytic(reference, order).beta - 1).max() <= 1e-13
+        assert np.abs(t.alpha).max() <= 1e-13
+    else:
+        fine = recurrence_stieltjes(dist, order, grid_points=40_000)
+        assert np.abs(t.hops / fine.hops - 1).max() <= 1e-13
+
+
 def test_stieltjes_grid_validation():
     d = DisorderDistribution.uniform(1.0)
     with pytest.raises(InvalidOrder):
