@@ -56,7 +56,6 @@ from .states import (
     LatticeState,
     expanded_initial,
     localized_initial,
-    spectral_disorder_initial,
 )
 from .dynamics import (
     LeakageReport,

@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import namedtuple
 
 import numpy as np
 import yaml
@@ -32,9 +33,7 @@ from .errors import (
     LeakageExceeded,
     NormDefectExceeded,
     NotHermitian,
-    NotNormalized,
     NumericalBreakdown,
-    UnboundedSupport,
     UnsupportedFamily,
 )
 from .dynamics import PropagationPlan, auto_depth
@@ -49,6 +48,7 @@ from .lattice import (
 )
 from .measures import (
     DisorderDistribution,
+    characteristic_function,
     recurrence_table,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 )
 from .oracle import OracleConfig, analytic_qubit, mc_average, quad_average
@@ -62,9 +62,12 @@ __all__ = ["run", "validate_config", "main", "RunResult"]
 
 _METHODS = ("chain", "mc", "quad", "analytic", "compare")
 
+# the compare gates' defaults; mc_floor is an absolute floor under the MC band:
+# zero-variance entries would otherwise flag the propagator's own float-level error
+_COMPARE_GATES = {"quad_tol": 1e-8, "analytic_tol": 1e-9, "mc_sigmas": 4.0, "mc_floor": 1e-10}
+
 # numeric failures: the run exits 3 on these, after recording them in its manifest
-_NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, KrylovBreakdown, NormDefectExceeded,
-                     UnboundedSupport, NotNormalized, EmptySupport)
+_NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, KrylovBreakdown, NormDefectExceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +112,14 @@ def _data_file(block: dict, path: str, base_dir: str, what: str) -> np.ndarray:
 
 
 def _file_from(block, base_dir: str, out_dir: str):
-    """The block with its ``file`` key, if any, relative to the manifest's directory.
+    """The block with each ``file`` key relative to the manifest's directory.
 
     A config's ``file`` is relative to the config; the manifest written to
     out_dir is read back with out_dir as its base, so it names the same file
     from there.
     """
+    if isinstance(block, dict) and "distribution" in block:     # a spectral state
+        block = {**block, "distribution": _file_from(block["distribution"], base_dir, out_dir)}
     if not isinstance(block, dict) or "file" not in block:
         return block
     fpath = os.path.join(base_dir, block["file"])
@@ -190,12 +195,17 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
     if not isinstance(block, dict):
         _fail("initial", "missing initial block")
     kind = block.get("kind", "localized")
-    if kind == "localized":
+    if kind == "spectral" and spec.l != 1:
+        _fail("initial", "spectral initial states support a single disorder variable")
+    if kind in ("localized", "spectral"):
         amps = block.get("amplitudes")
         if not isinstance(amps, list) or len(amps) != spec.n:
             _fail("initial.amplitudes", f"need {spec.n} amplitudes")
         c = np.array([_as_complex(a, f"initial.amplitudes[{i}]") for i, a in enumerate(amps)])
-        return ("localized", c)
+        if kind == "localized":
+            return ("localized", c)
+        dist = _distribution(block.get("distribution"), "initial.distribution", base_dir)
+        return ("spectral", (dist, c))
     if kind == "tabulated":
         if spec.l != 1:
             _fail("initial", "tabulated initial states support a single disorder variable")
@@ -215,15 +225,6 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
             return out / np.linalg.norm(out, axis=1, keepdims=True)
 
         return ("tabulated", c_fn)
-    if kind == "spectral":
-        if spec.l != 1:
-            _fail("initial", "spectral initial states support a single disorder variable")
-        amps = block.get("amplitudes")
-        if not isinstance(amps, list) or len(amps) != spec.n:
-            _fail("initial.amplitudes", f"need {spec.n} amplitudes")
-        c = np.array([_as_complex(a, f"initial.amplitudes[{i}]") for i, a in enumerate(amps)])
-        dist = _distribution(block.get("distribution"), "initial.distribution", base_dir)
-        return ("spectral", (dist, c))
     _fail("initial.kind", f"unknown kind {kind!r}")
 
 
@@ -232,13 +233,15 @@ def _positive_int(value, path: str):
         _fail(path, f"expected a positive integer, got {value!r}")
 
 
-def _positive_number(value, path: str):
+def _positive_number(value, path: str, allow_zero: bool = False):
     try:
-        ok = not isinstance(value, bool) and float(value) > 0
+        ok = not isinstance(value, bool) and (float(value) > 0
+                                              or allow_zero and float(value) == 0)
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        _fail(path, f"expected a positive number, got {value!r}")
+        _fail(path, f"expected a {'non-negative' if allow_zero else 'positive'} number, "
+                    f"got {value!r}")
 
 
 def _positive_ints(value, path: str, n_vars: int | None):
@@ -273,6 +276,9 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
             num["depths"] = [num["depths"]] * n_vars
     _positive_ints(num["quad_order"], "numeric.quad_order", n_vars)
     _positive_int(num["samples"], "numeric.samples")
+    if isinstance(num["seed"], bool) or not isinstance(num["seed"], int) \
+            or not 0 <= num["seed"] < 2 ** 64:
+        _fail("numeric.seed", f"expected an integer in [0, 2**64), got {num['seed']!r}")
     _positive_int(num["depth_cap"], "numeric.depth_cap")
     _positive_number(num["tol"], "numeric.tol")
     _positive_number(num["leakage_threshold"], "numeric.leakage_threshold")
@@ -291,6 +297,13 @@ def _resolve_time(cfg: dict):
     return float(tb["t_max"]), n_steps
 
 
+def _resolve_method(cfg: dict) -> str:
+    meth = cfg.get("method", "chain")
+    if meth not in _METHODS:
+        _fail("method", f"unknown method {meth!r}; expected one of {_METHODS}")
+    return meth
+
+
 def _resolve_output(cfg: dict) -> str:
     out_block = dict(cfg.get("output") or {})
     if any(f != "csv" for f in out_block.get("formats", ["csv"])):
@@ -298,61 +311,145 @@ def _resolve_output(cfg: dict) -> str:
     return out_block.get("directory", "out")
 
 
+def _resolve_compare(cfg: dict) -> dict:
+    """The compare gates with their defaults, each a non-negative number."""
+    block = cfg.get("compare") or {}
+    if not isinstance(block, dict):
+        _fail("compare", "expected a mapping")
+    gates = {**_COMPARE_GATES, **block}
+    for key in _COMPARE_GATES:
+        _positive_number(gates[key], f"compare.{key}", allow_zero=True)
+    return {key: float(gates[key]) for key in _COMPARE_GATES}
+
+
+def _route_failures(route: str, spec: EnsembleSpec, kind: str, paths: list) -> list:
+    """What the ensemble, or an initial state of this kind, lacks for one route;
+    ``paths`` names each distribution's config key."""
+    if route == "analytic":
+        if kind != "localized":
+            return ["initial: the analytic route needs a localized initial state"]
+        coup, h0 = spec.couplings[0], spec.h0
+        if spec.n != 2 or spec.l != 1 or not isinstance(coup, LinearCoupling) \
+                or np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12 \
+                or np.max(np.abs(coup.matrix - np.diag([0.0, 1.0]))) > 1e-12:
+            return ["system: the analytic route needs a qubit with h0 = diag(E0, E1) "
+                    "and one linear coupling diag(0, 1)"]
+        try:
+            characteristic_function(spec.distributions[0], 0.0)
+        except UnsupportedFamily as exc:
+            return [f"{paths[0]}: {exc}"]
+        return []
+    failures = []
+    for path, dist in zip(paths, spec.distributions):
+        if route in ("chain", "quad") and not dist.moments_defined:
+            failures.append(f"{path}: moments undefined; set cutoff")
+        elif route == "chain" and kind == "tabulated" and not dist.bounded:
+            failures.append(f"{path}: unbounded support; set cutoff to expand "
+                            "a tabulated initial state over it")
+    return failures
+
+
+# a checked config: the ensemble and initial state every route sees, the
+# (t_max, n_steps) grid, the numeric block, the compare gates, the routes in order
+_Preflight = namedtuple("_Preflight", "spec initial time num method out_dir gates routes")
+
+
+def _preflight(cfg: dict, base_dir: str) -> tuple[_Preflight | None, list]:
+    """Every check a run makes before its first route: the resolved run and no
+    failures, or None and the failure of each section, in order.  Reads the
+    config only: no table, no expanded state, no oracle.  A spectral state
+    becomes the localized state on the chain of its energy measure, which
+    replaces the disorder measure for every route."""
+    failures = []
+
+    def section(resolve, *args):
+        try:
+            return resolve(*args)
+        except ConfigError as exc:
+            failures.append(str(exc))
+
+    spec = section(parse_spec, cfg, base_dir)
+    initial = section(parse_initial, cfg, spec, base_dir) if spec is not None else None
+    grid = section(_resolve_time, cfg)
+    num = section(_resolve_numeric, cfg, spec.l if spec is not None else None)
+    meth = section(_resolve_method, cfg)
+    out_dir = section(_resolve_output, cfg)
+    gates = section(_resolve_compare, cfg)
+    routes = None
+    if initial is not None:
+        kind, payload = initial
+        paths = [f"system.distributions[{i}]" for i in range(spec.l)]
+        if kind == "spectral":
+            (dist, payload), kind, paths = payload, "localized", ["initial.distribution"]
+            spec = EnsembleSpec(spec.h0, spec.couplings, (dist,))
+        initial = (kind, payload)
+        if kind == "localized" and abs(np.linalg.norm(payload) - 1.0) > 1e-10:
+            failures.append(f"initial.amplitudes: need unit norm, got "
+                            f"||c|| = {float(np.linalg.norm(payload))}")
+        if meth is not None:
+            # compare: the chain, both averages, and the closed form where one exists
+            routes = ["chain", "quad", "mc", "analytic"] if meth == "compare" else [meth]
+            if meth == "compare" and _route_failures("analytic", spec, kind, paths):
+                routes.pop()
+            missing = [f for route in routes for f in _route_failures(route, spec, kind, paths)]
+            failures += list(dict.fromkeys(missing))    # chain and quad can miss the same
+    if failures:
+        return None, failures
+    return _Preflight(spec, initial, grid, num, meth, out_dir, gates, routes), []
+
+
 # ---------------------------------------------------------------------------
 # pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _chain_trajectory(spec, initial, times, num):
-    """Lattice route: one propagation, on a lattice grown or pinned, traced as it runs."""
-    plan = PropagationPlan(times, tol=float(num["tol"]),
-                           leakage_threshold=float(num["leakage_threshold"]))
-    kind, payload = initial
-    if kind == "spectral":
-        # eigenstate ensemble: a localized state on the chain of the energy measure
-        dist, payload = payload
-        spec, kind = EnsembleSpec(spec.h0, spec.couplings, (dist,)), "localized"
+def _trajectory(route, pre: _Preflight, times):
+    """One route's trajectory, and the chain's report (None for an oracle): one
+    propagation on a lattice grown or pinned, or an oracle."""
+    spec, num, (kind, c) = pre.spec, pre.num, pre.initial
+    if route == "chain":
+        plan = PropagationPlan(times, tol=float(num["tol"]),
+                               leakage_threshold=float(num["leakage_threshold"]))
 
-    def psi0_for(basis, tables):
-        if kind == "localized":
-            return localized_initial(payload, basis)
-        return expanded_initial(payload, spec.distributions, tables, basis)
+        def psi0_for(basis, tables):
+            if kind == "localized":
+                return localized_initial(c, basis)
+            return expanded_initial(c, spec.distributions, tables, basis)
 
-    auto = num["depths"] == "auto"
-    cap = num["depth_cap"] if auto else num["depths"]
-    depths, report = auto_depth(spec, psi0_for, plan, start=16 if auto else max(cap), cap=cap)
-    traj = DensityTrajectory(times, report.rho, info={"method": "chain",
-                                                      "depths": list(depths)})
-    return traj, report, depths
-
-
-def _oracle_trajectory(method, spec, initial, times, num):
-    kind, c_fn = initial
-    if kind == "spectral":
-        _fail("initial", f"method {method!r} does not support spectral initial states")
+        auto = num["depths"] == "auto"
+        cap = num["depth_cap"] if auto else num["depths"]
+        depths, report = auto_depth(spec, psi0_for, plan, start=16 if auto else max(cap), cap=cap)
+        info = {"method": "chain", "depths": list(depths)}
+        return DensityTrajectory(times, report.rho, info=info), report
+    if route == "analytic":
+        h0 = spec.h0
+        return analytic_qubit(c[0], c[1], h0[0, 0].real, h0[1, 1].real,
+                              spec.distributions[0], times), None
     cfg = OracleConfig(samples=int(num["samples"]), seed=int(num["seed"]),
                        quad_order=num["quad_order"])
-    if method == "mc":
-        return mc_average(spec, c_fn, times, cfg)
-    return quad_average(spec, c_fn, times, cfg)
+    average = mc_average if route == "mc" else quad_average
+    return average(spec, c, times, cfg), None
 
 
-def _analytic_trajectory(spec, initial, times):
-    kind, payload = initial
-    if kind != "localized":
-        _fail("initial", "the analytic route needs a localized initial state")
-    if spec.n != 2 or spec.l != 1:
-        _fail("system", "the analytic route covers the single-variable qubit only")
-    c = payload
-    h0 = spec.h0
-    coup = spec.couplings[0]
-    if not isinstance(coup, LinearCoupling):
-        _fail("system.couplings", "the analytic route needs a linear coupling")
-    want = np.zeros((2, 2)); want[1, 1] = 1.0
-    if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12 \
-            or np.max(np.abs(coup.matrix - want)) > 1e-12:
-        _fail("system", "the analytic route needs h0 = diag(E0, E1) and coupling diag(0, 1)")
-    return analytic_qubit(c[0], c[1], h0[0, 0].real, h0[1, 1].real,
-                          spec.distributions[0], times)
+def _compare_rows(trajs: dict, gates: dict) -> list:
+    """Each oracle's trajectory against the chain's, in route order."""
+    rows = []
+    for route, traj in trajs.items():
+        dev = np.abs(trajs["chain"].rho - traj.rho)
+        if route in ("quad", "analytic"):
+            err, tol = float(np.max(dev)), gates[f"{route}_tol"]
+            rows.append({"pair": f"chain_vs_{route}", "max_abs_error": err, "tolerance": tol,
+                         "pass": err <= tol})
+        elif route == "mc":
+            sigmas, floor, sem = gates["mc_sigmas"], gates["mc_floor"], traj.errors
+            worst = float(np.max(dev - (sigmas * sem + floor)))
+            # the band is applied to every entry at every time, so a chance
+            # excursion beyond it is readable from these two numbers
+            noisy = sem > 0
+            excess = float(np.max((dev[noisy] - floor) / sem[noisy])) if noisy.any() else None
+            rows.append({"pair": f"chain_vs_mc_{sigmas:g}sem", "max_abs_error": max(worst, 0.0),
+                         "tolerance": 0.0, "pass": worst <= 0.0,
+                         "entries_tested": int(dev.size), "worst_excess_sem": excess})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +505,6 @@ def _compare_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compare_row(pair, err, tol, ok, **extra) -> dict:
-    return {"pair": pair, "max_abs_error": err, "tolerance": tol, "pass": bool(ok), **extra}
-
-
 def _propagator_record(report) -> dict:
     return {
         "spectral_centre": report.centre, "spectral_half_width": report.half_width,
@@ -442,7 +535,10 @@ def _load(config) -> tuple[dict, str]:
         base = os.getcwd()
     else:
         with open(config) as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config: not YAML: {exc}") from None
         base = os.path.dirname(os.path.abspath(config))
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
@@ -451,48 +547,48 @@ def _load(config) -> tuple[dict, str]:
     return doc, base
 
 
-def run(config, out_dir=None, method=None, seed=None) -> RunResult:
-    """Execute one configured run and write its outputs.
-
-    `config` is a YAML path or an equivalent dict (a run manifest also
-    works).  Returns a RunResult; never calls sys.exit.  A numeric failure
-    in a stage (the errors ``main`` exits 3 on) still writes the manifest,
-    with ``result.failure`` naming the stage, the error class and its
-    message, and is then raised again.
-    """
-    t_start = time.perf_counter()
-    cfg, base_dir = _load(config)
+def _override(cfg: dict, method=None, seed=None, out_dir=None) -> dict:
+    """The config with the command line's overrides applied."""
     cfg = dict(cfg)
     if method is not None:
         cfg["method"] = method
     if seed is not None:
-        cfg.setdefault("numeric", {})
-        cfg["numeric"] = dict(cfg["numeric"] or {}, seed=int(seed))
+        cfg["numeric"] = dict(cfg.get("numeric") or {}, seed=int(seed))
     if out_dir is not None:
         cfg["output"] = dict(cfg.get("output") or {}, directory=str(out_dir))
+    return cfg
 
-    spec = parse_spec(cfg, base_dir)
-    initial = parse_initial(cfg, spec, base_dir)
-    t_max, n_steps = _resolve_time(cfg)
+
+def run(config, out_dir=None, method=None, seed=None) -> RunResult:
+    """Execute one configured run and write its outputs.
+
+    `config` is a YAML path or an equivalent dict (a run manifest also
+    works).  Returns a RunResult; never calls sys.exit.  The checks of
+    :func:`validate_config` come first: the first failure is raised as a
+    ConfigError before any file is written.  A numeric failure in a route
+    (the errors ``main`` exits 3 on) still writes the manifest, with
+    ``result.failure`` naming the route, the error class and its message,
+    and is then raised again.
+    """
+    t_start = time.perf_counter()
+    cfg, base_dir = _load(config)
+    cfg = _override(cfg, method, seed, out_dir)
+    pre, failures = _preflight(cfg, base_dir)
+    if failures:
+        raise ConfigError(failures[0])
+    spec, out_dir = pre.spec, pre.out_dir
+    t_max, n_steps = pre.time
     times = np.linspace(0.0, t_max, n_steps)
-    num = _resolve_numeric(cfg, spec.l)
-    meth = cfg.get("method", "chain")
-    if meth not in _METHODS:
-        _fail("method", f"unknown method {meth!r}; expected one of {_METHODS}")
-    out_dir = _resolve_output(cfg)
 
     outputs = []
-    result_meta: dict = {"package_version": __version__, "method": meth}
+    result_meta: dict = {"package_version": __version__, "method": pre.method}
     residuals = {i: c.fit_residual for i, c in enumerate(spec.couplings)
                  if isinstance(c, TabulatedCoupling)}
     if residuals:
         result_meta["tabulated_fit_residual"] = residuals
-    compare_rows = []
-    exit_code = 0
 
     def emit(name, text):
-        path = os.path.join(out_dir, name)
-        _atomic_write(path, text)
+        _atomic_write(os.path.join(out_dir, name), text)
         outputs.append(name)
 
     # resolved config: everything needed to reproduce this run
@@ -506,9 +602,9 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
         },
         "initial": _file_from(cfg["initial"], base_dir, out_dir),
         "time": {"t_max": t_max, "n_steps": n_steps},
-        "method": meth,
+        "method": pre.method,
         # auto stays auto: a rerun grows the lattice the same way, bitwise
-        "numeric": num,
+        "numeric": pre.num,
         "output": {"directory": out_dir, "formats": ["csv"]},
     }
     if "compare" in cfg:
@@ -528,130 +624,39 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     trajs: dict[str, DensityTrajectory] = {}
     stage = None
     try:
-        if meth in ("chain", "compare"):
-            stage = "chain"
-            traj, report, depths = _chain_trajectory(spec, initial, times, num)
-            trajs["chain"] = traj
-            emit("trajectory_chain.csv", trajectory_csv(traj))
-            emit("leakage_chain.csv", _leakage_csv(report))
-            result_meta["accepted_depths"] = [int(d) for d in depths]
-            result_meta["max_leakage"] = report.max_leakage
-            result_meta["propagator"] = _propagator_record(report)
-        if meth in ("mc", "quad"):
-            stage = meth
-            traj = _oracle_trajectory(meth, spec, initial, times, num)
-            trajs[meth] = traj
-            emit(f"trajectory_{meth}.csv", trajectory_csv(traj))
-        if meth == "analytic":
-            stage = "analytic"
-            traj = _analytic_trajectory(spec, initial, times)
-            trajs["analytic"] = traj
-            emit("trajectory_analytic.csv", trajectory_csv(traj))
-
-        if meth == "compare":
-            cmp_block = dict(cfg.get("compare") or {})
-            quad_tol = float(cmp_block.get("quad_tol", 1e-8))
-            analytic_tol = float(cmp_block.get("analytic_tol", 1e-9))
-            mc_sigmas = float(cmp_block.get("mc_sigmas", 4.0))
-            # absolute floor under the MC band: zero-variance entries would
-            # otherwise flag the propagator's own float-level error
-            mc_floor = float(cmp_block.get("mc_floor", 1e-10))
-            chain = trajs["chain"]
-
-            stage = "quad"
-            qt = _oracle_trajectory("quad", spec, initial, times, num)
-            trajs["quad"] = qt
-            emit("trajectory_quad.csv", trajectory_csv(qt))
-            err = float(np.max(np.abs(chain.rho - qt.rho)))
-            compare_rows.append(_compare_row("chain_vs_quad", err, quad_tol, err <= quad_tol))
-
-            stage = "mc"
-            mt = _oracle_trajectory("mc", spec, initial, times, num)
-            trajs["mc"] = mt
-            emit("trajectory_mc.csv", trajectory_csv(mt))
-            dev = np.abs(chain.rho - mt.rho)
-            worst = float(np.max(dev - (mc_sigmas * mt.errors + mc_floor)))
-            # the band is applied to every entry at every time, so a chance
-            # excursion beyond it is readable from these two numbers
-            noisy = mt.errors > 0
-            excess = (float(np.max((dev[noisy] - mc_floor) / mt.errors[noisy]))
-                      if noisy.any() else None)
-            compare_rows.append(_compare_row(
-                f"chain_vs_mc_{mc_sigmas:g}sem", max(worst, 0.0), 0.0, worst <= 0.0,
-                entries_tested=int(dev.size), worst_excess_sem=excess))
-
-            stage = "analytic"
-            try:
-                at = _analytic_trajectory(spec, initial, times)
-            except (ConfigError, UnsupportedFamily):
-                at = None      # no closed form for this setup: skip that pair
-            if at is not None:
-                trajs["analytic"] = at
-                emit("trajectory_analytic.csv", trajectory_csv(at))
-                err = float(np.max(np.abs(chain.rho - at.rho)))
-                compare_rows.append(
-                    _compare_row("chain_vs_analytic", err, analytic_tol, err <= analytic_tol))
-
+        for stage in pre.routes:
+            trajs[stage], report = _trajectory(stage, pre, times)
+            emit(f"trajectory_{stage}.csv", trajectory_csv(trajs[stage]))
+            if report is not None:
+                emit("leakage_chain.csv", _leakage_csv(report))
+                result_meta["accepted_depths"] = [int(d) for d in report.growth[-1]]
+                result_meta["max_leakage"] = report.max_leakage
+                result_meta["propagator"] = _propagator_record(report)
+        if pre.method == "compare":
+            compare_rows = _compare_rows(trajs, pre.gates)
             emit("compare_errors.csv", _compare_csv(compare_rows))
             result_meta["compare"] = compare_rows
-            if not all(r["pass"] for r in compare_rows):
-                exit_code = 4
     except _NUMERIC_FAILURES as exc:
-        # a failed run still leaves a record of the stage that failed and why
+        # a failed run still leaves a record of the route that failed and why
         result_meta["failure"] = {"stage": stage, "error": type(exc).__name__,
                                   "message": str(exc)}
         if isinstance(exc, LeakageExceeded) and exc.report is not None:
             result_meta["propagator"] = _propagator_record(exc.report)
         write_manifest()
         raise
+    exit_code = 0 if all(r["pass"] for r in result_meta.get("compare", [])) else 4
     return RunResult(exit_code, outputs, write_manifest())
 
 
 def validate_config(config, method=None) -> list:
-    """Dry-run schema and physics checks, with ``method`` overriding the
-    configured one as in :func:`run`; returns a list of failure strings."""
-    failures = []
+    """The checks :func:`run` makes before its first route, with ``method``
+    overriding the configured one as in :func:`run`; returns every failure,
+    one string per failed section, empty exactly when the run would start."""
     try:
         cfg, base_dir = _load(config)
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError) as exc:
         return [str(exc)]
-    spec = None
-    try:
-        spec = parse_spec(cfg, base_dir)
-    except ConfigError as exc:
-        failures.append(str(exc))
-    if spec is not None:
-        try:
-            parse_initial(cfg, spec, base_dir)
-        except ConfigError as exc:
-            failures.append(str(exc))
-    for check in (lambda: _resolve_time(cfg),
-                  lambda: _resolve_numeric(cfg, spec.l if spec is not None else None),
-                  lambda: _resolve_output(cfg)):
-        try:
-            check()
-        except ConfigError as exc:
-            failures.append(str(exc))
-    meth = method or cfg.get("method", "chain")
-    if meth not in _METHODS:
-        failures.append(f"method: unknown method {meth!r}")
-    if spec is not None and meth in ("chain", "quad", "compare"):
-        for i, d in enumerate(spec.distributions):
-            if not d.moments_defined:
-                failures.append(
-                    f"system.distributions[{i}]: moments undefined; set cutoff")
-            elif not d.bounded and d.family == "cauchy":
-                failures.append(
-                    f"system.distributions[{i}]: unbounded support; set cutoff")
-    if spec is not None and meth == "analytic":
-        try:
-            _analytic_trajectory(spec, parse_initial(cfg, spec, base_dir),
-                                 np.array([0.0, 1.0]))
-        except ConfigError as exc:
-            failures.append(str(exc))
-        except EnslatError as exc:
-            failures.append(f"system: {exc}")
-    return failures
+    return _preflight(_override(cfg, method), base_dir)[1]
 
 
 def main(argv=None) -> int:
@@ -662,7 +667,7 @@ def main(argv=None) -> int:
                "(leakage/convergence); 4 comparison tolerance exceeded.")
     parser.add_argument("--config", required=True, help="YAML run configuration (or a manifest)")
     parser.add_argument("--validate", action="store_true",
-                        help="check the config and report problems without running")
+                        help="make the checks a run makes before its first route, and stop")
     parser.add_argument("--method", choices=_METHODS, help="override the configured method")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--seed", type=int, help="override the random seed")
@@ -670,22 +675,15 @@ def main(argv=None) -> int:
 
     if args.validate:
         failures = validate_config(args.config, method=args.method)
-        if failures:
-            for f in failures:
-                print(f"FAIL {f}")
-            return 2
-        print("OK")
-        return 0
+        print("\n".join(f"FAIL {f}" for f in failures) or "OK")
+        return 2 if failures else 0
 
     try:
         result = run(args.config, out_dir=args.out, method=args.method, seed=args.seed)
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, EnslatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EnslatError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for name in result.outputs:

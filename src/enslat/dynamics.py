@@ -39,15 +39,15 @@ the wavefront needs it; a pinned depth is a lattice that starts at its cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.blas import zaxpy
-from scipy.special import jv
 
-from .errors import KrylovBreakdown, LeakageExceeded
+from .errors import KrylovBreakdown, LeakageExceeded, NormDefectExceeded
 from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, table_orders
 # same function as build_general, unused here: perfbench/tracing.py rebinds it in this module
 from .lattice import build_linear  # noqa: F401
@@ -172,6 +172,25 @@ def _spectral_bounds(h) -> tuple[float, float]:
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
+def _bessel(n: int, x: float) -> np.ndarray:
+    """J_k(x) for k < n by Miller's recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, run
+    down from past n and |x| and normalized by J_0 + 2 sum_k J_2k = 1.  Up to
+    |x| = 100 each is within a few units of rounding of max |J|; scipy's ``jv``
+    is off by 17 at x = 30, an error that every window of the same step repeats."""
+    if abs(x) < 1e-100:                 # J_1 = x/2 is below any rounding of J_0 = 1
+        return np.eye(1, n).ravel()
+    top = n + 32 + int(abs(x)) // 4
+    vals = [0.0] * top
+    nxt, cur = 0.0, 1.0
+    for k in range(top, 0, -1):
+        nxt, cur = cur, 2.0 * k / x * cur - nxt
+        if abs(cur) > 1e150:            # rescale; what it shrinks to nothing is negligible
+            vals[k:] = [v * 1e-150 for v in vals[k:]]
+            nxt, cur = nxt * 1e-150, cur * 1e-150
+        vals[k - 1] = cur
+    return np.array(vals[:n]) / (2.0 * math.fsum(vals[::2]) - vals[0])
+
+
 def _coefficients(tau: float, centre: float, half: float, budget: float) -> np.ndarray:
     """e^{-i c tau} (2 - delta_k0) (-1)^k J_k(a tau) for k < K.
 
@@ -182,7 +201,7 @@ def _coefficients(tau: float, centre: float, half: float, budget: float) -> np.n
     x = half * tau
     n = int(abs(x)) + 32
     while True:
-        bessel = jv(np.arange(n), x)
+        bessel = _bessel(n, x)
         if abs(bessel[-1]) <= 1e-3 * budget:   # past k = |x| the terms fall off monotonically
             break
         n *= 2
@@ -488,7 +507,8 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
     lattice's layout starts with the last one's.  D starts at ``start``,
     doubled while the state ``psi0_builder(basis, tables)`` puts more than a
     box's floor on the ``boundary_shell`` as wide as the largest coupling
-    degree; the operator is assembled only for the accepted start.  D is
+    degree, or raises :class:`NormDefectExceeded` below ``cap`` (at ``cap``
+    it propagates); the operator is assembled only for the accepted start.  D is
     then doubled whenever a window's box needs shells the lattice lacks, up
     to ``cap``, where :class:`LeakageExceeded` may be raised.  Every lattice,
     the start and each grown one, is the one :func:`lattice_at` sets up at
@@ -501,7 +521,13 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
     while True:
         depths = tuple(min(c, depth) for c in caps)
         tables = _tables(spec, depths)
-        psi0 = psi0_builder(LatticeBasis(spec.n, depths), tables)
+        try:
+            psi0 = psi0_builder(LatticeBasis(spec.n, depths), tables)
+        except NormDefectExceeded:
+            if depths == caps:
+                raise
+            depth *= 2          # the expansion lost norm: rejected, as a populated shell is
+            continue
         if depths == caps:
             break
         edge = psi0.amplitudes[boundary_shell(psi0.basis, min(band, *depths))]

@@ -20,19 +20,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormDefectExceeded, NotNormalized
 from .lattice import LatticeBasis
-from .measures import (
-    DisorderDistribution,
-    RecurrenceTable,
-    discretize,
-    orthonormal_values,
-    recurrence_table,
-)
+from .measures import discretize, orthonormal_values
 
 __all__ = [
     "LatticeState",
     "localized_initial",
     "expanded_initial",
-    "spectral_disorder_initial",
 ]
 
 
@@ -78,7 +71,7 @@ def localized_initial(c, basis: LatticeBasis) -> LatticeState:
     if c.shape != (basis.n_system,):
         raise DimensionMismatch(f"c has shape {c.shape}, expected ({basis.n_system},)")
     if abs(np.linalg.norm(c) - 1.0) > 1e-10:
-        raise NotNormalized(f"||c|| = {np.linalg.norm(c)!r}, expected 1 within 1e-10")
+        raise NotNormalized(f"||c|| = {float(np.linalg.norm(c))}, expected 1 within 1e-10")
     amps = np.zeros(basis.size, dtype=complex)
     amps[: basis.n_system] = c      # node 0 is K = 0
     return LatticeState(basis, amps)
@@ -172,24 +165,3 @@ def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"initial-state callable returned shape {out.shape}, expected {(m, n)}")
     return out
-
-
-def spectral_disorder_initial(energy_dist: DisorderDistribution, basis: LatticeBasis,
-                              c) -> tuple[LatticeState, RecurrenceTable]:
-    """Initial state and chain table for an ensemble of stationary states.
-
-    When every realization sits in an eigenstate, only the eigenenergy
-    distribution matters: the caller supplies the induced energy measure
-    (tabulated is typical) and the chain is built from *its* recurrence
-    coefficients, with the K = 0-localized state carrying the amplitudes
-    ``c``.  Dynamics then reproduce eigenstate-ensemble dephasing with the
-    same machinery as any other diagonal-disorder model.
-
-    Returns the localized state together with the energy-measure table of
-    order depth + 1, as a linear coupling needs.  Raises as
-    :func:`measures.recurrence_stieltjes` for measures needing a cutoff.
-    """
-    if basis.l != 1:
-        raise DimensionMismatch("spectral disorder uses a single energy variable (l = 1)")
-    table = recurrence_table(energy_dist, basis.depths[0] + 1)
-    return localized_initial(c, basis), table

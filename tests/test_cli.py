@@ -26,6 +26,8 @@ from enslat.cli import main, run, trajectory_csv, validate_config
 from conftest import qubit_spec
 
 INV = 0.70710678118654746
+SPECTRAL = {"kind": "spectral", "amplitudes": [[INV, 0], [INV, 0]],
+            "distribution": {"family": "gaussian", "width": 0.5}}
 
 
 def qubit_config(tmp_path, method="chain", dist=None, depths=64, samples=4000,
@@ -172,7 +174,7 @@ def test_exit_code_2_on_bad_config(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("depths", "sixteen"), ("depths", -3), ("depths", 0), ("depths", 2.5), ("depths", True),
     ("depths", [16, 16]), ("depths", [0]), ("depth_cap", 0), ("depth_cap", "many"),
-    ("tol", 0.0), ("tol", "small"), ("leakage_threshold", -1e-8),
+    ("tol", 0.0), ("tol", "small"), ("leakage_threshold", -1e-8), ("seed", -1), ("seed", "one"),
 ])
 def test_bad_numeric_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     path = qubit_config(tmp_path, n_steps=5)
@@ -318,6 +320,20 @@ def test_manifest_with_data_file_reruns_from_its_directory(tmp_path):
     assert {name: (out / name).read_bytes() for name in csvs} == csvs
 
 
+def test_spectral_manifest_reruns_from_its_directory(tmp_path):
+    # a spectral state's tabulated energy measure is a data file too
+    (tmp_path / "tables").mkdir()
+    e = np.linspace(-2.0, 2.0, 201)
+    np.savetxt(tmp_path / "tables" / "energy.txt", np.column_stack([e, np.exp(-2 * e ** 2)]))
+    path = qubit_config(tmp_path, method="quad", n_steps=6, extra={"initial": {
+        **SPECTRAL, "distribution": {"family": "tabulated", "file": "tables/energy.txt"}}})
+    out = tmp_path / "out"
+    assert run(str(path)).exit_code == 0
+    first = (out / "trajectory_quad.csv").read_bytes()
+    assert run(str(out / "manifest.yaml")).exit_code == 0
+    assert (out / "trajectory_quad.csv").read_bytes() == first
+
+
 def test_trajectory_csv_precision():
     from enslat import DensityTrajectory
     rho = np.array([[[1 / 3, 1j / 7], [-1j / 7, 2 / 3]]])
@@ -363,6 +379,84 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
     assert validate_config(str(path)) == [
         "initial: spectral initial states support a single disorder variable"]
     assert main(["--config", str(path), "--validate"]) == 2
+
+
+@pytest.mark.parametrize("method, dist, changes, failure", [
+    ("mc", None, {"initial": SPECTRAL}, None),
+    ("compare", None, {"initial": SPECTRAL}, None),
+    ("chain", None, {"initial": {**SPECTRAL, "distribution": {"family": "cauchy", "width": 0.5}}},
+     "initial.distribution: moments undefined; set cutoff"),
+    ("chain", None, {"initial": {"kind": "tabulated", "file": "c.txt"}},
+     "system.distributions[0]: unbounded support; set cutoff"),
+    ("chain", None, {"initial": {"kind": "localized", "amplitudes": [1, 1]}},
+     "initial.amplitudes: need unit norm, got ||c|| = 1.4142135623730951"),
+    ("compare", None, {"compare": {"quad_tol": "tight"}}, "compare.quad_tol: expected"),
+    ("chain", {"family": "cauchy", "width": 1.0}, {},
+     "system.distributions[0]: moments undefined; set cutoff"),
+], ids=["spectral-mc", "spectral-compare", "spectral-uncut-cauchy", "tabulated-uncut-gaussian",
+        "unnormalized", "unreadable-gate", "uncut-cauchy"])
+def test_validate_passes_exactly_what_run_starts(tmp_path, capsys, method, dist, changes,
+                                                 failure):
+    # --validate makes the checks a run makes before its first route; a run
+    # they refuse exits 2 naming the key and writes no file
+    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n5 0.6 0 0.8 0\n")
+    path = qubit_config(tmp_path, method=method, dist=dist, depths="auto", samples=500,
+                        n_steps=12)
+    cfg = yaml.safe_load(path.read_text())
+    cfg.update(changes)
+    path.write_text(yaml.safe_dump(cfg))
+    failures = validate_config(str(path))
+    rc = main(["--config", str(path)])
+    err = capsys.readouterr().err
+    if failure is None:
+        assert failures == [] and rc == 0
+        return
+    assert len(failures) == 1 and failures[0].startswith(failure)
+    assert rc == 2 and err == f"config error: {failures[0]}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectral_state_runs_under_every_route(tmp_path):
+    # the eigenstate ensemble is the localized state on the energy measure's
+    # chain, for the oracles as for the lattice: compare covers it, closed form included
+    path = qubit_config(tmp_path, method="compare", samples=500, n_steps=12, depths="auto",
+                        extra={"initial": SPECTRAL})
+    result = run(str(path))
+    assert result.exit_code == 0
+    rows = {r["pair"]: r for r in result.manifest["result"]["compare"]}
+    assert set(rows) == {"chain_vs_quad", "chain_vs_mc_4sem", "chain_vs_analytic"}
+    assert rows["chain_vs_quad"]["max_abs_error"] <= 1e-13
+    assert rows["chain_vs_analytic"]["max_abs_error"] <= 1e-13
+
+
+def test_validate_builds_no_table_and_calls_no_route(tmp_path, monkeypatch):
+    # the pre-flight reads the config only: every layer the run calls through
+    # the cli module is out of its reach
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pre-flight called a pipeline layer")
+
+    for mod, name, *_ in _load_tracing()._SPANS:
+        if mod == "cli" and name != "run":
+            monkeypatch.setattr(enslat.cli, name, forbidden)
+    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n5 0.6 0 0.8 0\n")
+    path = qubit_config(tmp_path, method="compare",
+                        dist={"family": "gaussian", "width": 1.0, "cutoff": [-5.0, 5.0]},
+                        extra={"initial": {"kind": "tabulated", "file": "c.txt"}})
+    assert validate_config(str(path)) == []
+    for initial in (SPECTRAL, {"kind": "localized", "amplitudes": [[INV, 0], [INV, 0]]}):
+        cfg = yaml.safe_load(path.read_text())
+        cfg["initial"] = initial
+        path.write_text(yaml.safe_dump(cfg))
+        assert validate_config(str(path)) == []
+
+
+def test_unreadable_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("system: [unclosed\n")
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert capsys.readouterr().out.startswith("FAIL config: not YAML")
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config: not YAML")
 
 
 def test_auto_depth_run_builds_each_lattice_once(tmp_path, monkeypatch):
@@ -560,6 +654,26 @@ def test_traced_names_resolve():
                if not hasattr(modules[mod], name)]
     assert missing == []
     assert hasattr(enslat.oracle, "_evolve_batch")
+
+
+def test_traced_spans_fire(tmp_path, monkeypatch):
+    # perfbench/tracing.py opens a span only while the pipeline calls a layer
+    # through the module global it rebinds: a route table that held the
+    # functions themselves would stop the spans with no name missing
+    tracing = _load_tracing()
+    modules = {"cli": enslat.cli, "dynamics": enslat.dynamics, "oracle": enslat.oracle}
+    for mod, name, *_ in tracing._SPANS:
+        # rebinding a name to itself records it, so the tracer is undone after the test
+        monkeypatch.setattr(modules[mod], name, getattr(modules[mod], name))
+    monkeypatch.setattr(enslat.oracle, "_evolve_batch", enslat.oracle._evolve_batch)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    path = qubit_config(tmp_path, method="compare", depths="auto", samples=300, n_steps=8)
+    assert enslat.cli.run(str(path)).exit_code == 0
+    spans = {span[0] for span in tracer.spans}
+    assert {"cli.run", "dynamics.auto_depth", "oracle.quad", "oracle.mc", "oracle.analytic",
+            "cli.output"} <= spans
+    assert tracer.counts["dynamics.matvecs"] > 0
 
 
 def test_no_unused_imports():

@@ -14,6 +14,7 @@ from enslat import (
     LatticeBasis,
     LatticeOperator,
     LeakageExceeded,
+    NormDefectExceeded,
     PropagationPlan,
     auto_depth,
     boundary_shell,
@@ -380,6 +381,21 @@ def test_start_search_builds_no_operator_for_a_rejected_depth(monkeypatch):
     _, report = auto_depth(spec, builder, PropagationPlan.linspace(6.0, 41))
     assert report.growth[0] > (16,)        # the start search rejected depth 16
     assert [d for d, _ in built] == list(report.growth)
+
+
+def test_start_search_doubles_past_a_lossy_expansion():
+    # c = (cos 3 lam, sin 3 lam) loses 3.4e-4 of its norm expanded at depth 16:
+    # that start is rejected like one with a populated boundary shell, and the
+    # same loss at the cap is raised
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)))
+    c_fn = lambda lam: np.stack([np.cos(3 * lam[:, 0]), np.sin(3 * lam[:, 0])], axis=1)
+    builder = lambda basis, tables: expanded_initial(c_fn, spec.distributions, tables, basis)
+    with pytest.raises(NormDefectExceeded, match="norm defect 3.380e-04"):
+        lattice_at(spec, builder, (16,))
+    depths, report = auto_depth(spec, builder, PropagationPlan.linspace(2.0, 11))
+    assert report.growth[0] > (16,) and depths[0] > 16
+    with pytest.raises(NormDefectExceeded):
+        auto_depth(spec, builder, PropagationPlan.linspace(2.0, 11), cap=16)
 
 
 # ---------------------------------------------------------------------------

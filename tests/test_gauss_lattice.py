@@ -89,6 +89,28 @@ def test_lattice_equals_gauss_quadrature_of_its_depth(case):
     assert err <= IDENTITY_TOL
 
 
+@pytest.mark.parametrize("seed", [1, 108])
+def test_lattice_equals_gauss_quadrature_over_many_windows(seed):
+    # 67 and 200 windows of equal steps: an error in the Bessel coefficients
+    # repeats in every window and adds up (with scipy's jv these two read
+    # 2.6e-13 and 6.7e-13)
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return 0.5 * (a + a.conj().T)
+
+    dists = (_FAMILIES["cut-cauchy"](1.0), _FAMILIES["gaussian"](1.0))
+    c = rng.normal(size=2) + 1j * rng.normal(size=2)
+    h0, v1, v2 = hermitian(), hermitian(), hermitian()
+    spec = EnsembleSpec(h0, (LinearCoupling(v1), LinearCoupling(v2)), dists)
+    times = np.linspace(0.0, 200.0, 201)
+    report, err = _chain_and_gauss(spec, c / np.linalg.norm(c), (2, 4), times,
+                                   leakage_threshold=np.inf)
+    assert report.windows >= 67
+    assert err <= IDENTITY_TOL
+
+
 def test_square_lattice_equals_gauss_quadrature():
     # a lattice large enough that the boxes stay well inside it for most of
     # the run: a node layout whose leading block is not a box breaks this

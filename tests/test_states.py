@@ -6,13 +6,18 @@ import pytest
 from enslat import (
     DimensionMismatch,
     DisorderDistribution,
+    EnsembleSpec,
     LatticeBasis,
+    LinearCoupling,
     NormDefectExceeded,
     NotNormalized,
+    PropagationPlan,
     expanded_initial,
+    lattice_at,
     localized_initial,
+    propagate,
     recurrence_analytic,
-    spectral_disorder_initial,
+    trajectory_from_states,
 )
 
 
@@ -51,7 +56,7 @@ def test_localized_dimer_site1():
 
 def test_localized_rejects_unnormalized():
     basis = LatticeBasis(2, (2,))
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized, match=r"^\|\|c\|\| = 1.4142135623730951, expected 1"):
         localized_initial(np.array([1.0, 1.0]), basis)
     with pytest.raises(DimensionMismatch):
         localized_initial(np.array([1.0, 0.0, 0.0]), basis)
@@ -209,29 +214,33 @@ def test_expanded_callable_errors_propagate():
                          quad_points=50)
 
 
+def eigenstate_lattice(energy, c, depth):
+    """An ensemble of eigenstates, set up by hand: the dephasing qubit whose
+    disorder measure is the energy measure, with c on its lattice's origin.
+    Returns the operator, the state and the energy measure's table."""
+    spec = EnsembleSpec(np.diag([0.0, 1.0]), (LinearCoupling(np.diag([0.0, 1.0])),), (energy,))
+    tables = []
+    op, psi = lattice_at(spec, lambda basis, t: tables.extend(t) or localized_initial(c, basis),
+                         (depth,))
+    return op, psi, tables[0]
+
+
 def test_spectral_disorder_gaussian_reduces_to_qubit_machinery():
     energy = DisorderDistribution.gaussian(0.5)
-    basis = LatticeBasis(2, (8,))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    psi, table = spectral_disorder_initial(energy, basis, c)
+    _, psi, table = eigenstate_lattice(energy, c, 8)
     ref = recurrence_analytic(energy, 9)
     assert np.allclose(table.beta, ref.beta)
+    basis = LatticeBasis(2, (8,))
     assert np.abs(psi.amplitudes - localized_initial(c, basis).amplitudes).max() == 0.0
 
 
 def test_spectral_disorder_narrow_energy_distribution_slows_dephasing():
     # coherence decay timescale scales like 1/sigma of the energy measure
-    from enslat import (LinearCoupling, EnsembleSpec, PropagationPlan,
-                        build_linear, propagate, trajectory_from_states)
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     cohs = {}
     for sigma in (0.5, 0.05):
-        energy = DisorderDistribution.gaussian(sigma)
-        basis = LatticeBasis(2, (48,))
-        psi, table = spectral_disorder_initial(energy, basis, c)
-        spec = EnsembleSpec(np.diag([0.0, 1.0]),
-                            (LinearCoupling(np.diag([0.0, 1.0])),), (energy,))
-        op = build_linear(spec, [table], basis.depths)
+        op, psi, _ = eigenstate_lattice(DisorderDistribution.gaussian(sigma), c, 48)
         times = np.array([0.0, 2.0])
         states, _ = propagate(op, psi, PropagationPlan(times), keep_states=True)
         cohs[sigma] = abs(trajectory_from_states(times, states).entry(0, 1)[-1])
@@ -244,8 +253,6 @@ def test_spectral_disorder_tabulated_scan():
     # a tabulated energy distribution from a precomputed scan yields a valid table
     e = np.linspace(-1.0, 1.0, 401)
     energy = DisorderDistribution.tabulated(e, np.exp(-4 * e ** 2) * (1.1 + e))
-    basis = LatticeBasis(2, (10,))
-    c = np.array([1.0, 0.0])
-    psi, table = spectral_disorder_initial(energy, basis, c)
+    _, _, table = eigenstate_lattice(energy, np.array([1.0, 0.0]), 10)
     assert np.all(table.beta > 0)
     assert table.order == 11
