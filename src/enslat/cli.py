@@ -27,7 +27,6 @@ import yaml
 from . import __version__
 from .errors import (
     ConfigError,
-    EmptySupport,
     EnslatError,
     KrylovBreakdown,
     LeakageExceeded,
@@ -51,7 +50,7 @@ from .measures import (
     characteristic_function,
     recurrence_table,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 )
-from .oracle import OracleConfig, analytic_qubit, mc_average, quad_average
+from .oracle import MAX_DENSE_N, OracleConfig, analytic_qubit, mc_average, quad_average
 from .reduction import (
     DensityTrajectory,
     trajectory_from_states,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
@@ -129,20 +128,19 @@ def _file_from(block, base_dir: str, out_dir: str):
 def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
     if not isinstance(block, dict) or "family" not in block:
         _fail(path, "expected a mapping with a 'family' key")
-    family = block["family"]
-    cutoff = block.get("cutoff")
-    if cutoff is not None:
-        if not (isinstance(cutoff, (list, tuple)) and len(cutoff) == 2):
-            _fail(f"{path}.cutoff", "expected [lo, hi]")
-        cutoff = (float(cutoff[0]), float(cutoff[1]))
-    try:
-        if family == "tabulated":
-            data = _data_file(block, path, base_dir, "tabulated distribution")
-            return DisorderDistribution.tabulated(data[:, 0], data[:, 1], cutoff=cutoff)
-        if "width" not in block:
-            _fail(f"{path}.width", f"{family} distribution needs a width")
-        return DisorderDistribution(family, width=float(block["width"]), cutoff=cutoff)
-    except (ValueError, EmptySupport) as exc:
+    family, width, cutoff = block["family"], block.get("width"), block.get("cutoff")
+    if cutoff is not None and not (isinstance(cutoff, (list, tuple)) and len(cutoff) == 2):
+        _fail(f"{path}.cutoff", "expected [lo, hi]")
+    grid = None
+    if family == "tabulated":
+        data = _data_file(block, path, base_dir, "tabulated distribution")
+        grid = (data[:, 0], data[:, 1])
+    elif width is None:
+        _fail(f"{path}.width", f"{family} distribution needs a width")
+    try:        # the constructor applies the cutoff, and refuses an empty window
+        return DisorderDistribution(family, width=None if grid else float(width), grid=grid,
+                                    cutoff=cutoff)
+    except (ValueError, TypeError) as exc:
         _fail(path, str(exc))
 
 
@@ -168,10 +166,18 @@ def _coupling(block, path: str, base_dir: str):
     _fail(f"{path}.type", f"unknown coupling type {kind!r}")
 
 
+def _block(cfg: dict, key: str, required: bool = False) -> dict:
+    """The config's ``key`` section, a mapping; an optional one that is absent is empty."""
+    block = cfg.get(key)
+    if block is None and not required:
+        return {}
+    if not isinstance(block, dict):
+        _fail(key, f"expected a mapping, got {block!r}")
+    return block
+
+
 def parse_spec(cfg: dict, base_dir: str) -> EnsembleSpec:
-    sysblock = cfg.get("system")
-    if not isinstance(sysblock, dict):
-        _fail("system", "missing system block")
+    sysblock = _block(cfg, "system", required=True)
     h0 = _matrix(sysblock.get("h0"), "system.h0")
     couplings = sysblock.get("couplings")
     dists = sysblock.get("distributions")
@@ -191,9 +197,7 @@ def parse_spec(cfg: dict, base_dir: str) -> EnsembleSpec:
 
 
 def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
-    block = cfg.get("initial")
-    if not isinstance(block, dict):
-        _fail("initial", "missing initial block")
+    block = _block(cfg, "initial", required=True)
     kind = block.get("kind", "localized")
     if kind == "spectral" and spec.l != 1:
         _fail("initial", "spectral initial states support a single disorder variable")
@@ -259,7 +263,7 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
     """The numeric block with its defaults, checked; ``n_vars`` disorder
     variables, when known, fix the length of a list of depths or
     quadrature orders."""
-    num = dict(cfg.get("numeric") or {})
+    num = dict(_block(cfg, "numeric"))
     # retired knobs (Lanczos dimension, assembly quadrature order): old manifests still run
     num.pop("max_krylov_dim", None)
     num.pop("quad_points", None)
@@ -286,11 +290,9 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
 
 
 def _resolve_time(cfg: dict):
-    tb = cfg.get("time")
-    if not isinstance(tb, dict) or "t_max" not in tb:
-        _fail("time", "missing time block with t_max")
+    tb = _block(cfg, "time", required=True)
     n_steps = tb.get("n_steps", 200)
-    _positive_number(tb["t_max"], "time.t_max")
+    _positive_number(tb.get("t_max"), "time.t_max")
     _positive_int(n_steps, "time.n_steps")
     if n_steps < 2:
         _fail("time.n_steps", "need n_steps >= 2")
@@ -305,7 +307,7 @@ def _resolve_method(cfg: dict) -> str:
 
 
 def _resolve_output(cfg: dict) -> str:
-    out_block = dict(cfg.get("output") or {})
+    out_block = _block(cfg, "output")
     if any(f != "csv" for f in out_block.get("formats", ["csv"])):
         _fail("output.formats", "only 'csv' is supported")
     return out_block.get("directory", "out")
@@ -313,10 +315,7 @@ def _resolve_output(cfg: dict) -> str:
 
 def _resolve_compare(cfg: dict) -> dict:
     """The compare gates with their defaults, each a non-negative number."""
-    block = cfg.get("compare") or {}
-    if not isinstance(block, dict):
-        _fail("compare", "expected a mapping")
-    gates = {**_COMPARE_GATES, **block}
+    gates = {**_COMPARE_GATES, **_block(cfg, "compare")}
     for key in _COMPARE_GATES:
         _positive_number(gates[key], f"compare.{key}", allow_zero=True)
     return {key: float(gates[key]) for key in _COMPARE_GATES}
@@ -340,6 +339,9 @@ def _route_failures(route: str, spec: EnsembleSpec, kind: str, paths: list) -> l
             return [f"{paths[0]}: {exc}"]
         return []
     failures = []
+    if route in ("mc", "quad") and spec.n > MAX_DENSE_N:
+        failures.append(f"system.h0: the dense oracles (mc, quad) need N <= {MAX_DENSE_N} "
+                        f"levels, got N = {spec.n}")
     for path, dist in zip(paths, spec.distributions):
         if route in ("chain", "quad") and not dist.moments_defined:
             failures.append(f"{path}: moments undefined; set cutoff")
@@ -549,13 +551,16 @@ def _load(config) -> tuple[dict, str]:
 
 def _override(cfg: dict, method=None, seed=None, out_dir=None) -> dict:
     """The config with the command line's overrides applied."""
+    def merged(block, **items):     # a block that is not a mapping is left for the pre-flight
+        return items if block is None else {**block, **items} if isinstance(block, dict) else block
+
     cfg = dict(cfg)
     if method is not None:
         cfg["method"] = method
     if seed is not None:
-        cfg["numeric"] = dict(cfg.get("numeric") or {}, seed=int(seed))
+        cfg["numeric"] = merged(cfg.get("numeric"), seed=int(seed))
     if out_dir is not None:
-        cfg["output"] = dict(cfg.get("output") or {}, directory=str(out_dir))
+        cfg["output"] = merged(cfg.get("output"), directory=str(out_dir))
     return cfg
 
 

@@ -23,8 +23,8 @@ class NumericalBreakdown(EnslatError):
     """A computed recurrence norm became non-positive (order too large for the grid)."""
 
 
-class EmptySupport(EnslatError):
-    """Requested cutoff window carries no probability mass."""
+class EmptySupport(EnslatError, ValueError):
+    """Requested cutoff window is empty on the support, or carries no probability mass."""
 
 
 # --- lattice ---

@@ -45,6 +45,7 @@ __all__ = [
     "recurrence_analytic",
     "recurrence_stieltjes",
     "recurrence_table",
+    "grid_size",
     "apply_cutoff",
     "characteristic_function",
     "quantile",
@@ -74,6 +75,10 @@ class DisorderDistribution:
         (renormalized) density values, interpolated linearly in between.
     cutoff : tuple(float, float) or None
         Hard support window; the density is renormalized to unit mass on it.
+        The constructor intersects it with the native support and raises
+        :class:`EmptySupport` when the result is empty or carries no mass.  A
+        tabulated density is re-tabulated on the window instead, so its
+        cutoff reads None and its grid spans the window.
     """
 
     family: str
@@ -85,24 +90,35 @@ class DisorderDistribution:
         if self.family not in _NAMED_FAMILIES + ("tabulated",):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "tabulated":
-            lam, dens = self.grid
-            lam = np.asarray(lam, dtype=float)
-            dens = np.asarray(dens, dtype=float)
+            lam, dens = (np.asarray(a, dtype=float) for a in self.grid)
             if lam.size < 2 or np.any(np.diff(lam) <= 0):
                 raise ValueError("tabulated grid must be strictly increasing with >= 2 points")
             if np.any(dens < 0):
                 raise ValueError("tabulated density must be nonnegative")
+            if self.cutoff is not None:     # re-tabulated on the window, which its grid spans
+                lo, hi = self._window(lam[0], lam[-1])
+                cut = np.concatenate(([lo], lam[(lam > lo) & (lam < hi)], [hi]))
+                lam, dens = cut, np.interp(cut, lam, dens)
             mass = _trapz(dens, lam)
             if mass <= 0:
-                raise EmptySupport("tabulated density has zero mass")
+                raise EmptySupport("tabulated density has zero mass on its window")
             object.__setattr__(self, "grid", (lam, dens / mass))
-        else:
-            if self.width is None or not self.width > 0:
-                raise ValueError(f"{self.family} width must be positive")
-        if self.cutoff is not None:
-            lo, hi = self.cutoff
-            if not lo < hi:
-                raise ValueError("cutoff must satisfy lo < hi")
+            object.__setattr__(self, "cutoff", None)
+        elif self.width is None or not self.width > 0:
+            raise ValueError(f"{self.family} width must be positive")
+        elif self.cutoff is not None:
+            object.__setattr__(self, "cutoff", self._window(*self.native_support()))
+            if self.window_mass() <= 0:
+                raise EmptySupport(f"cutoff window {self.cutoff} carries zero mass")
+
+    def _window(self, nlo: float, nhi: float) -> tuple[float, float]:
+        """The cutoff intersected with the native support [nlo, nhi]: the one
+        place a window is applied.  Raises EmptySupport if it is empty."""
+        lo, hi = max(nlo, float(self.cutoff[0])), min(nhi, float(self.cutoff[1]))
+        if not lo < hi:
+            raise EmptySupport(
+                f"cutoff window {tuple(self.cutoff)} is empty on the support ({nlo}, {nhi})")
+        return lo, hi
 
     # -- constructors ------------------------------------------------------
 
@@ -129,11 +145,9 @@ class DisorderDistribution:
 
     @classmethod
     def tabulated(cls, lam, density, cutoff=None) -> "DisorderDistribution":
-        """Tabulated density, linearly interpolated and normalized to unit mass."""
-        dist = cls("tabulated", grid=(np.asarray(lam, float), np.asarray(density, float)))
-        if cutoff is not None:
-            dist = apply_cutoff(dist, *cutoff)
-        return dist
+        """Tabulated density, linearly interpolated and normalized to unit mass
+        (on the cutoff window, when one is given)."""
+        return cls("tabulated", grid=(lam, density), cutoff=cutoff)
 
     # -- geometry ----------------------------------------------------------
 
@@ -148,11 +162,9 @@ class DisorderDistribution:
         return (float(lam[0]), float(lam[-1]))
 
     def support(self) -> tuple[float, float]:
-        """Effective support after the cutoff (intersection with native)."""
-        lo, hi = self.native_support()
-        if self.cutoff is not None:
-            lo, hi = max(lo, self.cutoff[0]), min(hi, self.cutoff[1])
-        return (lo, hi)
+        """Effective support: the cutoff window, already intersected with the
+        native support, or the native support when uncut."""
+        return self.cutoff if self.cutoff is not None else self.native_support()
 
     @property
     def bounded(self) -> bool:
@@ -192,9 +204,7 @@ class DisorderDistribution:
         """Native probability mass inside the cutoff window (1 if uncut)."""
         if self.cutoff is None:
             return 1.0
-        lo, hi = self.support()
-        if lo >= hi:
-            return 0.0
+        lo, hi = self.cutoff
         return float(self._cdf_native(hi) - self._cdf_native(lo))
 
     def pdf(self, x):
@@ -213,7 +223,7 @@ class DisorderDistribution:
             lam, dens = self.grid
             d = np.interp(x, lam, dens, left=0.0, right=0.0)
         if self.cutoff is not None:
-            lo, hi = self.support()
+            lo, hi = self.cutoff
             d = np.where((x >= lo) & (x <= hi), d / self.window_mass(), 0.0)
         return d
 
@@ -283,12 +293,9 @@ def recurrence_analytic(dist: DisorderDistribution, order: int) -> RecurrenceTab
     """
     if order < 1:
         raise InvalidOrder(f"order must be >= 1, got {order}")
-    if dist.family not in ("gaussian", "semicircle", "uniform"):
-        raise UnsupportedFamily(
-            f"no closed-form coefficients for {dist.family}; use recurrence_stieltjes")
-    if dist.cutoff is not None:
-        raise UnsupportedFamily(
-            "cut distributions have no closed-form coefficients; use recurrence_stieltjes")
+    if dist.family not in ("gaussian", "semicircle", "uniform") or dist.cutoff is not None:
+        raise UnsupportedFamily(f"no closed-form coefficients for {dist!r}; "
+                                "use recurrence_stieltjes")
     k = np.arange(1, order + 1, dtype=float)
     w = dist.width
     if dist.family == "gaussian":
@@ -337,9 +344,7 @@ def discretize(dist: DisorderDistribution, npoints: int):
         raise UnboundedSupport(
             f"{dist.family} support is unbounded; apply_cutoff first")
     if dist.family == "tabulated":
-        lam = dist.grid[0]
-        brk = np.unique(np.clip(lam, lo, hi))
-        brk = np.concatenate(([lo], brk[(brk > lo) & (brk < hi)], [hi]))
+        brk = dist.grid[0]          # the grid spans the support
         m = max(8, int(np.ceil(npoints / (brk.size - 1))))
         nodes, weights = _composite_gl(brk, m)
     else:
@@ -350,6 +355,19 @@ def discretize(dist: DisorderDistribution, npoints: int):
     return nodes, weights * dist.pdf(nodes)
 
 
+def grid_size(order: int) -> int:
+    """Points of the :func:`discretize` grid that resolves the orthogonal
+    polynomials of a measure to degree ``order`` (Gautschi, *Orthogonal
+    Polynomials*, 2004, §2.2); every Stieltjes table and every initial-state
+    expansion uses it.  Near the ends of the support a degree-k polynomial
+    oscillates on a scale of 1/k**2, so the uniform 24-point panels must
+    number about (order/20)**2: the rule gives order**2 / 384 of them besides
+    the 480 points of the graded end panels, over a 1000-point floor that
+    holds up to order 91.
+    """
+    return max(1000, order * order // 16 + 480)
+
+
 def recurrence_stieltjes(dist: DisorderDistribution, order: int,
                          grid_points: int | None = None) -> RecurrenceTable:
     """Recurrence coefficients via the discretized Stieltjes procedure.
@@ -357,20 +375,14 @@ def recurrence_stieltjes(dist: DisorderDistribution, order: int,
     The measure is discretized on a composite quadrature grid over its (cut)
     support; the monic recurrence is then run on the discrete measure, with
     the polynomial iterates kept normalized so the procedure is stable to
-    orders of several hundred.  The default grid is fine enough for every
-    degree the table holds (Gautschi, *Orthogonal Polynomials*, 2004, §2.2),
-    so the whole table is accurate.  Near the ends of the support a degree-k
-    polynomial oscillates on a scale of 1/k**2, so the uniform 24-point
-    panels of :func:`discretize` must number about (order/20)**2.  The
-    default, ``max(1000, order**2 // 16 + 480)`` points, gives them
-    order**2 / 384 panels besides the 480 points of the graded end panels;
-    up to order 91 it is the 1000-point floor.  Measured at orders 10 to
-    1025, the tables of ``uniform(1)`` and ``semicircle(1)`` cut to their
-    own support match the closed forms to 6e-14 relative in every beta_k
-    (4e-15 at order 385), and those of a +-5 sigma cut gaussian and a
-    +-30 theta cut cauchy match a grid four times finer to 6e-14 relative
-    in every sqrt(beta_k).  The cost grows as order**3: 0.04 s at order
-    385, 0.1 s at 513 and 0.6 s at 1025.
+    orders of several hundred.  The default grid, :func:`grid_size` points,
+    is fine enough for every degree the table holds, so the whole table is
+    accurate.  Measured at orders 10 to 1025, the tables of ``uniform(1)``
+    and ``semicircle(1)`` cut to their own support match the closed forms to
+    6e-14 relative in every beta_k (4e-15 at order 385), and those of a
+    +-5 sigma cut gaussian and a +-30 theta cut cauchy match a grid four
+    times finer to 6e-14 relative in every sqrt(beta_k).  The cost grows as
+    order**3: 0.04 s at order 385, 0.1 s at 513 and 0.6 s at 1025.
 
     Raises
     ------
@@ -382,10 +394,8 @@ def recurrence_stieltjes(dist: DisorderDistribution, order: int,
     """
     if order < 1:
         raise InvalidOrder(f"order must be >= 1, got {order}")
-    if not dist.moments_defined:
-        raise UnboundedSupport("cauchy moments are undefined; apply_cutoff first")
     if grid_points is None:
-        grid_points = max(1000, order * order // 16 + 480)
+        grid_points = grid_size(order)
     if grid_points < 4 * order:
         raise InvalidOrder(f"grid_points must be >= 4*order = {4 * order}")
     nodes, w = discretize(dist, grid_points)
@@ -423,34 +433,17 @@ def recurrence_table(dist: DisorderDistribution, order: int) -> RecurrenceTable:
 def apply_cutoff(dist: DisorderDistribution, lam_min: float, lam_max: float) -> DisorderDistribution:
     """Restrict the density to [lam_min, lam_max] and renormalize to unit mass.
 
-    The returned distribution always has bounded support and therefore admits
-    :func:`recurrence_stieltjes`.  Cutting a measure curbs the growth of its
-    lattice couplings (sqrt(beta_k) saturates at a quarter of the window
-    width), at the price of a controlled distortion of the ensemble.
-
-    Raises
-    ------
-    EmptySupport
-        If the window carries zero probability mass.
+    The window is intersected with the current support, so a second cut
+    stays inside the first, and handed to the constructor, which raises
+    EmptySupport if it is empty or carries no mass.  The result has bounded
+    support and therefore admits :func:`recurrence_stieltjes`.  Cutting a
+    measure curbs the growth of its lattice couplings (sqrt(beta_k)
+    saturates at a quarter of the window width), at the price of a
+    controlled distortion of the ensemble.
     """
-    if not lam_min < lam_max:
-        raise ValueError("need lam_min < lam_max")
     lo, hi = dist.support()
-    lo, hi = max(lo, float(lam_min)), min(hi, float(lam_max))
-    if lo >= hi:
-        raise EmptySupport("cutoff window does not overlap the support")
-    if dist.family == "tabulated":
-        lam, dens = dist.grid
-        inner = (lam > lo) & (lam < hi)
-        new_lam = np.concatenate(([lo], lam[inner], [hi]))
-        new_dens = np.interp(new_lam, lam, dens)
-        if _trapz(new_dens, new_lam) <= 0:
-            raise EmptySupport("cutoff window carries zero mass")
-        return DisorderDistribution.tabulated(new_lam, new_dens)
-    out = DisorderDistribution(dist.family, width=dist.width, cutoff=(lo, hi))
-    if out.window_mass() <= 0:
-        raise EmptySupport("cutoff window carries zero mass")
-    return out
+    return DisorderDistribution(dist.family, width=dist.width, grid=dist.grid,
+                                cutoff=(max(lo, lam_min), min(hi, lam_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +461,8 @@ def characteristic_function(dist: DisorderDistribution, t):
     Exactly 1 at t = 0.  Raises UnsupportedFamily for tabulated or cut
     distributions (no closed form).
     """
-    if dist.family not in _NAMED_FAMILIES:
-        raise UnsupportedFamily("no closed-form characteristic function for tabulated measures")
-    if dist.cutoff is not None:
-        raise UnsupportedFamily("no closed-form characteristic function for cut distributions")
+    if dist.family not in _NAMED_FAMILIES or dist.cutoff is not None:
+        raise UnsupportedFamily(f"no closed-form characteristic function for {dist!r}")
     t = np.asarray(t, dtype=float)
     w = dist.width
     if dist.family == "gaussian":
@@ -502,8 +493,8 @@ def quantile(dist: DisorderDistribution, u):
     """
     u = np.clip(np.asarray(u, dtype=float), 1e-16, 1.0 - 1e-16)
     w = dist.width
-    if dist.cutoff is not None and dist.family != "tabulated":
-        lo, hi = dist.support()
+    if dist.cutoff is not None:
+        lo, hi = dist.cutoff
         flo, fhi = dist._cdf_native(lo), dist._cdf_native(hi)
         u = flo + u * (fhi - flo)
     if dist.family == "gaussian":

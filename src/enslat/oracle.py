@@ -40,9 +40,10 @@ __all__ = [
     "quad_average",
     "analytic_qubit",
     "chain_to_ensemble",
+    "MAX_DENSE_N",
 ]
 
-_MAX_DENSE_N = 64
+MAX_DENSE_N = 64    # largest N the dense oracles evolve; the CLI's pre-flight reads it too
 _CHUNK = 4096       # fixed chunk size keeps the summation order reproducible
 _TILE_BYTES = 1 << 18   # per-tile temporaries of evolution and accumulation stay in cache
 _UNIFORM_ULPS = 4       # a time grid this close to t_0 + j dt gets factorized phases
@@ -211,8 +212,8 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     the disorder (see :func:`~enslat.states.realization_amplitudes`);
     per-realization vectors must be normalized.
     """
-    if spec.n > _MAX_DENSE_N:
-        raise SystemTooLarge(f"dense oracle limited to N <= {_MAX_DENSE_N}")
+    if spec.n > MAX_DENSE_N:
+        raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
     times = np.asarray(times, dtype=float)
     s, l, n = int(cfg.samples), spec.l, spec.n
     rows, cols = np.triu_indices(n)
@@ -274,8 +275,8 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
     disorder measures.  Exact realization evolution at every node, weighted
     mean; no error bars.
     """
-    if spec.n > _MAX_DENSE_N:
-        raise SystemTooLarge(f"dense oracle limited to N <= {_MAX_DENSE_N}")
+    if spec.n > MAX_DENSE_N:
+        raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
     times = np.asarray(times, dtype=float)
     orders = cfg.quad_order if np.iterable(cfg.quad_order) else [cfg.quad_order] * spec.l
     if len(orders) != spec.l:

@@ -15,18 +15,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import DimensionMismatch, NormDefectExceeded, NotNormalized
 from .lattice import LatticeBasis
-from .measures import discretize, orthonormal_values
+from .measures import discretize, grid_size, orthonormal_values
 
 __all__ = [
     "LatticeState",
     "localized_initial",
     "expanded_initial",
 ]
+
+_SLICE_BYTES = 1 << 24      # the polynomial values of one slice of quadrature points
 
 
 @dataclass(eq=False)
@@ -77,8 +80,7 @@ def localized_initial(c, basis: LatticeBasis) -> LatticeState:
     return LatticeState(basis, amps)
 
 
-def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
-                     quad_points: int | None = None, *,
+def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
                      warn_defect: float = 1e-8,
                      max_defect: float = 1e-6) -> LatticeState:
     """Expand a disorder-dependent initial state over the lattice basis.
@@ -94,8 +96,10 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
     dists, tables : sequences, one per disorder variable
         The measures (for the quadrature grid) and their recurrence tables
         (for the orthonormal polynomial values).
-    quad_points : int, optional
-        Quadrature points per axis; default ``max(4*(D+1), 1000)``.
+
+    An axis of depth D is integrated on :func:`grid_size` (D) points, the
+    rule of the Stieltjes tables, a slice of points at a time, so no
+    (D+1) x M array of polynomial values is held.
 
     The Parseval norm defect ``|sum |d|^2 - 1|`` measures exactly the weight
     lost to the K-truncation (plus quadrature error); it is reported in
@@ -107,28 +111,25 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis,
     if len(dists) != basis.l or len(tables) != basis.l:
         raise DimensionMismatch(
             f"basis has {basis.l} axes; got {len(dists)} distributions, {len(tables)} tables")
-
-    # per-axis quadrature grids and orthonormal polynomial values
-    axes = []
-    for dist, table, depth in zip(dists, tables, basis.depths):
-        npts = quad_points if quad_points is not None else max(4 * (depth + 1), 1000)
-        x, w = discretize(dist, npts)
-        phi = orthonormal_values(table, x, depth)    # (D+1, M_i)
-        axes.append((x, w, phi))
+    axes = [discretize(dist, grid_size(depth)) for dist, depth in zip(dists, basis.depths)]
 
     # evaluate c on the tensor grid
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)          # (M, l)
     cvals = realization_amplitudes(c_fn, pts, basis.n_system)   # (M, l) -> (M, N)
 
     # d_{n,K} = sum_q (prod_i w_i phi_{k_i}) c_n(q): contract one axis at a time
-    shape = tuple(a[0].size for a in axes)
+    shape = tuple(x.size for x, _ in axes)
     work = cvals.reshape(shape + (basis.n_system,))
-    for x, w, phi in axes:
-        # fold quadrature weight into the polynomial matrix, contract axis 0
-        work = np.tensordot(phi * w[None, :], work, axes=([1], [0]))
+    for (x, w), table, depth in zip(axes, tables, basis.depths):
+        # fold quadrature weight into the polynomial values and contract axis 0
+        # a slice of points at a time (one slice is the whole contraction, bitwise)
+        step = max(1, _SLICE_BYTES // (8 * (depth + 1)))
+        parts = (np.tensordot(orthonormal_values(table, x[s:s + step], depth) * w[s:s + step],
+                              work[s:s + step], axes=([1], [0]))
+                 for s in range(0, x.size, step))
         # park the new k_i axis just before N; K axes accumulate in reverse
-        work = np.moveaxis(work, 0, len(shape) - 1)
+        work = np.moveaxis(reduce(np.add, parts), 0, len(shape) - 1)
         shape = shape[1:]
     work = work.transpose(*range(basis.l - 1, -1, -1), basis.l)
     # shape (D_1+1, ..., D_l+1, N): pick the nodes in the basis's order

@@ -30,6 +30,15 @@ SPECTRAL = {"kind": "spectral", "amplitudes": [[INV, 0], [INV, 0]],
             "distribution": {"family": "gaussian", "width": 0.5}}
 
 
+# one level past the dense oracles' limit: a diagonal 65-level system on its ground state
+LEVELS_65 = {
+    "system": {"h0": np.diag(np.arange(65.0)).tolist(),
+               "couplings": [{"type": "linear", "matrix": np.diag(np.ones(65)).tolist()}],
+               "distributions": [{"family": "gaussian", "width": 1.0}]},
+    "initial": {"kind": "localized", "amplitudes": [1.0] + [0.0] * 64},
+}
+
+
 def qubit_config(tmp_path, method="chain", dist=None, depths=64, samples=4000,
                  n_steps=40, extra=None):
     cfg = {
@@ -393,8 +402,14 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
     ("compare", None, {"compare": {"quad_tol": "tight"}}, "compare.quad_tol: expected"),
     ("chain", {"family": "cauchy", "width": 1.0}, {},
      "system.distributions[0]: moments undefined; set cutoff"),
+    ("compare", {"family": "uniform", "width": 1.0, "cutoff": [2.0, 3.0]}, {},
+     "system.distributions[0]: cutoff window (2.0, 3.0) is empty"),
+    ("compare", None, LEVELS_65, "system.h0: the dense oracles (mc, quad) need N <= 64"),
+    ("chain", None, {"output": "out_dir"}, "output: expected a mapping"),
+    ("chain", None, {"numeric": 5}, "numeric: expected a mapping"),
 ], ids=["spectral-mc", "spectral-compare", "spectral-uncut-cauchy", "tabulated-uncut-gaussian",
-        "unnormalized", "unreadable-gate", "uncut-cauchy"])
+        "unnormalized", "unreadable-gate", "uncut-cauchy", "empty-cut-window", "65-levels",
+        "output-not-a-mapping", "numeric-not-a-mapping"])
 def test_validate_passes_exactly_what_run_starts(tmp_path, capsys, method, dist, changes,
                                                  failure):
     # --validate makes the checks a run makes before its first route; a run
@@ -535,6 +550,28 @@ def test_validate_applies_the_method_override_and_checks_formats(tmp_path, capsy
         assert "FAIL output.formats" in capsys.readouterr().out
         assert main(["--config", str(path), *flags]) == 2
         assert "config error: output.formats" in capsys.readouterr().err
+
+
+def test_polynomial_coupling_compare(tmp_path, capsys):
+    # a degree-2 coupling M0 + lambda M1 + lambda^2 M2 passes every gate of
+    # compare; its coefficient matrices are required
+    path = qubit_config(tmp_path, method="compare", samples=500, n_steps=12, depths="auto")
+    cfg = yaml.safe_load(path.read_text())
+    cfg["system"]["h0"] = [[0.0, 0.3], [0.3, 1.0]]
+    cfg["system"]["couplings"] = [{"type": "polynomial", "matrices": [
+        [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.1, 0.0], [0.0, 0.0]]]}]
+    path.write_text(yaml.safe_dump(cfg))
+    result = run(str(path))
+    assert result.exit_code == 0
+    rows = {r["pair"]: r for r in result.manifest["result"]["compare"]}
+    assert set(rows) == {"chain_vs_quad", "chain_vs_mc_4sem"}
+    assert all(r["pass"] for r in rows.values())
+    del cfg["system"]["couplings"][0]["matrices"]
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert capsys.readouterr().out.startswith("FAIL system.couplings[0].matrices: ")
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: system.couplings[0].matrices: ")
 
 
 def test_output_written_atomically(tmp_path):

@@ -263,6 +263,17 @@ def test_cutoff_empty_window():
         apply_cutoff(DisorderDistribution.uniform(1.0), 2.0, 3.0)
     with pytest.raises(ValueError):
         apply_cutoff(DisorderDistribution.uniform(1.0), 0.5, 0.5)
+    # the constructor is where a cutoff is applied: the same windows fail there
+    with pytest.raises(EmptySupport):
+        DisorderDistribution.uniform(1.0, cutoff=(2.0, 3.0))
+    with pytest.raises(ValueError):
+        DisorderDistribution.uniform(1.0, cutoff=(0.5, 0.5))
+    with pytest.raises(EmptySupport):
+        DisorderDistribution.tabulated([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5], cutoff=(3.0, 4.0))
+    with pytest.raises(EmptySupport, match="zero mass"):      # a window with no mass
+        DisorderDistribution.gaussian(1.0, cutoff=(40.0, 50.0))
+    # a window wider than the support is stored as the support
+    assert DisorderDistribution.uniform(1.0, cutoff=(-3.0, 0.5)).support() == (-1.0, 0.5)
 
 
 def test_cutoff_tabulated_clips_and_renormalizes():
@@ -340,7 +351,10 @@ def test_quantile_matches_cdf(rng):
     for dist in (DisorderDistribution.gaussian(2.0, cutoff=(-3.0, 7.0)),
                  DisorderDistribution.cauchy(1.0, cutoff=(-30.0, 10.0)),
                  DisorderDistribution.semicircle(1.0, cutoff=(-0.5, 1.0)),
-                 DisorderDistribution.tabulated([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5])):
+                 DisorderDistribution.tabulated([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]),
+                 # cut by the constructor: re-tabulated on the window, drawn only inside it
+                 DisorderDistribution("tabulated", grid=([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]),
+                                      cutoff=(0.5, 1.5))):
         u = rng.random(200)
         x = quantile(dist, u)
         lo, hi = dist.support()
@@ -349,6 +363,7 @@ def test_quantile_matches_cdf(rng):
         flo, fhi = dist._cdf_native(lo), dist._cdf_native(hi)
         back = (dist._cdf_native(x) - flo) / (fhi - flo)
         assert np.abs(back - u).max() < 1e-12
+    assert dist.support() == (0.5, 1.5) and dist.cutoff is None
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from enslat import (
     localized_initial,
     propagate,
     recurrence_analytic,
+    recurrence_table,
     trajectory_from_states,
 )
+from enslat.measures import discretize, grid_size, orthonormal_values
 
 
 def semicircle_d1k(kmax: int) -> np.ndarray:
@@ -207,11 +209,31 @@ def test_expanded_callable_errors_propagate():
         raise Boom("raised inside c_fn")
 
     with pytest.raises(Boom, match="raised inside c_fn"):
-        expanded_initial(c_fn, [dist], [table], basis, quad_points=50)
+        expanded_initial(c_fn, [dist], [table], basis)
     # a scalar-only callable, or any other wrong shape, names both shapes
     with pytest.raises(ValueError, match=r"shape \(2,\), expected \(\d+, 2\)"):
-        expanded_initial(lambda lam: np.array([1.0, 0.0]), [dist], [table], basis,
-                         quad_points=50)
+        expanded_initial(lambda lam: np.array([1.0, 0.0]), [dist], [table], basis)
+
+
+@pytest.mark.parametrize("dist", [
+    DisorderDistribution.uniform(1.0),
+    DisorderDistribution.semicircle(1.0),
+    DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)),
+], ids=["uniform", "semicircle", "cut-gaussian"])
+def test_deep_expansion_matches_a_finer_grid(dist):
+    # at depth 512 the grid rule of the tables resolves every coefficient, two
+    # slices of points apart: a grid four times finer moves none by more than 1e-13
+    depth = 512
+
+    def c_fn(pts):
+        lam = pts[:, 0]
+        return np.stack([np.cos(3 * lam), np.sin(3 * lam)], axis=1).astype(complex)
+
+    table = recurrence_table(dist, depth + 1)
+    psi = expanded_initial(c_fn, [dist], [table], LatticeBasis(2, (depth,)))
+    x, w = discretize(dist, 4 * grid_size(depth))
+    ref = (orthonormal_values(table, x, depth) * w) @ c_fn(x[:, None])
+    assert np.abs(psi.node_amplitudes() - ref).max() <= 1e-13
 
 
 def eigenstate_lattice(energy, c, depth):
