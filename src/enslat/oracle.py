@@ -10,6 +10,12 @@ lattice machinery:
 * :func:`analytic_qubit` is the closed form for the dephasing qubit, where
   the coherence is the characteristic function of the disorder.
 
+Both averaging routes evolve a chunk of realizations one time tile at a
+time and fold each tile while it is in cache, so no (T, N, B) amplitude
+array is held.  :func:`mc_average` runs the chunks' tile loops on up to one
+thread per available core and merges their moments in chunk order, so its
+output is bitwise the same for any number of threads.
+
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
 so lattice dynamics can be reproduced by averaging over an ensemble.
@@ -17,7 +23,10 @@ so lattice dynamics can be reproduced by averaging over an ensemble.
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +54,10 @@ __all__ = [
 
 MAX_DENSE_N = 64    # largest N the dense oracles evolve; the CLI's pre-flight reads it too
 _CHUNK = 4096       # fixed chunk size keeps the summation order reproducible
-_TILE_BYTES = 1 << 18   # per-tile temporaries of evolution and accumulation stay in cache
+# A time tile is sized by its amplitudes and rho entries.  It stays in a
+# core's cache, and its tiles are few enough that pool threads seldom trade
+# the GIL: at 256 KB two threads ran slower than one, and 4 MB spilled the cache.
+_TILE_BYTES = 1 << 20
 _UNIFORM_ULPS = 4       # a time grid this close to t_0 + j dt gets factorized phases
 
 
@@ -175,29 +187,69 @@ def _phase_rows(times: np.ndarray, g: np.ndarray):
     np.exp(coarse, out=coarse)          # in place: no second table-sized temporary
     np.exp(fine, out=fine)
     q, r = np.divmod(np.arange(times.size), b)
-    return lambda tile: coarse[q[tile]] * fine[r[tile]]
+
+    def phase(tile: slice) -> np.ndarray:
+        out = coarse[q[tile]]
+        out *= fine[r[tile]]
+        return out
+    return phase
 
 
-def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """psi_lambda(t) for a batch: (B, N, N), (B, N) -> amplitudes (T, N, B).
+def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
+    """psi_lambda(t) for a batch (B, N, N), (B, N), one time tile at a time.
 
-    Phases run relative to each realization's lowest eigenvalue; the global
-    phase dropped that way cancels in rho.  They come from
-    :func:`_phase_rows` one gap and one time tile at a time, so no (T, B)
-    phase array is held.
+    Returns ``amps(tile)``, the (tile, N, B) amplitudes of a slice of the
+    times, so no (T, N, B) array is held.  Phases run relative to each
+    realization's lowest eigenvalue; the global phase dropped that way
+    cancels in rho.  They come from :func:`_phase_rows`, so a time's
+    amplitudes are the same bit for bit under any tiling.
     """
     evals, vecs = np.linalg.eigh(hb)
     vecs = vecs.transpose(1, 2, 0)                          # (N, N, B)
     ceig = (vecs.conj() * c0.T[:, None, :]).sum(axis=0)     # (N, B): V^H c
-    n, b = ceig.shape
-    amps = np.empty((times.size, n, b), dtype=complex)
-    amps[...] = vecs[:, 0] * ceig[0]
-    tiles = _time_tiles(times.size, 16 * n * b)
-    for m in range(1, n):
-        phase = _phase_rows(times, evals[:, m] - evals[:, 0])
-        for tile in tiles:
-            amps[tile] += vecs[:, m] * (phase(tile) * ceig[m])[:, None, :]
+    ground = vecs[:, 0] * ceig[0]
+    phases = [_phase_rows(times, evals[:, m] - evals[:, 0]) for m in range(1, ceig.shape[0])]
+
+    def amps(tile: slice) -> np.ndarray:
+        out = np.broadcast_to(ground, times[tile].shape + ground.shape)
+        for m, phase in enumerate(phases, 1):
+            p = phase(tile)
+            p *= ceig[m]
+            term = vecs[:, m] * p[:, None, :]
+            term += out                 # = out + term bit for bit: IEEE addition commutes
+            out = term
+        return np.ascontiguousarray(out)   # copies only when N = 1
     return amps
+
+
+def _workers() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _chunk_moments(amps, tiles, rows, cols):
+    """Size, mean and sum of squared deviations of one chunk's rho entries n <= m.
+
+    Each time tile is evolved and folded while it is in cache.  Runs on a
+    pool thread, so it calls NumPy only.
+    """
+    means, m2s = [], []
+    for tile in tiles:
+        a = amps(tile)                                  # (tile, N, B)
+        dev = a[:, cols]                                # (tile, P, B)
+        np.conjugate(dev, out=dev)
+        dev *= a[:, rows]                               # rho entries
+        mean = dev.mean(axis=-1)
+        dev -= mean[:, :, None]
+        # corrected two-pass sum of squares (exact zero for identical samples)
+        sq = dev.view(float)
+        m2s.append(np.einsum("tpb,tpb->tp", sq, sq) - np.abs(dev.sum(axis=-1)) ** 2 / a.shape[-1])
+        means.append(mean)
+    m2 = np.concatenate(m2s)
+    return a.shape[-1], np.concatenate(means), np.clip(m2, 0.0, None, out=m2)
 
 
 def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
@@ -207,6 +259,11 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     (Philox keyed by ``(seed, sample_index)``), so the result is independent
     of chunking or execution order.  The ``errors`` field holds the per-entry
     standard error of the mean.
+
+    The calling thread draws, checks and diagonalizes the chunks in order;
+    up to one pool thread per available core evolves and folds them, and
+    their moments merge in chunk order, so the output is bitwise the same for
+    any number of threads.
 
     ``c_fn`` may be a constant amplitude vector or a vectorized callable of
     the disorder (see :func:`~enslat.states.realization_amplitudes`);
@@ -222,34 +279,25 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     # cancellation, exactly zero spread for degenerate (zero-variance) ensembles
     mean = np.zeros((times.size, rows.size), dtype=complex)
     m2 = np.zeros((times.size, rows.size))
-    cmean, cm2 = np.empty_like(mean), np.empty_like(m2)
     count = 0
-    for s0 in range(0, s, _CHUNK):
-        u = _philox_uniforms(cfg.seed, s0, min(s0 + _CHUNK, s), l)
-        lam = np.column_stack([quantile(spec.distributions[j], u[:, j]) for j in range(l)])
-        c0 = realization_amplitudes(c_fn, lam, n)
-        worst = np.max(np.abs(np.linalg.norm(c0, axis=1) - 1.0))
-        if worst > 1e-8:
-            raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
-        amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
-        nb = amps.shape[-1]
-        for tile in _time_tiles(times.size, 16 * rows.size * nb):
-            dev = np.conj(amps[tile, cols])                     # (tile, P, B)
-            dev *= amps[tile, rows]                             # rho entries
-            cmean[tile] = dev.mean(axis=-1)
-            dev -= cmean[tile, :, None]
-            # corrected two-pass sum of squares (exact zero for identical samples)
-            sq = dev.view(float)
-            cm2[tile] = np.einsum("tpb,tpb->tp", sq, sq) - np.abs(dev.sum(axis=-1)) ** 2 / nb
-        # free this chunk's amplitudes before the next chunk's are made: with
-        # both alive, peak memory doubled and depended on heap layout
-        del amps
-        np.clip(cm2, 0.0, None, out=cm2)
-        delta = cmean - mean
-        total = count + nb
-        mean += delta * (nb / total)
-        m2 += cm2 + np.abs(delta) ** 2 * (count * nb / total)
-        count = total
+    starts = range(0, s, _CHUNK)
+    workers = min(_workers(), len(starts))
+    running = collections.deque()       # futures of chunk moments, at most `workers`
+    with ThreadPoolExecutor(workers) as pool:
+        for s0 in starts:
+            u = _philox_uniforms(cfg.seed, s0, min(s0 + _CHUNK, s), l)
+            lam = np.column_stack([quantile(spec.distributions[j], u[:, j]) for j in range(l)])
+            c0 = realization_amplitudes(c_fn, lam, n)
+            worst = np.max(np.abs(np.linalg.norm(c0, axis=1) - 1.0))
+            if worst > 1e-8:
+                raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
+            amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
+            tiles = _time_tiles(times.size, 16 * (n + rows.size) * c0.shape[0])
+            if len(running) == workers:
+                count = _merge(mean, m2, count, *running.popleft().result())
+            running.append(pool.submit(_chunk_moments, amps, tiles, rows, cols))
+        while running:
+            count = _merge(mean, m2, count, *running.popleft().result())
     sem = np.sqrt(m2 / s) / np.sqrt(s)
     # rounding residue of an exactly constant entry: its spread is a few eps
     # in units of the answer, so its standard error scales as eps * |rho| / sqrt(s)
@@ -258,6 +306,18 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
             "degenerate_distribution": bool(s > 1 and float(sem.max()) == 0.0)}
     return DensityTrajectory(times, _hermitian(mean, rows, cols, n),
                              errors=_hermitian(sem, rows, cols, n), info=info)
+
+
+def _merge(mean, m2, count: int, nb: int, cmean, cm2) -> int:
+    """Fold a chunk's moments over nb samples into (mean, m2) over count, in place.
+
+    Chan, Golub & LeVeque's pairwise update.  Returns the new count.
+    """
+    delta = cmean - mean
+    total = count + nb
+    mean += delta * (nb / total)
+    m2 += cm2 + np.abs(delta) ** 2 * (count * nb / total)
+    return total
 
 
 def _hermitian(upper: np.ndarray, rows, cols, n: int) -> np.ndarray:
@@ -294,8 +354,11 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
     for s0 in range(0, lam.shape[0], _CHUNK):
         chunk = lam[s0:s0 + _CHUNK]
         c0 = realization_amplitudes(c_fn, chunk, n)
-        amps = _evolve_batch(spec.hamiltonian(chunk), c0, times)   # (T, N, B)
-        acc += (amps * weights[s0:s0 + _CHUNK]) @ amps.conj().transpose(0, 2, 1)
+        amps = _evolve_batch(spec.hamiltonian(chunk), c0, times)
+        w = weights[s0:s0 + _CHUNK]
+        for tile in _time_tiles(times.size, 16 * n * w.size):
+            a = amps(tile)                                          # (tile, N, B)
+            acc[tile] += (a * w) @ a.conj().transpose(0, 2, 1)
     info = {"method": "quad", "quad_order": list(int(q) for q in orders)}
     return DensityTrajectory(times, acc, info=info)
 

@@ -1,6 +1,7 @@
 """Reference routes: Monte Carlo, Gauss quadrature, closed forms, reverse map."""
 
 import pathlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from enslat import (
     EnsembleSpec,
     LatticeBasis,
     LinearCoupling,
+    NotNormalized,
     OracleConfig,
     PropagationPlan,
     SystemTooLarge,
@@ -141,6 +143,108 @@ def test_mc_chunking_invariance(monkeypatch):
         assert np.array_equal(runs[chunk].errors == 0.0, ref.errors == 0.0)
 
 
+def _three_level_ensemble():
+    """N = 3, l = 2, with a disorder-dependent initial state."""
+    rng = np.random.default_rng(8)
+    mats = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    h0, v1, v2 = (m + m.conj().T for m in mats)
+    spec = EnsembleSpec(h0, (LinearCoupling(v1), LinearCoupling(v2)),
+                        (DisorderDistribution.gaussian(0.7), DisorderDistribution.uniform(1.0)))
+
+    def c_fn(lam):
+        c = np.stack([np.cos(lam[:, 0]), np.sin(lam[:, 0]) * np.exp(1j * lam[:, 1]),
+                      0.4 + 0 * lam[:, 0]], axis=1)
+        return c / np.linalg.norm(c, axis=1)[:, None]
+    return spec, c_fn
+
+
+@pytest.mark.parametrize("case", ["qubit", "three-level"])
+def test_mc_bitwise_independent_of_thread_count(monkeypatch, case):
+    if case == "qubit":
+        spec, c, samples = qubit_spec(DisorderDistribution.gaussian(1.0)), C_HALF, 3 * 4096 + 17
+    else:
+        monkeypatch.setattr(oracle, "_CHUNK", 250)
+        (spec, c), samples = _three_level_ensemble(), 1900
+    times = np.linspace(0.0, 4.0, 41)
+    fold, threads = oracle._chunk_moments, []
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return fold(*args)
+    monkeypatch.setattr(oracle, "_chunk_moments", spy)
+    runs = {}
+    for w in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_workers", lambda: w)
+        threads.clear()
+        runs[w] = mc_average(spec, c, times, OracleConfig(samples=samples, seed=6))
+        # every chunk is folded off the calling thread, on at most w threads
+        assert len(threads) == -(-samples // oracle._CHUNK)
+        assert threading.current_thread() not in threads and len(set(threads)) <= w
+    assert (runs[1].errors > 0).any()
+    for w in (2, 3):
+        assert np.array_equal(runs[w].rho, runs[1].rho)
+        assert np.array_equal(runs[w].errors, runs[1].errors)
+
+
+@pytest.mark.parametrize("where", ["initial state", "tile loop"])
+def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
+    # the fourth of eight chunks fails while earlier ones are in flight: on the
+    # calling thread (its state is not normalized) or in a pool thread's tile loop
+    monkeypatch.setattr(oracle, "_CHUNK", 64)
+    monkeypatch.setattr(oracle, "_workers", lambda: 2)
+    calls = []
+
+    class Boom(Exception):
+        pass
+
+    def c_fn(lam):
+        calls.append(lam.shape[0])
+        c = np.tile(C_HALF.astype(complex), (lam.shape[0], 1))
+        return 2 * c if where == "initial state" and len(calls) == 4 else c
+
+    evolve = oracle._evolve_batch
+
+    def evolve_failing_fourth(hb, c0, times):
+        amps = evolve(hb, c0, times)
+        if len(calls) < 4:
+            return amps
+
+        def tile_loop_fails(tile):
+            raise Boom("raised in a tile loop")
+        return tile_loop_fails
+
+    if where == "tile loop":
+        monkeypatch.setattr(oracle, "_evolve_batch", evolve_failing_fourth)
+    spec = qubit_spec(DisorderDistribution.uniform(1.0))
+    before = threading.enumerate()
+    with pytest.raises(NotNormalized if where == "initial state" else Boom):
+        mc_average(spec, c_fn, np.linspace(0.0, 1.0, 5), OracleConfig(samples=64 * 8, seed=3))
+    assert len(calls) < 8                   # it stopped soon after the failing chunk
+    assert threading.active_count() == len(before)
+    assert threading.enumerate() == before
+
+
+def test_mc_memory_below_one_chunk_of_amplitudes(monkeypatch):
+    # the shipped 1e5-sample qubit, two chunks in flight: the peak stays below
+    # the (T, N, B) amplitudes a chunk held when it was evolved whole
+    from enslat.cli import parse_initial, parse_spec
+    monkeypatch.setattr(oracle, "_workers", lambda: 2)
+    cfg = yaml.safe_load((CONFIGS / "qubit_gaussian.yaml").read_text())
+    spec = parse_spec(cfg, str(CONFIGS))
+    c = parse_initial(cfg, spec, str(CONFIGS))[1]
+    times = np.linspace(0.0, cfg["time"]["t_max"], cfg["time"]["n_steps"])
+    samples = cfg["numeric"]["samples"]
+    assert samples == 100_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc_average(spec, c, times, OracleConfig(samples=samples, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * times.size * spec.n * oracle._CHUNK
+
+
 def test_mc_sem_zero_exactly_on_constant_entries():
     # gaussian qubit config: populations are constant at every time and the
     # coherence at t = 0, so those entries (and no others) have zero SEM at
@@ -202,7 +306,7 @@ def test_mc_matches_slow_reference(data):
 
 
 def _direct_amplitudes(hb, c0, times):
-    """The evolution with one direct exp per time, on the tiles of _evolve_batch."""
+    """The evolution with one direct exp per time, one time tile at a time."""
     evals, vecs = np.linalg.eigh(hb)
     vecs = vecs.transpose(1, 2, 0)
     ceig = (vecs.conj() * c0.T[:, None, :]).sum(axis=0)
@@ -252,31 +356,38 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
         a = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
         c0 = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
         hb, c0 = a + a.conj().transpose(0, 2, 1), c0 / np.linalg.norm(c0, axis=1)[:, None]
-        assert np.array_equal(oracle._evolve_batch(hb, c0, geom),
-                              _direct_amplitudes(hb, c0, geom))
+        amps = oracle._evolve_batch(hb, c0, geom)
+        direct = _direct_amplitudes(hb, c0, geom)
+        assert np.array_equal(amps(slice(0, nt)), direct)
+        tiles = [slice(j, j + 7) for j in range(0, nt, 7)]
+        assert np.array_equal(np.concatenate([amps(t) for t in tiles]), direct)
 
 
 def test_evolve_batch_holds_no_phase_array():
-    # one qubit chunk: the peak is the (T, N, B) amplitudes, the two factor
-    # tables and per-tile temporaries; a whole (T, B) phase array, half the
-    # amplitudes' size, would push the peak past the bound
-    nb, nt = 4096, 200
+    # one qubit chunk, read one time tile at a time: the peak is the
+    # eigenvectors, the two factor tables and one tile's temporaries.  A
+    # (T, B) phase array is half the (T, N, B) amplitudes, and neither fits
+    nb, nt, n = 4096, 200, 2
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     hb = spec.hamiltonian(np.random.default_rng(5).normal(size=(nb, 1)))
     c0 = np.tile(C_HALF.astype(complex), (nb, 1))
     times = np.linspace(0.0, 6.0, nt)
     b = oracle._fine_length(times)
     tables = 16 * nb * (-(-nt // b) + b)
-    phase_array = 16 * nt * nb
+    tiles = oracle._time_tiles(nt, 16 * n * nb)
+    tile = 16 * n * nb * (tiles[0].stop - tiles[0].start)
+    assert len(tiles) > 1
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         amps = oracle._evolve_batch(hb, c0, times)
+        rows = sum(amps(t).shape[0] for t in tiles)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert amps.shape == (nt, 2, nb)
-    assert peak <= amps.nbytes + tables + phase_array // 4
+    bound = tables + 4 * hb.nbytes + 3 * tile
+    assert bound < 16 * nt * nb                     # one (T, B) phase array
+    assert rows == nt and peak <= bound
 
 
 def test_mc_initial_state_callable_errors_propagate():
