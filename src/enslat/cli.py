@@ -79,10 +79,15 @@ def _fail(path: str, msg: str):
 
 def _as_complex(entry, path: str) -> complex:
     if isinstance(entry, (int, float)):
-        return complex(entry)
+        entry = (entry, 0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    _fail(path, f"expected a number or [re, im] pair, got {entry!r}")
+        try:
+            value = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError):
+            value = None
+        if value is not None and np.isfinite(value):
+            return value
+    _fail(path, f"expected a finite number or [re, im] pair, got {entry!r}")
 
 
 def _matrix(block, path: str) -> np.ndarray:
@@ -107,7 +112,13 @@ def _data_file(block: dict, path: str, base_dir: str, what: str) -> np.ndarray:
     fpath = os.path.join(base_dir, fname)
     if not os.path.exists(fpath):
         _fail(f"{path}.file", f"no such file: {fpath}")
-    return np.loadtxt(fpath, ndmin=2)
+    try:
+        data = np.loadtxt(fpath, ndmin=2)
+    except ValueError as exc:
+        _fail(f"{path}.file", f"unreadable table {fpath}: {exc}")
+    if not np.all(np.isfinite(data)):
+        _fail(f"{path}.file", f"non-finite entries in {fpath}")
+    return data
 
 
 def _file_from(block, base_dir: str, out_dir: str):
@@ -129,8 +140,10 @@ def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
     if not isinstance(block, dict) or "family" not in block:
         _fail(path, "expected a mapping with a 'family' key")
     family, width, cutoff = block["family"], block.get("width"), block.get("cutoff")
-    if cutoff is not None and not (isinstance(cutoff, (list, tuple)) and len(cutoff) == 2):
-        _fail(f"{path}.cutoff", "expected [lo, hi]")
+    if cutoff is not None and not (isinstance(cutoff, (list, tuple)) and len(cutoff) == 2
+                                   and all(isinstance(v, (int, float)) and np.isfinite(v)
+                                           for v in cutoff)):
+        _fail(f"{path}.cutoff", f"expected [lo, hi], two finite numbers, got {cutoff!r}")
     grid = None
     if family == "tabulated":
         data = _data_file(block, path, base_dir, "tabulated distribution")
@@ -147,7 +160,7 @@ def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
 def _coupling(block, path: str, base_dir: str):
     kind = block.get("type", "linear") if isinstance(block, dict) else None
     if kind == "linear":
-        return LinearCoupling(_matrix(block["matrix"], f"{path}.matrix"))
+        return LinearCoupling(_matrix(block.get("matrix"), f"{path}.matrix"))
     if kind == "polynomial":
         mats = block.get("matrices")
         if not isinstance(mats, list) or not mats:
@@ -239,13 +252,13 @@ def _positive_int(value, path: str):
 
 def _positive_number(value, path: str, allow_zero: bool = False):
     try:
-        ok = not isinstance(value, bool) and (float(value) > 0
-                                              or allow_zero and float(value) == 0)
+        ok = not isinstance(value, bool) and np.isfinite(float(value)) \
+            and (float(value) > 0 or allow_zero and float(value) == 0)
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        _fail(path, f"expected a {'non-negative' if allow_zero else 'positive'} number, "
-                    f"got {value!r}")
+        _fail(path, f"expected a finite {'non-negative' if allow_zero else 'positive'} "
+                    f"number, got {value!r}")
 
 
 def _positive_ints(value, path: str, n_vars: int | None):

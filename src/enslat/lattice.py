@@ -53,6 +53,8 @@ def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} has non-finite entries")
     defect = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"{name} is not Hermitian (max |A - A^dag| = {defect:.3e})")

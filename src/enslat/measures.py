@@ -19,7 +19,9 @@ equivalent lattice and ``alpha_k`` its node energy shifts.
 Coefficients come either from closed forms (:func:`recurrence_analytic`, for
 the three classical symmetric families) or from a discretized Stieltjes
 procedure (:func:`recurrence_stieltjes`) that runs the recurrence on a
-composite Gauss-Legendre grid over the (cut) support.
+composite Gauss-Legendre grid (:func:`discretize`): one panel layout for every
+measure, linear in the order (:func:`grid_size`), which the initial-state
+expansions share.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class DisorderDistribution:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "tabulated":
             lam, dens = (np.asarray(a, dtype=float) for a in self.grid)
+            if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(dens))):
+                raise ValueError("tabulated grid and density must be finite")
             if lam.size < 2 or np.any(np.diff(lam) <= 0):
                 raise ValueError("tabulated grid must be strictly increasing with >= 2 points")
             if np.any(dens < 0):
@@ -115,7 +119,7 @@ class DisorderDistribution:
         """The cutoff intersected with the native support [nlo, nhi]: the one
         place a window is applied.  Raises EmptySupport if it is empty."""
         lo, hi = max(nlo, float(self.cutoff[0])), min(nhi, float(self.cutoff[1]))
-        if not lo < hi:
+        if np.isnan(self.cutoff).any() or not lo < hi:
             raise EmptySupport(
                 f"cutoff window {tuple(self.cutoff)} is empty on the support ({nlo}, {nhi})")
         return lo, hi
@@ -194,11 +198,8 @@ class DisorderDistribution:
         xs = np.clip(np.asarray(x, float), lam[0], lam[-1])
         cum = np.concatenate(([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2)))
         idx = np.clip(np.searchsorted(lam, xs, side="right") - 1, 0, lam.size - 2)
-        x0, x1 = lam[idx], lam[idx + 1]
-        p0, p1 = dens[idx], dens[idx + 1]
-        dx = xs - x0
-        slope = (p1 - p0) / (x1 - x0)
-        return cum[idx] + p0 * dx + 0.5 * slope * dx * dx
+        dx, p0 = xs - lam[idx], dens[idx]
+        return cum[idx] + dx * (p0 + 0.5 * dx * (dens[idx + 1] - p0) / (lam[idx + 1] - lam[idx]))
 
     def window_mass(self) -> float:
         """Native probability mass inside the cutoff window (1 if uncut)."""
@@ -307,82 +308,88 @@ def recurrence_analytic(dist: DisorderDistribution, order: int) -> RecurrenceTab
     return RecurrenceTable(order, np.zeros(order), beta)
 
 
-def _panel_edges(a: float, b: float, n_panels: int, n_geo: int = 10, ratio: float = 0.25):
-    """Uniform panel edges on [a, b] with the outermost panel at each end
-    subdivided geometrically toward the endpoint; the refinement renders
-    sqrt-type edge singularities (semicircle ends) harmless."""
-    base = np.linspace(a, b, max(n_panels, 3) + 1)
-    h = base[1] - base[0]
-    left = a + h * ratio ** np.arange(n_geo, 0, -1)
-    right = b - h * ratio ** np.arange(1, n_geo + 1)
-    return np.concatenate(([a], left, base[1:-1], right, [b]))
+_GL_POINTS, _POINTS_PER_ORDER, _MIN_PANELS = 24, 6, 16
+_END_PANELS, _END_RATIO = 10, 0.25
 
 
-def _composite_gl(edges: np.ndarray, m: int):
-    xg, wg = leggauss(m)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+def _panel_edges(dist: DisorderDistribution, npoints: int) -> np.ndarray:
+    """The one panel layout, for every measure and every grid size.
+
+    - On each piece of the support where the density is a normal float (the
+      window, within +-37.5 sigma for the gaussian; a tabulated density's
+      runs of segments with mass), ceil(npoints / 24) panels, at least 16,
+      with Chebyshev-Lobatto edges: they crowd its ends on the 1/k**2 scale
+      of a degree-k polynomial there.  The outermost panel at each end is
+      graded geometrically, for sqrt-type ends (semicircle).
+    - Edges at the density's own scale w: 0, +-w 2**j for j >= -3, and every
+      w/2 within +-4w (+-37.5w for the gaussian, whose polynomials oscillate
+      below w wherever they live); a tabulated density's breakpoints instead.
+    """
+    if dist.family == "tabulated":
+        lam, dens = dist.grid
+        runs = np.flatnonzero(np.diff(np.concatenate(([0], dens[:-1] + dens[1:] > 0, [0]))))
+        pieces, edges = [(lam[a], lam[b]) for a, b in zip(runs[::2], runs[1::2])], [lam]
+    else:
+        (lo, hi), w, reach = dist.support(), dist.width, 4.0
+        if dist.family == "gaussian":
+            reach = 37.5
+            lo, hi = max(lo, -reach * w), min(hi, reach * w)
+        octaves = w * 2.0 ** np.arange(-3, max(-2, int(np.ceil(np.log2(max(-lo, hi) / w))) + 1))
+        pieces = [(lo, hi)]
+        edges = [[0.0], octaves, -octaves, w * np.arange(-2 * reach, 2 * reach + 1) / 2]
+    n = max(_MIN_PANELS, int(np.ceil(npoints / _GL_POINTS)))
+    for a, b in pieces:
+        cheb = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+        grade = (cheb[1] - a) * _END_RATIO ** np.arange(1, _END_PANELS + 1)
+        edges += [cheb, a + grade, b - grade]
+    edges, lo, hi = np.concatenate(edges), pieces[0][0], pieces[-1][1]
+    return np.unique(np.concatenate(([lo, hi], edges[(edges > lo) & (edges < hi)])))
 
 
 def discretize(dist: DisorderDistribution, npoints: int):
     """Discretize the measure: nodes and weights with sum(w_j f(x_j)) ~ int f dp.
 
-    Composite Gauss-Legendre panels over the (cut) support.  For tabulated
-    measures the panels are aligned with the tabulation breakpoints so the
-    piecewise-linear density is integrated exactly against polynomials.
+    24-point Gauss-Legendre on every panel of :func:`_panel_edges`: about
+    ``npoints`` nodes on the Chebyshev panels of each piece of the support,
+    and those of the graded ends and of the density's own scale.  Nodes of
+    zero weight are dropped: the polynomials would overflow there.
 
     Raises
     ------
     UnboundedSupport
         If the support is infinite (no cutoff on gaussian/cauchy).
     """
-    lo, hi = dist.support()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise UnboundedSupport(
-            f"{dist.family} support is unbounded; apply_cutoff first")
-    if dist.family == "tabulated":
-        brk = dist.grid[0]          # the grid spans the support
-        m = max(8, int(np.ceil(npoints / (brk.size - 1))))
-        nodes, weights = _composite_gl(brk, m)
-    else:
-        m = 24
-        n_panels = max(3, int(np.ceil(npoints / m)) - 20)
-        edges = _panel_edges(lo, hi, n_panels)
-        nodes, weights = _composite_gl(edges, m)
-    return nodes, weights * dist.pdf(nodes)
+    if not dist.bounded:
+        raise UnboundedSupport(f"{dist.family} support is unbounded; apply_cutoff first")
+    xg, wg = leggauss(_GL_POINTS)
+    edges = _panel_edges(dist, npoints)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg).ravel()
+    weights = (half[:, None] * wg).ravel() * dist.pdf(nodes)
+    return nodes[weights > 0], weights[weights > 0]
 
 
 def grid_size(order: int) -> int:
     """Points of the :func:`discretize` grid that resolves the orthogonal
     polynomials of a measure to degree ``order`` (Gautschi, *Orthogonal
-    Polynomials*, 2004, §2.2); every Stieltjes table and every initial-state
-    expansion uses it.  Near the ends of the support a degree-k polynomial
-    oscillates on a scale of 1/k**2, so the uniform 24-point panels must
-    number about (order/20)**2: the rule gives order**2 / 384 of them besides
-    the 480 points of the graded end panels, over a 1000-point floor that
-    holds up to order 91.
-    """
-    return max(1000, order * order // 16 + 480)
+    Polynomials*, 2004, §2.2), for every Stieltjes table and initial-state
+    expansion: linear in the order, since the Chebyshev panels crowd the ends."""
+    return _POINTS_PER_ORDER * order
 
 
 def recurrence_stieltjes(dist: DisorderDistribution, order: int,
                          grid_points: int | None = None) -> RecurrenceTable:
     """Recurrence coefficients via the discretized Stieltjes procedure.
 
-    The measure is discretized on a composite quadrature grid over its (cut)
-    support; the monic recurrence is then run on the discrete measure, with
-    the polynomial iterates kept normalized so the procedure is stable to
-    orders of several hundred.  The default grid, :func:`grid_size` points,
-    is fine enough for every degree the table holds, so the whole table is
-    accurate.  Measured at orders 10 to 1025, the tables of ``uniform(1)``
+    The measure is discretized on the :func:`grid_size` grid of the order,
+    fine enough for every degree the table holds; the monic recurrence is
+    then run on the discrete measure, with the polynomial iterates kept
+    normalized.  Measured at orders 1 to 2049, the tables of ``uniform(1)``
     and ``semicircle(1)`` cut to their own support match the closed forms to
-    6e-14 relative in every beta_k (4e-15 at order 385), and those of a
-    +-5 sigma cut gaussian and a +-30 theta cut cauchy match a grid four
-    times finer to 6e-14 relative in every sqrt(beta_k).  The cost grows as
-    order**3: 0.04 s at order 385, 0.1 s at 513 and 0.6 s at 1025.
+    4e-15 relative in every sqrt(beta_k), and those of cut gaussians and
+    cauchys (+-5 sigma to +-37 sigma, +-30 theta to +-100 theta) and of
+    tabulated densities match a grid four times finer to 1.1e-14.  The cost
+    grows as order**2: 0.03 s at order 385, 0.09 s at 1025, 0.25 s at 2049.
 
     Raises
     ------
@@ -394,14 +401,12 @@ def recurrence_stieltjes(dist: DisorderDistribution, order: int,
     """
     if order < 1:
         raise InvalidOrder(f"order must be >= 1, got {order}")
-    if grid_points is None:
-        grid_points = grid_size(order)
+    grid_points = grid_size(order) if grid_points is None else grid_points
     if grid_points < 4 * order:
         raise InvalidOrder(f"grid_points must be >= 4*order = {4 * order}")
     nodes, w = discretize(dist, grid_points)
 
-    alpha = np.zeros(order)
-    beta = np.zeros(order)
+    alpha, beta = np.zeros(order), np.zeros(order)
     v = np.ones_like(nodes) / np.sqrt(w.sum())
     v_prev = np.zeros_like(v)
     b_prev = 0.0
@@ -507,21 +512,14 @@ def quantile(dist: DisorderDistribution, u):
         return w * (2.0 * u - 1.0)
     # tabulated: invert the piecewise-quadratic CDF segment by segment
     lam, dens = dist.grid
-    seg_mass = np.diff(lam) * (dens[1:] + dens[:-1]) / 2
-    cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
-    cum /= cum[-1]
-    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, lam.size - 2)
-    x0, x1 = lam[idx], lam[idx + 1]
-    p0, p1 = dens[idx], dens[idx + 1]
-    target = (u - cum[idx]) * cum[-1]
-    slope = (p1 - p0) / (x1 - x0)
-    lin = np.abs(slope) < 1e-300
-    safe_slope = np.where(lin, 1.0, slope)
-    disc = np.sqrt(np.clip(p0 * p0 + 2 * safe_slope * target, 0.0, None))
-    dx = np.where(lin,
-                  target / np.where(p0 > 0, p0, 1.0),
-                  (disc - p0) / safe_slope)
-    return x0 + np.clip(dx, 0.0, x1 - x0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2)))
+    target = u * cum[-1]
+    idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, lam.size - 2)
+    p0, dx = dens[idx], target - cum[idx]
+    slope = (dens[idx + 1] - p0) / (lam[idx + 1] - lam[idx])
+    # the root of p0 x + slope x**2 / 2 = dx, in its form free of cancellation
+    den = p0 + np.sqrt(np.clip(p0 * p0 + 2 * slope * dx, 0.0, None))
+    return lam[idx] + np.clip(2 * dx / np.where(den > 0, den, np.inf), 0.0, lam[idx + 1] - lam[idx])
 
 
 def sample(dist: DisorderDistribution, rng: np.random.Generator, size=None):

@@ -29,7 +29,7 @@ __all__ = [
     "expanded_initial",
 ]
 
-_SLICE_BYTES = 1 << 24      # the polynomial values of one slice of quadrature points
+_SLICE_BYTES = 1 << 24      # the polynomial values, or the values of c, of one slice of points
 
 
 @dataclass(eq=False)
@@ -98,8 +98,10 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
         (for the orthonormal polynomial values).
 
     An axis of depth D is integrated on :func:`grid_size` (D) points, the
-    rule of the Stieltjes tables, a slice of points at a time, so no
-    (D+1) x M array of polynomial values is held.
+    rule of the Stieltjes tables, a slice of points at a time: c is
+    evaluated on one slice of the first axis times the whole sub-grid of the
+    others, so neither the tensor grid nor a (D+1) x M array of polynomial
+    values is held.
 
     The Parseval norm defect ``|sum |d|^2 - 1|`` measures exactly the weight
     lost to the K-truncation (plus quadrature error); it is reported in
@@ -112,21 +114,26 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
         raise DimensionMismatch(
             f"basis has {basis.l} axes; got {len(dists)} distributions, {len(tables)} tables")
     axes = [discretize(dist, grid_size(depth)) for dist, depth in zip(dists, basis.depths)]
+    n = basis.n_system
 
-    # evaluate c on the tensor grid
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)          # (M, l)
-    cvals = realization_amplitudes(c_fn, pts, basis.n_system)   # (M, l) -> (M, N)
+    def c_on(s):    # c on the points s of the first axis times the sub-grid, (|s|, ..., N)
+        grids = np.meshgrid(axes[0][0][s], *[x for x, _ in axes[1:]], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)              # (M, l)
+        return realization_amplitudes(c_fn, pts, n).reshape(grids[0].shape + (n,))
 
     # d_{n,K} = sum_q (prod_i w_i phi_{k_i}) c_n(q): contract one axis at a time
     shape = tuple(x.size for x, _ in axes)
-    work = cvals.reshape(shape + (basis.n_system,))
+    sub = int(np.prod(shape[1:]))
+    work = None
     for (x, w), table, depth in zip(axes, tables, basis.depths):
         # fold quadrature weight into the polynomial values and contract axis 0
-        # a slice of points at a time (one slice is the whole contraction, bitwise)
-        step = max(1, _SLICE_BYTES // (8 * (depth + 1)))
+        # a slice of points at a time (one slice is the whole contraction, bitwise);
+        # on the first axis the slice also bounds the values of c
+        per_point = 8 * (depth + 1) + ((16 * n + 16 * basis.l) * sub if work is None else 0)
+        step = max(1, _SLICE_BYTES // per_point)
+        block = c_on if work is None else work.__getitem__
         parts = (np.tensordot(orthonormal_values(table, x[s:s + step], depth) * w[s:s + step],
-                              work[s:s + step], axes=([1], [0]))
+                              block(slice(s, s + step)), axes=([1], [0]))
                  for s in range(0, x.size, step))
         # park the new k_i axis just before N; K axes accumulate in reverse
         work = np.moveaxis(reduce(np.add, parts), 0, len(shape) - 1)

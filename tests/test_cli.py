@@ -618,6 +618,52 @@ def test_data_file_errors_exit_2_naming_the_key(tmp_path, capsys, table, key, fa
     assert key in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("case, key", [
+    ("nan-density", "system.distributions[0]"),
+    ("inf-abscissa", "system.distributions[0]"),
+    ("nan-cutoff", "system.distributions[0].cutoff"),
+    ("nan-h0", "system.h0"),
+    ("inf-t_max", "time.t_max"),
+    ("token-in-initial-file", "initial.file"),
+    ("linear-without-matrix", "system.couplings[0].matrix"),
+])
+def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
+    # a number that is not finite, or not a number at all, is a config error
+    # under --validate and a run alike, never a numeric failure or a traceback
+    lam = np.linspace(-3.0, 3.0, 61)
+    table = np.column_stack([lam, np.exp(-lam ** 2)])
+    if case == "nan-density":
+        table[30, 1] = NAN
+    else:       # still increasing
+        table[-1, 0] = np.inf
+    np.savetxt(tmp_path / "dist.txt", table)
+    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n0 0.6 zero 0.8 0\n5 0.6 0 0.8 0\n")
+    path = qubit_config(tmp_path, n_steps=6, depths=16)
+    cfg = yaml.safe_load(path.read_text())
+    if case in ("nan-density", "inf-abscissa"):
+        cfg["system"]["distributions"][0] = {"family": "tabulated", "file": "dist.txt"}
+    elif case == "nan-cutoff":
+        cfg["system"]["distributions"][0]["cutoff"] = [NAN, 5.0]
+    elif case == "nan-h0":
+        cfg["system"]["h0"][1][1] = NAN
+    elif case == "inf-t_max":
+        cfg["time"]["t_max"] = np.inf
+    elif case == "token-in-initial-file":
+        cfg["system"]["distributions"][0]["cutoff"] = [-5.0, 5.0]
+        cfg["initial"] = {"kind": "tabulated", "file": "c.txt"}
+    else:
+        del cfg["system"]["couplings"][0]["matrix"]
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert key in capsys.readouterr().out
+    assert main(["--config", str(path)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analytic_route_rejects_cut_distribution(tmp_path):
     path = qubit_config(tmp_path, method="analytic",
                         dist={"family": "cauchy", "width": 1.0, "cutoff": [-30, 30]})

@@ -1,8 +1,12 @@
 """Distributions, recurrence coefficients, cutoffs, sampling."""
 
-import numpy as np
+import time
 
-from enslat.measures import _trapz
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from enslat.measures import _trapz, grid_size
 import pytest
 
 from enslat import (
@@ -192,6 +196,77 @@ def test_stieltjes_default_grid_is_exact_to_the_full_order(dist, reference):
     else:
         fine = recurrence_stieltjes(dist, order, grid_points=40_000)
         assert np.abs(t.hops / fine.hops - 1).max() <= 1e-13
+
+
+_LAM = np.linspace(-4.0, 4.0, 161)
+
+
+@pytest.mark.parametrize("dist, closed_form, tol", [
+    (DisorderDistribution.semicircle(1.0, cutoff=(-1.0, 1.0)), (0.0, lambda k: 0.25 + 0 * k),
+     1e-14),
+    (DisorderDistribution.uniform(1.0, cutoff=(-1.0, 1.0)),
+     (0.0, lambda k: k * k / (4 * k * k - 1)), 1e-14),
+    # a shifted window: the uniform measure on [-0.6, 1], Legendre on that interval
+    (DisorderDistribution.uniform(1.0, cutoff=(-0.6, 1.0)),
+     (0.2, lambda k: 0.64 * k * k / (4 * k * k - 1)), 1e-14),
+    (DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)), None, 1e-14),
+    (DisorderDistribution.cauchy(1.0, cutoff=(-30.0, 30.0)), None, 1e-14),
+    (DisorderDistribution.cauchy(1.0, cutoff=(-100.0, 100.0)), None, 1e-14),
+    (DisorderDistribution.tabulated(_LAM, (1 + _LAM ** 2) * np.exp(-_LAM ** 2 / 2)), None, 1e-14),
+    # two pieces of support, each with ends of its own; at order 2049 grids
+    # 2, 4 and 8 times finer than the default differ among themselves by 1e-14
+    (DisorderDistribution.tabulated([-1.0, -0.5, 0.5, 1.0], [1.0, 0.0, 0.0, 1.0]), None, 3e-14),
+], ids=["semicircle", "uniform", "shifted-uniform", "gaussian-5", "cauchy-30", "cauchy-100",
+        "tabulated", "tabulated-gap"])
+def test_default_grid_is_exact_to_order_2049(dist, closed_form, tol):
+    # the grid grows linearly in the order and resolves every row of the table:
+    # against the closed form, or else the same table on a grid four times finer
+    for order in (5, 41, 2049):
+        start = time.perf_counter()
+        t = recurrence_stieltjes(dist, order)
+        elapsed = time.perf_counter() - start
+        if closed_form is not None:
+            alpha, beta = closed_form
+            exact = np.sqrt(beta(np.arange(1.0, order + 1)))
+            assert np.abs(t.hops / exact - 1).max() <= tol
+            assert np.abs(t.alpha - alpha).max() <= tol
+        else:
+            fine = recurrence_stieltjes(dist, order, grid_points=4 * grid_size(order))
+            assert np.abs(t.hops / fine.hops - 1).max() <= tol
+    assert elapsed < 1.0
+
+
+@st.composite
+def _cut_measures(draw):
+    family = draw(st.sampled_from(["gaussian", "cauchy", "semicircle", "uniform", "tabulated"]))
+    width = draw(st.floats(0.01, 100.0))
+    # a window from a tenth of the width to a hundred widths on either side of
+    # the peak, or in one tail; a tail window much narrower than its distance
+    # from the peak holds its nodes to fewer digits than its width needs
+    lo, hi = sorted(width * 10.0 ** np.array(draw(st.tuples(st.floats(-1, 2), st.floats(-1, 2)))))
+    lo, hi = (-lo, hi) if draw(st.booleans()) else (lo, hi)
+    if family == "tabulated":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+        lam = np.concatenate(([lo], np.sort(rng.uniform(lo, hi, draw(st.integers(0, 200)))), [hi]))
+        dens = rng.random(lam.size) * (rng.random(lam.size) > 0.2)     # with gaps of zero density
+        assume(np.all(np.diff(lam) > 0) and np.any(dens[:-1] + dens[1:] > 0))
+        dist = DisorderDistribution.tabulated(lam, dens)
+    else:
+        try:
+            dist = DisorderDistribution(family, width=width, cutoff=(lo, hi))
+        except EmptySupport:
+            assume(False)
+    lo, hi = dist.support()
+    assume(lo < 0 or hi >= 2 * lo)
+    return dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=_cut_measures(), order=st.integers(1, 600))
+def test_default_grid_matches_a_finer_grid(dist, order):
+    t = recurrence_stieltjes(dist, order)
+    fine = recurrence_stieltjes(dist, order, grid_points=4 * grid_size(order))
+    assert np.abs(t.hops / fine.hops - 1).max() <= 1e-13
 
 
 def test_stieltjes_grid_validation():

@@ -1,5 +1,7 @@
 """Initial lattice states: localized, expanded, spectral."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,28 @@ def test_deep_expansion_matches_a_finer_grid(dist):
     x, w = discretize(dist, 4 * grid_size(depth))
     ref = (orthonormal_values(table, x, depth) * w) @ c_fn(x[:, None])
     assert np.abs(psi.node_amplitudes() - ref).max() <= 1e-13
+
+
+def test_two_axis_expansion_never_holds_the_tensor_grid():
+    # c is evaluated one slice of the first axis at a time: the peak stays
+    # below the array of c on the whole tensor grid
+    dists = (DisorderDistribution.semicircle(1.0), DisorderDistribution.uniform(1.0))
+    depths = (128, 128)
+    tables = [recurrence_analytic(d, depth + 1) for d, depth in zip(dists, depths)]
+
+    def c_fn(pts):
+        a = pts[:, 0] + 0.5 * pts[:, 1]
+        return np.stack([np.cos(a), np.sin(a)], axis=1).astype(complex)
+
+    points = np.prod([discretize(d, grid_size(depth))[0].size for d, depth in zip(dists, depths)])
+    tracemalloc.start()
+    try:
+        psi = expanded_initial(c_fn, dists, tables, LatticeBasis(2, depths))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < points * 2 * 16
+    assert psi.info["norm_defect"] < 1e-13
 
 
 def eigenstate_lattice(energy, c, depth):
