@@ -8,15 +8,17 @@ interval holding the spectrum, and for either sign of tau
     exp(-i H tau) phi = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(a tau) T_k((H - c)/a) phi.
 
 One recurrence serves a window of consecutive output times: the vectors
-T_k phi are shared and only the Bessel coefficients differ, so each term
-costs one product with the operator, two vector updates for the recurrence
-and one per output of the window.  The series is cut where the Bessel tail
-bound 2 sum_{k >= K} |J_k(a tau)| meets the budget, an a-priori error bound
-that needs no inner products.
+T_k phi are shared and only the Bessel coefficients differ.  Each term costs
+one product with the operator and two vector updates for the recurrence; the
+outputs take the terms two at a time, in one matrix product (ZGEMM) that
+reads the pair once and updates every output in place, so each output is
+read and written once per two terms.
+The series is cut where the Bessel tail bound 2 sum_{k >= K} |J_k(a tau)|
+meets the budget, an a-priori error bound that needs no inner products.
 
 Only the trace over the node index is read from the lattice, so each output
 is reduced to its density matrix as soon as it is made and then dropped: at
-most one window's outputs are alive at a time.
+most one window's outputs are alive at a time, each of its box's length.
 
 The wavefront moves out from the origin at a finite speed, so each window
 runs on the box of the lattice it occupies, the nodes with max_i k_i up to
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.linalg.blas import zaxpy
+from scipy.linalg.blas import zaxpy, zgemm
 
 from .errors import KrylovBreakdown, LeakageExceeded, NormDefectExceeded
 from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, table_orders
@@ -213,41 +215,56 @@ def _coefficients(tau: float, centre: float, half: float, budget: float) -> np.n
     return coef
 
 
+def _add_terms(outs: np.ndarray, terms: np.ndarray, coef: np.ndarray) -> None:
+    """outs += coef^T terms, in place, with one ZGEMM.
+
+    The outputs are the rows of ``outs``, the terms those of ``terms``, and
+    ``coef`` holds a coefficient per (term, output).  f2py quietly copies a
+    ``c`` that is not Fortran-contiguous and updates the copy, so ``outs``
+    must be C-contiguous: anything else would lose every update, and raises.
+    """
+    acc = outs.T
+    if zgemm(1.0, terms.T, coef, beta=1.0, c=acc, overwrite_c=1) is not acc:
+        raise ValueError("outputs must be the rows of a C-contiguous array, to update in place")
+
+
 def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
-               ) -> tuple[list[np.ndarray], list[float], int]:
+               ) -> tuple[np.ndarray, list[float], int]:
     """exp(-i H tau) phi for every tau of one window, from one recurrence.
 
     ``coefs`` holds the :func:`_coefficients` of each tau.  Of ``mat`` only
     ``shape`` is read and ``@`` applied.  It may be the leading block of rows
-    of H, of shape (m, n), n <= len(phi): a box (see :class:`_Boxes`).  Then
-    only the first n entries of each vector are computed, and the rest, zero
-    in ``phi``, stay zero.  The recurrence runs on p_k = i^k T_k((H - c)/a) phi, which
+    of H, of shape (m, n): a box (see :class:`_Boxes`).  Every vector has the
+    box's length n: ``phi`` is read on its first n entries, as zero past its
+    end, and is not written.  The recurrence runs on p_k = i^k T_k((H - c)/a) phi, which
     obeys p_{k+1} = p_{k-1} + (2i/a)(H - c) p_k: two ``axpy`` updates per term,
-    in place on those leading entries, and no separate scaling pass.  It takes
-    ``phi`` over as p_0, so ``phi`` is overwritten.  Returns the vectors,
-    their norms and the number of products with ``mat``.
+    in place over the older row of one (2, n) array, and no separate scaling
+    pass.  After each pair of terms one ZGEMM adds both into every output
+    whose series has not ended (:func:`_add_terms`), each coefficient zero
+    past its output's order.  Returns the outputs as the rows of one
+    (len(coefs), n) array, their norms and the number of products with ``mat``.
     """
     rows, act = mat.shape
-    outs = [np.zeros(phi.shape, phi.dtype) for _ in coefs]
-    heads = [out[:act] for out in outs]
-    for head, c in zip(heads, coefs):  # with a == 0 (H = c I) this is all: a pure phase
-        np.multiply(c[0], phi[:act], out=head)
-    order = max(c.size for c in coefs)
-    if order > 1:
-        # views of the leading entries, which zaxpy updates in place; an update
-        # by a product (m entries) reaches the first m
-        prev, cur = phi[:act], np.zeros(act, phi.dtype)
-        np.multiply(1j / half, mat @ prev, out=cur[:rows])
-        zaxpy(prev, cur, a=-1j * centre / half)
-        for k in range(1, order):
-            for head, c in zip(heads, coefs):
-                if k < c.size:
-                    zaxpy(cur, head, a=c[k])
-            if k + 1 < order:
-                zaxpy(mat @ cur, prev, a=2j / half)
-                zaxpy(cur, prev, a=-2j * centre / half)
-                prev, cur = cur, prev
-    norms = [float(np.linalg.norm(head)) for head in heads]
+    sizes = np.array([c.size for c in coefs])
+    order = int(sizes.max())
+    table = np.zeros((order + order % 2, sizes.size), complex)   # terms x outputs, even length
+    for j, c in enumerate(coefs):
+        table[:c.size, j] = c
+    pair = np.zeros((2, act), complex)      # p_k in row k % 2
+    head = min(act, phi.size)
+    pair[0, :head] = phi[:head]
+    outs = np.zeros((sizes.size, act), complex)
+    for k in range(0, order, 2):
+        # p_j over p_{j-2}, and p_1 = (i/a)(H - c) p_0 over zeros; an update by a
+        # product (m entries) reaches the first m.  With a == 0 (H = c I) there
+        # is no p_1: the outputs are a pure phase.
+        for j in range(max(k, 1), min(k + 2, order)):
+            new, old, step = pair[j % 2], pair[1 - j % 2], 1j if j == 1 else 2j
+            zaxpy(mat @ old, new, a=step / half)
+            zaxpy(old, new, a=-step * centre / half)
+        live = int(np.argmax(sizes > k))    # the outputs before it have ended
+        _add_terms(outs[live:], pair, table[k:k + 2, live:])
+    norms = [float(np.linalg.norm(out)) for out in outs]
     if not np.all(np.isfinite(norms)):
         raise KrylovBreakdown("non-finite values during propagation")
     return outs, norms, order - 1
@@ -261,8 +278,8 @@ def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
     h = h.csr if isinstance(h, LatticeOperator) else h
     centre, half = _spectral_bounds(h)
     coefs = [_coefficients(float(dt), centre, half, _TAIL * tol)]
-    (out,), _, _ = _chebyshev(_as_csr(h), np.array(psi, dtype=complex), coefs, centre, half)
-    return out
+    outs, _, _ = _chebyshev(_as_csr(h), np.asarray(psi, dtype=complex), coefs, centre, half)
+    return outs[0]
 
 
 class _Boxes:
@@ -272,9 +289,10 @@ class _Boxes:
     r, every node with s <= r, is a prefix of the flat layout, and its
     operator a block of leading rows of the operator's CSR matrix.  One
     product moves amplitude across at most ``band`` shells, so the rows of
-    box r reach only the columns of box r + band.  Vectors keep the whole
-    lattice's length, zero outside the box: a box limits which entries are
-    computed, not what is allocated, so every vector has one size.  An
+    box r reach only the columns of box r + band.  A window's vectors have
+    the length of those columns, the prefix of the lattice's vectors that can
+    be nonzero; the rest are zero and not stored.  A grown lattice's layout
+    starts with the smaller one's, so a prefix keeps its meaning.  An
     operator that is not a :class:`LatticeOperator` is one shell: its only box
     is the whole lattice.
     """
@@ -352,9 +370,12 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     partial trace of each state, the boundary-shell population at each grid
     time and the propagator's counters.  Each output is reduced as soon as
     its window is computed, so without ``keep_states`` at most one window's
-    states are alive at a time.  Consecutive grid times are grouped into
-    windows with a * (t_last - t_start) <= 32, each served by one Chebyshev
-    recurrence from the state at t_start.  The norm is preserved to the
+    states are alive at a time.  An output has its box's length (see
+    :class:`_Boxes`): the trace and the leakage read that prefix, past which
+    the state is zero, and ``keep_states`` pads each state to the lattice.
+    Consecutive grid times are grouped into windows with
+    a * (t_last - t_start) <= 32, each served by one Chebyshev recurrence
+    from the state at t_start.  The norm is preserved to the
     expansion tolerance (the evolution is unitary; leakage is *monitored*,
     not absorbed).
 
@@ -399,21 +420,22 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
     states: list[LatticeState] = []
     leak = np.zeros(times.size)
     rho = np.zeros((times.size, basis.n_system, basis.n_system), dtype=complex)
-    cur = psi0.amplitudes.copy()
-    norm0 = float(np.linalg.norm(cur))
-    r = _front(boxes.populations(cur, boxes.outer), floor)
-    cur[boxes.rows(r):] = 0.0                   # the start keeps its shells out to its front
-    start, block, norms = 0, [cur], [norm0]
-    del cur
+    norm0 = float(np.linalg.norm(psi0.amplitudes))
+    r = _front(boxes.populations(psi0.amplitudes, boxes.outer), floor)
+    # the start keeps its shells out to its front
+    start, block, norms = 0, psi0.amplitudes[None, :boxes.rows(r)].copy(), [norm0]
     mat, last = None, None
     while True:
+        # the boundary shell's entries within the box; past it the outputs are zero
+        edge = boxes.shell[:np.searchsorted(boxes.shell, block.shape[1])]
         for j, (vec, nrm) in enumerate(zip(block, norms), start):
-            state = LatticeState(boxes.basis, vec)
-            leak[j] = float(np.sum(np.abs(vec[boxes.shell]) ** 2))
-            rho[j] = partial_trace(state)
+            leak[j] = float(np.sum(np.abs(vec[edge]) ** 2))
+            rho[j] = partial_trace(vec.reshape(-1, basis.n_system))
             stats["norm_drift"] = max(stats["norm_drift"], abs(nrm - norm0))
             if keep_states:
-                states.append(LatticeState(boxes.basis, vec.copy()))
+                full = np.zeros(boxes.basis.size, complex)
+                full[:vec.size] = vec
+                states.append(LatticeState(boxes.basis, full))
             if leak[j] > plan.leakage_threshold:
                 raise LeakageExceeded(
                     f"boundary-shell population {leak[j]:.3e} > {plan.leakage_threshold:.1e} "
@@ -422,8 +444,9 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         base = start + len(block) - 1
         if base + 1 == times.size:
             return states, report(times.size)
-        phi = block[-1]
-        del block            # drop this window's outputs; only the next base stays alive
+        # a copy, and no view of the block left: a view would keep the whole block alive
+        phi = block[-1].copy()
+        del block, vec
         pops = boxes.populations(phi, r)
         front = _front(pops, floor)
         reach = int(np.flatnonzero(pops).max(initial=0))     # the base state's support
@@ -445,22 +468,20 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
             bigger = grow(box + boxes.band) if grow and box + boxes.band > boxes.outer else None
             if bigger is not None:
                 boxes, mat = _Boxes(*bigger), None
-                phi = np.concatenate([phi, np.zeros(boxes.basis.size - phi.size, phi.dtype)])
                 growth.append(boxes.basis.depths)
                 continue
             cone, box = min(cone, boxes.outer), min(box, boxes.outer)
             stats["box_growths"] += box != r
             if mat is None or box != r:
                 r, mat = box, boxes.op(box)
-            # the recurrence overwrites its start: a copy, while a redo may need it
-            block, norms, used = _chebyshev(mat, phi if r >= cone else phi.copy(), coefs,
-                                            boxes.centre, boxes.half)
+            block, norms, used = _chebyshev(mat, phi, coefs, boxes.centre, boxes.half)
             stats["matvecs"] += used
             work += boxes.rows(r) * used
             if r >= cone or all(boxes.edge(vec, r) <= floor for vec in block):
                 break
             stats["redos"] += 1  # the front outran the box: widen it and run the window again
             redone += 1
+            del block            # from the same phi, which the recurrence does not write
         stats["windows"] += 1
         start = base + 1
 

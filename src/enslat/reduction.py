@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .errors import NotHermitian
 from .states import LatticeState
@@ -74,16 +75,34 @@ class DensityTrajectory:
             raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
 
 
-def partial_trace(state: LatticeState) -> np.ndarray:
+def partial_trace(state: LatticeState | np.ndarray) -> np.ndarray:
     """Average density matrix: rho_{nm} = sum_K psi_{n,K} psi*_{m,K}.
 
+    ``state`` is a :class:`LatticeState` or its node amplitudes, a node-major
+    (nodes, N) array, which may hold only a leading block of the nodes: the
+    rest count as zero.  Trailing zero nodes are dropped, so a state and any
+    zero-padded copy of it give the same bits (how BLAS splits a sum depends
+    on its length); then one ZGEMM forms a^T conj(a), with no conjugated copy.
     The sum runs over the truncated K range only; the propagator's leakage
     report quantifies the omitted tail.  The result is Hermitized (averaged
     with its adjoint) to scrub float-roundoff asymmetry.
     """
-    a = state.node_amplitudes()
-    rho = a.T @ a.conj()
+    a = _support(state.node_amplitudes() if isinstance(state, LatticeState) else state)
+    rho = zgemm(1.0, a.T, a.T, trans_b=2)
     return 0.5 * (rho + rho.conj().T)
+
+
+def _support(a: np.ndarray) -> np.ndarray:
+    """The leading rows of ``a`` up to its last nonzero one (at least one row),
+    found from the end in growing steps."""
+    end, step = len(a), 64
+    while end > 1:
+        lo = max(end - step, 1)
+        nonzero = np.flatnonzero(np.any(a[lo:end], axis=1))
+        if nonzero.size:
+            return a[:lo + nonzero[-1] + 1]
+        end, step = lo, 2 * step
+    return a[:1]
 
 
 def observable_average(state: LatticeState, observable: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -29,7 +30,7 @@ __all__ = [
     "expanded_initial",
 ]
 
-_SLICE_BYTES = 1 << 24      # the polynomial values, or the values of c, of one slice of points
+_SLICE_BYTES = 1 << 24      # what one slice of points holds: polynomial values, points, c
 
 
 @dataclass(eq=False)
@@ -117,9 +118,11 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
     n = basis.n_system
 
     def c_on(s):    # c on the points s of the first axis times the sub-grid, (|s|, ..., N)
-        grids = np.meshgrid(axes[0][0][s], *[x for x, _ in axes[1:]], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)              # (M, l)
-        return realization_amplitudes(c_fn, pts, n).reshape(grids[0].shape + (n,))
+        # one copy of the points, stacked from broadcast views of the axes
+        pts = np.stack(np.broadcast_arrays(*np.ix_(axes[0][0][s], *[x for x, _ in axes[1:]])),
+                       axis=-1)
+        return realization_amplitudes(c_fn, pts.reshape(-1, basis.l), n).reshape(
+            pts.shape[:-1] + (n,))
 
     # d_{n,K} = sum_q (prod_i w_i phi_{k_i}) c_n(q): contract one axis at a time
     shape = tuple(x.size for x, _ in axes)
@@ -127,16 +130,20 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
     work = None
     for (x, w), table, depth in zip(axes, tables, basis.depths):
         # fold quadrature weight into the polynomial values and contract axis 0
-        # a slice of points at a time (one slice is the whole contraction, bitwise);
-        # on the first axis the slice also bounds the values of c
-        per_point = 8 * (depth + 1) + ((16 * n + 16 * basis.l) * sub if work is None else 0)
+        # a slice of points at a time (one slice is the whole contraction, bitwise).
+        # Per point of a slice: the values, weighted, and their complex cast in
+        # the product; on the first axis the sub-grid's points and values of c,
+        # counted twice for c's own work; on the others the copy of the slice
+        # of ``work`` (a transposed view) the product makes
+        per_point = 32 * (depth + 1) + (
+            (8 * basis.l + 32 * n) * sub if work is None else work[0].nbytes)
         step = max(1, _SLICE_BYTES // per_point)
         block = c_on if work is None else work.__getitem__
         parts = (np.tensordot(orthonormal_values(table, x[s:s + step], depth) * w[s:s + step],
                               block(slice(s, s + step)), axes=([1], [0]))
                  for s in range(0, x.size, step))
-        # park the new k_i axis just before N; K axes accumulate in reverse
-        work = np.moveaxis(reduce(np.add, parts), 0, len(shape) - 1)
+        # summed in place; park the new k_i axis just before N; K axes accumulate in reverse
+        work = np.moveaxis(reduce(iadd, parts), 0, len(shape) - 1)
         shape = shape[1:]
     work = work.transpose(*range(basis.l - 1, -1, -1), basis.l)
     # shape (D_1+1, ..., D_l+1, N): pick the nodes in the basis's order

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from enslat import dynamics
 from enslat import (
@@ -462,6 +463,69 @@ def test_chebyshev_matches_dense(lattice, grid, seed):
             assert np.abs(got.amplitudes - want).max() <= 1e-12
 
 
+def _window(mat, phi, taus, centre, half):
+    coefs = [dynamics._coefficients(tau, centre, half, dynamics._TAIL * 1e-12) for tau in taus]
+    outs, norms, used = dynamics._chebyshev(mat, phi, coefs, centre, half)
+    return outs, norms, used, [c.size for c in coefs]
+
+
+@pytest.mark.parametrize("taus", [[0.3, 1.7, 4.0], [4.0, 0.3, 2.5, 0.0, 1.1]],
+                         ids=["increasing", "non-monotone"])
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize("box", [False, True], ids=["whole", "box"])
+def test_window_matches_expm(taus, parity, box):
+    # one window against expm: outputs whose series end at different terms, in
+    # any order, a last term of either parity, and a box whose rows are fewer
+    # than its columns, whose start and outputs are zero past its rows
+    rng = np.random.default_rng(7)
+    _, h = random_hermitian_lattice(rng, n_nodes=60, extra=100)
+    h = h + 3.0 * sp.identity(h.shape[0], format="csr")
+    centre, half = dynamics._spectral_bounds(h)
+    rows, act = (70, 90) if box else h.shape
+    phi = np.zeros(h.shape[0], complex)
+    phi[:rows] = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    taus = np.array(taus) / half * 6.0
+    while max(_window(h[:rows, :act], phi, taus, centre, half)[3]) % 2 != parity:
+        taus[np.argmax(taus)] *= 1.02
+    start = phi.copy()
+    outs, norms, used, sizes = _window(h[:rows, :act], phi, taus, centre, half)
+    assert np.array_equal(phi, start)                   # the start is not written
+    assert outs.shape == (taus.size, act) and used == max(sizes) - 1
+    assert len(set(sizes)) == taus.size and (sizes == sorted(sizes)) == (list(taus) == sorted(taus))
+    block = h[:rows, :rows].toarray()
+    for tau, out, nrm in zip(taus, outs, norms):
+        want = expm(-1j * tau * block) @ phi[:rows]
+        assert np.abs(out[:rows] - want).max() <= 1e-13
+        assert not out[rows:].any() and nrm == np.linalg.norm(out)
+
+
+def test_window_of_a_constant_operator_is_a_phase():
+    # H = c I: half-width 0, one term per output and no product, no division by a
+    centre = 2.5
+    h = sp.csr_matrix(centre * np.eye(6))
+    phi = np.arange(6) + 1j
+    with np.errstate(all="raise"):
+        outs, _, used, sizes = _window(h, phi, [0.0, 3.0, 0.7], *dynamics._spectral_bounds(h))
+    assert used == 0 and sizes == [1, 1, 1]
+    for tau, out in zip([0.0, 3.0, 0.7], outs):
+        assert np.abs(out - np.exp(-1j * centre * tau) * phi).max() <= 1e-15
+
+
+def test_block_update_refuses_a_strided_output():
+    # f2py would add into a copy of outputs that are not the rows of one
+    # C-contiguous array, and drop it: every update lost, so it is refused
+    rng = np.random.default_rng(3)
+    terms = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    coef = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    outs = np.zeros((3, 8), complex)
+    with pytest.raises(ValueError, match="in place"):
+        dynamics._add_terms(outs[:, :5], terms, coef)
+    outs = np.ones((3, 5), complex)
+    dynamics._add_terms(outs[1:], terms, coef[:, 1:])
+    assert np.array_equal(outs[0], np.ones(5))
+    assert np.abs(outs[1:] - 1 - coef[:, 1:].T @ terms).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # edge cases and the operator contract
 # ---------------------------------------------------------------------------
@@ -666,3 +730,29 @@ def test_box_memory_is_one_operator_and_a_window_of_vectors():
     width = _largest_window(plan.times, half)
     assert width == 1
     assert peak <= csr_bytes + (width + 8) * vec
+
+
+def test_box_memory_holds_no_earlier_window():
+    # as above with eight outputs a window, on a lattice the box comes to fill:
+    # the last windows hold whole vectors.  The previous window's outputs must
+    # be gone before the next one runs, so the peak is the operator, one
+    # window's outputs and four vectors (the start, the recurrence pair and a
+    # product); a view of the last output kept as the next start would hold
+    # the whole previous window too
+    from enslat import EnsembleSpec, LinearCoupling
+    spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
+                        (DisorderDistribution.semicircle(1.0),) * 2)
+    op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.ones(1), b), (120, 120))
+    csr = op.csr
+    csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+    del csr
+    vec = psi0.amplitudes.nbytes
+    _, half = dynamics._spectral_bounds(op)
+    plan = PropagationPlan(np.arange(41) * 4.0 / half)
+    report = []
+    peak = _peak_traced_bytes(lambda: report.append(propagate(op, psi0, plan)[1]))
+    assert report[0].box_growths > 1 and report[0].active_fraction < 1
+    assert report[0].box == (120, 120)
+    width = _largest_window(plan.times, half)
+    assert width >= 4
+    assert peak <= csr_bytes + (width + 4) * vec
