@@ -1,9 +1,10 @@
 """Exact time propagation of lattice states.
 
-The operator is large, sparse and Hermitian, so states are advanced with a
-Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967, 1984).  Gershgorin discs give the centre c and half-width a of an
-interval holding the spectrum, and for either sign of tau
+The operator, a :class:`~enslat.lattice.LatticeOperator`, is large, sparse
+and Hermitian, so states are advanced with a Chebyshev expansion of the
+propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  Gershgorin
+discs give the centre c and half-width a of an interval holding the
+spectrum, and for either sign of tau
 
     exp(-i H tau) phi = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(a tau) T_k((H - c)/a) phi.
 
@@ -149,17 +150,16 @@ class LeakageReport:
         return self.max_leakage > self.threshold
 
 
-def _as_csr(h) -> sp.csr_matrix:
-    return h if isinstance(h, sp.csr_matrix) else sp.csr_matrix(h)
+def _as_csr(m: sp.csr_matrix) -> sp.csr_matrix:
+    return m        # as given: perfbench/tracing.py rebinds this name to count products
 
 
-def _spectral_bounds(h) -> tuple[float, float]:
-    """Centre and half-width of the Gershgorin interval holding the spectrum of h.
+def _spectral_bounds(m: sp.csr_matrix) -> tuple[float, float]:
+    """Centre and half-width of the Gershgorin interval of the CSR matrix m.
 
     Each row's entries above and below the diagonal are summed apart, in
     column order; rows are taken in pieces, so no temporaries the matrix's size.
     """
-    m = sp.csr_matrix(h.csr if isinstance(h, LatticeOperator) else h)
     lo, hi = np.inf, -np.inf
     for start in range(0, m.shape[0], 1 << 15):
         ptr = m.indptr[start:start + (1 << 15) + 1]
@@ -270,15 +270,16 @@ def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
     return outs, norms, order - 1
 
 
-def evolve(h, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
-    """Apply exp(-i H dt) to a vector (dt of either sign); one Chebyshev window.
-
+def evolve(h: LatticeOperator, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
+    """Apply exp(-i H dt) to a vector (dt of either sign): one Chebyshev window
+    on the whole :class:`LatticeOperator` h (any other type raises TypeError).
     Low-level kernel behind :func:`propagate`; returns a new vector.
     """
-    h = h.csr if isinstance(h, LatticeOperator) else h
-    centre, half = _spectral_bounds(h)
+    if not isinstance(h, LatticeOperator):
+        raise TypeError(f"evolve takes a LatticeOperator, not {type(h).__name__}")
+    centre, half = _spectral_bounds(h.csr)
     coefs = [_coefficients(float(dt), centre, half, _TAIL * tol)]
-    outs, _, _ = _chebyshev(_as_csr(h), np.asarray(psi, dtype=complex), coefs, centre, half)
+    outs, _, _ = _chebyshev(_as_csr(h.csr), np.asarray(psi, dtype=complex), coefs, centre, half)
     return outs[0]
 
 
@@ -292,19 +293,14 @@ class _Boxes:
     box r reach only the columns of box r + band.  A window's vectors have
     the length of those columns, the prefix of the lattice's vectors that can
     be nonzero; the rest are zero and not stored.  A grown lattice's layout
-    starts with the smaller one's, so a prefix keeps its meaning.  An
-    operator that is not a :class:`LatticeOperator` is one shell: its only box
-    is the whole lattice.
+    starts with the smaller one's, so a prefix keeps its meaning.  ``h`` is
+    the :class:`LatticeOperator` of the lattice ``basis`` lays out.
     """
 
-    def __init__(self, h, basis: LatticeBasis):
-        self.basis = basis
-        if isinstance(h, LatticeOperator):
-            shells = basis.node_multi_indices().max(axis=1)
-            self.csr, self.band, counts = h.csr, _shell_band(h.csr, shells), np.bincount(shells)
-        else:
-            self.csr, self.band, counts = h, 0, [basis.node_count]
-        self.nnz = self.csr.nnz if sp.issparse(self.csr) else int(np.count_nonzero(self.csr))
+    def __init__(self, h: LatticeOperator, basis: LatticeBasis):
+        shells = basis.node_multi_indices().max(axis=1)
+        self.basis, self.csr, self.nnz = basis, h.csr, h.nnz
+        self.band, counts = _shell_band(h.csr, shells), np.bincount(shells)
         self.starts = basis.n_system * np.concatenate([[0], np.cumsum(counts)])
         self.outer = len(counts) - 1    # radius of the whole lattice
         self.centre, self.half = _spectral_bounds(self.csr)   # the Gershgorin interval
@@ -314,17 +310,9 @@ class _Boxes:
         """Size of box r."""
         return int(self.starts[min(r, self.outer) + 1])
 
-    def depths(self, r: int) -> tuple:
-        """Per-axis depths of box r."""
-        if r >= self.outer:             # also the one shell of an operator given as a matrix
-            return self.basis.depths
-        return tuple(min(r, d) for d in self.basis.depths)
-
     def op(self, r: int):
         """The operator of box r, through :func:`_as_csr`: the box's rows and
         the columns they reach, as views of the whole CSR matrix."""
-        if r >= self.outer:
-            return _as_csr(self.csr)
         m, cols = self.rows(r), self.rows(r + self.band)
         end = self.csr.indptr[m]
         box = sp.csr_matrix((m, cols), dtype=self.csr.dtype)
@@ -361,27 +349,28 @@ def _front(pops: np.ndarray, floor: float) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool = False,
-              grow=None) -> tuple[list[LatticeState], LeakageReport]:
-    """Propagate psi0 over the plan's time grid under the lattice operator.
+def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
+              keep_states: bool = False, grow=None) -> tuple[list[LatticeState], LeakageReport]:
+    """Propagate psi0 over the plan's time grid under the lattice operator h.
 
-    Returns the states psi(t_j) = exp(-i H t_j) psi0 (an empty list unless
-    ``keep_states``) together with a :class:`LeakageReport` holding the
-    partial trace of each state, the boundary-shell population at each grid
-    time and the propagator's counters.  Each output is reduced as soon as
-    its window is computed, so without ``keep_states`` at most one window's
-    states are alive at a time.  An output has its box's length (see
-    :class:`_Boxes`): the trace and the leakage read that prefix, past which
-    the state is zero, and ``keep_states`` pads each state to the lattice.
-    Consecutive grid times are grouped into windows with
-    a * (t_last - t_start) <= 32, each served by one Chebyshev recurrence
-    from the state at t_start.  The norm is preserved to the
-    expansion tolerance (the evolution is unitary; leakage is *monitored*,
-    not absorbed).
+    ``h`` is the :class:`LatticeOperator` of the lattice ``psi0.basis`` lays
+    out; anything else raises TypeError.  Returns the states
+    psi(t_j) = exp(-i H t_j) psi0 (an empty list unless ``keep_states``)
+    together with a :class:`LeakageReport` holding the partial trace of each
+    state, the boundary-shell population at each grid time and the
+    propagator's counters.  Each output is reduced as soon as its window is
+    computed, so without ``keep_states`` at most one window's states are
+    alive at a time.  An output has its box's length (see :class:`_Boxes`):
+    the trace and the leakage read that prefix, past which the state is
+    zero, and ``keep_states`` pads each state to the lattice.  Consecutive
+    grid times are grouped into windows with a * (t_last - t_start) <= 32,
+    each served by one Chebyshev recurrence from the state at t_start.  The
+    norm is preserved to the expansion tolerance (the evolution is unitary;
+    leakage is *monitored*, not absorbed).
 
-    Each window of a :class:`LatticeOperator` runs on the box of the lattice
-    the wavefront occupies (see :class:`_Boxes`), leaving at most
-    (``_TAIL`` * tol)**2 of the population outside.  The box is the smaller
+    Each window runs on the box of the lattice the wavefront occupies (see
+    :class:`_Boxes`), leaving at most (``_TAIL`` * tol)**2 of the population
+    outside.  The box is the smaller
     of the light cone (the base state's support plus the window's products
     times the band width), inside which the result is exact, and the
     measured front plus its projected advance and ``_SHELLS`` shells.  A
@@ -398,10 +387,11 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         When the shell population crosses ``plan.leakage_threshold``; the
         exception's report carries the partial trajectory.
     """
+    if not isinstance(h, LatticeOperator):
+        raise TypeError(f"propagate takes a LatticeOperator, not {type(h).__name__}")
     basis = psi0.basis
-    dim = h.dim if isinstance(h, LatticeOperator) else np.shape(h)[0]
-    if dim != basis.size:
-        raise ValueError(f"operator dim {dim} != basis size {basis.size}")
+    if h.dim != basis.size:
+        raise ValueError(f"operator dim {h.dim} != basis size {basis.size}")
     boxes = _Boxes(h, basis)
     growth = [basis.depths]
     floor = (_TAIL * plan.tol) ** 2             # population a box may leave outside
@@ -414,7 +404,8 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         active = work / (dim * stats["matvecs"]) if stats["matvecs"] else 1.0
         return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
                              boxes.centre, boxes.half, **stats, rho=rho[:n].copy(), op_dim=dim,
-                             op_nnz=boxes.nnz, growth=tuple(growth), box=boxes.depths(r),
+                             op_nnz=boxes.nnz, growth=tuple(growth),
+                             box=tuple(min(r, d) for d in boxes.basis.depths),
                              active_fraction=active)
 
     states: list[LatticeState] = []
@@ -486,16 +477,17 @@ def propagate(h, psi0: LatticeState, plan: PropagationPlan, *, keep_states: bool
         start = base + 1
 
 
-def propagate_dense(h, psi0: LatticeState, times) -> list[LatticeState]:
+def propagate_dense(h: np.ndarray, psi0: LatticeState, times) -> list[LatticeState]:
     """Reference path: exact evolution by dense eigendecomposition.
 
-    Cross-check for the Chebyshev propagator; refuses dimensions above 2000.
+    Cross-check for the Chebyshev propagator.  ``h`` is the dense Hermitian
+    matrix it diagonalizes, such as ``op.to_dense()`` of a
+    :class:`LatticeOperator`; dimensions above 2000 are refused.
     """
     basis = psi0.basis
-    hd = h.to_dense() if isinstance(h, LatticeOperator) else np.asarray(h)
-    if hd.shape[0] > 2000:
+    if len(h) > 2000:
         raise ValueError("dense path limited to dimension <= 2000")
-    evals, vecs = eigh(hd)
+    evals, vecs = eigh(h)
     c0 = vecs.conj().T @ psi0.amplitudes
     return [LatticeState(basis, vecs @ (np.exp(-1j * evals * t) * c0))
             for t in np.asarray(times, dtype=float)]

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _SLICE_BYTES = 1 << 24      # what one slice of points holds: polynomial values, points, c
+_WARN_DEFECT = 1e-8         # Parseval norm defect an expansion warns about
+_MAX_DEFECT = 1e-6          # and the one it raises NormDefectExceeded above
 
 
 @dataclass(eq=False)
@@ -81,9 +83,7 @@ def localized_initial(c, basis: LatticeBasis) -> LatticeState:
     return LatticeState(basis, amps)
 
 
-def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
-                     warn_defect: float = 1e-8,
-                     max_defect: float = 1e-6) -> LatticeState:
+def expanded_initial(c_fn, dists, tables, basis: LatticeBasis) -> LatticeState:
     """Expand a disorder-dependent initial state over the lattice basis.
 
     Parameters
@@ -91,9 +91,9 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
     c_fn : callable
         Per-realization amplitudes, as accepted by
         :func:`realization_amplitudes`: a vectorized callable mapping an
-        (M, l) array of disorder points to an (M, N) complex array.  Each row
-        must be normalized (the norm check happens globally via the Parseval
-        defect).
+        (M, l) array of disorder points to an (M, N) complex array.  Rows are
+        not checked one by one: the Parseval defect checks the norm of the
+        whole expansion.
     dists, tables : sequences, one per disorder variable
         The measures (for the quadrature grid) and their recurrence tables
         (for the orthonormal polynomial values).
@@ -106,8 +106,8 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
 
     The Parseval norm defect ``|sum |d|^2 - 1|`` measures exactly the weight
     lost to the K-truncation (plus quadrature error); it is reported in
-    ``info["norm_defect"]``, warned about above `warn_defect` and raised as
-    NormDefectExceeded above `max_defect`.
+    ``info["norm_defect"]``, warned about above 1e-8 and raised as
+    NormDefectExceeded above 1e-6.
     """
     dists = tuple(dists)
     tables = tuple(tables)
@@ -121,7 +121,7 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
         # one copy of the points, stacked from broadcast views of the axes
         pts = np.stack(np.broadcast_arrays(*np.ix_(axes[0][0][s], *[x for x, _ in axes[1:]])),
                        axis=-1)
-        return realization_amplitudes(c_fn, pts.reshape(-1, basis.l), n).reshape(
+        return _amplitudes(c_fn, pts.reshape(-1, basis.l), n).reshape(
             pts.shape[:-1] + (n,))
 
     # d_{n,K} = sum_q (prod_i w_i phi_{k_i}) c_n(q): contract one axis at a time
@@ -150,11 +150,11 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis, *,
     d = work[tuple(basis.node_multi_indices().T)].ravel()
 
     defect = abs(float(np.sum(np.abs(d) ** 2)) - 1.0)
-    if defect > max_defect:
+    if defect > _MAX_DEFECT:
         raise NormDefectExceeded(
-            f"norm defect {defect:.3e} > {max_defect:.1e}: "
+            f"norm defect {defect:.3e} > {_MAX_DEFECT:.1e}: "
             "increase the truncation depth or quadrature resolution")
-    if defect > warn_defect:
+    if defect > _WARN_DEFECT:
         warnings.warn(f"initial-state norm defect {defect:.3e}", stacklevel=2)
     return LatticeState(basis, d, info={"norm_defect": defect})
 
@@ -164,9 +164,19 @@ def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
 
     ``c`` is either a constant (N,) vector, the same state in every
     realization, or a vectorized callable mapping the (M, l) points to an
-    (M, N) array.  Returns (M, N) complex amplitudes.  Exceptions raised by
-    the callable propagate; any other shape raises ValueError.
+    (M, N) array.  Returns (M, N) complex amplitudes, each row of unit norm
+    within 1e-8 (NotNormalized otherwise).  Exceptions raised by the callable
+    propagate; any other shape raises ValueError.
     """
+    out = _amplitudes(c, pts, n)
+    worst = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0), initial=0.0))
+    if worst > 1e-8:
+        raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
+    return out
+
+
+def _amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
+    """:func:`realization_amplitudes` without the norm check."""
     m = pts.shape[0]
     if c is None:
         raise ValueError("an initial state (vector or callable) is required")

@@ -9,8 +9,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest
+import scipy.sparse as sp
 
-from enslat import DisorderDistribution, EnsembleSpec, LinearCoupling
+from enslat import DisorderDistribution, EnsembleSpec, LatticeOperator, LinearCoupling
 
 
 def qubit_spec(dist, e0=0.0, e1=1.0) -> EnsembleSpec:
@@ -28,6 +29,12 @@ def dimer_spec(e1, e2, v, sigma, cutoff_sigmas=None) -> EnsembleSpec:
     p1 = np.diag([1.0, 0.0])
     p2 = np.diag([0.0, 1.0])
     return EnsembleSpec(h0, (LinearCoupling(p1), LinearCoupling(p2)), (dist, dist))
+
+
+def as_operator(h) -> LatticeOperator:
+    """The LatticeOperator of a Hermitian sparse matrix, built from its upper triangle."""
+    up = sp.triu(h, format="coo")
+    return LatticeOperator(h.shape[0], lambda: [(up.row, up.col, up.data)])
 
 
 @pytest.fixture

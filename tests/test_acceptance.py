@@ -37,7 +37,7 @@ from enslat import (
     recurrence_table,
     trajectory_from_states,
 )
-from conftest import qubit_spec
+from conftest import as_operator, qubit_spec
 
 C_HALF = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -322,7 +322,7 @@ def test_criterion_7_propagator_properties():
             rows.append(i); cols.append(j)
             vals.append(0.3 * (rng.normal() + 1j * rng.normal()))
     h = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    h = sp.csr_matrix(h + h.conj().T - sp.diags(h.diagonal()))
+    h = as_operator(sp.csr_matrix(h + h.conj().T - sp.diags(h.diagonal())))
 
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
@@ -334,7 +334,7 @@ def test_criterion_7_propagator_properties():
     states, _ = propagate(h, psi0, plan, keep_states=True)
 
     norm_err = max(abs(s.norm - 1.0) for s in states)
-    energies = [np.vdot(s.amplitudes, h @ s.amplitudes).real for s in states]
+    energies = [np.vdot(s.amplitudes, h.csr @ s.amplitudes).real for s in states]
     energy_err = (max(energies) - min(energies)) / max(abs(energies[0]), 1.0)
     back = evolve(h, states[-1].amplitudes, -t_max, tol=tol)
     reversal_err = float(np.abs(back - amps).max())

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from enslat import dynamics
@@ -31,7 +31,7 @@ from enslat import (
     recurrence_analytic,
     trajectory_from_states,
 )
-from conftest import qubit_spec
+from conftest import as_operator, qubit_spec
 
 
 def random_hermitian_lattice(rng, n_nodes=200, n=2, extra=300):
@@ -103,16 +103,14 @@ def test_qubit_chain_overlap_is_characteristic_function(family, width):
     assert np.abs(overlap - np.conj(phi) * np.exp(-1j * plan.times)).max() < 1e-11
 
 
-def test_krylov_matches_dense(rng):
+def test_chebyshev_propagator_matches_dense(rng):
     basis, h = random_hermitian_lattice(rng, n_nodes=60, extra=80)
     psi0 = random_state(rng, basis)
     times = np.array([0.0, 0.9, 2.2])
     plan = PropagationPlan(times, leakage_threshold=np.inf)
-    up = sp.triu(h, format="coo")
-    krylov, _ = propagate(LatticeOperator(basis.size, lambda: [(up.row, up.col, up.data)]),
-                          psi0, plan, keep_states=True)
+    chebyshev, _ = propagate(as_operator(h), psi0, plan, keep_states=True)
     dense = propagate_dense(h.toarray(), psi0, times)
-    for a, b in zip(krylov, dense):
+    for a, b in zip(chebyshev, dense):
         assert np.abs(a.amplitudes - b.amplitudes).max() < 5e-12
 
 
@@ -125,7 +123,7 @@ def test_unitarity(rng):
     psi0 = random_state(rng, basis)
     t_max = 5.0
     plan = PropagationPlan.linspace(t_max, 11, leakage_threshold=np.inf)
-    states, _ = propagate(h, psi0, plan, keep_states=True)
+    states, _ = propagate(as_operator(h), psi0, plan, keep_states=True)
     for s in states:
         assert abs(s.norm - 1.0) <= 10 * plan.tol * max(t_max, 1.0)
 
@@ -134,8 +132,9 @@ def test_time_reversal(rng):
     basis, h = random_hermitian_lattice(rng)
     psi0 = random_state(rng, basis)
     t = 3.0
-    fwd = evolve(h, psi0.amplitudes, t)
-    back = evolve(h, fwd, -t)
+    op = as_operator(h)
+    fwd = evolve(op, psi0.amplitudes, t)
+    back = evolve(op, fwd, -t)
     assert np.abs(back - psi0.amplitudes).max() <= 1e2 * 1e-12
 
 
@@ -143,7 +142,7 @@ def test_energy_conservation(rng):
     basis, h = random_hermitian_lattice(rng)
     psi0 = random_state(rng, basis)
     plan = PropagationPlan.linspace(4.0, 9, leakage_threshold=np.inf)
-    states, _ = propagate(h, psi0, plan, keep_states=True)
+    states, _ = propagate(as_operator(h), psi0, plan, keep_states=True)
     energies = [np.vdot(s.amplitudes, h @ s.amplitudes).real for s in states]
     scale = max(abs(energies[0]), 1.0)
     assert (max(energies) - min(energies)) / scale < 1e-10
@@ -157,8 +156,9 @@ def test_substep_invariance(rng):
     t_max = 3.0
     coarse = PropagationPlan(np.linspace(0.0, t_max, 7), leakage_threshold=np.inf)
     fine = PropagationPlan(np.linspace(0.0, t_max, 13), leakage_threshold=np.inf)
-    a, _ = propagate(h, psi0, coarse, keep_states=True)
-    b, _ = propagate(h, psi0, fine, keep_states=True)
+    op = as_operator(h)
+    a, _ = propagate(op, psi0, coarse, keep_states=True)
+    b, _ = propagate(op, psi0, fine, keep_states=True)
     assert np.abs(a[-1].amplitudes - b[-1].amplitudes).max() <= coarse.tol
 
 
@@ -244,10 +244,10 @@ def _peak_traced_bytes(fn):
 def test_streaming_memory_does_not_grow_with_outputs():
     dist = DisorderDistribution.semicircle(1.0)
     d = 9_999                                       # dim 20,000; the front stays far inside
-    h = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d]).csr
+    h = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
     vec = psi0.amplitudes.nbytes
-    _, half = dynamics._spectral_bounds(h)
+    _, half = dynamics._spectral_bounds(h.csr)
     dt = 2.0 / half                                 # sixteen outputs per window
 
     def plan(n):
@@ -452,8 +452,8 @@ def test_chebyshev_matches_dense(lattice, grid, seed):
     # the offset is an exact global phase; removing it keeps the dense eigenvalues accurate
     shifted = h - offset * sp.identity(h.shape[0])
     times = grid / abs(shifted).sum(axis=1).max()      # a time unit near 1/half-width
-    states, report = propagate(h, psi0, PropagationPlan(times, leakage_threshold=np.inf),
-                               keep_states=True)
+    states, report = propagate(as_operator(h), psi0,
+                               PropagationPlan(times, leakage_threshold=np.inf), keep_states=True)
     dense = propagate_dense(shifted.toarray(), psi0, times)
     assert report.norm_drift <= 1e-12
     for t, got, want in zip(times, states, dense):
@@ -533,12 +533,22 @@ def test_block_update_refuses_a_strided_output():
 def test_evolve_backward_undoes_forward_with_offset(rng):
     # dt < 0 runs the same expansion; the e^{-i c tau} phase must flip with it
     basis, h = random_hermitian_lattice(rng)
-    h = 300.0 * h + 12_000.0 * sp.identity(basis.size, format="csr")
+    op = as_operator(300.0 * h + 12_000.0 * sp.identity(basis.size, format="csr"))
     psi0 = random_state(rng, basis)
-    fwd = evolve(h, psi0.amplitudes, 0.02)
+    fwd = evolve(op, psi0.amplitudes, 0.02)
     assert np.abs(fwd - psi0.amplitudes).max() > 0.1
-    back = evolve(h, fwd, -0.02)
+    back = evolve(op, fwd, -0.02)
     assert np.abs(back - psi0.amplitudes).max() <= 1e-10
+
+
+def test_propagate_and_evolve_refuse_a_bare_matrix(rng):
+    # one operator type: a matrix that is not a LatticeOperator is refused by name
+    basis, h = random_hermitian_lattice(rng, n_nodes=20, extra=0)
+    psi0 = random_state(rng, basis)
+    with pytest.raises(TypeError, match="propagate takes a LatticeOperator, not csr_matrix"):
+        propagate(h, psi0, PropagationPlan(np.array([0.0, 1.0])))
+    with pytest.raises(TypeError, match="evolve takes a LatticeOperator, not csr_matrix"):
+        evolve(h, psi0.amplitudes, 1.0)
 
 
 def test_constant_operator_is_pure_phase():
@@ -566,7 +576,7 @@ def test_leakage_exceeded_inside_a_window():
     psi0 = localized_initial(np.array([0.0, 1.0]), basis)
     plan = PropagationPlan.linspace(6.0, 25, leakage_threshold=1e-3)
     shell = boundary_shell(basis, 1)
-    dense = propagate_dense(op, psi0, plan.times)
+    dense = propagate_dense(op.to_dense(), psi0, plan.times)
     leak = np.array([np.sum(np.abs(s.amplitudes[shell]) ** 2) for s in dense])
     first = int(np.argmax(leak > plan.leakage_threshold))
     assert 1 < first < plan.times.size - 1
@@ -624,9 +634,9 @@ def test_propagator_needs_only_shape_and_matmul(monkeypatch):
 
 @st.composite
 def box_lattices(draw):
-    """(op, psi0) of a build_general lattice: one axis of depth 120 or two of
-    depths (80, <= 10); linear or degree-2 couplings; a localized or an
-    expanded initial state."""
+    """(op, psi0, band) of a build_general lattice: one axis of depth 120 or
+    two of depths (80, <= 10); linear or degree-2 couplings, band the largest
+    degree; a localized or an expanded initial state."""
     from enslat import EnsembleSpec, LatticeState, PolynomialCoupling
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     l = draw(st.sampled_from([1, 2]))
@@ -656,16 +666,29 @@ def box_lattices(draw):
         amps[basis.node_multi_indices().max(axis=1) > spread] = 0.0
         return LatticeState(basis, (amps / np.linalg.norm(amps)).ravel())
 
-    return lattice_at(spec, builder, depths)
+    return (*lattice_at(spec, builder, depths), max(c.degree for c in couplings))
+
+
+def _band_two_origin_lattice():
+    """(op, psi0, band) of a (80, 4) lattice with degree-2 couplings and the
+    state on the origin, N = 1.  Unless the horizon is divided by the band,
+    a * t = 14 takes 40 products, whose light cone reaches shell 80."""
+    from enslat import EnsembleSpec, PolynomialCoupling
+    spec = EnsembleSpec(np.array([[0.3]]),
+                        (PolynomialCoupling((np.zeros((1, 1)), [[0.5]], [[0.1]])),
+                         PolynomialCoupling((np.zeros((1, 1)), [[-0.4]], [[0.05]]))),
+                        (DisorderDistribution.semicircle(1.0), DisorderDistribution.gaussian(0.5)))
+    return (*lattice_at(spec, lambda b, _: localized_initial(np.ones(1), b), (80, 4)), 2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(box_lattices(), st.lists(st.floats(0.25, 2.0), min_size=1, max_size=8))
+@example(_band_two_origin_lattice(), [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 def test_box_windows_match_dense(lattice, steps):
-    # a * t <= 16 in all: the first window's light cone stays inside the lattice
-    op, psi0 = lattice
-    centre, half = dynamics._spectral_bounds(op)
-    times = np.concatenate([[0.0], np.cumsum(steps)]) / half
+    # a * t * band <= 16 in all: the first window's light cone stays inside the lattice
+    op, psi0, band = lattice
+    centre, half = dynamics._spectral_bounds(op.csr)
+    times = np.concatenate([[0.0], np.cumsum(steps)]) / (half * band)
     states, report = propagate(op, psi0, PropagationPlan(times, leakage_threshold=np.inf),
                                keep_states=True)
     # the centre is an exact global phase; removing it keeps the dense eigenvalues accurate
@@ -684,12 +707,12 @@ def test_box_redone_when_front_outruns_it():
     d = 150
     op = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
-    _, half = dynamics._spectral_bounds(op)
+    _, half = dynamics._spectral_bounds(op.csr)
     times = np.array([0.0, 40.0, 40.001, 80.0]) / half      # one output per window
     states, report = propagate(op, psi0, PropagationPlan(times), keep_states=True)
     assert report.windows == 3 and report.redos > 0
     assert report.box[0] < d
-    for got, want in zip(states, propagate_dense(op, psi0, times)):
+    for got, want in zip(states, propagate_dense(op.to_dense(), psi0, times)):
         assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 
@@ -722,7 +745,7 @@ def test_box_memory_is_one_operator_and_a_window_of_vectors():
     csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     del csr
     vec = psi0.amplitudes.nbytes
-    _, half = dynamics._spectral_bounds(op)
+    _, half = dynamics._spectral_bounds(op.csr)
     plan = PropagationPlan(np.arange(6) * 40.0 / half)
     report = []
     peak = _peak_traced_bytes(lambda: report.append(propagate(op, psi0, plan)[1]))
@@ -747,7 +770,7 @@ def test_box_memory_holds_no_earlier_window():
     csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     del csr
     vec = psi0.amplitudes.nbytes
-    _, half = dynamics._spectral_bounds(op)
+    _, half = dynamics._spectral_bounds(op.csr)
     plan = PropagationPlan(np.arange(41) * 4.0 / half)
     report = []
     peak = _peak_traced_bytes(lambda: report.append(propagate(op, psi0, plan)[1]))

@@ -406,6 +406,17 @@ def test_mc_initial_state_callable_errors_propagate():
                    [0.0, 1.0], OracleConfig(samples=10))
 
 
+@pytest.mark.parametrize("average", [mc_average, quad_average], ids=["mc", "quad"])
+@pytest.mark.parametrize("c", [np.array([1.0, 1.0]), lambda lam: np.ones((lam.shape[0], 2))],
+                         ids=["vector", "callable"])
+def test_oracles_refuse_an_unnormalized_state(average, c):
+    # both averages form the amplitudes through realization_amplitudes, which
+    # checks every realization's norm: neither returns a rho of trace 2
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    with pytest.raises(NotNormalized, match="per-realization initial state off by 4.142e-01"):
+        average(spec, c, np.linspace(0.0, 1.0, 5), OracleConfig(samples=64, quad_order=8))
+
+
 def test_mc_system_too_large():
     n = 65
     spec = EnsembleSpec(np.zeros((n, n)), (LinearCoupling(np.eye(n)),),

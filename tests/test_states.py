@@ -195,7 +195,7 @@ def test_expanded_norm_defect_warns():
         return np.stack([lam, np.sqrt(1.0 - lam ** 2)], axis=1).astype(complex)
 
     with pytest.warns(UserWarning, match="norm defect"):
-        psi = expanded_initial(c_fn, [dist], [table], basis, warn_defect=1e-12)
+        psi = expanded_initial(c_fn, [dist], [table], basis)
     assert psi.info["norm_defect"] > 1e-12
 
 
