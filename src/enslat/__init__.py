@@ -61,7 +61,6 @@ from .dynamics import (
     LeakageReport,
     PropagationPlan,
     auto_depth,
-    evolve,
     lattice_at,
     propagate,
     propagate_dense,

@@ -231,7 +231,10 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
             _fail("initial.file", f"need 1 + 2*N columns, got {data.shape[1]}")
         lam = data[:, 0]
         cvals = data[:, 1::2] + 1j * data[:, 2::2]
-        cvals /= np.linalg.norm(cvals, axis=1, keepdims=True)
+        norms = np.linalg.norm(cvals, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            _fail("initial.file", f"row {int(np.argmin(norms))} has all amplitudes zero")
+        cvals /= norms
 
         def c_fn(pts):
             pts = np.atleast_2d(pts)[:, 0]

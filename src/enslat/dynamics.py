@@ -4,7 +4,7 @@ The operator, a :class:`~enslat.lattice.LatticeOperator`, is large, sparse
 and Hermitian, so states are advanced with a Chebyshev expansion of the
 propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  Gershgorin
 discs give the centre c and half-width a of an interval holding the
-spectrum, and for either sign of tau
+spectrum, and
 
     exp(-i H tau) phi = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(a tau) T_k((H - c)/a) phi.
 
@@ -62,7 +62,6 @@ __all__ = [
     "PropagationPlan",
     "LeakageReport",
     "propagate",
-    "evolve",
     "propagate_dense",
     "lattice_at",
     "auto_depth",
@@ -268,19 +267,6 @@ def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
     if not np.all(np.isfinite(norms)):
         raise KrylovBreakdown("non-finite values during propagation")
     return outs, norms, order - 1
-
-
-def evolve(h: LatticeOperator, psi: np.ndarray, dt: float, tol: float = 1e-12) -> np.ndarray:
-    """Apply exp(-i H dt) to a vector (dt of either sign): one Chebyshev window
-    on the whole :class:`LatticeOperator` h (any other type raises TypeError).
-    Low-level kernel behind :func:`propagate`; returns a new vector.
-    """
-    if not isinstance(h, LatticeOperator):
-        raise TypeError(f"evolve takes a LatticeOperator, not {type(h).__name__}")
-    centre, half = _spectral_bounds(h.csr)
-    coefs = [_coefficients(float(dt), centre, half, _TAIL * tol)]
-    outs, _, _ = _chebyshev(_as_csr(h.csr), np.asarray(psi, dtype=complex), coefs, centre, half)
-    return outs[0]
 
 
 class _Boxes:

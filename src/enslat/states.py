@@ -76,7 +76,7 @@ def localized_initial(c, basis: LatticeBasis) -> LatticeState:
     c = np.asarray(c, dtype=complex)
     if c.shape != (basis.n_system,):
         raise DimensionMismatch(f"c has shape {c.shape}, expected ({basis.n_system},)")
-    if abs(np.linalg.norm(c) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(c) - 1.0) <= 1e-10:
         raise NotNormalized(f"||c|| = {float(np.linalg.norm(c))}, expected 1 within 1e-10")
     amps = np.zeros(basis.size, dtype=complex)
     amps[: basis.n_system] = c      # node 0 is K = 0
@@ -91,8 +91,9 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis) -> LatticeState:
     c_fn : callable
         Per-realization amplitudes, as accepted by
         :func:`realization_amplitudes`: a vectorized callable mapping an
-        (M, l) array of disorder points to an (M, N) complex array.  Rows are
-        not checked one by one: the Parseval defect checks the norm of the
+        (M, l) array of disorder points to an (M, N) complex array.  Each
+        row must have unit norm within 1e-8 (NotNormalized otherwise), as
+        the oracles require; the Parseval defect then checks the norm of the
         whole expansion.
     dists, tables : sequences, one per disorder variable
         The measures (for the quadrature grid) and their recurrence tables
@@ -121,7 +122,7 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis) -> LatticeState:
         # one copy of the points, stacked from broadcast views of the axes
         pts = np.stack(np.broadcast_arrays(*np.ix_(axes[0][0][s], *[x for x, _ in axes[1:]])),
                        axis=-1)
-        return _amplitudes(c_fn, pts.reshape(-1, basis.l), n).reshape(
+        return realization_amplitudes(c_fn, pts.reshape(-1, basis.l), n).reshape(
             pts.shape[:-1] + (n,))
 
     # d_{n,K} = sum_q (prod_i w_i phi_{k_i}) c_n(q): contract one axis at a time
@@ -150,7 +151,7 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis) -> LatticeState:
     d = work[tuple(basis.node_multi_indices().T)].ravel()
 
     defect = abs(float(np.sum(np.abs(d) ** 2)) - 1.0)
-    if defect > _MAX_DEFECT:
+    if not defect <= _MAX_DEFECT:
         raise NormDefectExceeded(
             f"norm defect {defect:.3e} > {_MAX_DEFECT:.1e}: "
             "increase the truncation depth or quadrature resolution")
@@ -162,21 +163,15 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis) -> LatticeState:
 def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
     """Initial amplitudes c(lam) of every realization, for (M, l) disorder points.
 
-    ``c`` is either a constant (N,) vector, the same state in every
-    realization, or a vectorized callable mapping the (M, l) points to an
-    (M, N) array.  Returns (M, N) complex amplitudes, each row of unit norm
-    within 1e-8 (NotNormalized otherwise).  Exceptions raised by the callable
-    propagate; any other shape raises ValueError.
+    The one per-realization evaluation: :func:`expanded_initial` and both
+    averaging oracles form their amplitudes here, so every route refuses
+    the same c.  ``c`` is either a constant (N,) vector, the same state in
+    every realization, or a vectorized callable mapping the (M, l) points to
+    an (M, N) array.  Returns (M, N) complex amplitudes, each row of unit
+    norm within 1e-8 (NotNormalized otherwise, a NaN row included).
+    Exceptions raised by the callable propagate; any other shape raises
+    ValueError.
     """
-    out = _amplitudes(c, pts, n)
-    worst = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0), initial=0.0))
-    if worst > 1e-8:
-        raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
-    return out
-
-
-def _amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
-    """:func:`realization_amplitudes` without the norm check."""
     m = pts.shape[0]
     if c is None:
         raise ValueError("an initial state (vector or callable) is required")
@@ -184,9 +179,13 @@ def _amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
         c = np.asarray(c, dtype=complex)
         if c.shape != (n,):
             raise ValueError(f"initial amplitudes have shape {c.shape}, expected ({n},)")
-        return np.broadcast_to(c, (m, n))
-    out = np.asarray(c(pts), dtype=complex)
-    if out.shape != (m, n):
-        raise ValueError(
-            f"initial-state callable returned shape {out.shape}, expected {(m, n)}")
+        out = np.broadcast_to(c, (m, n))
+    else:
+        out = np.asarray(c(pts), dtype=complex)
+        if out.shape != (m, n):
+            raise ValueError(
+                f"initial-state callable returned shape {out.shape}, expected {(m, n)}")
+    worst = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0), initial=0.0))
+    if not worst <= 1e-8:
+        raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
     return out

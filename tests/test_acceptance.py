@@ -25,7 +25,6 @@ from enslat import (
     build_linear,
     chain_to_ensemble,
     characteristic_function,
-    evolve,
     expanded_initial,
     gauss_rule,
     localized_initial,
@@ -336,7 +335,10 @@ def test_criterion_7_propagator_properties():
     norm_err = max(abs(s.norm - 1.0) for s in states)
     energies = [np.vdot(s.amplitudes, h.csr @ s.amplitudes).real for s in states]
     energy_err = (max(energies) - min(energies)) / max(abs(energies[0]), 1.0)
-    back = evolve(h, states[-1].amplitudes, -t_max, tol=tol)
+    # backward: forward under the negated operator, exp(-i(-H)t) = exp(+iHt)
+    reverse = PropagationPlan(np.array([0.0, t_max]), tol=tol, leakage_threshold=np.inf)
+    back = propagate(as_operator(-h.csr), LatticeState(basis, states[-1].amplitudes), reverse,
+                     keep_states=True)[0][-1].amplitudes
     reversal_err = float(np.abs(back - amps).max())
     halved = PropagationPlan.linspace(t_max, 21, tol=tol, leakage_threshold=np.inf)
     fine, _ = propagate(h, psi0, halved, keep_states=True)

@@ -628,6 +628,7 @@ NAN = float("nan")
     ("nan-h0", "system.h0"),
     ("inf-t_max", "time.t_max"),
     ("token-in-initial-file", "initial.file"),
+    ("zero-row-in-initial-file", "initial.file"),
     ("linear-without-matrix", "system.couplings[0].matrix"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
@@ -640,7 +641,9 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
     else:       # still increasing
         table[-1, 0] = np.inf
     np.savetxt(tmp_path / "dist.txt", table)
-    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n0 0.6 zero 0.8 0\n5 0.6 0 0.8 0\n")
+    # a row of zeros has no direction to normalize to: not an all-NaN state
+    row = "0 0 0 0 0" if case == "zero-row-in-initial-file" else "0 0.6 zero 0.8 0"
+    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n{row}\n5 0.6 0 0.8 0\n")
     path = qubit_config(tmp_path, n_steps=6, depths=16)
     cfg = yaml.safe_load(path.read_text())
     if case in ("nan-density", "inf-abscissa"):
@@ -651,7 +654,7 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
         cfg["system"]["h0"][1][1] = NAN
     elif case == "inf-t_max":
         cfg["time"]["t_max"] = np.inf
-    elif case == "token-in-initial-file":
+    elif case in ("token-in-initial-file", "zero-row-in-initial-file"):
         cfg["system"]["distributions"][0]["cutoff"] = [-5.0, 5.0]
         cfg["initial"] = {"kind": "tabulated", "file": "c.txt"}
     else:
@@ -779,6 +782,19 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read and (path.stem, name) not in traced]
     assert unused == []
+
+
+def test_all_names_resolve():
+    # beside the unused-import lint: every name a module exports must exist,
+    # so a deleted function cannot leave a stale __all__ entry
+    missing = []
+    for path in sorted(Path(enslat.cli.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":     # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"enslat.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_tracer_reads_propagate_result():

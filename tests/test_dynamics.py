@@ -12,8 +12,10 @@ from scipy.linalg import expm
 from enslat import dynamics
 from enslat import (
     DisorderDistribution,
+    KrylovBreakdown,
     LatticeBasis,
     LatticeOperator,
+    LatticeState,
     LeakageExceeded,
     NormDefectExceeded,
     PropagationPlan,
@@ -21,7 +23,6 @@ from enslat import (
     boundary_shell,
     build_linear,
     characteristic_function,
-    evolve,
     expanded_initial,
     lattice_at,
     localized_initial,
@@ -58,7 +59,6 @@ def random_hermitian_lattice(rng, n_nodes=200, n=2, extra=300):
 def random_state(rng, basis):
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     amps /= np.linalg.norm(amps)
-    from enslat import LatticeState
     return LatticeState(basis, amps)
 
 
@@ -128,13 +128,20 @@ def test_unitarity(rng):
         assert abs(s.norm - 1.0) <= 10 * plan.tol * max(t_max, 1.0)
 
 
+def _last(op, amps, basis, t):
+    """exp(-i H t) amps: the last state of a propagation over (0, t).
+    Under the negated operator it is exp(+i H t) amps, the backward step."""
+    plan = PropagationPlan(np.array([0.0, t]), leakage_threshold=np.inf)
+    states, _ = propagate(op, LatticeState(basis, amps), plan, keep_states=True)
+    return states[-1].amplitudes
+
+
 def test_time_reversal(rng):
     basis, h = random_hermitian_lattice(rng)
     psi0 = random_state(rng, basis)
     t = 3.0
-    op = as_operator(h)
-    fwd = evolve(op, psi0.amplitudes, t)
-    back = evolve(op, fwd, -t)
+    fwd = _last(as_operator(h), psi0.amplitudes, basis, t)
+    back = _last(as_operator(-h), fwd, basis, t)
     assert np.abs(back - psi0.amplitudes).max() <= 1e2 * 1e-12
 
 
@@ -530,25 +537,33 @@ def test_block_update_refuses_a_strided_output():
 # edge cases and the operator contract
 # ---------------------------------------------------------------------------
 
-def test_evolve_backward_undoes_forward_with_offset(rng):
-    # dt < 0 runs the same expansion; the e^{-i c tau} phase must flip with it
+def test_negated_operator_undoes_forward_with_offset(rng):
+    # the negated operator runs backward; the e^{-i c tau} phase flips with its centre
     basis, h = random_hermitian_lattice(rng)
-    op = as_operator(300.0 * h + 12_000.0 * sp.identity(basis.size, format="csr"))
+    h = 300.0 * h + 12_000.0 * sp.identity(basis.size, format="csr")
     psi0 = random_state(rng, basis)
-    fwd = evolve(op, psi0.amplitudes, 0.02)
+    fwd = _last(as_operator(h), psi0.amplitudes, basis, 0.02)
     assert np.abs(fwd - psi0.amplitudes).max() > 0.1
-    back = evolve(op, fwd, -0.02)
+    back = _last(as_operator(-h), fwd, basis, 0.02)
     assert np.abs(back - psi0.amplitudes).max() <= 1e-10
 
 
-def test_propagate_and_evolve_refuse_a_bare_matrix(rng):
+def test_propagate_refuses_a_bare_matrix(rng):
     # one operator type: a matrix that is not a LatticeOperator is refused by name
     basis, h = random_hermitian_lattice(rng, n_nodes=20, extra=0)
     psi0 = random_state(rng, basis)
     with pytest.raises(TypeError, match="propagate takes a LatticeOperator, not csr_matrix"):
         propagate(h, psi0, PropagationPlan(np.array([0.0, 1.0])))
-    with pytest.raises(TypeError, match="evolve takes a LatticeOperator, not csr_matrix"):
-        evolve(h, psi0.amplitudes, 1.0)
+
+
+def test_non_finite_operator_raises_krylov_breakdown(rng):
+    # the Gershgorin interval of an operator with a NaN entry is not finite
+    basis, h = random_hermitian_lattice(rng, n_nodes=20, extra=0)
+    h = h.tolil()
+    h[3, 3] = np.nan
+    psi0 = random_state(rng, basis)
+    with pytest.raises(KrylovBreakdown, match="non-finite operator entries"):
+        propagate(as_operator(h.tocsr()), psi0, PropagationPlan(np.array([0.0, 1.0])))
 
 
 def test_constant_operator_is_pure_phase():
@@ -563,7 +578,7 @@ def test_constant_operator_is_pure_phase():
     assert report.matvecs == 0 and report.norm_drift <= 1e-15
     for t, s in zip(plan.times, states):
         assert np.abs(s.amplitudes - np.exp(-2.5j * t) * psi0.amplitudes).max() <= 1e-14
-    back = evolve(op, psi0.amplitudes, -3.0)
+    back = _last(as_operator(-op.csr), psi0.amplitudes, basis, 3.0)
     assert np.abs(back - np.exp(7.5j) * psi0.amplitudes).max() <= 1e-14
 
 
@@ -614,7 +629,7 @@ def test_propagator_needs_only_shape_and_matmul(monkeypatch):
     def run():
         states, report = propagate(op, psi0, plan, keep_states=True)
         return ([s.amplitudes for s in states], report.matvecs,
-                evolve(op, psi0.amplitudes, -1.3),
+                _last(as_operator(-op.csr), psi0.amplitudes, psi0.basis, 1.3),
                 auto_depth(spec, lambda b, _: localized_initial(c, b),
                            PropagationPlan.linspace(3.0, 2))[0])
 
@@ -637,7 +652,7 @@ def box_lattices(draw):
     """(op, psi0, band) of a build_general lattice: one axis of depth 120 or
     two of depths (80, <= 10); linear or degree-2 couplings, band the largest
     degree; a localized or an expanded initial state."""
-    from enslat import EnsembleSpec, LatticeState, PolynomialCoupling
+    from enslat import EnsembleSpec, PolynomialCoupling
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     l = draw(st.sampled_from([1, 2]))
     n = 1 if l == 2 else draw(st.sampled_from([1, 2]))

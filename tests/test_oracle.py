@@ -27,6 +27,7 @@ from enslat import (
     build_linear,
     chain_to_ensemble,
     characteristic_function,
+    expanded_initial,
     gauss_rule,
     localized_initial,
     mc_average,
@@ -34,6 +35,7 @@ from enslat import (
     quad_average,
     quantile,
     recurrence_analytic,
+    recurrence_table,
     trajectory_from_states,
 )
 from conftest import qubit_spec
@@ -406,14 +408,25 @@ def test_mc_initial_state_callable_errors_propagate():
                    [0.0, 1.0], OracleConfig(samples=10))
 
 
-@pytest.mark.parametrize("average", [mc_average, quad_average], ids=["mc", "quad"])
-@pytest.mark.parametrize("c", [np.array([1.0, 1.0]), lambda lam: np.ones((lam.shape[0], 2))],
-                         ids=["vector", "callable"])
-def test_oracles_refuse_an_unnormalized_state(average, c):
-    # both averages form the amplitudes through realization_amplitudes, which
-    # checks every realization's norm: neither returns a rho of trace 2
-    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
-    with pytest.raises(NotNormalized, match="per-realization initial state off by 4.142e-01"):
+def _expanded(spec, c, times, config):
+    """The chain route's consumer of c, called as the oracles are."""
+    dist = spec.distributions[0]
+    return expanded_initial(c, [dist], [recurrence_table(dist, 9)], LatticeBasis(2, (8,)))
+
+
+@pytest.mark.parametrize("average", [mc_average, quad_average, _expanded],
+                         ids=["mc", "quad", "chain"])
+@pytest.mark.parametrize("c, off", [
+    (np.array([1.0, 1.0]), "4.142e-01"),
+    (lambda lam: np.ones((lam.shape[0], 2)), "4.142e-01"),
+    (np.array([np.nan, 0.0]), "nan"),
+], ids=["vector", "callable", "nan"])
+def test_oracles_refuse_an_unnormalized_state(average, c, off):
+    # both averages and the chain route's expansion form the amplitudes
+    # through realization_amplitudes, which checks every realization's norm:
+    # none returns a rho of trace 2, or a NaN one.  Cut, as the chain route needs
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)))
+    with pytest.raises(NotNormalized, match=f"per-realization initial state off by {off}"):
         average(spec, c, np.linspace(0.0, 1.0, 5), OracleConfig(samples=64, quad_order=8))
 
 

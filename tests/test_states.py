@@ -62,6 +62,8 @@ def test_localized_rejects_unnormalized():
     basis = LatticeBasis(2, (2,))
     with pytest.raises(NotNormalized, match=r"^\|\|c\|\| = 1.4142135623730951, expected 1"):
         localized_initial(np.array([1.0, 1.0]), basis)
+    with pytest.raises(NotNormalized, match=r"^\|\|c\|\| = nan"):    # NaN fails every comparison
+        localized_initial(np.array([np.nan, 0.0]), basis)
     with pytest.raises(DimensionMismatch):
         localized_initial(np.array([1.0, 0.0, 0.0]), basis)
 
@@ -153,23 +155,30 @@ def test_expanded_two_axes_separable():
 
 
 def test_expanded_two_axes_linear_c():
-    # c proportional to lambda_1 lives on (k1, k2) = (1, 0) only:
-    # lambda = sqrt(beta_1) phi_1 for a symmetric measure
+    # c_0 = lambda_1 lives on (k1, k2) = (1, 0) only: lambda = sqrt(beta_1) phi_1
+    # for a symmetric measure, with beta_1 = 1/3 for uniform(1).  c_1 =
+    # sqrt(1 - lambda_1^2) keeps every realization normalized, and it too is
+    # constant in lambda_2, so it stays on k2 = 0
     dist = DisorderDistribution.uniform(1.0)
-    basis = LatticeBasis(1, (4, 4))
-    table = recurrence_analytic(dist, 8)
+    table = recurrence_analytic(dist, 40)
 
     def c_fn(pts):
         lam = pts[:, 0]
-        return (lam * np.sqrt(3.0))[:, None].astype(complex)  # E[3 lam^2] = 1
+        return np.stack([lam, np.sqrt(1 - lam ** 2)], axis=1).astype(complex)
 
-    psi = expanded_initial(c_fn, [dist, dist], [table, table], basis)
-    amps = np.array([[psi.amplitudes[basis.flat_index(0, (k1, k2))] for k2 in range(5)]
-                     for k1 in range(5)])
-    assert abs(amps[1, 0] - np.sqrt(3.0) * np.sqrt(1.0 / 3.0)) < 1e-12
-    mask = np.ones((5, 5), bool)
-    mask[1, 0] = False
-    assert np.abs(amps[mask]).max() < 1e-12
+    # the kink of c_1 at the support's edges converges slowly in k1
+    for d in (4, 16):
+        with pytest.raises(NormDefectExceeded):
+            expanded_initial(c_fn, [dist, dist], [table, table], LatticeBasis(2, (d, 4)))
+    basis = LatticeBasis(2, (32, 4))
+    with pytest.warns(UserWarning, match="initial-state norm defect"):
+        psi = expanded_initial(c_fn, [dist, dist], [table, table], basis)
+    nodes = basis.node_multi_indices()
+    amps = psi.node_amplitudes()
+    on = (nodes[:, 0] == 1) & (nodes[:, 1] == 0)
+    assert abs(amps[on, 0][0] - np.sqrt(1.0 / 3.0)) < 1e-12
+    assert np.abs(amps[~on, 0]).max() < 1e-12
+    assert np.abs(amps[nodes[:, 1] != 0, 1]).max() < 1e-12
 
 
 def test_expanded_norm_defect_raises():
