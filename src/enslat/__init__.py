@@ -14,7 +14,6 @@ from .errors import (
     EmptySupport,
     EnslatError,
     InvalidOrder,
-    KrylovBreakdown,
     LeakageExceeded,
     NormDefectExceeded,
     NotHermitian,
@@ -28,7 +27,6 @@ from .errors import (
 from .measures import (
     DisorderDistribution,
     RecurrenceTable,
-    apply_cutoff,
     characteristic_function,
     gauss_rule,
     orthonormal_values,
@@ -36,7 +34,6 @@ from .measures import (
     recurrence_analytic,
     recurrence_stieltjes,
     recurrence_table,
-    sample,
 )
 from .lattice import (
     EnsembleSpec,
@@ -63,11 +60,9 @@ from .dynamics import (
     auto_depth,
     lattice_at,
     propagate,
-    propagate_dense,
 )
 from .reduction import (
     DensityTrajectory,
-    observable_average,
     partial_trace,
     trajectory_from_states,
 )

@@ -28,7 +28,6 @@ from . import __version__
 from .errors import (
     ConfigError,
     EnslatError,
-    KrylovBreakdown,
     LeakageExceeded,
     NormDefectExceeded,
     NotHermitian,
@@ -50,7 +49,7 @@ from .measures import (
     characteristic_function,
     recurrence_table,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 )
-from .oracle import MAX_DENSE_N, OracleConfig, analytic_qubit, mc_average, quad_average
+from .oracle import MAX_DENSE_N, OracleConfig, _workers, analytic_qubit, mc_average, quad_average
 from .reduction import (
     DensityTrajectory,
     trajectory_from_states,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
@@ -66,7 +65,10 @@ _METHODS = ("chain", "mc", "quad", "analytic", "compare")
 _COMPARE_GATES = {"quad_tol": 1e-8, "analytic_tol": 1e-9, "mc_sigmas": 4.0, "mc_floor": 1e-10}
 
 # numeric failures: the run exits 3 on these, after recording them in its manifest
-_NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, KrylovBreakdown, NormDefectExceeded)
+_NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, NormDefectExceeded)
+
+# a dimer rerun is bitwise only under the same BLAS thread setting
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,11 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
         if np.any(norms == 0):
             _fail("initial.file", f"row {int(np.argmin(norms))} has all amplitudes zero")
         cvals /= norms
+        # the interpolant of two unit rows passes through zero only where they are antiparallel
+        flat = np.flatnonzero(np.linalg.norm(cvals[1:] + cvals[:-1], axis=1) == 0)
+        if flat.size:
+            _fail("initial.file", f"rows {flat[0]} and {flat[0] + 1} are antiparallel: "
+                                  "the state interpolated between them passes through zero")
 
         def c_fn(pts):
             pts = np.atleast_2d(pts)[:, 0]
@@ -602,7 +609,11 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     times = np.linspace(0.0, t_max, n_steps)
 
     outputs = []
-    result_meta: dict = {"package_version": __version__, "method": pre.method}
+    # the thread environment as the run saw it, written before any route: each
+    # variable is what was asked of BLAS (None when unset), not the library's count
+    threads = {**{var: os.environ.get(var) for var in _THREAD_VARS}, "cores": _workers()}
+    result_meta: dict = {"package_version": __version__, "method": pre.method,
+                         "threads": threads}
     residuals = {i: c.fit_residual for i, c in enumerate(spec.couplings)
                  if isinstance(c, TabulatedCoupling)}
     if residuals:

@@ -47,10 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 from scipy.linalg.blas import zaxpy, zgemm
 
-from .errors import KrylovBreakdown, LeakageExceeded, NormDefectExceeded
+from .errors import LeakageExceeded, NormDefectExceeded, NumericalBreakdown
 from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, table_orders
 # same function as build_general, unused here: perfbench/tracing.py rebinds it in this module
 from .lattice import build_linear  # noqa: F401
@@ -62,7 +61,6 @@ __all__ = [
     "PropagationPlan",
     "LeakageReport",
     "propagate",
-    "propagate_dense",
     "lattice_at",
     "auto_depth",
 ]
@@ -144,10 +142,6 @@ class LeakageReport:
     def max_leakage(self) -> float:
         return float(np.max(self.leakage)) if self.leakage.size else 0.0
 
-    @property
-    def exceeded(self) -> bool:
-        return self.max_leakage > self.threshold
-
 
 def _as_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m        # as given: perfbench/tracing.py rebinds this name to count products
@@ -169,7 +163,7 @@ def _spectral_bounds(m: sp.csr_matrix) -> tuple[float, float]:
                      for s in (side > 0, side < 0))
         lo, hi = min(lo, float(np.min(diag - radius))), max(hi, float(np.max(diag + radius)))
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise KrylovBreakdown("non-finite operator entries")
+        raise NumericalBreakdown("non-finite operator entries")
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
@@ -265,7 +259,7 @@ def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
         _add_terms(outs[live:], pair, table[k:k + 2, live:])
     norms = [float(np.linalg.norm(out)) for out in outs]
     if not np.all(np.isfinite(norms)):
-        raise KrylovBreakdown("non-finite values during propagation")
+        raise NumericalBreakdown("non-finite values during propagation")
     return outs, norms, order - 1
 
 
@@ -307,7 +301,7 @@ class _Boxes:
             self.csr.indptr[:m + 1], self.csr.indices[:end], self.csr.data[:end])
         return _as_csr(box)
 
-    def populations(self, vec: np.ndarray, r: int) -> np.ndarray:
+    def weights(self, vec: np.ndarray, r: int) -> np.ndarray:
         """Population of each shell of box r."""
         return np.add.reduceat(np.abs(vec[:self.rows(r)]) ** 2,
                                self.starts[:min(r, self.outer) + 1])
@@ -398,7 +392,7 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
     leak = np.zeros(times.size)
     rho = np.zeros((times.size, basis.n_system, basis.n_system), dtype=complex)
     norm0 = float(np.linalg.norm(psi0.amplitudes))
-    r = _front(boxes.populations(psi0.amplitudes, boxes.outer), floor)
+    r = _front(boxes.weights(psi0.amplitudes, boxes.outer), floor)
     # the start keeps its shells out to its front
     start, block, norms = 0, psi0.amplitudes[None, :boxes.rows(r)].copy(), [norm0]
     mat, last = None, None
@@ -424,7 +418,7 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
         # a copy, and no view of the block left: a view would keep the whole block alive
         phi = block[-1].copy()
         del block, vec
-        pops = boxes.populations(phi, r)
+        pops = boxes.weights(phi, r)
         front = _front(pops, floor)
         reach = int(np.flatnonzero(pops).max(initial=0))     # the base state's support
         # no measured advance before the first window: the front may move as far as the cone
@@ -461,22 +455,6 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
             del block            # from the same phi, which the recurrence does not write
         stats["windows"] += 1
         start = base + 1
-
-
-def propagate_dense(h: np.ndarray, psi0: LatticeState, times) -> list[LatticeState]:
-    """Reference path: exact evolution by dense eigendecomposition.
-
-    Cross-check for the Chebyshev propagator.  ``h`` is the dense Hermitian
-    matrix it diagonalizes, such as ``op.to_dense()`` of a
-    :class:`LatticeOperator`; dimensions above 2000 are refused.
-    """
-    basis = psi0.basis
-    if len(h) > 2000:
-        raise ValueError("dense path limited to dimension <= 2000")
-    evals, vecs = eigh(h)
-    c0 = vecs.conj().T @ psi0.amplitudes
-    return [LatticeState(basis, vecs @ (np.exp(-1j * evals * t) * c0))
-            for t in np.asarray(times, dtype=float)]
 
 
 def _tables(spec, depths) -> list:

@@ -20,7 +20,9 @@ class UnboundedSupport(EnslatError):
 
 
 class NumericalBreakdown(EnslatError):
-    """A computed recurrence norm became non-positive (order too large for the grid)."""
+    """A computation broke down numerically: a recurrence norm became
+    non-positive (order too large for the grid), or an operator or a
+    propagation held non-finite values."""
 
 
 class EmptySupport(EnslatError, ValueError):
@@ -59,10 +61,6 @@ class LeakageExceeded(EnslatError):
         self.time = time
         self.leakage = leakage
         self.report = report
-
-
-class KrylovBreakdown(EnslatError):
-    """Non-finite values during propagation."""
 
 
 # --- oracle ---

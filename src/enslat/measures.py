@@ -48,10 +48,8 @@ __all__ = [
     "recurrence_stieltjes",
     "recurrence_table",
     "grid_size",
-    "apply_cutoff",
     "characteristic_function",
     "quantile",
-    "sample",
     "orthonormal_values",
     "gauss_rule",
 ]
@@ -80,7 +78,9 @@ class DisorderDistribution:
         The constructor intersects it with the native support and raises
         :class:`EmptySupport` when the result is empty or carries no mass.  A
         tabulated density is re-tabulated on the window instead, so its
-        cutoff reads None and its grid spans the window.
+        cutoff reads None and its grid spans the window.  A cut curbs the
+        growth of the lattice couplings: sqrt(beta_k) saturates at a quarter
+        of the window width.
     """
 
     family: str
@@ -241,9 +241,7 @@ class RecurrenceTable:
     """Monic three-term recurrence coefficients of one measure, to order K.
 
     ``alpha[k]`` holds alpha_k for k = 0..K-1; ``beta[k-1]`` holds beta_k for
-    k = 1..K (all strictly positive).  The derived norms zeta_k = prod_{j<=k}
-    beta_j (zeta_0 = 1) may overflow for large K; they are exposed as a
-    property and only needed at small orders.
+    k = 1..K (all strictly positive).
     """
 
     order: int
@@ -261,11 +259,6 @@ class RecurrenceTable:
             raise NumericalBreakdown("all beta_k must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def zeta(self) -> np.ndarray:
-        """Norms zeta_0..zeta_K of the monic polynomials (zeta_0 = 1)."""
-        return np.concatenate(([1.0], np.cumprod(self.beta)))
 
     @property
     def hops(self) -> np.ndarray:
@@ -367,7 +360,7 @@ def discretize(dist: DisorderDistribution, npoints: int):
         If the support is infinite (no cutoff on gaussian/cauchy).
     """
     if not dist.bounded:
-        raise UnboundedSupport(f"{dist.family} support is unbounded; apply_cutoff first")
+        raise UnboundedSupport(f"{dist.family} support is unbounded; set a cutoff")
     xg, wg = leggauss(_GL_POINTS)
     edges = _panel_edges(dist, npoints)
     lo, hi = edges[:-1, None], edges[1:, None]
@@ -440,26 +433,6 @@ def recurrence_table(dist: DisorderDistribution, order: int) -> RecurrenceTable:
 
 
 # ---------------------------------------------------------------------------
-# cutoff
-# ---------------------------------------------------------------------------
-
-def apply_cutoff(dist: DisorderDistribution, lam_min: float, lam_max: float) -> DisorderDistribution:
-    """Restrict the density to [lam_min, lam_max] and renormalize to unit mass.
-
-    The window is intersected with the current support, so a second cut
-    stays inside the first, and handed to the constructor, which raises
-    EmptySupport if it is empty or carries no mass.  The result has bounded
-    support and therefore admits :func:`recurrence_stieltjes`.  Cutting a
-    measure curbs the growth of its lattice couplings (sqrt(beta_k)
-    saturates at a quarter of the window width), at the price of a
-    controlled distortion of the ensemble.
-    """
-    lo, hi = dist.support()
-    return DisorderDistribution(dist.family, width=dist.width, grid=dist.grid,
-                                cutoff=(max(lo, lam_min), min(hi, lam_max)))
-
-
-# ---------------------------------------------------------------------------
 # characteristic functions
 # ---------------------------------------------------------------------------
 
@@ -528,17 +501,6 @@ def quantile(dist: DisorderDistribution, u):
     # the root of p0 x + slope x**2 / 2 = dx, in its form free of cancellation
     den = p0 + np.sqrt(np.clip(p0 * p0 + 2 * slope * dx, 0.0, None))
     return lam[idx] + np.clip(2 * dx / np.where(den > 0, den, np.inf), 0.0, lam[idx + 1] - lam[idx])
-
-
-def sample(dist: DisorderDistribution, rng: np.random.Generator, size=None):
-    """Draw from the distribution; deterministic given the generator state.
-
-    Cutoffs are respected exactly by inverse-CDF restriction.  ``size=None``
-    returns a scalar.
-    """
-    u = rng.random(size if size is not None else 1)
-    out = quantile(dist, u)
-    return float(out[0]) if size is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import zgemm
 
-from .errors import NotHermitian
 from .states import LatticeState
 
 __all__ = [
     "DensityTrajectory",
     "partial_trace",
-    "observable_average",
     "trajectory_from_states",
 ]
 
@@ -53,27 +51,6 @@ class DensityTrajectory:
     def n(self) -> int:
         return self.rho.shape[1]
 
-    def entry(self, a: int, b: int) -> np.ndarray:
-        """Time series of one density-matrix entry."""
-        return self.rho[:, a, b]
-
-    def populations(self) -> np.ndarray:
-        """(T, N) real diagonal entries."""
-        return np.real(np.einsum("tnn->tn", self.rho))
-
-    def validate(self, herm_tol: float = 1e-12, trace_tol: float = 1e-10,
-                 psd_tol: float = 1e-10) -> None:
-        """Assert Hermiticity, unit trace and positive semidefiniteness."""
-        herm = np.max(np.abs(self.rho - self.rho.conj().transpose(0, 2, 1)))
-        if herm > herm_tol:
-            raise NotHermitian(f"max |rho - rho^dag| = {herm:.3e}")
-        tr = np.einsum("tnn->t", self.rho)
-        if np.max(np.abs(tr - 1.0)) > trace_tol:
-            raise ValueError(f"max |trace - 1| = {np.max(np.abs(tr - 1.0)):.3e}")
-        eigs = np.linalg.eigvalsh(self.rho)
-        if eigs.min() < -psd_tol:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
-
 
 def partial_trace(state: LatticeState | np.ndarray) -> np.ndarray:
     """Average density matrix: rho_{nm} = sum_K psi_{n,K} psi*_{m,K}.
@@ -103,17 +80,6 @@ def _support(a: np.ndarray) -> np.ndarray:
             return a[:lo + nonzero[-1] + 1]
         end, step = lo, 2 * step
     return a[:1]
-
-
-def observable_average(state: LatticeState, observable: np.ndarray) -> float:
-    """Disorder-averaged expectation value trace(O rho).
-
-    Raises NotHermitian unless O is Hermitian to 1e-12.
-    """
-    o = np.asarray(observable, dtype=complex)
-    if np.max(np.abs(o - o.conj().T)) > 1e-12:
-        raise NotHermitian("observable must be Hermitian")
-    return float(np.trace(o @ partial_trace(state)).real)
 
 
 def trajectory_from_states(times, states, **info) -> DensityTrajectory:

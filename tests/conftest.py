@@ -10,8 +10,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
-from enslat import DisorderDistribution, EnsembleSpec, LatticeOperator, LinearCoupling
+from enslat import (DisorderDistribution, EnsembleSpec, LatticeOperator, LatticeState,
+                    LinearCoupling)
 
 
 def qubit_spec(dist, e0=0.0, e1=1.0) -> EnsembleSpec:
@@ -35,6 +37,22 @@ def as_operator(h) -> LatticeOperator:
     """The LatticeOperator of a Hermitian sparse matrix, built from its upper triangle."""
     up = sp.triu(h, format="coo")
     return LatticeOperator(h.shape[0], lambda: [(up.row, up.col, up.data)])
+
+
+def propagate_dense(h: np.ndarray, psi0: LatticeState, times) -> list[LatticeState]:
+    """Reference path: exact evolution by dense eigendecomposition.
+
+    Cross-check for the Chebyshev propagator.  ``h`` is the dense Hermitian
+    matrix it diagonalizes, such as ``op.to_dense()`` of a
+    :class:`LatticeOperator`; dimensions above 2000 are refused.
+    """
+    basis = psi0.basis
+    if len(h) > 2000:
+        raise ValueError("dense path limited to dimension <= 2000")
+    evals, vecs = eigh(h)
+    c0 = vecs.conj().T @ psi0.amplitudes
+    return [LatticeState(basis, vecs @ (np.exp(-1j * evals * t) * c0))
+            for t in np.asarray(times, dtype=float)]
 
 
 @pytest.fixture

@@ -156,7 +156,7 @@ def test_criterion_3_dimer_populations():
                     OracleConfig(samples=40_000, seed=33))
     mc_gap = float((np.abs(traj.rho - mc.rho) - (4 * mc.errors + 1e-10)).max())
 
-    p1 = traj.populations()[:, 0]
+    p1 = traj.rho[:, 0, 0].real
     tail = p1[3 * len(p1) // 4:]
     # disorder-free P1 oscillates between 1 and 1 - 4V^2/(dE^2 + 4V^2)
     p_min = 1.0 - 4 * v * v / ((e1 - e2) ** 2 + 4 * v * v)
@@ -201,7 +201,7 @@ def test_criterion_4_conservation():
         states, _ = propagate(op, localized_initial(c, basis), PropagationPlan(times),
                               keep_states=True)
         traj = trajectory_from_states(times, states)
-        pops = traj.populations()
+        pops = np.einsum("tnn->tn", traj.rho).real
         worst_diag = max(worst_diag, float(np.abs(pops - np.abs(c) ** 2).max()))
         tr = np.einsum("tnn->t", traj.rho)
         worst_trace = max(worst_trace, float(np.abs(tr - 1.0).max()))

@@ -17,14 +17,12 @@ from enslat import (
     RecurrenceTable,
     UnboundedSupport,
     UnsupportedFamily,
-    apply_cutoff,
     characteristic_function,
     gauss_rule,
     orthonormal_values,
     quantile,
     recurrence_analytic,
     recurrence_stieltjes,
-    sample,
 )
 
 
@@ -82,8 +80,9 @@ def test_recurrence_table_invariants():
     with pytest.raises(NumericalBreakdown):
         RecurrenceTable(2, np.zeros(2), np.array([1.0, -0.3]))
     t = RecurrenceTable(3, np.zeros(3), np.array([1.0, 2.0, 3.0]))
-    assert t.zeta[0] == 1.0
-    assert np.allclose(t.zeta, [1.0, 1.0, 2.0, 6.0])
+    zeta = np.concatenate(([1.0], np.cumprod(t.beta)))    # monic norms zeta_k = prod beta_j
+    assert zeta[0] == 1.0
+    assert np.allclose(zeta, [1.0, 1.0, 2.0, 6.0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def test_asymmetric_tabulated_has_nonzero_alpha():
 # ---------------------------------------------------------------------------
 
 def test_cutoff_cauchy_enables_recurrence():
-    d = apply_cutoff(DisorderDistribution.cauchy(1.0), -30.0, 30.0)
+    d = DisorderDistribution.cauchy(1.0, cutoff=(-30.0, 30.0))
     t = recurrence_stieltjes(d, 40)
     assert np.all(t.beta > 0)
     # couplings saturate near a quarter of the window width (= 15 theta)
@@ -316,7 +315,7 @@ def test_cutoff_gaussian_saturation():
     overshoot above the 2.5 sigma asymptote (grid-independent; verified at
     4000 and 16000 quadrature points), then settles onto the asymptote.
     """
-    d = apply_cutoff(DisorderDistribution.gaussian(1.0), -5.0, 5.0)
+    d = DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0))
     t = recurrence_stieltjes(d, 200, grid_points=4000)
     hops = t.hops
     assert hops.max() <= 2.5 * (1 + 2e-2)
@@ -327,18 +326,13 @@ def test_cutoff_gaussian_saturation():
 
 def test_cutoff_uniform_at_native_support_is_identity():
     d0 = DisorderDistribution.uniform(1.0)
-    d1 = apply_cutoff(d0, -1.0, 1.0)
+    d1 = DisorderDistribution.uniform(1.0, cutoff=(-1.0, 1.0))
     x = np.linspace(-1.2, 1.2, 101)
     assert np.allclose(d0.pdf(x), d1.pdf(x), atol=1e-14)
     assert abs(d1.window_mass() - 1.0) < 1e-12
 
 
 def test_cutoff_empty_window():
-    with pytest.raises(EmptySupport):
-        apply_cutoff(DisorderDistribution.uniform(1.0), 2.0, 3.0)
-    with pytest.raises(ValueError):
-        apply_cutoff(DisorderDistribution.uniform(1.0), 0.5, 0.5)
-    # the constructor is where a cutoff is applied: the same windows fail there
     with pytest.raises(EmptySupport):
         DisorderDistribution.uniform(1.0, cutoff=(2.0, 3.0))
     with pytest.raises(ValueError):
@@ -353,7 +347,7 @@ def test_cutoff_empty_window():
 
 def test_cutoff_tabulated_clips_and_renormalizes():
     x = np.linspace(-2, 2, 81)
-    d = apply_cutoff(DisorderDistribution.tabulated(x, np.ones_like(x)), -1.0, 0.5)
+    d = DisorderDistribution.tabulated(x, np.ones_like(x), cutoff=(-1.0, 0.5))
     lam, dens = d.grid
     assert lam[0] == -1.0 and lam[-1] == 0.5
     assert abs(_trapz(dens, lam) - 1.0) < 1e-12
@@ -393,13 +387,13 @@ def test_characteristic_rejects():
 # ---------------------------------------------------------------------------
 
 def test_sample_uniform_mean(rng):
-    draws = sample(DisorderDistribution.uniform(1.0), rng, size=1_000_000)
+    draws = quantile(DisorderDistribution.uniform(1.0), rng.random(1_000_000))
     # CLT band: 3 * std / sqrt(n) with std = 1/sqrt(3)
     assert abs(draws.mean()) < 3.0 * (1.0 / np.sqrt(3)) / 1e3
 
 
 def test_sample_semicircle_support(rng):
-    draws = sample(DisorderDistribution.semicircle(1.0), rng, size=20_000)
+    draws = quantile(DisorderDistribution.semicircle(1.0), rng.random(20_000))
     assert draws.min() >= -1.0 and draws.max() <= 1.0
     # second moment of the semicircle is w^2/4
     assert abs((draws ** 2).mean() - 0.25) < 5e-3
@@ -407,17 +401,17 @@ def test_sample_semicircle_support(rng):
 
 def test_sample_respects_cutoff(rng):
     d = DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0))
-    draws = sample(d, rng, size=50_000)
+    draws = quantile(d, rng.random(50_000))
     assert draws.min() >= -5.0 and draws.max() <= 5.0
     d = DisorderDistribution.cauchy(1.0, cutoff=(-30.0, 30.0))
-    draws = sample(d, rng, size=50_000)
+    draws = quantile(d, rng.random(50_000))
     assert draws.min() >= -30.0 and draws.max() <= 30.0
 
 
 def test_sample_deterministic():
     d = DisorderDistribution.semicircle(1.0)
-    a = sample(d, np.random.default_rng(5), size=10)
-    b = sample(d, np.random.default_rng(5), size=10)
+    a = quantile(d, np.random.default_rng(5).random(10))
+    b = quantile(d, np.random.default_rng(5).random(10))
     assert np.array_equal(a, b)
 
 

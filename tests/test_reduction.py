@@ -8,11 +8,9 @@ from enslat import (
     DisorderDistribution,
     LatticeBasis,
     LatticeState,
-    NotHermitian,
     PropagationPlan,
     build_linear,
     localized_initial,
-    observable_average,
     partial_trace,
     propagate,
     recurrence_analytic,
@@ -53,16 +51,10 @@ def test_observable_average_identity_and_population():
     plan = PropagationPlan.linspace(4.0, 9)
     states, _ = propagate(op, psi0, plan, keep_states=True)
     for s in states:
-        assert abs(observable_average(s, np.eye(2)) - 1.0) < 1e-11
+        rho = partial_trace(s)          # <O> = tr(O rho), the disorder average of O
+        assert abs(np.trace(np.eye(2) @ rho).real - 1.0) < 1e-11
         # population of |1> is conserved under diagonal disorder
-        assert abs(observable_average(s, np.diag([0.0, 1.0])) - b_amp ** 2) < 1e-11
-
-
-def test_observable_requires_hermitian():
-    basis = LatticeBasis(2, (2,))
-    psi = localized_initial(np.array([1.0, 0.0]), basis)
-    with pytest.raises(NotHermitian):
-        observable_average(psi, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert abs(np.trace(np.diag([0.0, 1.0]) @ rho).real - b_amp ** 2) < 1e-11
 
 
 def test_coherence_trace_initial_value():
@@ -75,7 +67,7 @@ def test_coherence_trace_initial_value():
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 25)
     states, _ = propagate(op, psi0, plan, keep_states=True)
-    coh = trajectory_from_states(plan.times, states).entry(0, 1)
+    coh = trajectory_from_states(plan.times, states).rho[:, 0, 1]
     assert abs(coh[0] - 0.5) < 1e-12
     # uniform disorder: |rho01| = |sin(t)/t| / 2, revives after the first zero
     assert np.abs(np.abs(coh) - 0.5 * np.abs(np.sinc(plan.times / np.pi))).max() < 1e-11
@@ -127,9 +119,12 @@ def test_trajectory_validation():
     plan = PropagationPlan.linspace(6.0, 13)
     states, _ = propagate(op, psi0, plan, keep_states=True)
     traj = trajectory_from_states(plan.times, states, method="chain")
-    traj.validate()                                # hermitian, trace 1, psd
+    rho = traj.rho
+    assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) <= 1e-12     # hermitian
+    assert np.max(np.abs(np.einsum("tnn->t", rho) - 1.0)) <= 1e-10          # unit trace
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10                          # psd
     assert traj.n == 2
-    assert np.allclose(traj.populations(), 0.5, atol=1e-11)
+    assert np.allclose(np.einsum("tnn->tn", rho).real, 0.5, atol=1e-11)
 
 
 def test_trajectory_shape_checks():

@@ -298,7 +298,7 @@ def test_spectral_disorder_narrow_energy_distribution_slows_dephasing():
         op, psi, _ = eigenstate_lattice(DisorderDistribution.gaussian(sigma), c, 48)
         times = np.array([0.0, 2.0])
         states, _ = propagate(op, psi, PropagationPlan(times), keep_states=True)
-        cohs[sigma] = abs(trajectory_from_states(times, states).entry(0, 1)[-1])
+        cohs[sigma] = abs(trajectory_from_states(times, states).rho[-1, 0, 1])
     assert abs(cohs[0.5] - 0.5 * np.exp(-0.25 * 4 / 2)) < 1e-10
     assert abs(cohs[0.05] - 0.5 * np.exp(-0.0025 * 4 / 2)) < 1e-10
     assert cohs[0.05] > cohs[0.5]
