@@ -221,20 +221,30 @@ def _add_terms(outs: np.ndarray, terms: np.ndarray, coef: np.ndarray) -> None:
         raise ValueError("outputs must be the rows of a C-contiguous array, to update in place")
 
 
-def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
+def _start_pair(phi: np.ndarray, n: int) -> np.ndarray:
+    """The (2, n) recurrence array of :func:`_chebyshev` for the start phi:
+    phi's first n entries in row 0, zero past its end, and zeros in row 1."""
+    pair = np.zeros((2, n), complex)
+    head = min(n, phi.size)
+    pair[0, :head] = phi[:head]
+    return pair
+
+
+def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
                ) -> tuple[np.ndarray, list[float], int]:
     """exp(-i H tau) phi for every tau of one window, from one recurrence.
 
     ``coefs`` holds the :func:`_coefficients` of each tau.  Of ``mat`` only
     ``shape`` is read and ``@`` applied.  It may be the leading block of rows
     of H, of shape (m, n): a box (see :class:`_Boxes`).  Every vector has the
-    box's length n: ``phi`` is read on its first n entries, as zero past its
-    end, and is not written.  The recurrence runs on p_k = i^k T_k((H - c)/a) phi, which
+    box's length n.  ``pair`` is the :func:`_start_pair` of phi, and the
+    recurrence overwrites it, so a caller that drops phi holds no second copy
+    of the start.  The recurrence runs on p_k = i^k T_k((H - c)/a) phi, which
     obeys p_{k+1} = p_{k-1} + (2i/a)(H - c) p_k: two ``axpy`` updates per term,
-    in place over the older row of one (2, n) array, and no separate scaling
-    pass.  After each pair of terms one ZGEMM adds both into every output
-    whose series has not ended (:func:`_add_terms`), each coefficient zero
-    past its output's order.  Returns the outputs as the rows of one
+    in place over the older row of ``pair`` (p_k in row k % 2), and no
+    separate scaling pass.  After each pair of terms one ZGEMM adds both into
+    every output whose series has not ended (:func:`_add_terms`), each
+    coefficient zero past its output's order.  Returns the outputs as the rows of one
     (len(coefs), n) array, their norms and the number of products with ``mat``.
     """
     rows, act = mat.shape
@@ -243,9 +253,6 @@ def _chebyshev(mat, phi: np.ndarray, coefs, centre: float, half: float
     table = np.zeros((order + order % 2, sizes.size), complex)   # terms x outputs, even length
     for j, c in enumerate(coefs):
         table[:c.size, j] = c
-    pair = np.zeros((2, act), complex)      # p_k in row k % 2
-    head = min(act, phi.size)
-    pair[0, :head] = phi[:head]
     outs = np.zeros((sizes.size, act), complex)
     for k in range(0, order, 2):
         # p_j over p_{j-2}, and p_1 = (i/a)(H - c) p_0 over zeros; an update by a
@@ -445,7 +452,11 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
             stats["box_growths"] += box != r
             if mat is None or box != r:
                 r, mat = box, boxes.op(box)
-            block, norms, used = _chebyshev(mat, phi, coefs, boxes.centre, boxes.half)
+            pair = _start_pair(phi, mat.shape[1])
+            if r >= cone:
+                del phi         # no redo can need the start: the pair holds its one copy
+            block, norms, used = _chebyshev(mat, pair, coefs, boxes.centre, boxes.half)
+            del pair
             stats["matvecs"] += used
             work += boxes.rows(r) * used
             if r >= cone or all(boxes.edge(vec, r) <= floor for vec in block):

@@ -12,9 +12,10 @@ lattice machinery:
 
 Both averaging routes evolve a chunk of realizations one time tile at a
 time and fold each tile while it is in cache, so no (T, N, B) amplitude
-array is held.  :func:`mc_average` runs the chunks' tile loops on up to one
-thread per available core and merges their moments in chunk order, so its
-output is bitwise the same for any number of threads.
+array is held.  :func:`mc_average` runs each chunk as one task, from its
+draws to its fold, on up to one thread per available core; the calling
+thread merges their moments in chunk order, so its output is bitwise the
+same for any number of threads.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -199,23 +200,23 @@ def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
     """psi_lambda(t) for a batch (B, N, N), (B, N), one time tile at a time.
 
     Returns ``amps(tile)``, the (tile, N, B) amplitudes of a slice of the
-    times, so no (T, N, B) array is held.  Phases run relative to each
+    times, so no (T, N, B) array is held.  With eigenvectors v_m and
+    w_m = v_m (V^H c)_m, held as one contiguous (N, N, B) table, a tile's
+    amplitudes are sum_m w_m phase_m(tile).  Phases run relative to each
     realization's lowest eigenvalue; the global phase dropped that way
     cancels in rho.  They come from :func:`_phase_rows`, so a time's
     amplitudes are the same bit for bit under any tiling.
     """
     evals, vecs = np.linalg.eigh(hb)
-    vecs = vecs.transpose(1, 2, 0)                          # (N, N, B)
-    ceig = (vecs.conj() * c0.T[:, None, :]).sum(axis=0)     # (N, B): V^H c
-    ground = vecs[:, 0] * ceig[0]
-    phases = [_phase_rows(times, evals[:, m] - evals[:, 0]) for m in range(1, ceig.shape[0])]
+    ceig = (vecs.transpose(1, 2, 0).conj() * c0.T[:, None, :]).sum(axis=0)    # (N, B): V^H c
+    n, nb = ceig.shape
+    w = np.multiply(vecs.transpose(2, 1, 0), ceig[:, None, :], out=np.empty((n, n, nb), complex))
+    phases = [_phase_rows(times, evals[:, m] - evals[:, 0]) for m in range(1, n)]
 
     def amps(tile: slice) -> np.ndarray:
-        out = np.broadcast_to(ground, times[tile].shape + ground.shape)
+        out = np.broadcast_to(w[0], times[tile].shape + w[0].shape)
         for m, phase in enumerate(phases, 1):
-            p = phase(tile)
-            p *= ceig[m]
-            term = vecs[:, m] * p[:, None, :]
+            term = w[m] * phase(tile)[:, None, :]
             term += out                 # = out + term bit for bit: IEEE addition commutes
             out = term
         return np.ascontiguousarray(out)   # copies only when N = 1
@@ -230,23 +231,37 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int, rows, cols):
+    """Moments of samples start..stop-1, from their draws to the fold of their
+    last time tile: one pool task, which calls NumPy and ``c_fn`` only."""
+    u = _philox_uniforms(seed, start, stop, spec.l)
+    lam = np.column_stack([quantile(d, u[:, j]) for j, d in enumerate(spec.distributions)])
+    c0 = realization_amplitudes(c_fn, lam, spec.n)
+    amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
+    tiles = _time_tiles(times.size, 16 * (spec.n + rows.size) * (stop - start))
+    return _chunk_moments(amps, tiles, rows, cols)
+
+
 def _chunk_moments(amps, tiles, rows, cols):
     """Size, mean and sum of squared deviations of one chunk's rho entries n <= m.
 
-    Each time tile is evolved and folded while it is in cache.  Runs on a
-    pool thread, so it calls NumPy only.
+    Each time tile is evolved and folded while it is in cache: the tile is
+    conjugated once, and each entry is one product written into a (tile, P, B)
+    buffer that every tile reuses.
     """
-    means, m2s = [], []
+    means, m2s, dev = [], [], None
     for tile in tiles:
         a = amps(tile)                                  # (tile, N, B)
-        dev = a[:, cols]                                # (tile, P, B)
-        np.conjugate(dev, out=dev)
-        dev *= a[:, rows]                               # rho entries
-        mean = dev.mean(axis=-1)
-        dev -= mean[:, :, None]
+        if dev is None:                                 # the first tile is the longest
+            dev = np.empty((a.shape[0], rows.size, a.shape[-1]), complex)
+        ac, d = np.conjugate(a), dev[:a.shape[0]]
+        for p, (r, c) in enumerate(zip(rows, cols)):
+            np.multiply(ac[:, c], a[:, r], out=d[:, p])    # rho entries
+        mean = d.mean(axis=-1)
+        d -= mean[:, :, None]
         # corrected two-pass sum of squares (exact zero for identical samples)
-        sq = dev.view(float)
-        m2s.append(np.einsum("tpb,tpb->tp", sq, sq) - np.abs(dev.sum(axis=-1)) ** 2 / a.shape[-1])
+        sq = d.view(float)
+        m2s.append(np.einsum("tpb,tpb->tp", sq, sq) - np.abs(d.sum(axis=-1)) ** 2 / a.shape[-1])
         means.append(mean)
     m2 = np.concatenate(m2s)
     return a.shape[-1], np.concatenate(means), np.clip(m2, 0.0, None, out=m2)
@@ -260,10 +275,11 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     of chunking or execution order.  The ``errors`` field holds the per-entry
     standard error of the mean.
 
-    The calling thread draws, checks and diagonalizes the chunks in order;
-    up to one pool thread per available core evolves and folds them, and
-    their moments merge in chunk order, so the output is bitwise the same for
-    any number of threads.
+    Each chunk is one task on up to one pool thread per available core, from
+    its draws to the fold of its last time tile.  The calling thread only
+    submits the chunks and merges their moments in chunk order, so the output
+    is bitwise the same for any number of threads.  A chunk that raises
+    cancels the chunks queued behind it.
 
     ``c_fn`` may be a constant amplitude vector or a vectorized callable of
     the disorder (see :func:`~enslat.states.realization_amplitudes`);
@@ -272,7 +288,7 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     if spec.n > MAX_DENSE_N:
         raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
     times = np.asarray(times, dtype=float)
-    s, l, n = int(cfg.samples), spec.l, spec.n
+    s, n = int(cfg.samples), spec.n
     rows, cols = np.triu_indices(n)
 
     # chunked Welford/Chan accumulation over the entries n <= m: robust to
@@ -282,19 +298,20 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     count = 0
     starts = range(0, s, _CHUNK)
     workers = min(_workers(), len(starts))
-    running = collections.deque()       # futures of chunk moments, at most `workers`
+    # futures of chunk moments: one per pool thread and one queued behind them
+    running = collections.deque()
     with ThreadPoolExecutor(workers) as pool:
-        for s0 in starts:
-            u = _philox_uniforms(cfg.seed, s0, min(s0 + _CHUNK, s), l)
-            lam = np.column_stack([quantile(spec.distributions[j], u[:, j]) for j in range(l)])
-            c0 = realization_amplitudes(c_fn, lam, n)
-            amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
-            tiles = _time_tiles(times.size, 16 * (n + rows.size) * c0.shape[0])
-            if len(running) == workers:
+        try:
+            for s0 in starts:
+                if len(running) > workers:
+                    count = _merge(mean, m2, count, *running.popleft().result())
+                running.append(pool.submit(_mc_chunk, spec, c_fn, times, cfg.seed,
+                                           s0, min(s0 + _CHUNK, s), rows, cols))
+            while running:
                 count = _merge(mean, m2, count, *running.popleft().result())
-            running.append(pool.submit(_chunk_moments, amps, tiles, rows, cols))
-        while running:
-            count = _merge(mean, m2, count, *running.popleft().result())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)      # a failed chunk: queued ones never start
+            raise
     sem = np.sqrt(m2 / s) / np.sqrt(s)
     # rounding residue of an exactly constant entry: its spread is a few eps
     # in units of the answer, so its standard error scales as eps * |rho| / sqrt(s)

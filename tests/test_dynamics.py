@@ -471,7 +471,8 @@ def test_chebyshev_matches_dense(lattice, grid, seed):
 
 def _window(mat, phi, taus, centre, half):
     coefs = [dynamics._coefficients(tau, centre, half, dynamics._TAIL * 1e-12) for tau in taus]
-    outs, norms, used = dynamics._chebyshev(mat, phi, coefs, centre, half)
+    outs, norms, used = dynamics._chebyshev(mat, dynamics._start_pair(phi, mat.shape[1]),
+                                            coefs, centre, half)
     return outs, norms, used, [c.size for c in coefs]
 
 

@@ -188,10 +188,31 @@ def test_mc_bitwise_independent_of_thread_count(monkeypatch, case):
         assert np.array_equal(runs[w].errors, runs[1].errors)
 
 
+def test_mc_calling_thread_only_merges(monkeypatch):
+    # each chunk draws and evolves in its own pool task; the calling thread
+    # only submits chunks and merges their moments
+    monkeypatch.setattr(oracle, "_CHUNK", 250)
+    spec, samples = qubit_spec(DisorderDistribution.gaussian(1.0)), 1900
+    seen = {"_philox_uniforms": [], "_evolve_batch": []}
+    for name, threads in seen.items():
+        def spy(*args, fn=getattr(oracle, name), threads=threads):
+            threads.append(threading.current_thread())
+            return fn(*args)
+        monkeypatch.setattr(oracle, name, spy)
+    for w in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_workers", lambda: w)
+        for threads in seen.values():
+            threads.clear()
+        mc_average(spec, C_HALF, np.linspace(0.0, 4.0, 41), OracleConfig(samples=samples, seed=6))
+        for threads in seen.values():
+            assert len(threads) == -(-samples // oracle._CHUNK)
+            assert threading.current_thread() not in threads and len(set(threads)) <= w
+
+
 @pytest.mark.parametrize("where", ["initial state", "tile loop"])
 def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
-    # the fourth of eight chunks fails while earlier ones are in flight: on the
-    # calling thread (its state is not normalized) or in a pool thread's tile loop
+    # the fourth of eight chunks fails in its pool task while others are in
+    # flight: its initial state is not normalized, or its tile loop raises
     monkeypatch.setattr(oracle, "_CHUNK", 64)
     monkeypatch.setattr(oracle, "_workers", lambda: 2)
     calls = []
@@ -221,7 +242,9 @@ def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
     before = threading.enumerate()
     with pytest.raises(NotNormalized if where == "initial state" else Boom):
         mc_average(spec, c_fn, np.linspace(0.0, 1.0, 5), OracleConfig(samples=64 * 8, seed=3))
-    assert len(calls) < 8                   # it stopped soon after the failing chunk
+    # no chunk starts past those in flight with the failing one: its index,
+    # itself and one per pool thread
+    assert len(calls) <= 3 + 1 + 2
     assert threading.active_count() == len(before)
     assert threading.enumerate() == before
 
@@ -318,7 +341,7 @@ def _direct_amplitudes(hb, c0, times):
     for tile in oracle._time_tiles(times.size, 16 * n * b):
         for m in range(1, n):
             phase = np.exp(-1j * np.multiply.outer(times[tile], evals[:, m] - evals[:, 0]))
-            amps[tile] += vecs[:, m] * (phase * ceig[m])[:, None, :]
+            amps[tile] += (vecs[:, m] * ceig[m]) * phase[:, None, :]
     return amps
 
 
@@ -363,6 +386,31 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
         assert np.array_equal(amps(slice(0, nt)), direct)
         tiles = [slice(j, j + 7) for j in range(0, nt, 7)]
         assert np.array_equal(np.concatenate([amps(t) for t in tiles]), direct)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_evolve_batch_matches_dense_evolution(n):
+    # a a^H is the dense psi psi^H of every realization, on a uniform grid
+    # (factorized phases) and a geometric one (direct exp), and a time's
+    # amplitudes are the same bit for bit under two tilings
+    rng = np.random.default_rng(n)
+    nb = 12
+    a = rng.normal(size=(nb, n, n)) + 1j * rng.normal(size=(nb, n, n))
+    hb = (a + a.conj().transpose(0, 2, 1)) / 2
+    c0 = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
+    c0 /= np.linalg.norm(c0, axis=1)[:, None]
+    uniform, geometric = np.linspace(0.0, 3.0, 23), 0.01 * np.geomspace(1.0, 300.0, 23)
+    assert oracle._fine_length(uniform) is not None and oracle._fine_length(geometric) is None
+    for times in (uniform, geometric):
+        amps = oracle._evolve_batch(hb, c0, times)
+        got = amps(slice(0, times.size))
+        tiles = [slice(j, j + 5) for j in range(0, times.size, 5)]
+        assert np.array_equal(np.concatenate([amps(t) for t in tiles]), got)
+        for b in range(nb):
+            for k, t in enumerate(times):
+                psi = expm(-1j * t * hb[b]) @ c0[b]
+                rho = np.outer(got[k, :, b], got[k, :, b].conj())
+                assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
 
 
 def test_evolve_batch_holds_no_phase_array():
