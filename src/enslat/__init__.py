@@ -39,9 +39,7 @@ from .lattice import (
     EnsembleSpec,
     LatticeBasis,
     LatticeOperator,
-    LinearCoupling,
     PolynomialCoupling,
-    TabulatedCoupling,
     boundary_shell,
     build_general,
     build_linear,
@@ -58,7 +56,6 @@ from .dynamics import (
     LeakageReport,
     PropagationPlan,
     auto_depth,
-    lattice_at,
     propagate,
 )
 from .reduction import (

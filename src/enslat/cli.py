@@ -38,9 +38,7 @@ from .dynamics import PropagationPlan, auto_depth
 from .dynamics import propagate  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 from .lattice import (
     EnsembleSpec,
-    LinearCoupling,
     PolynomialCoupling,
-    TabulatedCoupling,
     build_general,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
     build_linear,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 )
@@ -54,7 +52,7 @@ from .reduction import (
     DensityTrajectory,
     trajectory_from_states,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 )
-from .states import expanded_initial, localized_initial
+from .states import NORM_TOL, expanded_initial, localized_initial
 
 __all__ = ["run", "validate_config", "main", "RunResult"]
 
@@ -63,6 +61,9 @@ _METHODS = ("chain", "mc", "quad", "analytic", "compare")
 # the compare gates' defaults; mc_floor is an absolute floor under the MC band:
 # zero-variance entries would otherwise flag the propagator's own float-level error
 _COMPARE_GATES = {"quad_tol": 1e-8, "analytic_tol": 1e-9, "mc_sigmas": 4.0, "mc_floor": 1e-10}
+
+_NUMERIC_DEFAULTS = {"tol": 1e-12, "depths": "auto", "seed": 0, "samples": 10_000,
+                     "quad_order": 40, "leakage_threshold": 1e-8, "depth_cap": 4096}
 
 # numeric failures: the run exits 3 on these, after recording them in its manifest
 _NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, NormDefectExceeded)
@@ -159,10 +160,10 @@ def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
         _fail(path, str(exc))
 
 
-def _coupling(block, path: str, base_dir: str):
+def _coupling(block, path: str, base_dir: str) -> PolynomialCoupling:
     kind = block.get("type", "linear") if isinstance(block, dict) else None
     if kind == "linear":
-        return LinearCoupling(_matrix(block.get("matrix"), f"{path}.matrix"))
+        return PolynomialCoupling.linear(_matrix(block.get("matrix"), f"{path}.matrix"))
     if kind == "polynomial":
         mats = block.get("matrices")
         if not isinstance(mats, list) or not mats:
@@ -170,6 +171,8 @@ def _coupling(block, path: str, base_dir: str):
         return PolynomialCoupling(tuple(_matrix(m, f"{path}.matrices[{d}]")
                                         for d, m in enumerate(mats)))
     if kind == "tabulated":
+        degree = block.get("fit_degree", 8)
+        _positive_int(degree, f"{path}.fit_degree", allow_zero=True)
         data = _data_file(block, path, base_dir, "tabulated coupling")
         lam = data[:, 0]
         n = int(round(np.sqrt((data.shape[1] - 1) / 2)))
@@ -177,17 +180,21 @@ def _coupling(block, path: str, base_dir: str):
             _fail(f"{path}.file", f"need 1 + 2*N^2 columns, got {data.shape[1]}")
         vals = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
         vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-        return TabulatedCoupling(lam, vals, fit_degree=int(block.get("fit_degree", 8)))
+        return PolynomialCoupling.fit(lam, vals, degree)
     _fail(f"{path}.type", f"unknown coupling type {kind!r}")
 
 
-def _block(cfg: dict, key: str, required: bool = False) -> dict:
-    """The config's ``key`` section, a mapping; an optional one that is absent is empty."""
+def _block(cfg: dict, key: str, required: bool = False, keys=None) -> dict:
+    """The config's ``key`` section, a mapping; an optional one that is absent is
+    empty.  With ``keys``, any other key is refused: a misspelt one would be ignored."""
     block = cfg.get(key)
     if block is None and not required:
         return {}
     if not isinstance(block, dict):
         _fail(key, f"expected a mapping, got {block!r}")
+    unknown = [name for name in block if name not in keys] if keys is not None else []
+    if unknown:
+        _fail(f"{key}.{unknown[0]}", f"unknown key; expected one of {tuple(keys)}")
     return block
 
 
@@ -255,9 +262,10 @@ def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
     _fail("initial.kind", f"unknown kind {kind!r}")
 
 
-def _positive_int(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        _fail(path, f"expected a positive integer, got {value!r}")
+def _positive_int(value, path: str, allow_zero: bool = False):
+    if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
+        _fail(path, f"expected a {'non-negative' if allow_zero else 'positive'} integer, "
+                    f"got {value!r}")
 
 
 def _positive_number(value, path: str, allow_zero: bool = False):
@@ -286,17 +294,13 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
     """The numeric block with its defaults, checked; ``n_vars`` disorder
     variables, when known, fix the length of a list of depths or
     quadrature orders."""
-    num = dict(_block(cfg, "numeric"))
     # retired knobs (Lanczos dimension, assembly quadrature order): old manifests still run
-    num.pop("max_krylov_dim", None)
-    num.pop("quad_points", None)
-    num.setdefault("tol", 1e-12)
-    num.setdefault("depths", "auto")
-    num.setdefault("seed", 0)
-    num.setdefault("samples", 10_000)
-    num.setdefault("quad_order", 40)
-    num.setdefault("leakage_threshold", 1e-8)
-    num.setdefault("depth_cap", 4096)
+    retired = ("max_krylov_dim", "quad_points")
+    num = {key: value for key, value in
+           _block(cfg, "numeric", keys=(*_NUMERIC_DEFAULTS, *retired)).items()
+           if key not in retired}
+    for key, value in _NUMERIC_DEFAULTS.items():
+        num.setdefault(key, value)
     if num["depths"] != "auto":
         _positive_ints(num["depths"], "numeric.depths", n_vars)
         if n_vars is not None and not isinstance(num["depths"], (list, tuple)):
@@ -313,7 +317,7 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
 
 
 def _resolve_time(cfg: dict):
-    tb = _block(cfg, "time", required=True)
+    tb = _block(cfg, "time", required=True, keys=("t_max", "n_steps"))
     n_steps = tb.get("n_steps", 200)
     _positive_number(tb.get("t_max"), "time.t_max")
     _positive_int(n_steps, "time.n_steps")
@@ -330,7 +334,7 @@ def _resolve_method(cfg: dict) -> str:
 
 
 def _resolve_output(cfg: dict) -> str:
-    out_block = _block(cfg, "output")
+    out_block = _block(cfg, "output", keys=("directory", "formats"))
     if any(f != "csv" for f in out_block.get("formats", ["csv"])):
         _fail("output.formats", "only 'csv' is supported")
     return out_block.get("directory", "out")
@@ -338,7 +342,7 @@ def _resolve_output(cfg: dict) -> str:
 
 def _resolve_compare(cfg: dict) -> dict:
     """The compare gates with their defaults, each a non-negative number."""
-    gates = {**_COMPARE_GATES, **_block(cfg, "compare")}
+    gates = {**_COMPARE_GATES, **_block(cfg, "compare", keys=_COMPARE_GATES)}
     for key in _COMPARE_GATES:
         _positive_number(gates[key], f"compare.{key}", allow_zero=True)
     return {key: float(gates[key]) for key in _COMPARE_GATES}
@@ -350,12 +354,13 @@ def _route_failures(route: str, spec: EnsembleSpec, kind: str, paths: list) -> l
     if route == "analytic":
         if kind != "localized":
             return ["initial: the analytic route needs a localized initial state"]
-        coup, h0 = spec.couplings[0], spec.h0
-        if spec.n != 2 or spec.l != 1 or not isinstance(coup, LinearCoupling) \
-                or np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12 \
-                or np.max(np.abs(coup.matrix - np.diag([0.0, 1.0]))) > 1e-12:
+        # read from the coefficients: lambda * diag(0, 1), every other power zero
+        mats = spec.couplings[0].matrices if spec.n == 2 and spec.l == 1 else ()
+        h0, unit = spec.h0, np.diag([0.0, 1.0])
+        defects = [h0 - np.diag(np.diag(h0))] + [m - unit * (p == 1) for p, m in enumerate(mats)]
+        if len(mats) < 2 or max(np.max(np.abs(d)) for d in defects) > 1e-12:
             return ["system: the analytic route needs a qubit with h0 = diag(E0, E1) "
-                    "and one linear coupling diag(0, 1)"]
+                    "and one coupling lambda * diag(0, 1)"]
         try:
             characteristic_function(spec.distributions[0], 0.0)
         except UnsupportedFamily as exc:
@@ -408,7 +413,7 @@ def _preflight(cfg: dict, base_dir: str) -> tuple[_Preflight | None, list]:
             (dist, payload), kind, paths = payload, "localized", ["initial.distribution"]
             spec = EnsembleSpec(spec.h0, spec.couplings, (dist,))
         initial = (kind, payload)
-        if kind == "localized" and abs(np.linalg.norm(payload) - 1.0) > 1e-10:
+        if kind == "localized" and abs(np.linalg.norm(payload) - 1.0) > NORM_TOL:
             failures.append(f"initial.amplitudes: need unit norm, got "
                             f"||c|| = {float(np.linalg.norm(payload))}")
         if meth is not None:
@@ -615,7 +620,7 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     result_meta: dict = {"package_version": __version__, "method": pre.method,
                          "threads": threads}
     residuals = {i: c.fit_residual for i, c in enumerate(spec.couplings)
-                 if isinstance(c, TabulatedCoupling)}
+                 if c.fit_residual is not None}
     if residuals:
         result_meta["tabulated_fit_residual"] = residuals
 

@@ -34,8 +34,6 @@ Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
 dynamics are no longer those of the semi-infinite lattice, so crossing the
 leakage threshold raises :class:`~enslat.errors.LeakageExceeded`.
-:func:`lattice_at` sets up a lattice: the recurrence tables, the operator
-built from them and the initial state expanded over the same tables.
 :func:`auto_depth` propagates once, on a lattice that grows toward a cap as
 the wavefront needs it; a pinned depth is a lattice that starts at its cap.
 """
@@ -61,7 +59,6 @@ __all__ = [
     "PropagationPlan",
     "LeakageReport",
     "propagate",
-    "lattice_at",
     "auto_depth",
 ]
 
@@ -475,18 +472,6 @@ def _tables(spec, depths) -> list:
             for dist, order in zip(spec.distributions, table_orders(spec, depths))]
 
 
-def lattice_at(spec, psi0_builder, depths) -> tuple[LatticeOperator, LatticeState]:
-    """Operator and initial state of the lattice truncated at ``depths``: the
-    operator :func:`build_general` assembles from the lattice's recurrence
-    tables, and the state ``psi0_builder(basis, tables)`` returns, given those
-    same tables.  A lattice :func:`auto_depth` grows to is this one, bitwise."""
-    tables = _tables(spec, depths)
-    # the state before the operator: built after it, the 2-D dimer peaks one
-    # state vector (~5 MB) higher
-    psi0 = psi0_builder(LatticeBasis(spec.n, depths), tables)
-    return build_general(spec, tables, depths), psi0
-
-
 def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
                cap=4096) -> tuple[tuple, LeakageReport]:
     """Propagate over the plan once, on a lattice that grows with the wavefront.
@@ -495,12 +480,14 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
     lattice's layout starts with the last one's.  D starts at ``start``,
     doubled while the state ``psi0_builder(basis, tables)`` puts more than a
     box's floor on the ``boundary_shell`` as wide as the largest coupling
-    degree, or raises :class:`NormDefectExceeded` below ``cap`` (at ``cap``
-    it propagates); the operator is assembled only for the accepted start.  D is
+    ``degree`` (read from the coefficients, whatever built the coupling), or
+    raises :class:`NormDefectExceeded` below ``cap`` (at ``cap`` it
+    propagates); the operator is assembled only for the accepted start.  D is
     then doubled whenever a window's box needs shells the lattice lacks, up
     to ``cap``, where :class:`LeakageExceeded` may be raised.  Every lattice,
-    the start and each grown one, is the one :func:`lattice_at` sets up at
-    its depths.  ``start >= max(cap)`` pins the depths at ``cap``.  Returns
+    the start and each grown one, is assembled from recurrence tables made at
+    the orders its own depths need, so it is bitwise the lattice pinned at
+    those depths.  ``start >= max(cap)`` pins the depths at ``cap``.  Returns
     the last depths and the :class:`LeakageReport`.
     """
     caps = tuple(int(c) for c in (cap if np.iterable(cap) else [cap] * spec.l))

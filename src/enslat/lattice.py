@@ -10,8 +10,9 @@ where J_i is the Jacobi matrix of the axis's measure (``alpha_k`` on the
 diagonal, ``sqrt(beta_{k+1})`` beside it).  A linear coupling ``C * lambda_i``
 thus produces nearest-neighbour hops ``C * sqrt(beta_{k_i+1})`` plus on-node
 shifts ``C * alpha_{k_i}``, and a degree-d polynomial coupling produces bands
-of width d.  Every coupling is a polynomial once the spec is built: tabulated
-couplings are fitted on construction.
+of width d.  :class:`PolynomialCoupling` is the one coupling type: a linear
+coupling is the polynomial with coefficients (0, C), and a tabulated one is
+fitted by a polynomial once, by :meth:`PolynomialCoupling.fit`.
 
 The assembled operator is Hermitian and sparse: :class:`LatticeOperator`
 holds it as one CSR matrix of both triangles, whose ``nnz`` is its one entry
@@ -22,7 +23,7 @@ within any radius of the origin come first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +33,7 @@ from .errors import DimensionMismatch, NotHermitian, TableTooShort
 from .measures import DisorderDistribution, RecurrenceTable
 
 __all__ = [
-    "LinearCoupling",
     "PolynomialCoupling",
-    "TabulatedCoupling",
     "EnsembleSpec",
     "LatticeBasis",
     "LatticeOperator",
@@ -62,29 +61,17 @@ def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearCoupling:
-    """Disorder enters as ``matrix * lambda``."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _check_hermitian(self.matrix, "coupling matrix"))
-
-    @property
-    def matrices(self) -> tuple:
-        """Coefficients of lambda**0 and lambda**1: ``(0, matrix)``."""
-        return (np.zeros_like(self.matrix), self.matrix)
-
-    @property
-    def degree(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True, eq=False)
 class PolynomialCoupling:
-    """Disorder enters as ``sum_d matrices[d] * lambda**d`` (d = 0..degree)."""
+    """Disorder enters as ``sum_p matrices[p] * lambda**p`` (p = 0..degree).
+
+    The one coupling type: :meth:`linear` and :meth:`fit` build the linear
+    and the tabulated couplings, and every route reads only the coefficients.
+    ``fit_residual`` is the largest deviation of a fit from its samples, and
+    None for an exact coupling.
+    """
 
     matrices: tuple
+    fit_residual: float | None = None
 
     def __post_init__(self):
         mats = tuple(_check_hermitian(m, f"polynomial coefficient {d}")
@@ -97,48 +84,37 @@ class PolynomialCoupling:
     def degree(self) -> int:
         return len(self.matrices) - 1
 
+    @classmethod
+    def linear(cls, matrix) -> "PolynomialCoupling":
+        """``matrix * lambda``: the coefficients ``(0, matrix)``."""
+        matrix = _check_hermitian(matrix, "coupling matrix")
+        return cls((np.zeros_like(matrix), matrix))
 
-@dataclass(frozen=True, eq=False)
-class TabulatedCoupling:
-    """Matrix-valued disorder function sampled on a grid, entry-wise.
+    @classmethod
+    def fit(cls, lam, values, degree: int = 8) -> "PolynomialCoupling":
+        """Matrix-valued disorder function sampled on a grid, fitted entry-wise.
 
-    The samples are fitted once, on construction, with a least-squares
-    polynomial of degree ``min(fit_degree, npoints - 1)``; ``matrices`` holds
-    its (Hermitian) coefficients and ``fit_residual`` the largest deviation of
-    the fit from the samples on the grid.  Every route, lattice and oracles
-    alike, uses that polynomial: the lattice is only banded for polynomial
-    couplings, and the routes must describe the same ensemble.
-    """
-
-    lam: np.ndarray
-    values: np.ndarray  # (npoints, N, N)
-    fit_degree: int = 8
-    matrices: tuple = field(init=False, repr=False)
-    fit_residual: float = field(init=False)
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
+        ``values`` (M, N, N) are Hermitian samples at the strictly increasing
+        ``lam`` (M,).  The fit is a least-squares polynomial of degree
+        ``min(degree, M - 1)`` with Hermitized coefficients; every route uses
+        it, and the samples are not kept.
+        """
+        lam = np.asarray(lam, dtype=float)
+        vals = np.asarray(values, dtype=complex)
         if lam.ndim != 1 or vals.shape[0] != lam.size or vals.ndim != 3:
             raise ValueError("need lam (M,) and values (M, N, N)")
         if np.any(np.diff(lam) <= 0):
             raise ValueError("tabulated coupling grid must be strictly increasing")
+        if degree < 0:
+            raise ValueError(f"fit degree must be non-negative, got {degree}")
         for i in range(lam.size):
             _check_hermitian(vals[i], f"tabulated coupling sample {i}")
-        vander = np.vander(lam, min(self.fit_degree, lam.size - 1) + 1, increasing=True)
+        vander = np.vander(lam, min(degree, lam.size - 1) + 1, increasing=True)
         flat = vals.reshape(lam.size, -1)
         coef, *_ = np.linalg.lstsq(vander, flat, rcond=None)
         n = vals.shape[1]
-        mats = tuple(0.5 * (c.reshape(n, n) + c.reshape(n, n).conj().T) for c in coef)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "fit_residual",
-                           float(np.max(np.abs(vander @ coef - flat))) if flat.size else 0.0)
-
-    @property
-    def degree(self) -> int:
-        return len(self.matrices) - 1
+        return cls(tuple(0.5 * (c.reshape(n, n) + c.reshape(n, n).conj().T) for c in coef),
+                   float(np.max(np.abs(vander @ coef - flat))) if flat.size else 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +125,8 @@ class EnsembleSpec:
     ----------
     h0 : ndarray (N, N)
         Disorder-independent Hermitian part (energy units).
-    couplings : tuple
-        One coupling (Linear/Polynomial/Tabulated) per disorder variable;
-        each is the polynomial ``sum_p matrices[p] * lambda**p``.
+    couplings : tuple of PolynomialCoupling
+        One per disorder variable, the polynomial ``sum_p matrices[p] * lambda**p``.
     distributions : tuple of DisorderDistribution
         One measure per disorder variable.
     """

@@ -27,6 +27,7 @@ expansions share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -182,6 +183,14 @@ class DisorderDistribution:
 
     # -- density -----------------------------------------------------------
 
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """Tabulated CDF at the grid points: the trapezoid sums of the density."""
+        lam, dens = self.grid
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2)))
+        cum.setflags(write=False)
+        return cum
+
     def _cdf_native(self, x):
         """CDF of the uncut family (used for cutoff renormalization)."""
         w = self.width
@@ -196,7 +205,7 @@ class DisorderDistribution:
             return np.clip((np.asarray(x, float) + w) / (2 * w), 0.0, 1.0)
         lam, dens = self.grid
         xs = np.clip(np.asarray(x, float), lam[0], lam[-1])
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2)))
+        cum = self._cum
         idx = np.clip(np.searchsorted(lam, xs, side="right") - 1, 0, lam.size - 2)
         dx, p0 = xs - lam[idx], dens[idx]
         return cum[idx] + dx * (p0 + 0.5 * dx * (dens[idx + 1] - p0) / (lam[idx + 1] - lam[idx]))
@@ -493,7 +502,7 @@ def quantile(dist: DisorderDistribution, u):
         return w * (2.0 * u - 1.0)
     # tabulated: invert the piecewise-quadratic CDF segment by segment
     lam, dens = dist.grid
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2)))
+    cum = dist._cum
     target = u * cum[-1]
     idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, lam.size - 2)
     p0, dx = dens[idx], target - cum[idx]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SystemTooLarge
-from .lattice import EnsembleSpec, LinearCoupling
+from .lattice import EnsembleSpec, PolynomialCoupling
 from .measures import (
     DisorderDistribution,
     characteristic_function,
@@ -387,7 +387,10 @@ def analytic_qubit(a: complex, b: complex, e0: float, e1: float,
         rho_01(t) = a b* exp(-i (e0 - e1) t) phi(t),
 
     with phi the characteristic function of the disorder.  Valid for the four
-    named families without cutoff (UnsupportedFamily otherwise).
+    named families without cutoff (UnsupportedFamily otherwise).  The CLI
+    runs it on any ensemble whose coefficients are this one's, to 1e-12:
+    h0 diagonal and a coupling with ``matrices[1] = diag(0, 1)`` and every
+    other coefficient zero, however the coupling was built.
     """
     times = np.asarray(times, dtype=float)
     phi = np.atleast_1d(characteristic_function(dist, times))
@@ -417,5 +420,5 @@ def chain_to_ensemble(g: float, unit_cell: np.ndarray, attach: int) -> EnsembleS
         raise ValueError(f"attach index {attach} outside 0..{n - 1}")
     proj = np.zeros((n, n), dtype=complex)
     proj[attach, attach] = 1.0
-    return EnsembleSpec(unit_cell, (LinearCoupling(proj),),
+    return EnsembleSpec(unit_cell, (PolynomialCoupling.linear(proj),),
                         (DisorderDistribution.semicircle(2.0 * g),))

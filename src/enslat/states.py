@@ -28,7 +28,10 @@ __all__ = [
     "LatticeState",
     "localized_initial",
     "expanded_initial",
+    "NORM_TOL",
 ]
+
+NORM_TOL = 1e-10            # how far from 1 an initial state's norm may be, on every route
 
 _SLICE_BYTES = 1 << 24      # what one slice of points holds: polynomial values, points, c
 _WARN_DEFECT = 1e-8         # Parseval norm defect an expansion warns about
@@ -41,7 +44,7 @@ class LatticeState:
 
     Amplitudes are indexed by the basis flat layout: node-major, with the
     nodes in the basis's shell order (see :class:`LatticeBasis`).  States
-    produced by the constructors below are normalized to 1 within 1e-10,
+    produced by the constructors below are normalized to 1 within NORM_TOL,
     except for truncated expansions, whose norm defect is the truncation
     diagnostic reported in ``info["norm_defect"]``.
     """
@@ -71,13 +74,13 @@ def localized_initial(c, basis: LatticeBasis) -> LatticeState:
 
     This is the lattice image of any disorder-independent initial state; the
     whole ensemble sits on the single node at the origin.  Requires ||c|| = 1
-    within 1e-10 (NotNormalized otherwise).
+    within NORM_TOL (NotNormalized otherwise).
     """
     c = np.asarray(c, dtype=complex)
     if c.shape != (basis.n_system,):
         raise DimensionMismatch(f"c has shape {c.shape}, expected ({basis.n_system},)")
-    if not abs(np.linalg.norm(c) - 1.0) <= 1e-10:
-        raise NotNormalized(f"||c|| = {float(np.linalg.norm(c))}, expected 1 within 1e-10")
+    if not abs(np.linalg.norm(c) - 1.0) <= NORM_TOL:
+        raise NotNormalized(f"||c|| = {float(np.linalg.norm(c))}, expected 1 within {NORM_TOL:g}")
     amps = np.zeros(basis.size, dtype=complex)
     amps[: basis.n_system] = c      # node 0 is K = 0
     return LatticeState(basis, amps)
@@ -92,7 +95,7 @@ def expanded_initial(c_fn, dists, tables, basis: LatticeBasis) -> LatticeState:
         Per-realization amplitudes, as accepted by
         :func:`realization_amplitudes`: a vectorized callable mapping an
         (M, l) array of disorder points to an (M, N) complex array.  Each
-        row must have unit norm within 1e-8 (NotNormalized otherwise), as
+        row must have unit norm within NORM_TOL (NotNormalized otherwise), as
         the oracles require; the Parseval defect then checks the norm of the
         whole expansion.
     dists, tables : sequences, one per disorder variable
@@ -168,7 +171,7 @@ def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
     the same c.  ``c`` is either a constant (N,) vector, the same state in
     every realization, or a vectorized callable mapping the (M, l) points to
     an (M, N) array.  Returns (M, N) complex amplitudes, each row of unit
-    norm within 1e-8 (NotNormalized otherwise, a NaN row included).
+    norm within NORM_TOL (NotNormalized otherwise, a NaN row included).
     Exceptions raised by the callable propagate; any other shape raises
     ValueError.
     """
@@ -186,6 +189,6 @@ def realization_amplitudes(c, pts: np.ndarray, n: int) -> np.ndarray:
             raise ValueError(
                 f"initial-state callable returned shape {out.shape}, expected {(m, n)}")
     worst = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0), initial=0.0))
-    if not worst <= 1e-8:
+    if not worst <= NORM_TOL:
         raise NotNormalized(f"per-realization initial state off by {worst:.3e}")
     return out

@@ -17,8 +17,8 @@ from enslat import (
     DisorderDistribution,
     EnsembleSpec,
     LatticeBasis,
-    LinearCoupling,
     OracleConfig,
+    PolynomialCoupling,
     PropagationPlan,
     analytic_qubit,
     auto_depth,
@@ -139,8 +139,8 @@ def test_criterion_3_dimer_populations():
     # so the wavefront is ballistic and a finite depth carries the horizon
     dist = DisorderDistribution.gaussian(sigma, cutoff=(-5 * sigma, 5 * sigma))
     h0 = np.array([[e1, v], [v, e2]], dtype=complex)
-    spec = EnsembleSpec(h0, (LinearCoupling(np.diag([1.0, 0.0])),
-                             LinearCoupling(np.diag([0.0, 1.0]))), (dist, dist))
+    spec = EnsembleSpec(h0, (PolynomialCoupling.linear(np.diag([1.0, 0.0])),
+                             PolynomialCoupling.linear(np.diag([0.0, 1.0]))), (dist, dist))
     d = 384
     table = recurrence_table(dist, d + 1)
     op = build_linear(spec, [table, table], (d, d))
@@ -189,7 +189,7 @@ def test_criterion_4_conservation():
     # three-level model with a traceless diagonal coupling
     dist = DisorderDistribution.semicircle(1.0)
     spec3 = EnsembleSpec(np.diag([0.0, 0.7, 1.3]).astype(complex),
-                         (LinearCoupling(np.diag([0.0, 1.0, -1.0])),), (dist,))
+                         (PolynomialCoupling.linear(np.diag([0.0, 1.0, -1.0])),), (dist,))
     cases.append((spec3, np.array([0.5, 0.5, 1.0 / np.sqrt(2)]), dist))
 
     for spec, c, dist in cases:

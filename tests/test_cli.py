@@ -16,8 +16,8 @@ import enslat.oracle
 from enslat import (
     DisorderDistribution,
     LatticeBasis,
+    PolynomialCoupling,
     PropagationPlan,
-    TabulatedCoupling,
     build_general,
     localized_initial,
     propagate,
@@ -589,6 +589,47 @@ def test_polynomial_coupling_compare(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: system.couplings[0].matrices: ")
 
 
+@pytest.mark.parametrize("matrices", [2, 3])
+def test_analytic_route_reads_the_coefficients(tmp_path, matrices):
+    # lambda * diag(0, 1) as a polynomial, with or without a zero lambda^2
+    # term, is the linear coupling of the dephasing qubit: compare checks it
+    # against the closed form, and the analytic route runs on it
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    path = qubit_config(tmp_path, method="compare", samples=500, n_steps=12, depths="auto")
+    cfg = yaml.safe_load(path.read_text())
+    cfg["system"]["couplings"] = [{"type": "polynomial", "matrices": [
+        zero, [[0.0, 0.0], [0.0, 1.0]], zero][:matrices]}]
+    path.write_text(yaml.safe_dump(cfg))
+    result = run(str(path))
+    assert result.exit_code == 0
+    rows = {r["pair"]: r for r in result.manifest["result"]["compare"]}
+    assert rows["chain_vs_analytic"]["pass"] and rows["chain_vs_analytic"]["tolerance"] == 1e-9
+    assert main(["--config", str(path), "--method", "analytic"]) == 0
+    # a constant diag(0, 1) is no disorder coupling at all
+    cfg["system"]["couplings"] = [{"type": "polynomial", "matrices": [[[0, 0], [0, 1]]]}]
+    path.write_text(yaml.safe_dump(cfg))
+    assert validate_config(str(path), method="analytic") == [
+        "system: the analytic route needs a qubit with h0 = diag(E0, E1) "
+        "and one coupling lambda * diag(0, 1)"]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("numeric", "depth", 64), ("time", "n_step", 20), ("compare", "mc_sigma", 1.0),
+    ("output", "format", ["csv"]),
+])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, section, key, value):
+    # a misspelt key would otherwise be ignored, and the run would use the default
+    path = qubit_config(tmp_path, n_steps=6)
+    cfg = yaml.safe_load(path.read_text())
+    cfg.setdefault(section, {})[key] = value
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert capsys.readouterr().out.startswith(f"FAIL {section}.{key}: unknown key")
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: unknown key")
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_written_atomically(tmp_path):
     # no temp droppings left next to the outputs
     path = qubit_config(tmp_path, n_steps=6)
@@ -646,6 +687,10 @@ NAN = float("nan")
     ("zero-row-in-initial-file", "initial.file"),
     ("antiparallel-rows-in-initial-file", "initial.file"),
     ("linear-without-matrix", "system.couplings[0].matrix"),
+    ("negative-fit_degree", "system.couplings[0].fit_degree"),
+    ("fractional-fit_degree", "system.couplings[0].fit_degree"),
+    ("string-fit_degree", "system.couplings[0].fit_degree"),
+    ("bool-fit_degree", "system.couplings[0].fit_degree"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
     # a number that is not finite, or not a number at all, is a config error
@@ -675,6 +720,11 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
     elif case.endswith("initial-file"):
         cfg["system"]["distributions"][0]["cutoff"] = [-5.0, 5.0]
         cfg["initial"] = {"kind": "tabulated", "file": "c.txt"}
+    elif case.endswith("fit_degree"):       # a table of lambda * diag(0, 1)
+        np.savetxt(tmp_path / "f.txt", np.column_stack([lam] + [lam * 0] * 6 + [lam, lam * 0]))
+        degree = {"negative": -1, "fractional": 2.7, "string": "x", "bool": True}
+        cfg["system"]["couplings"][0] = {"type": "tabulated", "file": "f.txt",
+                                         "fit_degree": degree[case.split("-")[0]]}
     else:
         del cfg["system"]["couplings"][0]["matrix"]
     path.write_text(yaml.safe_dump(cfg))
@@ -716,8 +766,7 @@ def abs_coupling_config(tmp_path, method, **kw):
     cfg = yaml.safe_load(path.read_text())
     cfg["system"]["couplings"] = [{"type": "tabulated", "file": "abs.txt", "fit_degree": 8}]
     path.write_text(yaml.safe_dump(cfg))
-    return path, TabulatedCoupling(lam, np.abs(lam)[:, None, None] * np.diag([0.0, 1.0]),
-                                   fit_degree=8)
+    return path, PolynomialCoupling.fit(lam, np.abs(lam)[:, None, None] * np.diag([0.0, 1.0]), 8)
 
 
 def test_tabulated_coupling_compare_agrees(tmp_path):

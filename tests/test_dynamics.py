@@ -24,14 +24,13 @@ from enslat import (
     build_linear,
     characteristic_function,
     expanded_initial,
-    lattice_at,
     localized_initial,
     partial_trace,
     propagate,
     recurrence_analytic,
     trajectory_from_states,
 )
-from conftest import as_operator, propagate_dense, qubit_spec
+from conftest import as_operator, lattice_at, propagate_dense, qubit_spec
 
 
 def random_hermitian_lattice(rng, n_nodes=200, n=2, extra=300):
@@ -68,8 +67,9 @@ def random_state(rng, basis):
 def test_diagonal_evolution_is_pure_phase():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0), e0=0.3, e1=1.2)
     zero = qubit_spec(DisorderDistribution.gaussian(1.0), e0=0.3, e1=1.2)
-    from enslat import EnsembleSpec, LinearCoupling
-    zero = EnsembleSpec(spec.h0, (LinearCoupling(np.zeros((2, 2))),), spec.distributions)
+    from enslat import EnsembleSpec, PolynomialCoupling
+    zero = EnsembleSpec(spec.h0, (PolynomialCoupling.linear(np.zeros((2, 2))),),
+                        spec.distributions)
     table = recurrence_analytic(zero.distributions[0], 9)
     op = build_linear(zero, [table], [8])
     basis = LatticeBasis(2, (8,))
@@ -273,9 +273,9 @@ def test_streaming_memory_does_not_grow_with_outputs():
 # ---------------------------------------------------------------------------
 
 def test_auto_depth_zero_coupling_accepts_start():
-    from enslat import EnsembleSpec, LinearCoupling
+    from enslat import EnsembleSpec, PolynomialCoupling
     spec = EnsembleSpec(np.diag([0.0, 1.0]),
-                        (LinearCoupling(np.zeros((2, 2))),),
+                        (PolynomialCoupling.linear(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     depths, report = auto_depth(spec, lambda b, _: localized_initial(c, b),
@@ -327,10 +327,11 @@ def test_auto_depth_cap():
 
 
 def _cut_gaussian_dimer():
-    from enslat import EnsembleSpec, LinearCoupling
+    from enslat import EnsembleSpec, PolynomialCoupling
     dist = DisorderDistribution.gaussian(1.0, cutoff=(-4.0, 4.0))
     return EnsembleSpec(np.array([[0.5, 0.3], [0.3, -0.5]]),
-                        (LinearCoupling(np.diag([1.0, 0.0])), LinearCoupling(np.diag([0.0, 1.0]))),
+                        (PolynomialCoupling.linear(np.diag([1.0, 0.0])),
+                         PolynomialCoupling.linear(np.diag([0.0, 1.0]))),
                         (dist, dist))
 
 
@@ -734,8 +735,8 @@ def test_box_redone_when_front_outruns_it():
 def test_box_stays_on_the_light_cone():
     # no hops: the light cone never leaves the start's support, however far
     # the measured front is projected
-    from enslat import EnsembleSpec, LinearCoupling
-    spec = EnsembleSpec(np.diag([0.0, 1.0]), (LinearCoupling(np.zeros((2, 2))),),
+    from enslat import EnsembleSpec, PolynomialCoupling
+    spec = EnsembleSpec(np.diag([0.0, 1.0]), (PolynomialCoupling.linear(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.array([0.6, 0.8]), b), (40,))
     times = np.linspace(0.0, 60.0, 7)
@@ -752,8 +753,8 @@ def test_box_memory_is_one_operator_and_a_window_of_vectors():
     # shell layout of the boxes, and at most a window's outputs plus a few
     # working vectors.  One output per window keeps that allowance small
     # enough that a second copy of the operator does not fit in it.
-    from enslat import EnsembleSpec, LinearCoupling
-    spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
+    from enslat import EnsembleSpec, PolynomialCoupling
+    spec = EnsembleSpec(np.zeros((1, 1)), (PolynomialCoupling.linear(np.eye(1)),) * 2,
                         (DisorderDistribution.semicircle(1.0),) * 2)
     op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.ones(1), b), (300, 300))
     csr = op.csr
@@ -777,8 +778,8 @@ def test_box_memory_holds_no_earlier_window():
     # window's outputs and four vectors (the start, the recurrence pair and a
     # product); a view of the last output kept as the next start would hold
     # the whole previous window too
-    from enslat import EnsembleSpec, LinearCoupling
-    spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
+    from enslat import EnsembleSpec, PolynomialCoupling
+    spec = EnsembleSpec(np.zeros((1, 1)), (PolynomialCoupling.linear(np.eye(1)),) * 2,
                         (DisorderDistribution.semicircle(1.0),) * 2)
     op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.ones(1), b), (120, 120))
     csr = op.csr

@@ -24,15 +24,14 @@ from hypothesis import strategies as st
 from enslat import (
     DisorderDistribution,
     EnsembleSpec,
-    LinearCoupling,
     OracleConfig,
     PolynomialCoupling,
     PropagationPlan,
-    lattice_at,
     localized_initial,
     propagate,
     quad_average,
 )
+from conftest import lattice_at
 
 IDENTITY_TOL = 1e-13
 
@@ -76,7 +75,8 @@ def _linear_lattices(draw):
         draw(st.floats(0.3, 2.0))) for _ in range(l))
     depths = tuple(draw(st.integers(1, 12 if l == 1 else 8)) for _ in range(l))
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
-    spec = EnsembleSpec(hermitian(), tuple(LinearCoupling(hermitian()) for _ in range(l)), dists)
+    spec = EnsembleSpec(hermitian(),
+                        tuple(PolynomialCoupling.linear(hermitian()) for _ in range(l)), dists)
     return spec, depths, c / np.linalg.norm(c)
 
 
@@ -103,7 +103,7 @@ def test_lattice_equals_gauss_quadrature_over_many_windows(seed):
     dists = (_FAMILIES["cut-cauchy"](1.0), _FAMILIES["gaussian"](1.0))
     c = rng.normal(size=2) + 1j * rng.normal(size=2)
     h0, v1, v2 = hermitian(), hermitian(), hermitian()
-    spec = EnsembleSpec(h0, (LinearCoupling(v1), LinearCoupling(v2)), dists)
+    spec = EnsembleSpec(h0, (PolynomialCoupling.linear(v1), PolynomialCoupling.linear(v2)), dists)
     times = np.linspace(0.0, 200.0, 201)
     report, err = _chain_and_gauss(spec, c / np.linalg.norm(c), (2, 4), times,
                                    leakage_threshold=np.inf)
@@ -115,7 +115,8 @@ def test_square_lattice_equals_gauss_quadrature():
     # a lattice large enough that the boxes stay well inside it for most of
     # the run: a node layout whose leading block is not a box breaks this
     spec = EnsembleSpec(np.array([[0.2, 0.3], [0.3, -0.1]]),
-                        (LinearCoupling(np.diag([1.0, 0.0])), LinearCoupling(np.diag([0.0, 1.0]))),
+                        (PolynomialCoupling.linear(np.diag([1.0, 0.0])),
+                         PolynomialCoupling.linear(np.diag([0.0, 1.0]))),
                         (DisorderDistribution.semicircle(1.0), DisorderDistribution.uniform(0.8)))
     times = np.linspace(0.0, 150.0, 151)
     report, err = _chain_and_gauss(spec, np.array([1.0, 0.0]), (160, 160), times,

@@ -15,10 +15,8 @@ from enslat import (
     DisorderDistribution,
     EnsembleSpec,
     LatticeBasis,
-    LinearCoupling,
     PolynomialCoupling,
     TableTooShort,
-    TabulatedCoupling,
     boundary_shell,
     build_general,
     build_linear,
@@ -117,7 +115,7 @@ def test_qubit_chain_structure():
 
 def test_zero_coupling_is_block_diagonal():
     h0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 1.0]])
-    spec = EnsembleSpec(h0, (LinearCoupling(np.zeros((2, 2))),),
+    spec = EnsembleSpec(h0, (PolynomialCoupling.linear(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     table = recurrence_analytic(spec.distributions[0], 9)
     op = build_linear(spec, [table], [8])
@@ -209,7 +207,8 @@ def test_hermiticity_random_specs(rng):
         h0 = 0.5 * (a + a.conj().T)
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         c = 0.5 * (b + b.conj().T)
-        spec = EnsembleSpec(h0, (LinearCoupling(c),), (DisorderDistribution.uniform(0.9),))
+        spec = EnsembleSpec(h0, (PolynomialCoupling.linear(c),),
+                            (DisorderDistribution.uniform(0.9),))
         table = recurrence_analytic(spec.distributions[0], 7)
         h = build_linear(spec, [table], [6]).to_dense()
         assert np.abs(h - h.conj().T).max() < 1e-12
@@ -263,7 +262,7 @@ def test_general_degree_one_equals_linear():
     d = 6
     poly_spec = EnsembleSpec(
         spec.h0,
-        (PolynomialCoupling((np.zeros((2, 2)), spec.couplings[0].matrix)),),
+        (PolynomialCoupling((np.zeros((2, 2)), spec.couplings[0].matrices[1])),),
         spec.distributions)
     table = recurrence_analytic(spec.distributions[0], 2 * d)
     h_lin = build_linear(spec, [table], [d]).to_dense()
@@ -320,7 +319,7 @@ def test_tabulated_coupling_matches_polynomial():
     lam = np.linspace(-1, 1, 41)
     vals = (0.3 - 0.5 * lam ** 2)[:, None, None] * np.ones((1, 1))
     tab_spec = EnsembleSpec(np.zeros((1, 1)),
-                            (TabulatedCoupling(lam, vals, fit_degree=4),), (dist,))
+                            (PolynomialCoupling.fit(lam, vals, 4),), (dist,))
     poly_spec = EnsembleSpec(np.zeros((1, 1)),
                              (PolynomialCoupling((0.3 * np.ones((1, 1)),
                                                   np.zeros((1, 1)),
@@ -332,6 +331,9 @@ def test_tabulated_coupling_matches_polynomial():
     resid = tab_spec.couplings[0].fit_residual
     assert resid < 1e-13
     assert np.abs(op_tab.to_dense() - op_pol.to_dense()).max() < max(1e-12, 10 * resid)
+    assert poly_spec.couplings[0].fit_residual is None      # exact, not fitted
+    with pytest.raises(ValueError, match="fit degree must be non-negative"):
+        PolynomialCoupling.fit(lam, vals, -1)
 
 
 def _quadrature_operator(spec, tables, depths):
@@ -455,7 +457,7 @@ def test_triplet_dump_is_byte_stable(tmp_path):
 def test_assembly_memory_is_a_few_operators():
     # the operator is filled block by block: the entries are never all held
     # beside the matrix, and the matrix is all the operator keeps
-    spec = EnsembleSpec(np.zeros((1, 1)), (LinearCoupling(np.eye(1)),) * 2,
+    spec = EnsembleSpec(np.zeros((1, 1)), (PolynomialCoupling.linear(np.eye(1)),) * 2,
                         (DisorderDistribution.semicircle(1.0),) * 2)
     depths = (300, 300)
     tables = [recurrence_table(dist, order)

@@ -435,6 +435,20 @@ def test_quantile_matches_cdf(rng):
     assert dist.support() == (0.5, 1.5) and dist.cutoff is None
 
 
+def test_tabulated_cdf_table_is_built_once(rng):
+    # the CDF and the quantile of a tabulated density read one table of
+    # trapezoid sums, made on first use and kept
+    dist = DisorderDistribution.tabulated([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5])
+    quantile(dist, rng.random(5))
+    cum = dist._cum
+    lam, dens = dist.grid
+    assert np.array_equal(cum, np.concatenate(
+        ([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2))))
+    dist._cdf_native(rng.random(5))
+    quantile(dist, rng.random(5))
+    assert dist._cum is cum
+
+
 # ---------------------------------------------------------------------------
 # quadrature consistency (Gauss rules from the tables)
 # ---------------------------------------------------------------------------

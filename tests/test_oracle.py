@@ -16,9 +16,9 @@ from enslat import (
     DisorderDistribution,
     EnsembleSpec,
     LatticeBasis,
-    LinearCoupling,
     NotNormalized,
     OracleConfig,
+    PolynomialCoupling,
     PropagationPlan,
     SystemTooLarge,
     TableTooShort,
@@ -81,7 +81,7 @@ def test_gauss_nodes_table_too_short():
 
 def test_mc_zero_disorder_equals_unitary():
     spec = EnsembleSpec(np.array([[0.0, 0.4], [0.4, 1.0]]),
-                        (LinearCoupling(np.zeros((2, 2))),),
+                        (PolynomialCoupling.linear(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     times = np.linspace(0.0, 3.0, 11)
     traj = mc_average(spec, np.array([1.0, 0.0]), times, OracleConfig(samples=50, seed=3))
@@ -150,7 +150,7 @@ def _three_level_ensemble():
     rng = np.random.default_rng(8)
     mats = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
     h0, v1, v2 = (m + m.conj().T for m in mats)
-    spec = EnsembleSpec(h0, (LinearCoupling(v1), LinearCoupling(v2)),
+    spec = EnsembleSpec(h0, (PolynomialCoupling.linear(v1), PolynomialCoupling.linear(v2)),
                         (DisorderDistribution.gaussian(0.7), DisorderDistribution.uniform(1.0)))
 
     def c_fn(lam):
@@ -310,7 +310,7 @@ def test_mc_matches_slow_reference(data):
         c = np.eye(n)[0].astype(complex)
     c = c / np.linalg.norm(c)
     dists = tuple(DisorderDistribution(f, width=0.8) for f in families)
-    spec = EnsembleSpec(h0, tuple(LinearCoupling(m) for m in mats), dists)
+    spec = EnsembleSpec(h0, tuple(PolynomialCoupling.linear(m) for m in mats), dists)
     times = np.linspace(0.0, 2.5, 5)
     samples = 200
     traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
@@ -468,7 +468,8 @@ def _expanded(spec, c, times, config):
     (np.array([1.0, 1.0]), "4.142e-01"),
     (lambda lam: np.ones((lam.shape[0], 2)), "4.142e-01"),
     (np.array([np.nan, 0.0]), "nan"),
-], ids=["vector", "callable", "nan"])
+    (np.array([1.0 + 5e-9, 0.0]), "5.000e-09"),     # within 1e-8, beyond NORM_TOL
+], ids=["vector", "callable", "nan", "5e-9"])
 def test_oracles_refuse_an_unnormalized_state(average, c, off):
     # both averages and the chain route's expansion form the amplitudes
     # through realization_amplitudes, which checks every realization's norm:
@@ -480,7 +481,7 @@ def test_oracles_refuse_an_unnormalized_state(average, c, off):
 
 def test_mc_system_too_large():
     n = 65
-    spec = EnsembleSpec(np.zeros((n, n)), (LinearCoupling(np.eye(n)),),
+    spec = EnsembleSpec(np.zeros((n, n)), (PolynomialCoupling.linear(np.eye(n)),),
                         (DisorderDistribution.uniform(1.0),))
     with pytest.raises(SystemTooLarge):
         mc_average(spec, np.eye(n)[0], [0.0, 1.0], OracleConfig(samples=2))

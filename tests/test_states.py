@@ -10,12 +10,11 @@ from enslat import (
     DisorderDistribution,
     EnsembleSpec,
     LatticeBasis,
-    LinearCoupling,
     NormDefectExceeded,
     NotNormalized,
+    PolynomialCoupling,
     PropagationPlan,
     expanded_initial,
-    lattice_at,
     localized_initial,
     propagate,
     recurrence_analytic,
@@ -23,6 +22,7 @@ from enslat import (
     trajectory_from_states,
 )
 from enslat.measures import discretize, grid_size, orthonormal_values
+from conftest import lattice_at
 
 
 def semicircle_d1k(kmax: int) -> np.ndarray:
@@ -64,6 +64,9 @@ def test_localized_rejects_unnormalized():
         localized_initial(np.array([1.0, 1.0]), basis)
     with pytest.raises(NotNormalized, match=r"^\|\|c\|\| = nan"):    # NaN fails every comparison
         localized_initial(np.array([np.nan, 0.0]), basis)
+    # off by 5e-9: refused here and by every oracle (tests/test_oracle.py), one tolerance
+    with pytest.raises(NotNormalized, match=r"expected 1 within 1e-10$"):
+        localized_initial(np.array([1.0 + 5e-9, 0.0]), basis)
     with pytest.raises(DimensionMismatch):
         localized_initial(np.array([1.0, 0.0, 0.0]), basis)
 
@@ -273,7 +276,8 @@ def eigenstate_lattice(energy, c, depth):
     """An ensemble of eigenstates, set up by hand: the dephasing qubit whose
     disorder measure is the energy measure, with c on its lattice's origin.
     Returns the operator, the state and the energy measure's table."""
-    spec = EnsembleSpec(np.diag([0.0, 1.0]), (LinearCoupling(np.diag([0.0, 1.0])),), (energy,))
+    spec = EnsembleSpec(np.diag([0.0, 1.0]), (PolynomialCoupling.linear(np.diag([0.0, 1.0])),),
+                        (energy,))
     tables = []
     op, psi = lattice_at(spec, lambda basis, t: tables.extend(t) or localized_initial(c, basis),
                          (depth,))
