@@ -71,6 +71,14 @@ _NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, NormDefectExceeded)
 # a dimer rerun is bitwise only under the same BLAS thread setting
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# the keys each mapping of a config may hold; any other is refused
+_CONFIG_KEYS = ("unit", "system", "initial", "time", "method", "numeric", "compare", "output")
+_COUPLING_KEYS = {"linear": ("type", "matrix"), "polynomial": ("type", "matrices"),
+                  "tabulated": ("type", "file", "fit_degree")}
+_INITIAL_KEYS = {"localized": ("kind", "amplitudes"),
+                 "spectral": ("kind", "amplitudes", "distribution"),
+                 "tabulated": ("kind", "file")}
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -143,6 +151,7 @@ def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
     if not isinstance(block, dict) or "family" not in block:
         _fail(path, "expected a mapping with a 'family' key")
     family, width, cutoff = block["family"], block.get("width"), block.get("cutoff")
+    _known(block, path, ("family", "file" if family == "tabulated" else "width", "cutoff"))
     if cutoff is not None and not (isinstance(cutoff, (list, tuple)) and len(cutoff) == 2
                                    and all(isinstance(v, (int, float)) and np.isfinite(v)
                                            for v in cutoff)):
@@ -162,6 +171,8 @@ def _distribution(block, path: str, base_dir: str) -> DisorderDistribution:
 
 def _coupling(block, path: str, base_dir: str) -> PolynomialCoupling:
     kind = block.get("type", "linear") if isinstance(block, dict) else None
+    if kind in tuple(_COUPLING_KEYS):         # a tuple: a malformed kind may be unhashable
+        _known(block, path, _COUPLING_KEYS[kind])
     if kind == "linear":
         return PolynomialCoupling.linear(_matrix(block.get("matrix"), f"{path}.matrix"))
     if kind == "polynomial":
@@ -184,22 +195,29 @@ def _coupling(block, path: str, base_dir: str) -> PolynomialCoupling:
     _fail(f"{path}.type", f"unknown coupling type {kind!r}")
 
 
+def _known(block: dict, path: str, keys) -> dict:
+    """The mapping at ``path`` (the config's root when empty), with any key
+    but ``keys`` refused: a misspelt one would be ignored."""
+    unknown = [name for name in block if name not in keys]
+    if unknown:
+        _fail(f"{path}.{unknown[0]}" if path else str(unknown[0]),
+              f"unknown key; expected one of {tuple(keys)}")
+    return block
+
+
 def _block(cfg: dict, key: str, required: bool = False, keys=None) -> dict:
     """The config's ``key`` section, a mapping; an optional one that is absent is
-    empty.  With ``keys``, any other key is refused: a misspelt one would be ignored."""
+    empty.  With ``keys``, any other key is refused."""
     block = cfg.get(key)
     if block is None and not required:
         return {}
     if not isinstance(block, dict):
         _fail(key, f"expected a mapping, got {block!r}")
-    unknown = [name for name in block if name not in keys] if keys is not None else []
-    if unknown:
-        _fail(f"{key}.{unknown[0]}", f"unknown key; expected one of {tuple(keys)}")
-    return block
+    return block if keys is None else _known(block, key, keys)
 
 
 def parse_spec(cfg: dict, base_dir: str) -> EnsembleSpec:
-    sysblock = _block(cfg, "system", required=True)
+    sysblock = _block(cfg, "system", required=True, keys=("h0", "couplings", "distributions"))
     h0 = _matrix(sysblock.get("h0"), "system.h0")
     couplings = sysblock.get("couplings")
     dists = sysblock.get("distributions")
@@ -221,6 +239,8 @@ def parse_spec(cfg: dict, base_dir: str) -> EnsembleSpec:
 def parse_initial(cfg: dict, spec: EnsembleSpec, base_dir: str):
     block = _block(cfg, "initial", required=True)
     kind = block.get("kind", "localized")
+    if kind in tuple(_INITIAL_KEYS):
+        _known(block, "initial", _INITIAL_KEYS[kind])
     if kind == "spectral" and spec.l != 1:
         _fail("initial", "spectral initial states support a single disorder variable")
     if kind in ("localized", "spectral"):
@@ -398,6 +418,7 @@ def _preflight(cfg: dict, base_dir: str) -> tuple[_Preflight | None, list]:
         except ConfigError as exc:
             failures.append(str(exc))
 
+    section(_known, cfg, "", _CONFIG_KEYS)
     spec = section(parse_spec, cfg, base_dir)
     initial = section(parse_initial, cfg, spec, base_dir) if spec is not None else None
     grid = section(_resolve_time, cfg)

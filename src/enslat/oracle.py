@@ -15,7 +15,10 @@ time and fold each tile while it is in cache, so no (T, N, B) amplitude
 array is held.  :func:`mc_average` runs each chunk as one task, from its
 draws to its fold, on up to one thread per available core; the calling
 thread merges their moments in chunk order, so its output is bitwise the
-same for any number of threads.
+same for any number of threads.  The population of a level that h0 and
+every coupling leave uncoupled (under pure dephasing, every level) is the
+same at every time: a chunk folds it once, from the initial amplitudes,
+and only the entries that move are folded per time.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -231,19 +234,58 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int, rows, cols):
+def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int,
+              rows, cols, still):
     """Moments of samples start..stop-1, from their draws to the fold of their
-    last time tile: one pool task, which calls NumPy and ``c_fn`` only."""
+    last time tile: one pool task, which calls NumPy and ``c_fn`` only.
+
+    An entry the mask ``still`` marks (see :func:`_conserved`) is folded
+    once, from |c_r|^2, and its moments are given to every time; the entries
+    that move go through :func:`_chunk_moments`, in time tiles sized by those
+    entries alone.
+    """
     u = _philox_uniforms(seed, start, stop, spec.l)
     lam = np.column_stack([quantile(d, u[:, j]) for j, d in enumerate(spec.distributions)])
     c0 = realization_amplitudes(c_fn, lam, spec.n)
     amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
-    tiles = _time_tiles(times.size, 16 * (spec.n + rows.size) * (stop - start))
-    return _chunk_moments(amps, tiles, rows, cols)
+    moves = ~still
+    mean = np.empty((times.size, rows.size), complex)
+    m2 = np.empty((times.size, rows.size))
+    tiles = _time_tiles(times.size, 16 * (spec.n + np.count_nonzero(moves)) * (stop - start))
+    nb, mean[:, moves], m2[:, moves] = _chunk_moments(amps, tiles, rows[moves], cols[moves])
+    pops = c0.T[rows[still]]
+    mean[:, still], m2[:, still] = _moments(pops * pops.conj())
+    return nb, mean, m2
+
+
+def _conserved(spec: EnsembleSpec, rows, cols) -> np.ndarray:
+    """Which entries (rows[p], cols[p]) every realization conserves: the
+    populations of the levels that h0 and every coupling coefficient leave
+    uncoupled.
+
+    Such a level r is an eigenvector of every H(lambda), so
+    rho_rr(t) = |c_r(lambda)|^2 at all times.  Only exact zeros off the
+    diagonal count.
+    """
+    mats = np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)])
+    coupled = (mats != 0).any(axis=0) & ~np.eye(spec.n, dtype=bool)
+    return (rows == cols) & ~coupled.any(axis=1)[rows]
+
+
+def _moments(d):
+    """Mean and sum of squared deviations over the last axis of the samples d,
+    by the corrected two-pass rule (exact zero for identical samples); d is
+    overwritten by its deviations."""
+    mean = d.mean(axis=-1)
+    d -= mean[..., None]
+    sq = d.view(float)
+    m2 = np.einsum("...b,...b->...", sq, sq) - np.abs(d.sum(axis=-1)) ** 2 / d.shape[-1]
+    return mean, np.clip(m2, 0.0, None, out=m2)
 
 
 def _chunk_moments(amps, tiles, rows, cols):
-    """Size, mean and sum of squared deviations of one chunk's rho entries n <= m.
+    """Size, mean and sum of squared deviations of one chunk's rho entries
+    (rows[p], cols[p]) at every time.
 
     Each time tile is evolved and folded while it is in cache: the tile is
     conjugated once, and each entry is one product written into a (tile, P, B)
@@ -257,14 +299,10 @@ def _chunk_moments(amps, tiles, rows, cols):
         ac, d = np.conjugate(a), dev[:a.shape[0]]
         for p, (r, c) in enumerate(zip(rows, cols)):
             np.multiply(ac[:, c], a[:, r], out=d[:, p])    # rho entries
-        mean = d.mean(axis=-1)
-        d -= mean[:, :, None]
-        # corrected two-pass sum of squares (exact zero for identical samples)
-        sq = d.view(float)
-        m2s.append(np.einsum("tpb,tpb->tp", sq, sq) - np.abs(d.sum(axis=-1)) ** 2 / a.shape[-1])
+        mean, m2 = _moments(d)
         means.append(mean)
-    m2 = np.concatenate(m2s)
-    return a.shape[-1], np.concatenate(means), np.clip(m2, 0.0, None, out=m2)
+        m2s.append(m2)
+    return a.shape[-1], np.concatenate(means), np.concatenate(m2s)
 
 
 def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
@@ -281,6 +319,11 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     is bitwise the same for any number of threads.  A chunk that raises
     cancels the chunks queued behind it.
 
+    The population of a level that h0 and every coupling coefficient leave
+    uncoupled (each level under pure dephasing) is conserved by every
+    realization: it is folded once per chunk and holds one value at every
+    time.  ``info["conserved_entries"]`` lists these [r, c] entries.
+
     ``c_fn`` may be a constant amplitude vector or a vectorized callable of
     the disorder (see :func:`~enslat.states.realization_amplitudes`);
     per-realization vectors must be normalized (NotNormalized otherwise).
@@ -295,6 +338,7 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     # cancellation, exactly zero spread for degenerate (zero-variance) ensembles
     mean = np.zeros((times.size, rows.size), dtype=complex)
     m2 = np.zeros((times.size, rows.size))
+    still = _conserved(spec, rows, cols)
     count = 0
     starts = range(0, s, _CHUNK)
     workers = min(_workers(), len(starts))
@@ -306,7 +350,7 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
                 if len(running) > workers:
                     count = _merge(mean, m2, count, *running.popleft().result())
                 running.append(pool.submit(_mc_chunk, spec, c_fn, times, cfg.seed,
-                                           s0, min(s0 + _CHUNK, s), rows, cols))
+                                           s0, min(s0 + _CHUNK, s), rows, cols, still))
             while running:
                 count = _merge(mean, m2, count, *running.popleft().result())
         except BaseException:
@@ -317,7 +361,9 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     # in units of the answer, so its standard error scales as eps * |rho| / sqrt(s)
     sem[sem <= 8 * np.finfo(float).eps * np.abs(mean).max() / np.sqrt(s)] = 0.0
     info = {"method": "mc", "samples": s, "seed": int(cfg.seed),
-            "degenerate_distribution": bool(s > 1 and float(sem.max()) == 0.0)}
+            "degenerate_distribution": bool(s > 1 and float(sem.max()) == 0.0),
+            "conserved_entries": [[int(r), int(c)] for r, c in
+                                  zip(rows[still], cols[still])]}
     return DensityTrajectory(times, _hermitian(mean, rows, cols, n),
                              errors=_hermitian(sem, rows, cols, n), info=info)
 

@@ -105,10 +105,13 @@ def test_manifest_records_oracles(tmp_path):
     man = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
     assert man["result"]["oracles"] == {
         "quad": {"method": "quad", "quad_order": [40]},
-        "mc": {"method": "mc", "samples": 300, "seed": 9, "degenerate_distribution": False},
+        "mc": {"method": "mc", "samples": 300, "seed": 9, "degenerate_distribution": False,
+               "conserved_entries": [[0, 0], [1, 1]]},
         "analytic": {"method": "analytic"},
     }
     assert man["result"] == result.manifest["result"]
+    # a manifest is still a config, its record of the oracles included
+    assert validate_config(str(tmp_path / "out" / "manifest.yaml")) == []
 
 
 def test_manifest_records_propagator(tmp_path):
@@ -615,7 +618,8 @@ def test_analytic_route_reads_the_coefficients(tmp_path, matrices):
 
 @pytest.mark.parametrize("section, key, value", [
     ("numeric", "depth", 64), ("time", "n_step", 20), ("compare", "mc_sigma", 1.0),
-    ("output", "format", ["csv"]),
+    ("output", "format", ["csv"]), ("system", "hO", [[0, 0], [0, 1]]),
+    ("initial", "amplitude", [1, 0]),
 ])
 def test_unknown_key_exits_2_naming_it(tmp_path, capsys, section, key, value):
     # a misspelt key would otherwise be ignored, and the run would use the default
@@ -627,6 +631,52 @@ def test_unknown_key_exits_2_naming_it(tmp_path, capsys, section, key, value):
     assert capsys.readouterr().out.startswith(f"FAIL {section}.{key}: unknown key")
     assert main(["--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: unknown key")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, key", [
+    ("top level", "methd"),
+    ("linear coupling", "system.couplings[0].fit_degree"),
+    ("polynomial coupling", "system.couplings[0].matrix"),
+    ("tabulated coupling", "system.couplings[0].matrix"),
+    ("named distribution", "system.distributions[0].cutof"),
+    ("tabulated distribution", "system.distributions[0].width"),
+    ("tabulated initial state", "initial.amplitudes"),
+    ("spectral energy measure", "initial.distribution.cutof"),
+])
+def test_unknown_key_in_a_nested_mapping_exits_2_naming_it(tmp_path, capsys, case, key):
+    # keys are checked per coupling type, distribution family and initial
+    # kind: a key another kind reads would otherwise be ignored
+    lam = np.linspace(-3.0, 3.0, 61)
+    np.savetxt(tmp_path / "dist.txt", np.column_stack([lam, np.exp(-lam ** 2)]))
+    np.savetxt(tmp_path / "f.txt", np.column_stack([lam] + [lam * 0] * 6 + [lam, lam * 0]))
+    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n5 {INV} 0 {INV} 0\n")
+    path = qubit_config(tmp_path, method="mc", n_steps=6)
+    cfg = yaml.safe_load(path.read_text())
+    unit = [[0, 0], [0, 1]]
+    if case == "top level":
+        cfg["methd"] = "quad"
+    elif case == "linear coupling":
+        cfg["system"]["couplings"][0]["fit_degree"] = 3
+    elif case == "polynomial coupling":
+        cfg["system"]["couplings"][0] = {"type": "polynomial", "matrices": [unit], "matrix": unit}
+    elif case == "tabulated coupling":
+        cfg["system"]["couplings"][0] = {"type": "tabulated", "file": "f.txt", "matrix": unit}
+    elif case == "named distribution":
+        cfg["system"]["distributions"][0]["cutof"] = [-1, 1]
+    elif case == "tabulated distribution":
+        cfg["system"]["distributions"][0] = {"family": "tabulated", "file": "dist.txt",
+                                             "width": 1.0}
+    elif case == "tabulated initial state":
+        cfg["initial"] = {"kind": "tabulated", "file": "c.txt", "amplitudes": [1, 0]}
+    else:
+        cfg["initial"] = {**SPECTRAL, "distribution": {**SPECTRAL["distribution"],
+                                                       "cutof": [-1, 1]}}
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), "--validate"]) == 2
+    assert capsys.readouterr().out.startswith(f"FAIL {key}: unknown key")
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: unknown key")
     assert not (tmp_path / "out").exists()
 
 

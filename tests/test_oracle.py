@@ -314,20 +314,124 @@ def test_mc_matches_slow_reference(data):
     times = np.linspace(0.0, 2.5, 5)
     samples = 200
     traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
-
-    # reference: per-sample Philox, expm per realization, plain two-pass moments
-    u = _numpy_philox_uniforms(seed, range(samples), l)
-    rhos = np.empty((samples, times.size, n, n), dtype=complex)
-    for i in range(samples):
-        lam = [float(quantile(d, u[i, j])) for j, d in enumerate(dists)]
-        h = h0 + sum(x * m for x, m in zip(lam, mats))
-        for k, t in enumerate(times):
-            psi = expm(-1j * h * t) @ c
-            rhos[i, k] = np.outer(psi, psi.conj())
-    mean = rhos.mean(axis=0)
-    sem = np.sqrt((np.abs(rhos - mean) ** 2).mean(axis=0) / samples)
+    mean, sem = _slow_reference(spec, c, times, samples, seed)
     assert np.abs(traj.rho - mean).max() <= 1e-12
     assert np.abs(traj.errors - sem).max() <= 1e-12
+
+
+def _slow_reference(spec, c, times, samples, seed):
+    """Mean and SEM of rho by per-sample Philox, expm per realization and plain
+    two-pass moments; c is a vector or a callable of one (1, l) disorder row."""
+    u = _numpy_philox_uniforms(seed, range(samples), spec.l)
+    rhos = np.empty((samples, times.size, spec.n, spec.n), dtype=complex)
+    for i in range(samples):
+        lam = [float(quantile(d, u[i, j])) for j, d in enumerate(spec.distributions)]
+        h = spec.h0 + sum(x ** p * m for x, cp in zip(lam, spec.couplings)
+                          for p, m in enumerate(cp.matrices))
+        ci = c(np.array([lam]))[0] if callable(c) else c
+        for k, t in enumerate(times):
+            psi = expm(-1j * h * t) @ ci
+            rhos[i, k] = np.outer(psi, psi.conj())
+    mean = rhos.mean(axis=0)
+    return mean, np.sqrt((np.abs(rhos - mean) ** 2).mean(axis=0) / samples)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mc_conserved_entries_match_slow_reference(data):
+    # diagonal or block-diagonal h0 and couplings: the entries that no
+    # realization moves are folded once per chunk, the others at every time
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    l = data.draw(st.sampled_from([1, 2]), label="l")
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    split = data.draw(st.one_of(st.none(), st.integers(1, n - 1)), label="block split")
+    depends = data.draw(st.booleans(), label="c depends on lambda")
+    families = data.draw(st.lists(st.sampled_from(["gaussian", "uniform", "semicircle"]),
+                                  min_size=l, max_size=l), label="families")
+    level = np.arange(n) if split is None else (np.arange(n) >= split)
+    block = np.equal.outer(level, level)
+    h0 = _hermitian_from(data.draw, n) * block
+    mats = [_hermitian_from(data.draw, n) * block for _ in range(l)]
+    c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+    c = c[:n] + 1j * c[n:]
+    if np.linalg.norm(c) < 1e-3:
+        c = np.eye(n)[0].astype(complex)
+    c = c / np.linalg.norm(c)
+    if depends:
+        fixed, tilt = c, np.eye(n)[-1]
+
+        def c(lam):
+            rows = fixed + 0.5 * lam[:, :1] * tilt
+            return rows / np.linalg.norm(rows, axis=1)[:, None]
+    dists = tuple(DisorderDistribution(f, width=0.8) for f in families)
+    spec = EnsembleSpec(h0, tuple(PolynomialCoupling.linear(m) for m in mats), dists)
+    times = np.linspace(0.0, 2.5, 5)
+    samples = 200
+    traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
+    # a level alone in its block is coupled to no other: its population is conserved
+    for k in np.flatnonzero(block.sum(axis=1) == 1):
+        assert [k, k] in traj.info["conserved_entries"]
+    mean, sem = _slow_reference(spec, c, times, samples, seed)
+    assert np.abs(traj.rho - mean).max() <= 1e-12
+    assert np.abs(traj.errors - sem).max() <= 1e-12
+
+
+def test_mc_conserved_entries_fold_once(monkeypatch):
+    # the shipped gaussian qubit at 500 samples, in chunks of 128: its
+    # populations are folded once per chunk, its coherence at every time
+    from enslat.cli import parse_initial, parse_spec
+    cfg = yaml.safe_load((CONFIGS / "qubit_gaussian.yaml").read_text())
+    spec = parse_spec(cfg, str(CONFIGS))
+    c = parse_initial(cfg, spec, str(CONFIGS))[1]
+    times = np.linspace(0.0, cfg["time"]["t_max"], cfg["time"]["n_steps"])
+    samples, seed = 500, cfg["numeric"]["seed"]
+    monkeypatch.setattr(oracle, "_CHUNK", 128)
+    traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
+    assert traj.info["conserved_entries"] == [[0, 0], [1, 1]]
+    pops = traj.rho[:, [0, 1], [0, 1]]
+    assert np.array_equal(pops, np.broadcast_to(pops[0], pops.shape))
+    assert np.abs(pops[0] - np.abs(c) ** 2).max() <= 1e-15
+
+    # against _chunk_moments on all entries at every time: per chunk, the
+    # coherence's moments are bitwise equal; over the run, so is every SEM
+    rows, cols = np.triu_indices(2)
+    none = np.zeros(rows.size, dtype=bool)
+    assert oracle._conserved(spec, rows, cols).tolist() == [True, False, True]
+    for s0 in range(0, samples, oracle._CHUNK):
+        args = (spec, c, times, seed, s0, min(s0 + oracle._CHUNK, samples), rows, cols)
+        nb, mean, m2 = oracle._mc_chunk(*args, oracle._conserved(spec, rows, cols))
+        ref = oracle._mc_chunk(*args, none)
+        assert nb == ref[0]
+        assert np.array_equal(mean[:, 1], ref[1][:, 1]) and np.array_equal(m2[:, 1], ref[2][:, 1])
+        assert np.array_equal(mean[:, [0, 2]], np.broadcast_to(mean[0, [0, 2]], (times.size, 2)))
+    monkeypatch.setattr(oracle, "_conserved", lambda spec, rows, cols: none)
+    ref = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
+    assert ref.info["conserved_entries"] == []
+    assert np.array_equal(traj.rho[:, 0, 1], ref.rho[:, 0, 1])
+    assert np.array_equal(traj.errors, ref.errors)
+    assert np.abs(traj.rho - ref.rho).max() <= 1e-16
+
+    # a dense three-level ensemble conserves no entry
+    monkeypatch.undo()
+    spec, c = _three_level_ensemble()
+    traj = mc_average(spec, c, times[:5], OracleConfig(samples=300))
+    assert traj.info["conserved_entries"] == []
+
+
+def test_conserved_reads_every_coefficient():
+    # level 2 is coupled to level 0 by h0, and level 1 to level 0 by nothing
+    # but a 1e-300 lambda**2 coefficient: only level 3 is left alone
+    h0 = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    h0[0, 2] = h0[2, 0] = 0.5
+    quad = np.zeros((4, 4), complex)
+    quad[0, 1] = quad[1, 0] = 1e-300
+    couplings = (PolynomialCoupling.linear(np.diag([1.0, 0.0, 0.0, 1.0])),
+                 PolynomialCoupling((np.zeros((4, 4)), np.eye(4), quad)))
+    spec = EnsembleSpec(h0, couplings, (DisorderDistribution.gaussian(1.0),) * 2)
+    rows, cols = np.triu_indices(4)
+    assert np.flatnonzero(oracle._conserved(spec, rows, cols)).tolist() == [9]
+    traj = mc_average(spec, np.full(4, 0.5), np.linspace(0.0, 1.0, 3), OracleConfig(samples=50))
+    assert traj.info["conserved_entries"] == [[3, 3]]
 
 
 def _direct_amplitudes(hb, c0, times):
