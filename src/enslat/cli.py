@@ -15,6 +15,7 @@ convergence), 4 comparison tolerance exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -70,6 +71,11 @@ _NUMERIC_FAILURES = (LeakageExceeded, NumericalBreakdown, NormDefectExceeded)
 
 # a dimer rerun is bitwise only under the same BLAS thread setting
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# libyaml's parser and emitter where PyYAML has them: the same documents, read
+# and written several times faster than by the pure-Python classes
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # the keys each mapping of a config may hold; any other is refused
 _CONFIG_KEYS = ("unit", "system", "initial", "time", "method", "numeric", "compare", "output")
@@ -587,7 +593,7 @@ def _load(config) -> tuple[dict, str]:
     else:
         with open(config) as fh:
             try:
-                doc = yaml.safe_load(fh)
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config: not YAML: {exc}") from None
         base = os.path.dirname(os.path.abspath(config))
@@ -668,14 +674,25 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     if "compare" in cfg:
         resolved["compare"] = cfg["compare"]
 
+    stages: dict[str, float] = {}       # wall seconds of each route, and of the output files
+
+    @contextlib.contextmanager
+    def timed(name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:                        # a stage that raises still records its time
+            stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
+
     def write_manifest() -> dict:
         result_meta["oracles"] = {name: dict(traj.info) for name, traj in trajs.items()
                                   if name != "chain"}
+        result_meta["stages"] = {name: round(s, 3) for name, s in stages.items()}
         result_meta["wall_clock_s"] = round(time.perf_counter() - t_start, 3)
         result_meta["outputs"] = outputs + ["manifest.yaml"]
         manifest = {"config": resolved, "result": result_meta}
         _atomic_write(os.path.join(out_dir, "manifest.yaml"),
-                      yaml.safe_dump(manifest, sort_keys=False))
+                      yaml.dump(manifest, Dumper=_YAML_DUMPER, sort_keys=False))
         outputs.append("manifest.yaml")
         return manifest
 
@@ -683,16 +700,20 @@ def run(config, out_dir=None, method=None, seed=None) -> RunResult:
     stage = None
     try:
         for stage in pre.routes:
-            trajs[stage], report = _trajectory(stage, pre, times)
-            emit(f"trajectory_{stage}.csv", trajectory_csv(trajs[stage]))
+            with timed(stage):
+                trajs[stage], report = _trajectory(stage, pre, times)
+            with timed("output"):
+                emit(f"trajectory_{stage}.csv", trajectory_csv(trajs[stage]))
+                if report is not None:
+                    emit("leakage_chain.csv", _leakage_csv(report))
             if report is not None:
-                emit("leakage_chain.csv", _leakage_csv(report))
                 result_meta["accepted_depths"] = [int(d) for d in report.growth[-1]]
                 result_meta["max_leakage"] = report.max_leakage
                 result_meta["propagator"] = _propagator_record(report)
         if pre.method == "compare":
             compare_rows = _compare_rows(trajs, pre.gates)
-            emit("compare_errors.csv", _compare_csv(compare_rows))
+            with timed("output"):
+                emit("compare_errors.csv", _compare_csv(compare_rows))
             result_meta["compare"] = compare_rows
     except _NUMERIC_FAILURES as exc:
         # a failed run still leaves a record of the route that failed and why

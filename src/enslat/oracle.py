@@ -4,7 +4,7 @@ Three routes to the disorder-averaged density matrix that never touch the
 lattice machinery:
 
 * :func:`mc_average` samples realizations and evolves each one exactly by
-  dense eigendecomposition (with per-entry standard errors);
+  eigendecomposition (with per-entry standard errors);
 * :func:`quad_average` replaces random samples with tensor-product Gauss
   nodes of the disorder measures (deterministic, spectrally convergent);
 * :func:`analytic_qubit` is the closed form for the dephasing qubit, where
@@ -12,13 +12,17 @@ lattice machinery:
 
 Both averaging routes evolve a chunk of realizations one time tile at a
 time and fold each tile while it is in cache, so no (T, N, B) amplitude
-array is held.  :func:`mc_average` runs each chunk as one task, from its
-draws to its fold, on up to one thread per available core; the calling
-thread merges their moments in chunk order, so its output is bitwise the
-same for any number of threads.  The population of a level that h0 and
-every coupling leave uncoupled (under pure dephasing, every level) is the
-same at every time: a chunk folds it once, from the initial amplitudes,
-and only the entries that move are folded per time.
+array is held.  A chunk evolves block by block: its levels split into the
+blocks that no H(lambda) of the chunk couples, each block of two or more
+levels is diagonalized on its own, and a level alone in its block is its
+own eigenvector, one phase with no ``eigh``.  A dense ensemble is one
+block.  :func:`mc_average` runs each chunk as one task, from its draws to
+its fold, on up to one thread per available core; the calling thread
+merges their moments in chunk order, so its output is bitwise the same for
+any number of threads.  The population of a level that h0 and every
+coupling leave uncoupled (under pure dephasing, every level) is the same at
+every time: a chunk folds it once, from the initial amplitudes, and only
+the entries that move are folded per time.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -170,59 +174,121 @@ def _fine_length(times: np.ndarray):
 def _phase_rows(times: np.ndarray, g: np.ndarray):
     """Phases exp(-i t g) of one gap per realization, g of shape (B,).
 
-    Returns ``phase(tile)``, the (tile, B) phases of a slice of the times.
-    On a uniform grid t_j = t_0 + j dt the phase factorizes: with j = q b + r
-    and b = ceil(sqrt(T)),
+    Returns ``phase(tile, out=None)``, the (tile, B) phases of a slice of the
+    times, written into ``out`` when one is given.  On a uniform grid
+    t_j = t_0 + j dt the phase factorizes: with j = q b + r and
+    b = ceil(sqrt(T)),
 
         exp(-i g t_j) = exp(-i g t_{qb}) exp(-i g (t_r - t_0)),
 
     so a realization costs ceil(T / b) + b ``exp`` calls, not T, and only
-    those two tables are held.  The coarse factor is the direct phase of the
-    grid's own times t_{qb}, and the fine factor of r = 0 is exactly 1, so
-    at every j = q b (t_0 included) the phase equals the direct one bitwise.
-    Elsewhere it is off by a few ulp of g t.  Any other grid takes the direct
-    ``exp`` per tile.
+    those two tables are held; a tile is one product per coarse time it
+    spans, of a coarse row and a slice of fine rows.  The coarse factor is
+    the direct phase of the grid's own times t_{qb}, and the fine factor of
+    r = 0 is exactly 1, so at every j = q b (t_0 included) the phase equals
+    the direct one bitwise.  Elsewhere it is off by a few ulp of g t.  Any
+    other grid takes the direct ``exp`` per tile.
     """
     b = _fine_length(times)
     if b is None:
-        return lambda tile: np.exp(-1j * np.multiply.outer(times[tile], g))
+        return lambda tile, out=None: np.exp(-1j * np.multiply.outer(times[tile], g), out=out)
     coarse = np.multiply.outer(times[::b], -1j * g)
     fine = np.multiply.outer(times[:b] - times[0], -1j * g)
     np.exp(coarse, out=coarse)          # in place: no second table-sized temporary
     np.exp(fine, out=fine)
-    q, r = np.divmod(np.arange(times.size), b)
 
-    def phase(tile: slice) -> np.ndarray:
-        out = coarse[q[tile]]
-        out *= fine[r[tile]]
+    def phase(tile: slice, out=None) -> np.ndarray:
+        t0, t1, _ = tile.indices(times.size)
+        out = np.empty((t1 - t0, g.size), complex) if out is None else out
+        for q in range(t0 // b, -(-t1 // b)):           # one product per coarse time
+            j0, j1 = max(t0, q * b), min(t1, (q + 1) * b)
+            np.multiply(coarse[q], fine[j0 - q * b:j1 - q * b], out=out[j0 - t0:j1 - t0])
         return out
     return phase
+
+
+def _blocks(mats: np.ndarray) -> list:
+    """The levels of a stack of (..., N, N) matrices, split into blocks: the
+    connected components of the off-diagonal entries that are exactly nonzero
+    in any of them.  Each block is the sorted array of its levels, in the
+    order of their lowest levels.  No matrix of the stack couples two blocks.
+    """
+    n = mats.shape[-1]
+    linked = (mats != 0).reshape(-1, n, n).any(axis=0)
+    reach = linked | linked.T | np.eye(n, dtype=bool)
+    while True:                         # paths of length 2^k, until no level is added
+        longer = reach @ reach
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    blocks, seen = [], np.zeros(n, dtype=bool)
+    for r in range(n):
+        if seen[r]:
+            continue
+        blocks.append(np.flatnonzero(reach[r]))
+        seen[blocks[-1]] = True
+    return blocks
 
 
 def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
     """psi_lambda(t) for a batch (B, N, N), (B, N), one time tile at a time.
 
     Returns ``amps(tile)``, the (tile, N, B) amplitudes of a slice of the
-    times, so no (T, N, B) array is held.  With eigenvectors v_m and
-    w_m = v_m (V^H c)_m, held as one contiguous (N, N, B) table, a tile's
-    amplitudes are sum_m w_m phase_m(tile).  Phases run relative to each
-    realization's lowest eigenvalue; the global phase dropped that way
-    cancels in rho.  They come from :func:`_phase_rows`, so a time's
-    amplitudes are the same bit for bit under any tiling.
+    times, so no (T, N, B) array is held.  The levels split into the blocks
+    of :func:`_blocks`, which no H(lambda) of the batch couples, and each
+    block evolves on its own.  With a block's eigenvectors v_m and
+    w_m = v_m (V^H c)_m, held as one contiguous (K, K, B) table, a tile's
+    amplitudes on that block are sum_m w_m phase_m(tile), written straight
+    into the tile.  A one-level block is its own eigenvector: it takes its
+    diagonal entry and w = c_r, with no ``eigh``, and its phase is written
+    into the tile and scaled there by c_r.
+
+    Phases run relative to the lowest eigenvalue of the first block; the
+    global phase dropped that way cancels in rho.  For one block (a dense
+    ensemble) that is each realization's lowest eigenvalue.  They come from
+    :func:`_phase_rows`, so a time's amplitudes are the same bit for bit
+    under any tiling.
     """
-    evals, vecs = np.linalg.eigh(hb)
-    ceig = (vecs.transpose(1, 2, 0).conj() * c0.T[:, None, :]).sum(axis=0)    # (N, B): V^H c
-    n, nb = ceig.shape
-    w = np.multiply(vecs.transpose(2, 1, 0), ceig[:, None, :], out=np.empty((n, n, nb), complex))
-    phases = [_phase_rows(times, evals[:, m] - evals[:, 0]) for m in range(1, n)]
+    nb, n = c0.shape
+    blocks = _blocks(hb)
+    parts, ref = [], None
+    for levels in blocks:
+        k = levels.size
+        if levels[-1] - levels[0] == k - 1:     # a range of levels: read and written as views
+            levels = slice(levels[0], levels[-1] + 1)
+        if k == 1:                          # w = c_r, copied once: every tile reads it
+            evals, w = hb[:, levels, levels][:, 0].real, np.ascontiguousarray(c0.T[None, levels])
+        else:
+            sub = hb if len(blocks) == 1 else hb[:, levels][:, :, levels]
+            evals, vecs = np.linalg.eigh(sub)
+            ceig = (vecs.transpose(1, 2, 0).conj() * c0.T[levels, None, :]).sum(axis=0)  # V^H c
+            w = np.multiply(vecs.transpose(2, 1, 0), ceig[:, None, :],
+                            out=np.empty((k, k, nb), complex))
+        phases = []
+        if ref is None:                     # the reference level: its phase is exactly 1
+            ref, phases = evals[:, 0], [None]
+        phases += [_phase_rows(times, evals[:, m] - ref) for m in range(len(phases), k)]
+        parts.append((levels, w, phases))
 
     def amps(tile: slice) -> np.ndarray:
-        out = np.broadcast_to(w[0], times[tile].shape + w[0].shape)
-        for m, phase in enumerate(phases, 1):
-            term = w[m] * phase(tile)[:, None, :]
-            term += out                 # = out + term bit for bit: IEEE addition commutes
-            out = term
-        return np.ascontiguousarray(out)   # copies only when N = 1
+        out = np.empty((times[tile].size, n, nb), complex)
+        for levels, w, phases in parts:
+            # a block that is no range of levels is summed aside, then scattered
+            dst = (out[:, levels] if isinstance(levels, slice)
+                   else np.empty((out.shape[0], levels.size, nb), complex))
+            for m, phase in enumerate(phases):
+                if phase is None:
+                    dst[...] = w[m]
+                elif len(phases) == 1:      # a level alone: its phase, then times c_r
+                    phase(tile, out=dst[:, 0])
+                    dst *= w[0]
+                elif m == 0:
+                    np.multiply(w[m], phase(tile)[:, None, :], out=dst)
+                else:
+                    dst += w[m] * phase(tile)[:, None, :]
+            if not isinstance(levels, slice):
+                out[:, levels] = dst
+        return out
     return amps
 
 
@@ -261,15 +327,16 @@ def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int,
 def _conserved(spec: EnsembleSpec, rows, cols) -> np.ndarray:
     """Which entries (rows[p], cols[p]) every realization conserves: the
     populations of the levels that h0 and every coupling coefficient leave
-    uncoupled.
+    uncoupled, the one-level blocks of :func:`_blocks`.
 
     Such a level r is an eigenvector of every H(lambda), so
     rho_rr(t) = |c_r(lambda)|^2 at all times.  Only exact zeros off the
     diagonal count.
     """
-    mats = np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)])
-    coupled = (mats != 0).any(axis=0) & ~np.eye(spec.n, dtype=bool)
-    return (rows == cols) & ~coupled.any(axis=1)[rows]
+    alone = np.zeros(spec.n, dtype=bool)
+    for levels in _blocks(np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)])):
+        alone[levels] = levels.size == 1
+    return (rows == cols) & alone[rows]
 
 
 def _moments(d):
@@ -287,18 +354,20 @@ def _chunk_moments(amps, tiles, rows, cols):
     """Size, mean and sum of squared deviations of one chunk's rho entries
     (rows[p], cols[p]) at every time.
 
-    Each time tile is evolved and folded while it is in cache: the tile is
-    conjugated once, and each entry is one product written into a (tile, P, B)
-    buffer that every tile reuses.
+    Each time tile is evolved and folded while it is in cache: each level
+    that some entry reads as its column is conjugated once, from a view of
+    the tile, and each entry is one product written into a (tile, P, B)
+    buffer that every tile reuses.  On the dephasing qubit, whose one moving
+    entry is rho_01, that is level 1 alone.
     """
-    means, m2s, dev = [], [], None
+    means, m2s, dev, read = [], [], None, np.unique(cols)
     for tile in tiles:
         a = amps(tile)                                  # (tile, N, B)
         if dev is None:                                 # the first tile is the longest
             dev = np.empty((a.shape[0], rows.size, a.shape[-1]), complex)
-        ac, d = np.conjugate(a), dev[:a.shape[0]]
+        ac, d = {c: np.conjugate(a[:, c]) for c in read}, dev[:a.shape[0]]
         for p, (r, c) in enumerate(zip(rows, cols)):
-            np.multiply(ac[:, c], a[:, r], out=d[:, p])    # rho entries
+            np.multiply(ac[c], a[:, r], out=d[:, p])       # rho entries
         mean, m2 = _moments(d)
         means.append(mean)
         m2s.append(m2)
@@ -319,7 +388,10 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     is bitwise the same for any number of threads.  A chunk that raises
     cancels the chunks queued behind it.
 
-    The population of a level that h0 and every coupling coefficient leave
+    Each chunk's realizations evolve block by block (see
+    :func:`_evolve_batch`), so a level that no H(lambda) of the chunk
+    couples costs one phase per realization and no eigendecomposition.  The
+    population of a level that h0 and every coupling coefficient leave
     uncoupled (each level under pure dephasing) is conserved by every
     realization: it is folded once per chunk and holds one value at every
     time.  ``info["conserved_entries"]`` lists these [r, c] entries.

@@ -110,6 +110,14 @@ def test_manifest_records_oracles(tmp_path):
         "analytic": {"method": "analytic"},
     }
     assert man["result"] == result.manifest["result"]
+    # each route that ran and the output files, in wall seconds rounded as the run's
+    stages = man["result"]["stages"]
+    assert list(stages) == ["chain", "output", "quad", "mc", "analytic"]
+    assert all(s >= 0 and s == round(s, 3) for s in stages.values())
+    assert sum(stages.values()) <= man["result"]["wall_clock_s"] + 0.005
+    # libyaml writes the text the pure-Python emitter writes
+    assert (tmp_path / "out" / "manifest.yaml").read_text() == yaml.safe_dump(
+        result.manifest, sort_keys=False)
     # a manifest is still a config, its record of the oracles included
     assert validate_config(str(tmp_path / "out" / "manifest.yaml")) == []
 
@@ -266,6 +274,8 @@ def test_exit_3_leaves_a_record_of_the_failure(tmp_path, capsys):
     assert prop["growth"] == [[4]] and prop["matvecs"] > 0 and prop["op_dim"] == 10
     assert man["config"]["numeric"]["depths"] == [4]
     assert "trajectory_chain.csv" not in man["result"]["outputs"]
+    # the failing stage's time is recorded; no output stage ran
+    assert list(man["result"]["stages"]) == ["chain"] and man["result"]["stages"]["chain"] >= 0
 
 
 def test_manifest_records_the_thread_environment(tmp_path, monkeypatch):

@@ -492,15 +492,24 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
         assert np.array_equal(np.concatenate([amps(t) for t in tiles]), direct)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_evolve_batch_matches_dense_evolution(n):
+@pytest.mark.parametrize("n, block", [
+    *(pytest.param(n, None, id=str(n)) for n in (2, 3, 5, 8)),
+    pytest.param(3, [0, 1, 0], id="3-levels-0-2-coupled-1-alone"),
+    pytest.param(4, [0, 1, 2, 3], id="4-every-level-alone"),
+    pytest.param(1, [0], id="1"),
+])
+def test_evolve_batch_matches_dense_evolution(n, block):
     # a a^H is the dense psi psi^H of every realization, on a uniform grid
     # (factorized phases) and a geometric one (direct exp), and a time's
-    # amplitudes are the same bit for bit under two tilings
+    # amplitudes are the same bit for bit under two tilings.  A block-diagonal
+    # batch couples only levels of one block, which evolve on their own
     rng = np.random.default_rng(n)
     nb = 12
     a = rng.normal(size=(nb, n, n)) + 1j * rng.normal(size=(nb, n, n))
     hb = (a + a.conj().transpose(0, 2, 1)) / 2
+    if block is not None:
+        hb *= np.equal.outer(block, block)
+    assert len(oracle._blocks(hb)) == (1 if block is None else len(set(block)))
     c0 = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
     c0 /= np.linalg.norm(c0, axis=1)[:, None]
     uniform, geometric = np.linspace(0.0, 3.0, 23), 0.01 * np.geomspace(1.0, 300.0, 23)
@@ -515,6 +524,13 @@ def test_evolve_batch_matches_dense_evolution(n):
                 psi = expm(-1j * t * hb[b]) @ c0[b]
                 rho = np.outer(got[k, :, b], got[k, :, b].conj())
                 assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
+    if n == 1:
+        # one level, so no entry moves: both averages still evolve it
+        spec = EnsembleSpec(np.array([[0.3]]), (PolynomialCoupling.linear(np.eye(1)),),
+                            (DisorderDistribution.gaussian(1.0),))
+        for average in (mc_average, quad_average):
+            traj = average(spec, np.ones(1), uniform, OracleConfig(samples=100))
+            assert np.abs(traj.rho - 1.0).max() <= 1e-15
 
 
 def test_evolve_batch_holds_no_phase_array():
