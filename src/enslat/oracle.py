@@ -10,12 +10,15 @@ lattice machinery:
 * :func:`analytic_qubit` is the closed form for the dephasing qubit, where
   the coherence is the characteristic function of the disorder.
 
-Both averaging routes evolve a chunk of realizations one time tile at a
-time and fold each tile while it is in cache, so no (T, N, B) amplitude
-array is held.  A chunk evolves block by block: its levels split into the
-blocks that no H(lambda) of the chunk couples, each block of two or more
-levels is diagonalized on its own, and a level alone in its block is its
-own eigenvector, one phase with no ``eigh``.  A dense ensemble is one
+Both averaging routes ask a chunk of realizations for the rho entries they
+need, one time tile at a time, and fold each tile while it is in cache, so
+no (T, N, B) array is held.  A chunk evolves block by block: its levels
+split into the blocks that no H(lambda) of the chunk couples, each block of
+two or more levels is diagonalized on its own, and a level alone in its
+block is its own eigenvector, one phase with no ``eigh``.  A coherence
+between two levels alone (under pure dephasing, every coherence) is then
+one phase per realization, written straight from its own factor tables;
+any other entry is a product of amplitudes.  A dense ensemble is one
 block.  :func:`mc_average` runs each chunk as one task, from its draws to
 its fold, on up to one thread per available core; the calling thread
 merges their moments in chunk order, so its output is bitwise the same for
@@ -171,10 +174,11 @@ def _fine_length(times: np.ndarray):
     return math.isqrt(nt - 1) + 1 if nt else None
 
 
-def _phase_rows(times: np.ndarray, g: np.ndarray):
-    """Phases exp(-i t g) of one gap per realization, g of shape (B,).
+def _phase_rows(times: np.ndarray, g: np.ndarray, scale=None):
+    """Phases exp(-i t g) of one gap per realization, g of shape (B,), each
+    times its realization's ``scale`` when one is given.
 
-    Returns ``phase(tile, out=None)``, the (tile, B) phases of a slice of the
+    Returns ``phase(tile, out=None)``, the (tile, B) rows of a slice of the
     times, written into ``out`` when one is given.  On a uniform grid
     t_j = t_0 + j dt the phase factorizes: with j = q b + r and
     b = ceil(sqrt(T)),
@@ -183,19 +187,28 @@ def _phase_rows(times: np.ndarray, g: np.ndarray):
 
     so a realization costs ceil(T / b) + b ``exp`` calls, not T, and only
     those two tables are held; a tile is one product per coarse time it
-    spans, of a coarse row and a slice of fine rows.  The coarse factor is
-    the direct phase of the grid's own times t_{qb}, and the fine factor of
-    r = 0 is exactly 1, so at every j = q b (t_0 included) the phase equals
-    the direct one bitwise.  Elsewhere it is off by a few ulp of g t.  Any
-    other grid takes the direct ``exp`` per tile.
+    spans, of a coarse row and a slice of fine rows.  The scale is folded
+    into the coarse table once, so it costs a tile nothing.  The coarse
+    factor is scale times the direct phase of the grid's own times t_{qb},
+    and the fine factor of r = 0 is exactly 1, so at every j = q b (t_0
+    included) the row equals scale times the direct phase bitwise.
+    Elsewhere it is off by a few ulp of g t.  Any other grid takes the
+    direct ``exp`` per tile, then the scale.
     """
     b = _fine_length(times)
     if b is None:
-        return lambda tile, out=None: np.exp(-1j * np.multiply.outer(times[tile], g), out=out)
+        def direct(tile: slice, out=None) -> np.ndarray:
+            out = np.exp(-1j * np.multiply.outer(times[tile], g), out=out)
+            if scale is not None:
+                out *= scale
+            return out
+        return direct
     coarse = np.multiply.outer(times[::b], -1j * g)
     fine = np.multiply.outer(times[:b] - times[0], -1j * g)
     np.exp(coarse, out=coarse)          # in place: no second table-sized temporary
     np.exp(fine, out=fine)
+    if scale is not None:
+        coarse *= scale
 
     def phase(tile: slice, out=None) -> np.ndarray:
         t0, t1, _ = tile.indices(times.size)
@@ -230,34 +243,64 @@ def _blocks(mats: np.ndarray) -> list:
     return blocks
 
 
-def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
-    """psi_lambda(t) for a batch (B, N, N), (B, N), one time tile at a time.
+def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols):
+    """The rho entries (rows[p], cols[p]) of a batch (B, N, N), (B, N), one
+    time tile at a time.
 
-    Returns ``amps(tile)``, the (tile, N, B) amplitudes of a slice of the
-    times, so no (T, N, B) array is held.  The levels split into the blocks
-    of :func:`_blocks`, which no H(lambda) of the batch couples, and each
-    block evolves on its own.  With a block's eigenvectors v_m and
-    w_m = v_m (V^H c)_m, held as one contiguous (K, K, B) table, a tile's
-    amplitudes on that block are sum_m w_m phase_m(tile), written straight
-    into the tile.  A one-level block is its own eigenvector: it takes its
-    diagonal entry and w = c_r, with no ``eigh``, and its phase is written
-    into the tile and scaled there by c_r.
+    Returns ``samples(tile)``, the (tile, P, B) values a_r conj(a_c) of each
+    realization's amplitudes a(t) on a slice of the times, so no (T, N, B)
+    array is held.  The levels split into the blocks of :func:`_blocks`,
+    which no H(lambda) of the batch couples, and an entry takes one of two
+    routes:
 
-    Phases run relative to the lowest eigenvalue of the first block; the
-    global phase dropped that way cancels in rho.  For one block (a dense
-    ensemble) that is each realization's lowest eigenvalue.  They come from
-    :func:`_phase_rows`, so a time's amplitudes are the same bit for bit
-    under any tiling.
+    * both of its levels are alone in their blocks, so each is its own
+      eigenvector and the entry is c_r conj(c_c) exp(-i (E_r - E_c) t): one
+      row of :func:`_phase_rows`, which holds c_r conj(c_c) in its coarse
+      table.  An entry (r, r) is the constant |c_r|^2, with no table;
+    * any other entry is conj(a_c) a_r, from the amplitudes of the levels it
+      reads, each column level conjugated once per tile.  A block of two or
+      more levels is diagonalized on its own: with its eigenvectors v_m and
+      w_m = v_m (V^H c)_m, held as one contiguous (K, K, B) table, its
+      amplitudes are sum_m w_m phase_m(tile), written straight into the
+      tile.  A level alone is its own eigenvector, with no ``eigh``: its
+      amplitude is the phase row with c_r as its scale.
+
+    Only the blocks that the second route reads are evolved, so a batch
+    asked for no entry runs no ``eigh`` and builds no table.  Amplitude
+    phases run relative to the lowest eigenvalue of the first block read;
+    the global phase dropped that way cancels in rho.  For one block (a
+    dense ensemble) that is each realization's lowest eigenvalue.  Every
+    phase comes from :func:`_phase_rows`, so a time's entries are the same
+    bit for bit under any tiling.
     """
     nb, n = c0.shape
     blocks = _blocks(hb)
+    alone = np.zeros(n, dtype=bool)
+    for levels in blocks:
+        alone[levels] = levels.size == 1
+    energy = hb.diagonal(axis1=1, axis2=2).real        # a level alone's eigenvalue
+    phased = alone[rows] & alone[cols]
+    constant, coherences = [], []
+    for p in np.flatnonzero(phased):
+        r, c = rows[p], cols[p]
+        scale = c0[:, r] * c0[:, c].conj()
+        if r == c:
+            constant.append((p, scale))
+        else:
+            coherences.append((p, _phase_rows(times, energy[:, r] - energy[:, c], scale)))
+
+    other = np.flatnonzero(~phased)
+    read = np.zeros(n, dtype=bool)
+    read[rows[other]] = read[cols[other]] = True
     parts, ref = [], None
     for levels in blocks:
+        if not read[levels].any():
+            continue
         k = levels.size
         if levels[-1] - levels[0] == k - 1:     # a range of levels: read and written as views
             levels = slice(levels[0], levels[-1] + 1)
-        if k == 1:                          # w = c_r, copied once: every tile reads it
-            evals, w = hb[:, levels, levels][:, 0].real, np.ascontiguousarray(c0.T[None, levels])
+        if k == 1:                          # w = c_r: the scale of its phase row
+            evals, w = energy[:, levels], np.ascontiguousarray(c0.T[levels])
         else:
             sub = hb if len(blocks) == 1 else hb[:, levels][:, :, levels]
             evals, vecs = np.linalg.eigh(sub)
@@ -267,8 +310,10 @@ def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
         phases = []
         if ref is None:                     # the reference level: its phase is exactly 1
             ref, phases = evals[:, 0], [None]
-        phases += [_phase_rows(times, evals[:, m] - ref) for m in range(len(phases), k)]
+        phases += [_phase_rows(times, evals[:, m] - ref, w[0] if k == 1 else None)
+                   for m in range(len(phases), k)]
         parts.append((levels, w, phases))
+    columns = np.unique(cols[other])
 
     def amps(tile: slice) -> np.ndarray:
         out = np.empty((times[tile].size, n, nb), complex)
@@ -279,9 +324,8 @@ def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
             for m, phase in enumerate(phases):
                 if phase is None:
                     dst[...] = w[m]
-                elif len(phases) == 1:      # a level alone: its phase, then times c_r
+                elif len(phases) == 1:      # a level alone: its phase times c_r
                     phase(tile, out=dst[:, 0])
-                    dst *= w[0]
                 elif m == 0:
                     np.multiply(w[m], phase(tile)[:, None, :], out=dst)
                 else:
@@ -289,7 +333,20 @@ def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray):
             if not isinstance(levels, slice):
                 out[:, levels] = dst
         return out
-    return amps
+
+    def samples(tile: slice) -> np.ndarray:
+        out = np.empty((times[tile].size, rows.size, nb), complex)
+        for p, value in constant:
+            out[:, p] = value
+        for p, phase in coherences:
+            phase(tile, out=out[:, p])
+        if other.size:
+            a = amps(tile)
+            ac = {c: np.conjugate(a[:, c]) for c in columns}
+            for p in other:
+                np.multiply(ac[cols[p]], a[:, rows[p]], out=out[:, p])
+        return out
+    return samples
 
 
 def _workers() -> int:
@@ -306,22 +363,24 @@ def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int,
     last time tile: one pool task, which calls NumPy and ``c_fn`` only.
 
     An entry the mask ``still`` marks (see :func:`_conserved`) is folded
-    once, from |c_r|^2, and its moments are given to every time; the entries
-    that move go through :func:`_chunk_moments`, in time tiles sized by those
-    entries alone.
+    once, from |c_r|^2, and its moments are given to every time.  Only the
+    entries that move are asked of :func:`_evolve_batch` and go through
+    :func:`_chunk_moments`, in time tiles sized by the amplitudes and those
+    entries; when none moves, no tile is evolved.
     """
     u = _philox_uniforms(seed, start, stop, spec.l)
     lam = np.column_stack([quantile(d, u[:, j]) for j, d in enumerate(spec.distributions)])
     c0 = realization_amplitudes(c_fn, lam, spec.n)
-    amps = _evolve_batch(spec.hamiltonian(lam), c0, times)
     moves = ~still
+    samples = _evolve_batch(spec.hamiltonian(lam), c0, times, rows[moves], cols[moves])
     mean = np.empty((times.size, rows.size), complex)
     m2 = np.empty((times.size, rows.size))
-    tiles = _time_tiles(times.size, 16 * (spec.n + np.count_nonzero(moves)) * (stop - start))
-    nb, mean[:, moves], m2[:, moves] = _chunk_moments(amps, tiles, rows[moves], cols[moves])
+    if moves.any():
+        tiles = _time_tiles(times.size, 16 * (spec.n + np.count_nonzero(moves)) * (stop - start))
+        mean[:, moves], m2[:, moves] = _chunk_moments(samples, tiles)
     pops = c0.T[rows[still]]
     mean[:, still], m2[:, still] = _moments(pops * pops.conj())
-    return nb, mean, m2
+    return stop - start, mean, m2
 
 
 def _conserved(spec: EnsembleSpec, rows, cols) -> np.ndarray:
@@ -350,28 +409,18 @@ def _moments(d):
     return mean, np.clip(m2, 0.0, None, out=m2)
 
 
-def _chunk_moments(amps, tiles, rows, cols):
-    """Size, mean and sum of squared deviations of one chunk's rho entries
-    (rows[p], cols[p]) at every time.
+def _chunk_moments(samples, tiles):
+    """Mean and sum of squared deviations over one chunk's realizations of
+    the values ``samples(tile)`` (see :func:`_evolve_batch`), at every time.
 
-    Each time tile is evolved and folded while it is in cache: each level
-    that some entry reads as its column is conjugated once, from a view of
-    the tile, and each entry is one product written into a (tile, P, B)
-    buffer that every tile reuses.  On the dephasing qubit, whose one moving
-    entry is rho_01, that is level 1 alone.
+    Each time tile is evolved and folded while it is in cache.
     """
-    means, m2s, dev, read = [], [], None, np.unique(cols)
+    means, m2s = [], []
     for tile in tiles:
-        a = amps(tile)                                  # (tile, N, B)
-        if dev is None:                                 # the first tile is the longest
-            dev = np.empty((a.shape[0], rows.size, a.shape[-1]), complex)
-        ac, d = {c: np.conjugate(a[:, c]) for c in read}, dev[:a.shape[0]]
-        for p, (r, c) in enumerate(zip(rows, cols)):
-            np.multiply(ac[c], a[:, r], out=d[:, p])       # rho entries
-        mean, m2 = _moments(d)
+        mean, m2 = _moments(samples(tile))
         means.append(mean)
         m2s.append(m2)
-    return a.shape[-1], np.concatenate(means), np.concatenate(m2s)
+    return np.concatenate(means), np.concatenate(m2s)
 
 
 def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
@@ -390,7 +439,8 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
 
     Each chunk's realizations evolve block by block (see
     :func:`_evolve_batch`), so a level that no H(lambda) of the chunk
-    couples costs one phase per realization and no eigendecomposition.  The
+    couples costs no eigendecomposition, and a coherence between two such
+    levels is one phase per realization.  The
     population of a level that h0 and every coupling coefficient leave
     uncoupled (each level under pure dephasing) is conserved by every
     realization: it is folded once per chunk and holds one value at every
@@ -465,7 +515,10 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
 
     Nodes and weights per dimension come from the recurrence tables of the
     disorder measures.  Exact realization evolution at every node, weighted
-    mean; no error bars.  ``c_fn`` is as for :func:`mc_average`.
+    mean; no error bars.  ``c_fn`` is as for :func:`mc_average`.  Each
+    chunk of nodes asks :func:`_evolve_batch` for every entry n <= m and
+    adds their weighted sum, tile by tile, summed pairwise over the nodes;
+    rho is filled in from those entries.
     """
     if spec.n > MAX_DENSE_N:
         raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
@@ -482,17 +535,19 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
     weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
 
     n = spec.n
-    acc = np.zeros((times.size, n, n), dtype=complex)
+    rows, cols = np.triu_indices(n)
+    acc = np.zeros((times.size, rows.size), dtype=complex)
     for s0 in range(0, lam.shape[0], _CHUNK):
         chunk = lam[s0:s0 + _CHUNK]
         c0 = realization_amplitudes(c_fn, chunk, n)
-        amps = _evolve_batch(spec.hamiltonian(chunk), c0, times)
+        samples = _evolve_batch(spec.hamiltonian(chunk), c0, times, rows, cols)
         w = weights[s0:s0 + _CHUNK]
-        for tile in _time_tiles(times.size, 16 * n * w.size):
-            a = amps(tile)                                          # (tile, N, B)
-            acc[tile] += (a * w) @ a.conj().transpose(0, 2, 1)
+        for tile in _time_tiles(times.size, 16 * (n + rows.size) * w.size):
+            d = samples(tile)
+            d *= w
+            acc[tile] += d.sum(axis=-1)         # pairwise over the nodes
     info = {"method": "quad", "quad_order": list(int(q) for q in orders)}
-    return DensityTrajectory(times, acc, info=info)
+    return DensityTrajectory(times, _hermitian(acc, rows, cols, n), info=info)
 
 
 def analytic_qubit(a: complex, b: complex, e0: float, e1: float,

@@ -397,6 +397,14 @@ def test_sample_semicircle_support(rng):
     assert draws.min() >= -1.0 and draws.max() <= 1.0
     # second moment of the semicircle is w^2/4
     assert abs((draws ** 2).mean() - 0.25) < 5e-3
+    # the clip ends reach the edges, the median is 0, and the quantile is
+    # odd about it: on dyadic u, 1 - u is exact and so is the reflection
+    dist = DisorderDistribution.semicircle(2.5)
+    ends = quantile(dist, np.array([0.0, 1e-16, 1.0 - 1e-16, 1.0]))
+    assert np.all(np.abs(ends) <= 2.5) and np.all(np.abs(ends) >= 2.5 * (1 - 1e-10))
+    assert abs(quantile(dist, 0.5)) <= 2.5 * 1e-16
+    u = rng.integers(1, 2 ** 40, size=2000) / 2.0 ** 41
+    assert np.array_equal(quantile(dist, 1.0 - u), -quantile(dist, u))
 
 
 def test_sample_respects_cutoff(rng):
@@ -420,11 +428,16 @@ def test_quantile_matches_cdf(rng):
     for dist in (DisorderDistribution.gaussian(2.0, cutoff=(-3.0, 7.0)),
                  DisorderDistribution.cauchy(1.0, cutoff=(-30.0, 10.0)),
                  DisorderDistribution.semicircle(1.0, cutoff=(-0.5, 1.0)),
+                 DisorderDistribution.semicircle(3.0),
+                 # a window ending at the upper edge: u near 1 rounds to 1 there
+                 DisorderDistribution.semicircle(1.0, cutoff=(0.5, 2.0)),
                  DisorderDistribution.tabulated([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]),
                  # cut by the constructor: re-tabulated on the window, drawn only inside it
                  DisorderDistribution("tabulated", grid=([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]),
                                       cutoff=(0.5, 1.5))):
-        u = rng.random(200)
+        # the clip ends and the tails, on top of uniform draws
+        u = np.concatenate([rng.random(200), 10.0 ** -rng.uniform(3, 16, 20),
+                            1 - 10.0 ** -rng.uniform(3, 15.9, 20), [1e-16, 0.5, 1 - 1e-16]])
         x = quantile(dist, u)
         lo, hi = dist.support()
         assert x.min() >= lo - 1e-12 and x.max() <= hi + 1e-12

@@ -227,10 +227,10 @@ def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
 
     evolve = oracle._evolve_batch
 
-    def evolve_failing_fourth(hb, c0, times):
-        amps = evolve(hb, c0, times)
+    def evolve_failing_fourth(hb, c0, times, rows, cols):
+        samples = evolve(hb, c0, times, rows, cols)
         if len(calls) < 4:
-            return amps
+            return samples
 
         def tile_loop_fails(tile):
             raise Boom("raised in a tile loop")
@@ -464,6 +464,7 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
     rng = np.random.default_rng(seed)
     gaps = rng.uniform(0.0, gt_max / (t0 + span), size=(64, 3))
     gaps[0] = 0.0                                   # degenerate levels: phase exactly 1
+    scale = rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
     eps = np.finfo(float).eps
     for m in range(gaps.shape[1]):
         phase = oracle._phase_rows(times, gaps[:, m])
@@ -477,32 +478,46 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
         # any tiling of the time axis gives the same rows
         tiles = [slice(j, j + 7) for j in range(0, nt, 7)]
         assert np.array_equal(np.concatenate([phase(t) for t in tiles]), got)
+        # a scale is folded into the coarse table: there, scale * direct bit for bit
+        scaled = oracle._phase_rows(times, gaps[:, m], scale)
+        got = scaled(slice(0, nt))
+        assert np.all(np.abs(got - scale * direct) <= bound)
+        assert np.array_equal(got[::b], direct[::b] * scale)
+        assert np.array_equal(np.concatenate([scaled(t) for t in tiles]), got)
 
-    # a grid that is not uniform takes the direct exp: amplitudes bit for bit
+    # a grid that is not uniform takes the direct exp: entries bit for bit
     if nt >= 3:
         geom = t0 + np.geomspace(span / 100, span, nt)
         assert oracle._fine_length(geom) is None
+        direct = np.exp(-1j * np.multiply.outer(geom, gaps[:, 1]))
+        assert np.array_equal(oracle._phase_rows(geom, gaps[:, 1], scale)(slice(0, nt)),
+                              direct * scale)
         a = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
         c0 = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
         hb, c0 = a + a.conj().transpose(0, 2, 1), c0 / np.linalg.norm(c0, axis=1)[:, None]
-        amps = oracle._evolve_batch(hb, c0, geom)
-        direct = _direct_amplitudes(hb, c0, geom)
-        assert np.array_equal(amps(slice(0, nt)), direct)
+        rows, cols = np.triu_indices(3)
+        samples = oracle._evolve_batch(hb, c0, geom, rows, cols)
+        amps = _direct_amplitudes(hb, c0, geom)
+        direct = np.stack([np.conjugate(amps[:, c]) * amps[:, r] for r, c in zip(rows, cols)],
+                          axis=1)
+        assert np.array_equal(samples(slice(0, nt)), direct)
         tiles = [slice(j, j + 7) for j in range(0, nt, 7)]
-        assert np.array_equal(np.concatenate([amps(t) for t in tiles]), direct)
+        assert np.array_equal(np.concatenate([samples(t) for t in tiles]), direct)
 
 
 @pytest.mark.parametrize("n, block", [
     *(pytest.param(n, None, id=str(n)) for n in (2, 3, 5, 8)),
     pytest.param(3, [0, 1, 0], id="3-levels-0-2-coupled-1-alone"),
     pytest.param(4, [0, 1, 2, 3], id="4-every-level-alone"),
+    pytest.param(4, [0, 1, 0, 2], id="4-levels-0-2-coupled-1-3-alone"),
     pytest.param(1, [0], id="1"),
 ])
-def test_evolve_batch_matches_dense_evolution(n, block):
-    # a a^H is the dense psi psi^H of every realization, on a uniform grid
-    # (factorized phases) and a geometric one (direct exp), and a time's
-    # amplitudes are the same bit for bit under two tilings.  A block-diagonal
-    # batch couples only levels of one block, which evolve on their own
+def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
+    # every entry n <= m is the dense psi psi^H of every realization, on a
+    # uniform grid (factorized phases) and a geometric one (direct exp), and
+    # a time's entries are the same bit for bit under two tilings.  A
+    # block-diagonal batch couples only levels of one block, which evolve on
+    # their own; an entry between two levels alone is one phase
     rng = np.random.default_rng(n)
     nb = 12
     a = rng.normal(size=(nb, n, n)) + 1j * rng.normal(size=(nb, n, n))
@@ -512,52 +527,65 @@ def test_evolve_batch_matches_dense_evolution(n, block):
     assert len(oracle._blocks(hb)) == (1 if block is None else len(set(block)))
     c0 = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
     c0 /= np.linalg.norm(c0, axis=1)[:, None]
+    rows, cols = np.triu_indices(n)
     uniform, geometric = np.linspace(0.0, 3.0, 23), 0.01 * np.geomspace(1.0, 300.0, 23)
     assert oracle._fine_length(uniform) is not None and oracle._fine_length(geometric) is None
     for times in (uniform, geometric):
-        amps = oracle._evolve_batch(hb, c0, times)
-        got = amps(slice(0, times.size))
+        samples = oracle._evolve_batch(hb, c0, times, rows, cols)
+        got = samples(slice(0, times.size))
+        assert got.shape == (times.size, rows.size, nb)
         tiles = [slice(j, j + 5) for j in range(0, times.size, 5)]
-        assert np.array_equal(np.concatenate([amps(t) for t in tiles]), got)
+        assert np.array_equal(np.concatenate([samples(t) for t in tiles]), got)
         for b in range(nb):
             for k, t in enumerate(times):
                 psi = expm(-1j * t * hb[b]) @ c0[b]
-                rho = np.outer(got[k, :, b], got[k, :, b].conj())
-                assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12
+                rho = np.outer(psi, psi.conj())[rows, cols]
+                assert np.abs(got[k, :, b] - rho).max() <= 1e-12
     if n == 1:
-        # one level, so no entry moves: both averages still evolve it
+        # one level, so no entry moves: the Monte Carlo chunks build no phase
+        # table and run no tile loop, and both averages still give rho = 1
         spec = EnsembleSpec(np.array([[0.3]]), (PolynomialCoupling.linear(np.eye(1)),),
                             (DisorderDistribution.gaussian(1.0),))
+        calls = []
+        for name in ("_phase_rows", "_chunk_moments"):
+            def spy(*args, fn=getattr(oracle, name)):
+                calls.append(fn)
+                return fn(*args)
+            monkeypatch.setattr(oracle, name, spy)
         for average in (mc_average, quad_average):
             traj = average(spec, np.ones(1), uniform, OracleConfig(samples=100))
             assert np.abs(traj.rho - 1.0).max() <= 1e-15
+            if average is mc_average:
+                assert calls == []
 
 
 def test_evolve_batch_holds_no_phase_array():
-    # one qubit chunk, read one time tile at a time: the peak is the
-    # eigenvectors, the two factor tables and one tile's temporaries.  A
-    # (T, B) phase array is half the (T, N, B) amplitudes, and neither fits
+    # one qubit chunk, read one time tile at a time: the peak is the two
+    # factor tables of its coherence and one (tile, P, B) tile of entries.
+    # A (T, B) phase array is half the (T, N, B) amplitudes, and neither fits
     nb, nt, n = 4096, 200, 2
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     hb = spec.hamiltonian(np.random.default_rng(5).normal(size=(nb, 1)))
     c0 = np.tile(C_HALF.astype(complex), (nb, 1))
     times = np.linspace(0.0, 6.0, nt)
+    rows, cols = np.triu_indices(n)
     b = oracle._fine_length(times)
     tables = 16 * nb * (-(-nt // b) + b)
-    tiles = oracle._time_tiles(nt, 16 * n * nb)
-    tile = 16 * n * nb * (tiles[0].stop - tiles[0].start)
+    tiles = oracle._time_tiles(nt, 16 * rows.size * nb)
+    tile = 16 * rows.size * nb * (tiles[0].stop - tiles[0].start)
     assert len(tiles) > 1
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        amps = oracle._evolve_batch(hb, c0, times)
-        rows = sum(amps(t).shape[0] for t in tiles)
+        samples = oracle._evolve_batch(hb, c0, times, rows, cols)
+        shapes = [samples(t).shape for t in tiles]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     bound = tables + 4 * hb.nbytes + 3 * tile
     assert bound < 16 * nt * nb                     # one (T, B) phase array
-    assert rows == nt and peak <= bound
+    assert sum(s[0] for s in shapes) == nt and {s[1:] for s in shapes} == {(rows.size, nb)}
+    assert peak <= bound
 
 
 def test_mc_initial_state_callable_errors_propagate():
