@@ -10,22 +10,20 @@ lattice machinery:
 * :func:`analytic_qubit` is the closed form for the dephasing qubit, where
   the coherence is the characteristic function of the disorder.
 
-Both averaging routes ask a chunk of realizations for the rho entries they
-need, one time tile at a time, and fold each tile while it is in cache, so
-no (T, N, B) array is held.  A chunk evolves block by block: its levels
-split into the blocks that no H(lambda) of the chunk couples, each block of
-two or more levels is diagonalized on its own, and a level alone in its
-block is its own eigenvector, one phase with no ``eigh``.  A coherence
-between two levels alone (under pure dephasing, every coherence) is then
-one phase per realization, written straight from its own factor tables;
-any other entry is a product of amplitudes.  A dense ensemble is one
-block.  :func:`mc_average` runs each chunk as one task, from its draws to
-its fold, on up to one thread per available core; the calling thread
-merges their moments in chunk order, so its output is bitwise the same for
-any number of threads.  The population of a level that h0 and every
-coupling leave uncoupled (under pure dephasing, every level) is the same at
-every time: a chunk folds it once, from the initial amplitudes, and only
-the entries that move are folded per time.
+Both averaging routes share one evolution and one fold.  The population
+of a level that h0 and every coupling leave uncoupled (under pure
+dephasing, every level) is the same at every time: each chunk of
+realizations folds it once, from the initial amplitudes.  The chunk is
+asked only for the entries that move, one time tile at a time, and folds
+each tile while it is in cache, so no (T, N, B) array is held.  An entry
+takes one of two routes: a coherence between two levels that no H(lambda)
+of the chunk couples (under pure dephasing, every coherence) is one phase
+per realization, written straight from its own factor tables; any other
+entry is a product of the amplitudes of one ``eigh`` of the whole chunk.
+:func:`mc_average` runs each chunk as one task, from its draws to its
+fold, on up to one thread per available core; the calling thread merges
+their moments in chunk order, so its output is bitwise the same for any
+number of threads.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -220,27 +218,16 @@ def _phase_rows(times: np.ndarray, g: np.ndarray, scale=None):
     return phase
 
 
-def _blocks(mats: np.ndarray) -> list:
-    """The levels of a stack of (..., N, N) matrices, split into blocks: the
-    connected components of the off-diagonal entries that are exactly nonzero
-    in any of them.  Each block is the sorted array of its levels, in the
-    order of their lowest levels.  No matrix of the stack couples two blocks.
+def _alone(mats: np.ndarray) -> np.ndarray:
+    """Which levels of a stack of (..., N, N) matrices are alone: level r is
+    alone when its row and its column are exact zeros off the diagonal in
+    every matrix of the stack, so no matrix couples it to another level.
+    Row and column are both read, since the Hermitian check of a spec lets
+    through a small entry on one side only.
     """
     n = mats.shape[-1]
-    linked = (mats != 0).reshape(-1, n, n).any(axis=0)
-    reach = linked | linked.T | np.eye(n, dtype=bool)
-    while True:                         # paths of length 2^k, until no level is added
-        longer = reach @ reach
-        if np.array_equal(longer, reach):
-            break
-        reach = longer
-    blocks, seen = [], np.zeros(n, dtype=bool)
-    for r in range(n):
-        if seen[r]:
-            continue
-        blocks.append(np.flatnonzero(reach[r]))
-        seen[blocks[-1]] = True
-    return blocks
+    off = (mats != 0).reshape(-1, n, n).any(axis=0) & ~np.eye(n, dtype=bool)
+    return ~(off | off.T).any(axis=1)
 
 
 def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols):
@@ -249,99 +236,48 @@ def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols)
 
     Returns ``samples(tile)``, the (tile, P, B) values a_r conj(a_c) of each
     realization's amplitudes a(t) on a slice of the times, so no (T, N, B)
-    array is held.  The levels split into the blocks of :func:`_blocks`,
-    which no H(lambda) of the batch couples, and an entry takes one of two
-    routes:
+    array is held.  An entry takes one of two routes:
 
-    * both of its levels are alone in their blocks, so each is its own
-      eigenvector and the entry is c_r conj(c_c) exp(-i (E_r - E_c) t): one
-      row of :func:`_phase_rows`, which holds c_r conj(c_c) in its coarse
-      table.  An entry (r, r) is the constant |c_r|^2, with no table;
-    * any other entry is conj(a_c) a_r, from the amplitudes of the levels it
-      reads, each column level conjugated once per tile.  A block of two or
-      more levels is diagonalized on its own: with its eigenvectors v_m and
-      w_m = v_m (V^H c)_m, held as one contiguous (K, K, B) table, its
-      amplitudes are sum_m w_m phase_m(tile), written straight into the
-      tile.  A level alone is its own eigenvector, with no ``eigh``: its
-      amplitude is the phase row with c_r as its scale.
+    * both of its levels are alone (see :func:`_alone`) in every H(lambda)
+      of the batch, so each is its own eigenvector and the entry is
+      c_r conj(c_c) exp(-i (E_r - E_c) t): one row of :func:`_phase_rows`,
+      which holds c_r conj(c_c) in its coarse table;
+    * any other entry is conj(a_c) a_r, from the amplitudes of one ``eigh``
+      of the whole batch: with eigenvectors v_m and w_m = v_m (V^H c)_m,
+      held as one contiguous (N, N, B) table, the amplitudes are
+      sum_m w_m phase_m(tile), each column level conjugated once per tile.
+      Phases run relative to each realization's lowest eigenvalue; the
+      global phase dropped that way cancels in rho.
 
-    Only the blocks that the second route reads are evolved, so a batch
-    asked for no entry runs no ``eigh`` and builds no table.  Amplitude
-    phases run relative to the lowest eigenvalue of the first block read;
-    the global phase dropped that way cancels in rho.  For one block (a
-    dense ensemble) that is each realization's lowest eigenvalue.  Every
-    phase comes from :func:`_phase_rows`, so a time's entries are the same
-    bit for bit under any tiling.
+    No ``eigh`` runs when no entry takes the second route, and a batch asked
+    for no entry builds no table.  Every phase comes from
+    :func:`_phase_rows`, so a time's entries are the same bit for bit under
+    any tiling.
     """
     nb, n = c0.shape
-    blocks = _blocks(hb)
-    alone = np.zeros(n, dtype=bool)
-    for levels in blocks:
-        alone[levels] = levels.size == 1
+    alone = _alone(hb)
     energy = hb.diagonal(axis1=1, axis2=2).real        # a level alone's eigenvalue
     phased = alone[rows] & alone[cols]
-    constant, coherences = [], []
-    for p in np.flatnonzero(phased):
-        r, c = rows[p], cols[p]
-        scale = c0[:, r] * c0[:, c].conj()
-        if r == c:
-            constant.append((p, scale))
-        else:
-            coherences.append((p, _phase_rows(times, energy[:, r] - energy[:, c], scale)))
-
+    one_phase = [(p, _phase_rows(times, energy[:, r] - energy[:, c], c0[:, r] * c0[:, c].conj()))
+                 for p, r, c in zip(np.flatnonzero(phased), rows[phased], cols[phased])]
     other = np.flatnonzero(~phased)
-    read = np.zeros(n, dtype=bool)
-    read[rows[other]] = read[cols[other]] = True
-    parts, ref = [], None
-    for levels in blocks:
-        if not read[levels].any():
-            continue
-        k = levels.size
-        if levels[-1] - levels[0] == k - 1:     # a range of levels: read and written as views
-            levels = slice(levels[0], levels[-1] + 1)
-        if k == 1:                          # w = c_r: the scale of its phase row
-            evals, w = energy[:, levels], np.ascontiguousarray(c0.T[levels])
-        else:
-            sub = hb if len(blocks) == 1 else hb[:, levels][:, :, levels]
-            evals, vecs = np.linalg.eigh(sub)
-            ceig = (vecs.transpose(1, 2, 0).conj() * c0.T[levels, None, :]).sum(axis=0)  # V^H c
-            w = np.multiply(vecs.transpose(2, 1, 0), ceig[:, None, :],
-                            out=np.empty((k, k, nb), complex))
-        phases = []
-        if ref is None:                     # the reference level: its phase is exactly 1
-            ref, phases = evals[:, 0], [None]
-        phases += [_phase_rows(times, evals[:, m] - ref, w[0] if k == 1 else None)
-                   for m in range(len(phases), k)]
-        parts.append((levels, w, phases))
-    columns = np.unique(cols[other])
-
-    def amps(tile: slice) -> np.ndarray:
-        out = np.empty((times[tile].size, n, nb), complex)
-        for levels, w, phases in parts:
-            # a block that is no range of levels is summed aside, then scattered
-            dst = (out[:, levels] if isinstance(levels, slice)
-                   else np.empty((out.shape[0], levels.size, nb), complex))
-            for m, phase in enumerate(phases):
-                if phase is None:
-                    dst[...] = w[m]
-                elif len(phases) == 1:      # a level alone: its phase times c_r
-                    phase(tile, out=dst[:, 0])
-                elif m == 0:
-                    np.multiply(w[m], phase(tile)[:, None, :], out=dst)
-                else:
-                    dst += w[m] * phase(tile)[:, None, :]
-            if not isinstance(levels, slice):
-                out[:, levels] = dst
-        return out
+    if other.size:
+        evals, vecs = np.linalg.eigh(hb)
+        ceig = (vecs.transpose(1, 2, 0).conj() * c0.T[:, None, :]).sum(axis=0)  # V^H c
+        w = np.multiply(vecs.transpose(2, 1, 0), ceig[:, None, :],
+                        out=np.empty((n, n, nb), complex))
+        phases = [_phase_rows(times, evals[:, m] - evals[:, 0]) for m in range(1, n)]
+        columns = np.unique(cols[other])
 
     def samples(tile: slice) -> np.ndarray:
         out = np.empty((times[tile].size, rows.size, nb), complex)
-        for p, value in constant:
-            out[:, p] = value
-        for p, phase in coherences:
+        for p, phase in one_phase:
             phase(tile, out=out[:, p])
         if other.size:
-            a = amps(tile)
+            a = np.empty((out.shape[0], n, nb), complex)
+            a[...] = w[0]                   # the lowest eigenvalue: its phase is exactly 1
+            for m, phase in enumerate(phases, 1):
+                a += w[m] * phase(tile)[:, None, :]
             ac = {c: np.conjugate(a[:, c]) for c in columns}
             for p in other:
                 np.multiply(ac[cols[p]], a[:, rows[p]], out=out[:, p])
@@ -365,8 +301,8 @@ def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int,
     An entry the mask ``still`` marks (see :func:`_conserved`) is folded
     once, from |c_r|^2, and its moments are given to every time.  Only the
     entries that move are asked of :func:`_evolve_batch` and go through
-    :func:`_chunk_moments`, in time tiles sized by the amplitudes and those
-    entries; when none moves, no tile is evolved.
+    :func:`_chunk_moments`, in time tiles of 16 (N + moving entries) B
+    bytes per time; when none moves, no tile is evolved.
     """
     u = _philox_uniforms(seed, start, stop, spec.l)
     lam = np.column_stack([quantile(d, u[:, j]) for j, d in enumerate(spec.distributions)])
@@ -386,15 +322,13 @@ def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int,
 def _conserved(spec: EnsembleSpec, rows, cols) -> np.ndarray:
     """Which entries (rows[p], cols[p]) every realization conserves: the
     populations of the levels that h0 and every coupling coefficient leave
-    uncoupled, the one-level blocks of :func:`_blocks`.
+    alone (see :func:`_alone`).
 
     Such a level r is an eigenvector of every H(lambda), so
     rho_rr(t) = |c_r(lambda)|^2 at all times.  Only exact zeros off the
     diagonal count.
     """
-    alone = np.zeros(spec.n, dtype=bool)
-    for levels in _blocks(np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)])):
-        alone[levels] = levels.size == 1
+    alone = _alone(np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)]))
     return (rows == cols) & alone[rows]
 
 
@@ -437,14 +371,14 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     is bitwise the same for any number of threads.  A chunk that raises
     cancels the chunks queued behind it.
 
-    Each chunk's realizations evolve block by block (see
-    :func:`_evolve_batch`), so a level that no H(lambda) of the chunk
-    couples costs no eigendecomposition, and a coherence between two such
-    levels is one phase per realization.  The
-    population of a level that h0 and every coupling coefficient leave
+    The population of a level that h0 and every coupling coefficient leave
     uncoupled (each level under pure dephasing) is conserved by every
     realization: it is folded once per chunk and holds one value at every
-    time.  ``info["conserved_entries"]`` lists these [r, c] entries.
+    time.  ``info["conserved_entries"]`` lists these [r, c] entries.  Only
+    the other entries are evolved (see :func:`_evolve_batch`): a coherence
+    between two levels that no H(lambda) of the chunk couples is one phase
+    per realization, and any other entry comes from one eigendecomposition
+    of each realization.
 
     ``c_fn`` may be a constant amplitude vector or a vectorized callable of
     the disorder (see :func:`~enslat.states.realization_amplitudes`);
@@ -516,9 +450,11 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
     Nodes and weights per dimension come from the recurrence tables of the
     disorder measures.  Exact realization evolution at every node, weighted
     mean; no error bars.  ``c_fn`` is as for :func:`mc_average`.  Each
-    chunk of nodes asks :func:`_evolve_batch` for every entry n <= m and
-    adds their weighted sum, tile by tile, summed pairwise over the nodes;
-    rho is filled in from those entries.
+    chunk of nodes folds the populations that every realization conserves
+    (see :func:`_conserved`) once, from the initial amplitudes, and asks
+    :func:`_evolve_batch` only for the other entries n <= m, whose weighted
+    sum it adds tile by tile, in the time tiles of :func:`_mc_chunk`.  Each
+    sum runs pairwise over the nodes; rho is filled in from those entries.
     """
     if spec.n > MAX_DENSE_N:
         raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
@@ -536,16 +472,21 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
 
     n = spec.n
     rows, cols = np.triu_indices(n)
+    still = _conserved(spec, rows, cols)
+    moves = ~still
     acc = np.zeros((times.size, rows.size), dtype=complex)
     for s0 in range(0, lam.shape[0], _CHUNK):
         chunk = lam[s0:s0 + _CHUNK]
         c0 = realization_amplitudes(c_fn, chunk, n)
-        samples = _evolve_batch(spec.hamiltonian(chunk), c0, times, rows, cols)
         w = weights[s0:s0 + _CHUNK]
-        for tile in _time_tiles(times.size, 16 * (n + rows.size) * w.size):
-            d = samples(tile)
-            d *= w
-            acc[tile] += d.sum(axis=-1)         # pairwise over the nodes
+        pops = c0.T[rows[still]]
+        acc[:, still] += (pops * pops.conj() * w).sum(axis=-1)
+        samples = _evolve_batch(spec.hamiltonian(chunk), c0, times, rows[moves], cols[moves])
+        if moves.any():
+            for tile in _time_tiles(times.size, 16 * (n + np.count_nonzero(moves)) * w.size):
+                d = samples(tile)
+                d *= w
+                acc[tile, moves] += d.sum(axis=-1)     # pairwise over the nodes
     info = {"method": "quad", "quad_order": list(int(q) for q in orders)}
     return DensityTrajectory(times, _hermitian(acc, rows, cols, n), info=info)
 

@@ -938,6 +938,15 @@ def test_public_names_have_a_reader():
     assert unread == []
 
 
+def test_readme_library_quickstart_runs(capsys):
+    # the README's first python block runs as written, and the error it
+    # prints, the chain route's distance from the closed form, is small
+    readme = (Path(enslat.cli.__file__).parents[2] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) <= 1e-13
+
+
 def test_all_names_resolve():
     # beside the unused-import lint: every name a module exports must exist,
     # so a deleted function cannot leave a stale __all__ entry

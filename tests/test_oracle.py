@@ -392,6 +392,19 @@ def test_mc_conserved_entries_fold_once(monkeypatch):
     assert np.array_equal(pops, np.broadcast_to(pops[0], pops.shape))
     assert np.abs(pops[0] - np.abs(c) ** 2).max() <= 1e-15
 
+    # neither average asks _evolve_batch for a conserved entry: each chunk of
+    # realizations or of nodes asks for the coherence alone
+    asked = []
+
+    def spy(hb, c0, times, rows, cols, fn=oracle._evolve_batch):
+        asked.append((rows.tolist(), cols.tolist()))
+        return fn(hb, c0, times, rows, cols)
+    monkeypatch.setattr(oracle, "_evolve_batch", spy)
+    for average in (mc_average, quad_average):
+        asked.clear()
+        average(spec, c, times, OracleConfig(samples=samples, seed=seed))
+        assert asked and all(entries == ([0], [1]) for entries in asked)
+
     # against _chunk_moments on all entries at every time: per chunk, the
     # coherence's moments are bitwise equal; over the run, so is every SEM
     rows, cols = np.triu_indices(2)
@@ -432,6 +445,15 @@ def test_conserved_reads_every_coefficient():
     assert np.flatnonzero(oracle._conserved(spec, rows, cols)).tolist() == [9]
     traj = mc_average(spec, np.full(4, 0.5), np.linspace(0.0, 1.0, 3), OracleConfig(samples=50))
     assert traj.info["conserved_entries"] == [[3, 3]]
+
+
+def test_alone_reads_rows_and_columns():
+    # an entry on one side of the diagonal couples both of its levels, since
+    # the Hermitian check of a spec lets a small one-sided entry through
+    mats = np.zeros((2, 3, 3))
+    mats[0] = np.diag([1.0, 2.0, 3.0])
+    mats[1, 0, 1] = 1e-300
+    assert oracle._alone(mats).tolist() == [False, False, True]
 
 
 def _direct_amplitudes(hb, c0, times):
@@ -516,15 +538,16 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
     # every entry n <= m is the dense psi psi^H of every realization, on a
     # uniform grid (factorized phases) and a geometric one (direct exp), and
     # a time's entries are the same bit for bit under two tilings.  A
-    # block-diagonal batch couples only levels of one block, which evolve on
-    # their own; an entry between two levels alone is one phase
+    # block-diagonal batch leaves each level of a one-level block alone; an
+    # entry between two levels alone is one phase, any other is dense
     rng = np.random.default_rng(n)
     nb = 12
     a = rng.normal(size=(nb, n, n)) + 1j * rng.normal(size=(nb, n, n))
     hb = (a + a.conj().transpose(0, 2, 1)) / 2
     if block is not None:
         hb *= np.equal.outer(block, block)
-    assert len(oracle._blocks(hb)) == (1 if block is None else len(set(block)))
+    alone = [] if block is None else [k for k in range(n) if block.count(block[k]) == 1]
+    assert np.flatnonzero(oracle._alone(hb)).tolist() == alone
     c0 = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
     c0 /= np.linalg.norm(c0, axis=1)[:, None]
     rows, cols = np.triu_indices(n)
@@ -560,15 +583,16 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
 
 
 def test_evolve_batch_holds_no_phase_array():
-    # one qubit chunk, read one time tile at a time: the peak is the two
-    # factor tables of its coherence and one (tile, P, B) tile of entries.
-    # A (T, B) phase array is half the (T, N, B) amplitudes, and neither fits
-    nb, nt, n = 4096, 200, 2
+    # one qubit chunk asked for its coherence, as the Monte Carlo chunks ask,
+    # read one time tile at a time: the peak is the two factor tables of the
+    # coherence and one (tile, P, B) tile of entries.  A (T, B) phase array
+    # is half the (T, N, B) amplitudes, and neither fits
+    nb, nt = 4096, 200
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     hb = spec.hamiltonian(np.random.default_rng(5).normal(size=(nb, 1)))
     c0 = np.tile(C_HALF.astype(complex), (nb, 1))
     times = np.linspace(0.0, 6.0, nt)
-    rows, cols = np.triu_indices(n)
+    rows, cols = np.array([0]), np.array([1])
     b = oracle._fine_length(times)
     tables = 16 * nb * (-(-nt // b) + b)
     tiles = oracle._time_tiles(nt, 16 * rows.size * nb)
