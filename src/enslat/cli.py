@@ -28,6 +28,7 @@ import yaml
 from . import __version__
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     EnslatError,
     LeakageExceeded,
     NormDefectExceeded,
@@ -238,7 +239,7 @@ def parse_spec(cfg: dict, base_dir: str) -> EnsembleSpec:
                   for i, c in enumerate(couplings)),
             tuple(_distribution(d, f"system.distributions[{i}]", base_dir)
                   for i, d in enumerate(dists)))
-    except (NotHermitian, ValueError) as exc:
+    except (NotHermitian, DimensionMismatch, ValueError) as exc:
         _fail("system", str(exc))
 
 
@@ -361,9 +362,13 @@ def _resolve_method(cfg: dict) -> str:
 
 def _resolve_output(cfg: dict) -> str:
     out_block = _block(cfg, "output", keys=("directory", "formats"))
-    if any(f != "csv" for f in out_block.get("formats", ["csv"])):
-        _fail("output.formats", "only 'csv' is supported")
-    return out_block.get("directory", "out")
+    formats, directory = out_block.get("formats", ["csv"]), out_block.get("directory", "out")
+    if not isinstance(formats, list) or any(f != "csv" for f in formats):
+        _fail("output.formats", f"expected a list of formats, only 'csv' is supported; "
+                                f"got {formats!r}")
+    if not isinstance(directory, str) or not directory:
+        _fail("output.directory", f"expected a non-empty path, got {directory!r}")
+    return directory
 
 
 def _resolve_compare(cfg: dict) -> dict:

@@ -4,7 +4,9 @@ Three routes to the disorder-averaged density matrix that never touch the
 lattice machinery:
 
 * :func:`mc_average` samples realizations and evolves each one exactly by
-  eigendecomposition (with per-entry standard errors);
+  eigendecomposition (with per-entry standard errors); its draws come from
+  NumPy's Philox generator, keyed by the seed, with a fixed range of
+  counters per sample;
 * :func:`quad_average` replaces random samples with tensor-product Gauss
   nodes of the disorder measures (deterministic, spectrally convergent);
 * :func:`analytic_qubit` is the closed form for the dephasing qubit, where
@@ -74,8 +76,9 @@ _UNIFORM_ULPS = 4       # a time grid this close to t_0 + j dt gets factorized p
 class OracleConfig:
     """Controls for the oracle routes.
 
-    ``seed`` keys the counter-based per-sample random streams, so mc_average
-    output is bitwise reproducible and independent of execution order.
+    ``seed`` keys the counter-based random stream in which each sample owns
+    its own counters, so mc_average output is bitwise reproducible and
+    independent of execution order.
     ``quad_order`` is the Gauss order of every disorder variable, or a
     sequence of one order per variable.
     """
@@ -100,51 +103,19 @@ class OracleConfig:
 # counter-based draws
 # ---------------------------------------------------------------------------
 
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments (Weyl)
-_MASK64 = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray):
-    """High and low 64-bit words of the 128-bit product m * x, via 32-bit limbs."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _S32
-    lo_lo = x_lo * m_lo
-    lo_hi = x_lo * m_hi
-    hi_lo = x_hi * m_lo
-    carry = ((lo_lo >> _S32) + (lo_hi & _LO32) + (hi_lo & _LO32)) >> _S32
-    hi = x_hi * m_hi + (lo_hi >> _S32) + (hi_lo >> _S32) + carry
-    return hi, x * np.uint64(m)
-
-
 def _philox_uniforms(seed: int, start: int, stop: int, l: int) -> np.ndarray:
     """Uniforms of samples start..stop-1, as a (stop - start, l) array.
 
-    Row i holds ``np.random.Generator(np.random.Philox(key=[seed, i])).random(l)``
-    bit for bit, computed for all samples at once: Philox4x64-10 with key
-    (seed, i) is evaluated at counters 1, 2, ... (NumPy increments the counter
-    before each block), each counter yields four 64-bit words in order, and a
-    word u becomes the double (u >> 11) * 2**-53.
+    One Philox4x64-10 stream, keyed by ``seed``, gives each sample its own
+    range of b = ceil(l / 4) counters, so row i holds
+    ``np.random.Generator(np.random.Philox(key=seed, counter=i * b)).random(l)``
+    bit for bit, whatever the chunk that asks for it.  NumPy's generator
+    makes every sample of the range in one call: each counter yields four
+    64-bit words, and a word u becomes the double (u >> 11) * 2**-53.
     """
-    idx = np.arange(start, stop, dtype=np.uint64)
-    blocks = -(-l // 4)
-    out = np.empty((idx.size, 4 * blocks))
-    zero = np.zeros_like(idx)
-    for blk in range(blocks):
-        x0, x1, x2, x3 = np.full_like(idx, blk + 1), zero, zero, zero
-        k0, k1 = int(seed), idx
-        for r in range(10):
-            if r:
-                k0 = (k0 + _PHILOX_W[0]) & _MASK64
-                k1 = k1 + np.uint64(_PHILOX_W[1])
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
-        for j, word in enumerate((x0, x1, x2, x3)):
-            out[:, 4 * blk + j] = (word >> np.uint64(11)) * 2.0 ** -53
-    return out[:, :l]
+    b = -(-l // 4)
+    raw = np.random.Philox(key=seed, counter=start * b).random_raw(4 * b * (stop - start))
+    return ((raw >> np.uint64(11)) * 2.0 ** -53).reshape(stop - start, -1)[:, :l]
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +331,10 @@ def _chunk_moments(samples, tiles):
 def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
     """Monte Carlo disorder average with exact per-realization evolution.
 
-    Each sample draws its disorder vector from its own counter-based stream
-    (Philox keyed by ``(seed, sample_index)``), so the result is independent
-    of chunking or execution order.  The ``errors`` field holds the per-entry
-    standard error of the mean.
+    Each sample draws its disorder vector from its own range of counters of
+    one Philox stream keyed by ``seed`` (see :func:`_philox_uniforms`), so
+    the result is independent of chunking or execution order.  The
+    ``errors`` field holds the per-entry standard error of the mean.
 
     Each chunk is one task on up to one pool thread per available core, from
     its draws to the fold of its last time tile.  The calling thread only

@@ -435,9 +435,19 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
     ("compare", None, LEVELS_65, "system.h0: the dense oracles (mc, quad) need N <= 64"),
     ("chain", None, {"output": "out_dir"}, "output: expected a mapping"),
     ("chain", None, {"numeric": 5}, "numeric: expected a mapping"),
+    ("chain", None, {"output": {"directory": 5}}, "output.directory: expected a non-empty path"),
+    ("chain", None, {"output": {"directory": None}}, "output.directory: expected a non-empty"),
+    ("chain", None, {"output": {"formats": 5}}, "output.formats: expected a list of formats"),
+    ("chain", None, {"output": {"formats": None}}, "output.formats: expected a list of formats"),
+    ("chain", None, {"system": {"h0": [[0, 0], [0, 1]],
+                                "couplings": [{"type": "linear", "matrix": np.eye(3).tolist()}],
+                                "distributions": [{"family": "gaussian", "width": 1.0}]}},
+     "system: coupling 0 has shape (3, 3), expected (2, 2)"),
 ], ids=["spectral-mc", "spectral-compare", "spectral-uncut-cauchy", "tabulated-uncut-gaussian",
         "unnormalized", "unreadable-gate", "uncut-cauchy", "empty-cut-window", "65-levels",
-        "output-not-a-mapping", "numeric-not-a-mapping"])
+        "output-not-a-mapping", "numeric-not-a-mapping", "output-directory-not-a-string",
+        "output-directory-null", "output-formats-not-a-list", "output-formats-null",
+        "coupling-of-the-wrong-size"])
 def test_validate_passes_exactly_what_run_starts(tmp_path, capsys, method, dist, changes,
                                                  failure):
     # --validate makes the checks a run makes before its first route; a run

@@ -116,15 +116,17 @@ def test_mc_seed_determinism_bitwise():
 
 
 def _numpy_philox_uniforms(seed, indices, l):
-    """The per-sample reference: one NumPy Philox stream per sample."""
+    """The per-sample reference: one NumPy Philox generator per sample, keyed
+    by the seed and started at the sample's own range of ceil(l / 4) counters."""
+    b = -(-l // 4)
     return np.array([np.random.Generator(np.random.Philox(
-        key=np.array([seed, i], dtype=np.uint64))).random(l) for i in indices])
+        key=seed, counter=i * b)).random(l) for i in indices])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
-@pytest.mark.parametrize("l", [1, 4, 5])
+@pytest.mark.parametrize("l", [1, 4, 5, 9])
 def test_mc_draws_match_numpy_philox_bitwise(seed, l):
-    # l = 5 carries the counter into a second Philox block
+    # l = 5 and l = 9 give each sample a second and a third Philox block
     for start, stop in ((0, 3), (4090, 4102)):      # the second straddles a chunk edge
         got = oracle._philox_uniforms(seed, start, stop, l)
         assert np.array_equal(got, _numpy_philox_uniforms(seed, range(start, stop), l))
@@ -320,8 +322,9 @@ def test_mc_matches_slow_reference(data):
 
 
 def _slow_reference(spec, c, times, samples, seed):
-    """Mean and SEM of rho by per-sample Philox, expm per realization and plain
-    two-pass moments; c is a vector or a callable of one (1, l) disorder row."""
+    """Mean and SEM of rho by per-sample Philox counters, expm per realization
+    and plain two-pass moments; c is a vector or a callable of one (1, l)
+    disorder row."""
     u = _numpy_philox_uniforms(seed, range(samples), spec.l)
     rhos = np.empty((samples, times.size, spec.n, spec.n), dtype=complex)
     for i in range(samples):
