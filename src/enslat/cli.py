@@ -575,7 +575,8 @@ def _propagator_record(report) -> dict:
         "op_nnz": report.op_nnz, "growth": [[int(d) for d in g] for g in report.growth],
         "box": [int(b) for b in report.box],
         "box_growths": report.box_growths, "redos": report.redos,
-        "active_fraction": report.active_fraction}
+        "active_fraction": report.active_fraction,
+        "initial_norm_defect": report.initial_norm_defect}
 
 
 # ---------------------------------------------------------------------------

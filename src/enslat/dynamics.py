@@ -115,7 +115,9 @@ class LeakageReport:
     ``box_growths`` how often it grew, ``redos`` how many windows were run
     again on a larger box, and ``active_fraction`` the products' share of the
     work a whole-lattice run would do, sum(box size * products) / (operator
-    dim * products).
+    dim * products).  ``initial_norm_defect`` is the Parseval norm defect of
+    an expanded start (see :func:`~enslat.states.expanded_initial`), None
+    for a localized one.
     """
 
     times: np.ndarray
@@ -134,6 +136,7 @@ class LeakageReport:
     box_growths: int = 0
     redos: int = 0
     active_fraction: float = 1.0
+    initial_norm_defect: float | None = None
 
     @property
     def max_leakage(self) -> float:
@@ -390,7 +393,8 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
                              boxes.centre, boxes.half, **stats, rho=rho[:n].copy(), op_dim=dim,
                              op_nnz=boxes.nnz, growth=tuple(growth),
                              box=tuple(min(r, d) for d in boxes.basis.depths),
-                             active_fraction=active)
+                             active_fraction=active,
+                             initial_norm_defect=psi0.info.get("norm_defect"))
 
     states: list[LatticeState] = []
     leak = np.zeros(times.size)

@@ -12,20 +12,22 @@ lattice machinery:
 * :func:`analytic_qubit` is the closed form for the dephasing qubit, where
   the coherence is the characteristic function of the disorder.
 
-Both averaging routes share one evolution and one fold.  The population
-of a level that h0 and every coupling leave uncoupled (under pure
-dephasing, every level) is the same at every time: each chunk of
-realizations folds it once, from the initial amplitudes.  The chunk is
-asked only for the entries that move, one time tile at a time, and folds
-each tile while it is in cache, so no (T, N, B) array is held.  An entry
-takes one of two routes: a coherence between two levels that no H(lambda)
-of the chunk couples (under pure dephasing, every coherence) is one phase
-per realization, written straight from its own factor tables; any other
-entry is a product of the amplitudes of one ``eigh`` of the whole chunk.
-:func:`mc_average` runs each chunk as one task, from its draws to its
-fold, on up to one thread per available core; the calling thread merges
-their moments in chunk order, so its output is bitwise the same for any
-number of threads.
+Both averaging routes run through one driver, :func:`_average`: Monte
+Carlo passes it its draws, quadrature its Gauss nodes, each node's
+amplitudes scaled so that the plain mean is the weighted sum.  The driver
+runs each chunk of realizations as one task, from its disorder values to
+its fold, on up to one thread per available core; the calling thread
+merges their moments in chunk order, so both outputs are bitwise the same
+for any number of threads.  The population of a level that h0 and every
+coupling leave uncoupled (under pure dephasing, every level) is the same
+at every time: each chunk folds it once, from the initial amplitudes.  The
+chunk is asked only for the entries that move, one time tile at a time,
+and folds each tile while it is in cache, so no (T, N, B) array is held.
+An entry takes one of two routes: a coherence between two levels that no
+H(lambda) of the chunk couples (under pure dephasing, every coherence) is
+one phase per realization, written straight from its own factor tables;
+any other entry is a product of the amplitudes of one ``eigh`` of the
+whole chunk.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -80,7 +82,8 @@ class OracleConfig:
     its own counters, so mc_average output is bitwise reproducible and
     independent of execution order.
     ``quad_order`` is the Gauss order of every disorder variable, or a
-    sequence of one order per variable.
+    sequence of one order per variable.  Every control is a Python or NumPy
+    integer: a float or a bool raises ValueError, so nothing is truncated.
     """
 
     samples: int = 10_000
@@ -88,12 +91,17 @@ class OracleConfig:
     quad_order: int | tuple = 40
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
         if np.iterable(self.quad_order):
             object.__setattr__(self, "quad_order", tuple(self.quad_order))
-        orders = np.atleast_1d(self.quad_order)
-        if orders.size == 0 or np.any(orders < 1):
+        orders = self.quad_order if np.iterable(self.quad_order) else (self.quad_order,)
+        for name, values in (("samples", [self.samples]), ("seed", [self.seed]),
+                             ("quad_order", orders)):
+            for v in values:        # an int or a NumPy integer; a bool is neither here
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if not orders or min(orders) < 1:
             raise ValueError("quad_order must be >= 1, for every disorder variable")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
@@ -264,32 +272,6 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_chunk(spec: EnsembleSpec, c_fn, times, seed: int, start: int, stop: int,
-              rows, cols, still):
-    """Moments of samples start..stop-1, from their draws to the fold of their
-    last time tile: one pool task, which calls NumPy and ``c_fn`` only.
-
-    An entry the mask ``still`` marks (see :func:`_conserved`) is folded
-    once, from |c_r|^2, and its moments are given to every time.  Only the
-    entries that move are asked of :func:`_evolve_batch` and go through
-    :func:`_chunk_moments`, in time tiles of 16 (N + moving entries) B
-    bytes per time; when none moves, no tile is evolved.
-    """
-    u = _philox_uniforms(seed, start, stop, spec.l)
-    lam = np.column_stack([quantile(d, u[:, j]) for j, d in enumerate(spec.distributions)])
-    c0 = realization_amplitudes(c_fn, lam, spec.n)
-    moves = ~still
-    samples = _evolve_batch(spec.hamiltonian(lam), c0, times, rows[moves], cols[moves])
-    mean = np.empty((times.size, rows.size), complex)
-    m2 = np.empty((times.size, rows.size))
-    if moves.any():
-        tiles = _time_tiles(times.size, 16 * (spec.n + np.count_nonzero(moves)) * (stop - start))
-        mean[:, moves], m2[:, moves] = _chunk_moments(samples, tiles)
-    pops = c0.T[rows[still]]
-    mean[:, still], m2[:, still] = _moments(pops * pops.conj())
-    return stop - start, mean, m2
-
-
 def _conserved(spec: EnsembleSpec, rows, cols) -> np.ndarray:
     """Which entries (rows[p], cols[p]) every realization conserves: the
     populations of the levels that h0 and every coupling coefficient leave
@@ -314,18 +296,82 @@ def _moments(d):
     return mean, np.clip(m2, 0.0, None, out=m2)
 
 
-def _chunk_moments(samples, tiles):
-    """Mean and sum of squared deviations over one chunk's realizations of
-    the values ``samples(tile)`` (see :func:`_evolve_batch`), at every time.
+def _chunk(spec: EnsembleSpec, c_fn, times, points, start: int, stop: int, rows, cols, still):
+    """Moments of realizations start..stop-1, from their disorder values to
+    the fold of their last time tile: one pool task, which calls NumPy,
+    ``points`` and ``c_fn`` only.
 
-    Each time tile is evolved and folded while it is in cache.
+    ``points(start, stop)`` gives the chunk's (B, l) disorder values and a
+    (B,) scale, or None; each realization's amplitudes are multiplied by its
+    scale once :func:`~enslat.states.realization_amplitudes` has checked
+    their norm.  An entry the mask ``still`` marks (see :func:`_conserved`)
+    is folded once, from |c_r|^2, and its moments are given to every time.
+    Only the entries that move are asked of :func:`_evolve_batch`; each time
+    tile, of 16 (N + moving entries) B bytes per time, is folded while it is
+    in cache.  When none moves, no tile is evolved.
     """
-    means, m2s = [], []
-    for tile in tiles:
-        mean, m2 = _moments(samples(tile))
-        means.append(mean)
-        m2s.append(m2)
-    return np.concatenate(means), np.concatenate(m2s)
+    lam, scale = points(start, stop)
+    c0 = realization_amplitudes(c_fn, lam, spec.n)
+    if scale is not None:
+        c0 = c0 * scale[:, None]
+    moves = ~still
+    samples = _evolve_batch(spec.hamiltonian(lam), c0, times, rows[moves], cols[moves])
+    mean = np.empty((times.size, rows.size), complex)
+    m2 = np.empty((times.size, rows.size))
+    if moves.any():
+        row_bytes = 16 * (spec.n + np.count_nonzero(moves)) * (stop - start)
+        for tile in _time_tiles(times.size, row_bytes):
+            mean[tile, moves], m2[tile, moves] = _moments(samples(tile))
+    pops = c0.T[rows[still]]
+    mean[:, still], m2[:, still] = _moments(pops * pops.conj())
+    return stop - start, mean, m2
+
+
+def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
+    """Mean and sum of squared deviations of rho over ``total`` realizations,
+    whose disorder values ``points(start, stop)`` gives (see :func:`_chunk`).
+
+    The one driver of both averages.  Each chunk of ``_CHUNK`` realizations
+    is one task on up to one pool thread per available core, from its
+    disorder values to the fold of its last time tile.  The calling thread
+    only submits the chunks and merges their moments in chunk order, so the
+    result is bitwise the same for any number of threads.  A chunk that
+    raises cancels the chunks queued behind it.  Returns the times, the
+    (T, N, N) mean and sum of squared deviations, and the [r, c] entries
+    that every realization conserves.
+    """
+    if spec.n > MAX_DENSE_N:
+        raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
+        raise ValueError("times must be a non-empty 1-D array of finite values")
+    rows, cols = np.triu_indices(spec.n)
+
+    # chunked Welford/Chan accumulation over the entries n <= m: robust to
+    # cancellation, exactly zero spread for degenerate (zero-variance) ensembles
+    mean = np.zeros((times.size, rows.size), dtype=complex)
+    m2 = np.zeros((times.size, rows.size))
+    still = _conserved(spec, rows, cols)
+    count = 0
+    starts = range(0, total, _CHUNK)
+    workers = min(_workers(), len(starts))
+    # futures of chunk moments: one per pool thread and one queued behind them
+    running = collections.deque()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for s0 in starts:
+                if len(running) > workers:
+                    count = _merge(mean, m2, count, *running.popleft().result())
+                running.append(pool.submit(_chunk, spec, c_fn, times, points,
+                                           s0, min(s0 + _CHUNK, total), rows, cols, still))
+            while running:
+                count = _merge(mean, m2, count, *running.popleft().result())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)      # a failed chunk: queued ones never start
+            raise
+    conserved = [[int(r), int(c)] for r, c in zip(rows[still], cols[still])]
+    return (times, _hermitian(mean, rows, cols, spec.n), _hermitian(m2, rows, cols, spec.n),
+            conserved)
 
 
 def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTrajectory:
@@ -334,13 +380,9 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     Each sample draws its disorder vector from its own range of counters of
     one Philox stream keyed by ``seed`` (see :func:`_philox_uniforms`), so
     the result is independent of chunking or execution order.  The
-    ``errors`` field holds the per-entry standard error of the mean.
-
-    Each chunk is one task on up to one pool thread per available core, from
-    its draws to the fold of its last time tile.  The calling thread only
-    submits the chunks and merges their moments in chunk order, so the output
-    is bitwise the same for any number of threads.  A chunk that raises
-    cancels the chunks queued behind it.
+    ``errors`` field holds the per-entry standard error of the mean.  The
+    samples run through :func:`_average`: in chunks, on a thread pool,
+    bitwise the same for any number of threads.
 
     The population of a level that h0 and every coupling coefficient leave
     uncoupled (each level under pure dephasing) is conserved by every
@@ -354,45 +396,24 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     ``c_fn`` may be a constant amplitude vector or a vectorized callable of
     the disorder (see :func:`~enslat.states.realization_amplitudes`);
     per-realization vectors must be normalized (NotNormalized otherwise).
+    ``times`` must be a non-empty 1-D grid of finite times (ValueError).
     """
-    if spec.n > MAX_DENSE_N:
-        raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
-    times = np.asarray(times, dtype=float)
-    s, n = int(cfg.samples), spec.n
-    rows, cols = np.triu_indices(n)
+    s = int(cfg.samples)
 
-    # chunked Welford/Chan accumulation over the entries n <= m: robust to
-    # cancellation, exactly zero spread for degenerate (zero-variance) ensembles
-    mean = np.zeros((times.size, rows.size), dtype=complex)
-    m2 = np.zeros((times.size, rows.size))
-    still = _conserved(spec, rows, cols)
-    count = 0
-    starts = range(0, s, _CHUNK)
-    workers = min(_workers(), len(starts))
-    # futures of chunk moments: one per pool thread and one queued behind them
-    running = collections.deque()
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for s0 in starts:
-                if len(running) > workers:
-                    count = _merge(mean, m2, count, *running.popleft().result())
-                running.append(pool.submit(_mc_chunk, spec, c_fn, times, cfg.seed,
-                                           s0, min(s0 + _CHUNK, s), rows, cols, still))
-            while running:
-                count = _merge(mean, m2, count, *running.popleft().result())
-        except BaseException:
-            pool.shutdown(cancel_futures=True)      # a failed chunk: queued ones never start
-            raise
+    def draws(start: int, stop: int):
+        u = _philox_uniforms(cfg.seed, start, stop, spec.l)
+        return np.column_stack([quantile(d, u[:, j])
+                                for j, d in enumerate(spec.distributions)]), None
+
+    times, mean, m2, conserved = _average(spec, c_fn, times, s, draws)
     sem = np.sqrt(m2 / s) / np.sqrt(s)
     # rounding residue of an exactly constant entry: its spread is a few eps
     # in units of the answer, so its standard error scales as eps * |rho| / sqrt(s)
     sem[sem <= 8 * np.finfo(float).eps * np.abs(mean).max() / np.sqrt(s)] = 0.0
     info = {"method": "mc", "samples": s, "seed": int(cfg.seed),
             "degenerate_distribution": bool(s > 1 and float(sem.max()) == 0.0),
-            "conserved_entries": [[int(r), int(c)] for r, c in
-                                  zip(rows[still], cols[still])]}
-    return DensityTrajectory(times, _hermitian(mean, rows, cols, n),
-                             errors=_hermitian(sem, rows, cols, n), info=info)
+            "conserved_entries": conserved}
+    return DensityTrajectory(times, mean, errors=sem, info=info)
 
 
 def _merge(mean, m2, count: int, nb: int, cmean, cm2) -> int:
@@ -419,47 +440,25 @@ def quad_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityT
     """Disorder average over tensor-product Gauss nodes (deterministic).
 
     Nodes and weights per dimension come from the recurrence tables of the
-    disorder measures.  Exact realization evolution at every node, weighted
-    mean; no error bars.  ``c_fn`` is as for :func:`mc_average`.  Each
-    chunk of nodes folds the populations that every realization conserves
-    (see :func:`_conserved`) once, from the initial amplitudes, and asks
-    :func:`_evolve_batch` only for the other entries n <= m, whose weighted
-    sum it adds tile by tile, in the time tiles of :func:`_mc_chunk`.  Each
-    sum runs pairwise over the nodes; rho is filled in from those entries.
+    disorder measures; no error bars.  The M nodes of the tensor grid run
+    through :func:`_average`, as Monte Carlo samples do, so quad shares its
+    chunks, pool and merge and is bitwise the same for any number of
+    threads.  A node of weight w has its amplitudes scaled by sqrt(M w), so
+    the plain mean over the nodes is the weighted sum of rho over them.
+    ``c_fn`` and ``times`` are as for :func:`mc_average`.
     """
-    if spec.n > MAX_DENSE_N:
-        raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
-    times = np.asarray(times, dtype=float)
     orders = cfg.quad_order if np.iterable(cfg.quad_order) else [cfg.quad_order] * spec.l
     if len(orders) != spec.l:
         raise DimensionMismatch(f"{spec.l} disorder variables but {len(orders)} quadrature orders")
-    tables = [recurrence_table(d, int(q)) for d, q in zip(spec.distributions, orders)]
-    rules = [gauss_rule(t, int(q)) for t, q in zip(tables, orders)]
-
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    lam = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-
-    n = spec.n
-    rows, cols = np.triu_indices(n)
-    still = _conserved(spec, rows, cols)
-    moves = ~still
-    acc = np.zeros((times.size, rows.size), dtype=complex)
-    for s0 in range(0, lam.shape[0], _CHUNK):
-        chunk = lam[s0:s0 + _CHUNK]
-        c0 = realization_amplitudes(c_fn, chunk, n)
-        w = weights[s0:s0 + _CHUNK]
-        pops = c0.T[rows[still]]
-        acc[:, still] += (pops * pops.conj() * w).sum(axis=-1)
-        samples = _evolve_batch(spec.hamiltonian(chunk), c0, times, rows[moves], cols[moves])
-        if moves.any():
-            for tile in _time_tiles(times.size, 16 * (n + np.count_nonzero(moves)) * w.size):
-                d = samples(tile)
-                d *= w
-                acc[tile, moves] += d.sum(axis=-1)     # pairwise over the nodes
-    info = {"method": "quad", "quad_order": list(int(q) for q in orders)}
-    return DensityTrajectory(times, _hermitian(acc, rows, cols, n), info=info)
+    nodes, weights = zip(*(gauss_rule(recurrence_table(d, int(q)), int(q))
+                           for d, q in zip(spec.distributions, orders)))
+    lam = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=1)
+    w = np.prod([g.ravel() for g in np.meshgrid(*weights, indexing="ij")], axis=0)
+    scale = np.sqrt(lam.shape[0] * w)
+    times, mean, _, _ = _average(spec, c_fn, times, lam.shape[0],
+                                 lambda start, stop: (lam[start:stop], scale[start:stop]))
+    info = {"method": "quad", "quad_order": [int(q) for q in orders]}
+    return DensityTrajectory(times, mean, info=info)
 
 
 def analytic_qubit(a: complex, b: complex, e0: float, e1: float,

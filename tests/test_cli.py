@@ -19,6 +19,7 @@ from enslat import (
     PolynomialCoupling,
     PropagationPlan,
     build_general,
+    expanded_initial,
     localized_initial,
     propagate,
     recurrence_analytic,
@@ -134,8 +135,9 @@ def test_manifest_records_propagator(tmp_path):
     prop = man["result"]["propagator"]
     assert set(prop) == {"spectral_centre", "spectral_half_width", "windows", "matvecs",
                          "max_norm_drift", "op_dim", "op_nnz", "growth", "box", "box_growths",
-                         "redos", "active_fraction"}
+                         "redos", "active_fraction", "initial_norm_defect"}
     assert prop["growth"] == [[64]]          # pinned: the one lattice
+    assert prop["initial_norm_defect"] is None      # a localized start expands nothing
     assert prop["matvecs"] > 0 and prop["windows"] > 0 and prop["spectral_half_width"] > 0
     assert prop["max_norm_drift"] <= 1e-10
     # depth 64 qubit chain, dim 130: level 1 has an on-node entry on each of the 65
@@ -333,6 +335,25 @@ def test_tabulated_initial_state(tmp_path):
     row0 = [float(tok) for tok in text[1].split(",")]
     # rho_00(0) = E[lam^2] = 1/4 for the unit semicircle
     assert abs(row0[1] - 0.25) < 1e-4
+
+
+def test_manifest_records_initial_norm_defect(tmp_path):
+    # a tabulated start is expanded over the lattice: the manifest records its
+    # Parseval norm defect at the start depth auto_depth accepted
+    from enslat.cli import parse_initial, parse_spec
+    (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV} 0\n5 0.6 0 0.8 0\n")
+    path = qubit_config(tmp_path, depths="auto", n_steps=25,
+                        dist={"family": "gaussian", "width": 1.0, "cutoff": [-5.0, 5.0]},
+                        extra={"initial": {"kind": "tabulated", "file": "c.txt"}})
+    assert run(str(path)).exit_code == 0
+    prop = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())["result"]["propagator"]
+    cfg = yaml.safe_load(path.read_text())
+    spec = parse_spec(cfg, str(tmp_path))
+    depths = tuple(prop["growth"][0])
+    psi0 = expanded_initial(parse_initial(cfg, spec, str(tmp_path))[1], spec.distributions,
+                            enslat.dynamics._tables(spec, depths), LatticeBasis(spec.n, depths))
+    assert isinstance(prop["initial_norm_defect"], float)
+    assert prop["initial_norm_defect"] == psi0.info["norm_defect"]
 
 
 def test_manifest_with_data_file_reruns_from_its_directory(tmp_path):
@@ -901,10 +922,12 @@ def test_traced_spans_fire(tmp_path, monkeypatch):
 
 def test_no_unused_imports():
     # no linter runs on this code: fail on any module-level import its module
-    # never reads, except the names perfbench/tracing.py rebinds
+    # never reads, in the package (but for the names perfbench/tracing.py
+    # rebinds there) and in the tests
     traced = {(mod, name) for mod, name, *_ in _load_tracing()._SPANS}
+    src = Path(enslat.cli.__file__).parent
     unused = []
-    for path in sorted(Path(enslat.cli.__file__).parent.glob("*.py")):
+    for path in sorted([*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -917,7 +940,7 @@ def test_no_unused_imports():
                 imported.update({(a.asname or a.name): node.lineno for a in node.names})
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in read and (path.stem, name) not in traced]
+                   if name not in read and (path.parent != src or (path.stem, name) not in traced)]
     assert unused == []
 
 

@@ -133,18 +133,23 @@ def test_mc_draws_match_numpy_philox_bitwise(seed, l):
 
 
 def test_mc_chunking_invariance(monkeypatch):
+    # and quad's: its 500 nodes go through the same chunks
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     times = np.linspace(0.0, 3.0, 7)
-    runs = {}
-    for chunk in (1, 7, 4096):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        runs[chunk] = mc_average(spec, C_HALF, times, OracleConfig(samples=500, seed=4))
-    ref = runs[4096]
-    assert (ref.errors == 0.0).any() and (ref.errors > 0.0).any()
-    for chunk in (1, 7):
-        assert np.abs(runs[chunk].rho - ref.rho).max() <= 1e-14
-        assert np.abs(runs[chunk].errors - ref.errors).max() <= 1e-14
-        assert np.array_equal(runs[chunk].errors == 0.0, ref.errors == 0.0)
+    for average in (mc_average, quad_average):
+        runs = {}
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            runs[chunk] = average(spec, C_HALF, times,
+                                  OracleConfig(samples=500, seed=4, quad_order=500))
+        ref = runs[4096]
+        for chunk in (1, 7):
+            assert np.abs(runs[chunk].rho - ref.rho).max() <= 1e-14
+        if average is mc_average:
+            assert (ref.errors == 0.0).any() and (ref.errors > 0.0).any()
+            for chunk in (1, 7):
+                assert np.abs(runs[chunk].errors - ref.errors).max() <= 1e-14
+                assert np.array_equal(runs[chunk].errors == 0.0, ref.errors == 0.0)
 
 
 def _three_level_ensemble():
@@ -164,51 +169,62 @@ def _three_level_ensemble():
 
 @pytest.mark.parametrize("case", ["qubit", "three-level"])
 def test_mc_bitwise_independent_of_thread_count(monkeypatch, case):
+    # and quad's, whose nodes run in chunks of 250
     if case == "qubit":
-        spec, c, samples = qubit_spec(DisorderDistribution.gaussian(1.0)), C_HALF, 3 * 4096 + 17
+        spec, c, samples, orders = (qubit_spec(DisorderDistribution.gaussian(1.0)), C_HALF,
+                                    3 * 4096 + 17, [767])
     else:
-        monkeypatch.setattr(oracle, "_CHUNK", 250)
-        (spec, c), samples = _three_level_ensemble(), 1900
+        (spec, c), samples, orders = _three_level_ensemble(), 1900, [38, 50]
     times = np.linspace(0.0, 4.0, 41)
-    fold, threads = oracle._chunk_moments, []
+    task, threads = oracle._chunk, []
 
     def spy(*args):
         threads.append(threading.current_thread())
-        return fold(*args)
-    monkeypatch.setattr(oracle, "_chunk_moments", spy)
-    runs = {}
-    for w in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_workers", lambda: w)
-        threads.clear()
-        runs[w] = mc_average(spec, c, times, OracleConfig(samples=samples, seed=6))
-        # every chunk is folded off the calling thread, on at most w threads
-        assert len(threads) == -(-samples // oracle._CHUNK)
-        assert threading.current_thread() not in threads and len(set(threads)) <= w
-    assert (runs[1].errors > 0).any()
-    for w in (2, 3):
-        assert np.array_equal(runs[w].rho, runs[1].rho)
-        assert np.array_equal(runs[w].errors, runs[1].errors)
+        return task(*args)
+    monkeypatch.setattr(oracle, "_chunk", spy)
+    cfg = OracleConfig(samples=samples, seed=6, quad_order=orders)
+    for average, total, chunk in ((mc_average, samples, 4096 if case == "qubit" else 250),
+                                  (quad_average, int(np.prod(orders)), 250)):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        runs = {}
+        for w in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_workers", lambda: w)
+            threads.clear()
+            runs[w] = average(spec, c, times, cfg)
+            # every chunk is folded off the calling thread, on at most w threads
+            assert len(threads) == -(-total // chunk) > 1
+            assert threading.current_thread() not in threads and len(set(threads)) <= w
+        for w in (2, 3):
+            assert np.array_equal(runs[w].rho, runs[1].rho)
+        if average is mc_average:
+            assert (runs[1].errors > 0).any()
+            for w in (2, 3):
+                assert np.array_equal(runs[w].errors, runs[1].errors)
 
 
 def test_mc_calling_thread_only_merges(monkeypatch):
-    # each chunk draws and evolves in its own pool task; the calling thread
-    # only submits chunks and merges their moments
+    # each chunk draws and evolves in its own pool task, and each chunk of
+    # quad's nodes evolves in its own; the calling thread only submits chunks
+    # and merges their moments
     monkeypatch.setattr(oracle, "_CHUNK", 250)
-    spec, samples = qubit_spec(DisorderDistribution.gaussian(1.0)), 1900
+    spec, samples, order = qubit_spec(DisorderDistribution.gaussian(1.0)), 1900, 767
     seen = {"_philox_uniforms": [], "_evolve_batch": []}
     for name, threads in seen.items():
         def spy(*args, fn=getattr(oracle, name), threads=threads):
             threads.append(threading.current_thread())
             return fn(*args)
         monkeypatch.setattr(oracle, name, spy)
-    for w in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_workers", lambda: w)
-        for threads in seen.values():
-            threads.clear()
-        mc_average(spec, C_HALF, np.linspace(0.0, 4.0, 41), OracleConfig(samples=samples, seed=6))
-        for threads in seen.values():
-            assert len(threads) == -(-samples // oracle._CHUNK)
-            assert threading.current_thread() not in threads and len(set(threads)) <= w
+    cfg = OracleConfig(samples=samples, seed=6, quad_order=order)
+    for average, total, names in ((mc_average, samples, seen),
+                                  (quad_average, order, ["_evolve_batch"])):
+        for w in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_workers", lambda: w)
+            for threads in seen.values():
+                threads.clear()
+            average(spec, C_HALF, np.linspace(0.0, 4.0, 41), cfg)
+            for name, threads in seen.items():
+                assert len(threads) == (-(-total // oracle._CHUNK) if name in names else 0)
+                assert threading.current_thread() not in threads and len(set(threads)) <= w
 
 
 @pytest.mark.parametrize("where", ["initial state", "tile loop"])
@@ -242,13 +258,16 @@ def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
         monkeypatch.setattr(oracle, "_evolve_batch", evolve_failing_fourth)
     spec = qubit_spec(DisorderDistribution.uniform(1.0))
     before = threading.enumerate()
-    with pytest.raises(NotNormalized if where == "initial state" else Boom):
-        mc_average(spec, c_fn, np.linspace(0.0, 1.0, 5), OracleConfig(samples=64 * 8, seed=3))
-    # no chunk starts past those in flight with the failing one: its index,
-    # itself and one per pool thread
-    assert len(calls) <= 3 + 1 + 2
-    assert threading.active_count() == len(before)
-    assert threading.enumerate() == before
+    for average in (mc_average, quad_average):      # 512 samples, or 512 nodes
+        calls.clear()
+        with pytest.raises(NotNormalized if where == "initial state" else Boom):
+            average(spec, c_fn, np.linspace(0.0, 1.0, 5),
+                    OracleConfig(samples=64 * 8, seed=3, quad_order=64 * 8))
+        # no chunk starts past those in flight with the failing one: its index,
+        # itself and one per pool thread
+        assert len(calls) <= 3 + 1 + 2
+        assert threading.active_count() == len(before)
+        assert threading.enumerate() == before
 
 
 def test_mc_memory_below_one_chunk_of_amplitudes(monkeypatch):
@@ -408,15 +427,19 @@ def test_mc_conserved_entries_fold_once(monkeypatch):
         average(spec, c, times, OracleConfig(samples=samples, seed=seed))
         assert asked and all(entries == ([0], [1]) for entries in asked)
 
-    # against _chunk_moments on all entries at every time: per chunk, the
+    # against a chunk that evolves all entries at every time: per chunk, the
     # coherence's moments are bitwise equal; over the run, so is every SEM
     rows, cols = np.triu_indices(2)
     none = np.zeros(rows.size, dtype=bool)
     assert oracle._conserved(spec, rows, cols).tolist() == [True, False, True]
+
+    def draws(start, stop):
+        u = _numpy_philox_uniforms(seed, range(start, stop), spec.l)
+        return quantile(spec.distributions[0], u[:, 0])[:, None], None
     for s0 in range(0, samples, oracle._CHUNK):
-        args = (spec, c, times, seed, s0, min(s0 + oracle._CHUNK, samples), rows, cols)
-        nb, mean, m2 = oracle._mc_chunk(*args, oracle._conserved(spec, rows, cols))
-        ref = oracle._mc_chunk(*args, none)
+        args = (spec, c, times, draws, s0, min(s0 + oracle._CHUNK, samples), rows, cols)
+        nb, mean, m2 = oracle._chunk(*args, oracle._conserved(spec, rows, cols))
+        ref = oracle._chunk(*args, none)
         assert nb == ref[0]
         assert np.array_equal(mean[:, 1], ref[1][:, 1]) and np.array_equal(m2[:, 1], ref[2][:, 1])
         assert np.array_equal(mean[:, [0, 2]], np.broadcast_to(mean[0, [0, 2]], (times.size, 2)))
@@ -568,12 +591,12 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
                 rho = np.outer(psi, psi.conj())[rows, cols]
                 assert np.abs(got[k, :, b] - rho).max() <= 1e-12
     if n == 1:
-        # one level, so no entry moves: the Monte Carlo chunks build no phase
-        # table and run no tile loop, and both averages still give rho = 1
+        # one level, so no entry moves: the chunks of both averages build no
+        # phase table and run no tile loop, and both still give rho = 1
         spec = EnsembleSpec(np.array([[0.3]]), (PolynomialCoupling.linear(np.eye(1)),),
                             (DisorderDistribution.gaussian(1.0),))
         calls = []
-        for name in ("_phase_rows", "_chunk_moments"):
+        for name in ("_phase_rows", "_time_tiles"):
             def spy(*args, fn=getattr(oracle, name)):
                 calls.append(fn)
                 return fn(*args)
@@ -581,8 +604,7 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
         for average in (mc_average, quad_average):
             traj = average(spec, np.ones(1), uniform, OracleConfig(samples=100))
             assert np.abs(traj.rho - 1.0).max() <= 1e-15
-            if average is mc_average:
-                assert calls == []
+            assert calls == []
 
 
 def test_evolve_batch_holds_no_phase_array():
@@ -652,6 +674,33 @@ def test_oracles_refuse_an_unnormalized_state(average, c, off):
     spec = qubit_spec(DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0)))
     with pytest.raises(NotNormalized, match=f"per-realization initial state off by {off}"):
         average(spec, c, np.linspace(0.0, 1.0, 5), OracleConfig(samples=64, quad_order=8))
+
+
+@pytest.mark.parametrize("average", [mc_average, quad_average], ids=["mc", "quad"])
+@pytest.mark.parametrize("times", [[], [[0.0, 1.0]], [0.0, np.nan]],
+                         ids=["empty", "2-D", "nan"])
+def test_averages_refuse_a_time_grid_alike(average, times):
+    # both averages run through one driver, which reads the grid once
+    spec = qubit_spec(DisorderDistribution.gaussian(1.0))
+    with pytest.raises(ValueError, match="times must be a non-empty 1-D array of finite values"):
+        average(spec, C_HALF, times, OracleConfig(samples=10, quad_order=4))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("samples", 2.5), ("samples", True), ("seed", 1.7), ("seed", True),
+    ("quad_order", 2.5), ("quad_order", True),
+    pytest.param("quad_order", [16, 2.5], id="quad_order-one-axis-2.5"),
+])
+def test_oracle_config_refuses_a_non_integer(field, value):
+    # nothing is truncated: 2.5 samples would run 2, quad_order True order 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        OracleConfig(**{field: value})
+
+
+def test_oracle_config_takes_numpy_integers():
+    cfg = OracleConfig(samples=np.int64(3), seed=np.uint64(2 ** 64 - 1),
+                       quad_order=np.array([4, 5]))
+    assert cfg.quad_order == (4, 5)
 
 
 def test_mc_system_too_large():
