@@ -71,4 +71,4 @@ from .oracle import (
     quad_average,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

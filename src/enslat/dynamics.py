@@ -21,14 +21,16 @@ Only the trace over the node index is read from the lattice, so each output
 is reduced to its density matrix as soon as it is made and then dropped: at
 most one window's outputs are alive at a time, each of its box's length.
 
-The wavefront moves out from the origin at a finite speed, so each window
-runs on the box of the lattice it occupies, the nodes with max_i k_i up to
-some radius: the smaller of the window's light cone, where the result is
-exact, and the measured front plus its projected advance.  The box leaves at
-most (1e-3 * tol)**2 of the population outside; a window whose outputs put
-more than that on the box's outer shells is run again on a wider box.  The
-lattice basis lays its nodes out by that radius, so every box is a prefix of
-the vectors and a block of leading rows of one CSR matrix.
+The wavefront moves out from the origin at a finite speed, a band of shells
+sum_i k_i per product, so each window runs on the box of the lattice it
+occupies, the nodes with sum_i k_i up to some radius (on a 2-D lattice a
+diamond, not its bounding square): the smaller of the window's light cone,
+where the result is exact, and the measured front plus its projected
+advance.  The box leaves at most (1e-3 * tol)**2 of the population outside;
+a window whose outputs put more than that on the box's outer shells is run
+again on a wider box.  The lattice basis lays its nodes out by that radius,
+so every box is a prefix of the vectors and a block of leading rows of one
+CSR matrix.
 
 Truncation error of the finite lattice is monitored separately, as the
 population of the boundary shell; once the wavefront reaches the boundary the
@@ -111,11 +113,11 @@ class LeakageReport:
     the run used; the interval and ``op_dim``, the dimension of the whole
     operator, and ``op_nnz``, the entries of its matrix, both triangles
     (1,184,260 on the shipped dimer), are the last one's.  The box record:
-    ``box`` holds the per-axis depths of the last box the windows ran on,
-    ``box_growths`` how often it grew, ``redos`` how many windows were run
-    again on a larger box, and ``active_fraction`` the products' share of the
-    work a whole-lattice run would do, sum(box size * products) / (operator
-    dim * products).  ``initial_norm_defect`` is the Parseval norm defect of
+    ``box`` holds the per-axis reach min(r, D_i) of the last box the windows
+    ran on, the l1 ball sum_i k_i <= r, ``box_growths`` how often it grew,
+    ``redos`` how many windows were run again on a larger box, and
+    ``active_fraction`` the products' share of the work a whole-lattice run
+    would do, sum(box size * products) / (operator dim * products).  ``initial_norm_defect`` is the Parseval norm defect of
     an expanded start (see :func:`~enslat.states.expanded_initial`), None
     for a localized one.
     """
@@ -273,19 +275,20 @@ def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
 class _Boxes:
     """The lattice as nested boxes, for :func:`propagate`.
 
-    The basis lays its nodes out by shell s = max_i k_i, so the box of radius
+    The basis lays its nodes out by shell s = sum_i k_i, so the box of radius
     r, every node with s <= r, is a prefix of the flat layout, and its
     operator a block of leading rows of the operator's CSR matrix.  One
     product moves amplitude across at most ``band`` shells, so the rows of
     box r reach only the columns of box r + band.  A window's vectors have
     the length of those columns, the prefix of the lattice's vectors that can
-    be nonzero; the rest are zero and not stored.  A grown lattice's layout
-    starts with the smaller one's, so a prefix keeps its meaning.  ``h`` is
-    the :class:`LatticeOperator` of the lattice ``basis`` lays out.
+    be nonzero; the rest are zero and not stored.  ``outer``, the radius of
+    the whole lattice, is sum_i D_i, and a box of radius r > D_i already
+    meets the boundary k_i = D_i.  ``h`` is the :class:`LatticeOperator` of
+    the lattice ``basis`` lays out.
     """
 
     def __init__(self, h: LatticeOperator, basis: LatticeBasis):
-        shells = basis.node_multi_indices().max(axis=1)
+        shells = basis.node_shells()
         self.basis, self.csr, self.nnz = basis, h.csr, h.nnz
         self.band, counts = _shell_band(h.csr, shells), np.bincount(shells)
         self.starts = basis.n_system * np.concatenate([[0], np.cumsum(counts)])
@@ -329,6 +332,17 @@ def _shell_band(csr: sp.csr_matrix, shells: np.ndarray) -> int:
     return int(np.max(shells[last // n] - shells[rows // n], initial=0))
 
 
+def _relabel(vec: np.ndarray, old: LatticeBasis, new: LatticeBasis) -> np.ndarray:
+    """A prefix of ``old``'s layout as the same state in ``new``'s, a lattice
+    with every node of ``old``: the shortest prefix of ``new``'s layout that
+    holds its nodes.  Each node keeps its shell, so a box stays a box."""
+    n = old.n_system
+    nodes = new.node_index(old.node_multi_indices()[:vec.size // n])
+    out = np.zeros((int(nodes.max(initial=-1)) + 1, n), complex)
+    out[nodes] = vec.reshape(-1, n)
+    return out.ravel()
+
+
 def _front(pops: np.ndarray, floor: float) -> int:
     """Smallest shell beyond which the population is at most ``floor``."""
     beyond = np.cumsum(pops[::-1])[::-1]        # population on shells >= s
@@ -364,9 +378,15 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
     window whose outputs put more than that population on the box's outer
     band shells is run again on a wider box.  The start keeps its shells out
     to its front.  The Gershgorin interval, and so every window's order, is
-    that of the whole operator.  Before a window whose box and band reach
-    past the lattice, ``grow(radius)`` may return the operator and basis of
-    a larger lattice whose layout starts with this one's, to plan it on.
+    that of the whole operator.
+
+    Before a window whose box and band pass shell min_i D_i, where a box
+    first meets a boundary, ``grow(radius)`` may return the operator and
+    basis of a lattice with every node of this one, as deep as the radius
+    along each axis that is not at its final depth, to plan the window on;
+    None keeps this lattice.  The state moves to the larger lattice node by
+    node (:func:`_relabel`): the two layouts agree only through shell
+    min_i D_i over the axes that deepen.
 
     Raises
     ------
@@ -444,9 +464,12 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
             margin = (products * boxes.band if speed is None
                       else int(np.ceil(speed * (times[stop - 1] - times[base])))) + _SHELLS
             box = max(r, min(front + margin * _GROW ** redone, cone))
-            bigger = grow(box + boxes.band) if grow and box + boxes.band > boxes.outer else None
+            # past shell min_i D_i the box meets a boundary that a deeper lattice moves out
+            bigger = (grow(box + boxes.band)
+                      if grow and box + boxes.band > min(boxes.basis.depths) else None)
             if bigger is not None:
-                boxes, mat = _Boxes(*bigger), None
+                smaller, boxes, mat = boxes.basis, _Boxes(*bigger), None
+                phi = _relabel(phi, smaller, boxes.basis)
                 growth.append(boxes.basis.depths)
                 continue
             cone, box = min(cone, boxes.outer), min(box, boxes.outer)
@@ -480,19 +503,22 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
                cap=4096) -> tuple[tuple, LeakageReport]:
     """Propagate over the plan once, on a lattice that grows with the wavefront.
 
-    The depths are min(cap_i, D) (``cap``: an int or one per axis), so each
-    lattice's layout starts with the last one's.  D starts at ``start``,
-    doubled while the state ``psi0_builder(basis, tables)`` puts more than a
-    box's floor on the ``boundary_shell`` as wide as the largest coupling
-    ``degree`` (read from the coefficients, whatever built the coupling), or
-    raises :class:`NormDefectExceeded` below ``cap`` (at ``cap`` it
-    propagates); the operator is assembled only for the accepted start.  D is
-    then doubled whenever a window's box needs shells the lattice lacks, up
-    to ``cap``, where :class:`LeakageExceeded` may be raised.  Every lattice,
-    the start and each grown one, is assembled from recurrence tables made at
-    the orders its own depths need, so it is bitwise the lattice pinned at
-    those depths.  ``start >= max(cap)`` pins the depths at ``cap``.  Returns
-    the last depths and the :class:`LeakageReport`.
+    The depths are min(cap_i, D) (``cap``: an int or one per axis).  D
+    starts at ``start``, doubled while the state
+    ``psi0_builder(basis, tables)`` puts more than a box's floor on the
+    ``boundary_shell`` as wide as the largest coupling ``degree`` (read from
+    the coefficients, whatever built the coupling), or raises
+    :class:`NormDefectExceeded` below ``cap`` (at ``cap`` it propagates);
+    the operator is assembled only for the accepted start.  D is then
+    doubled whenever a window's box and band would pass shell D, the depth
+    of every axis below its cap, so no box meets a boundary that a deeper
+    lattice would move.  An axis at its cap stays where it is, and a box
+    past it meets its boundary as on the pinned lattice; there, and once
+    every axis is at ``cap``, :class:`LeakageExceeded` may be raised.  Every
+    lattice, the start and each grown one, is assembled from recurrence
+    tables made at the orders its own depths need, so it is bitwise the
+    lattice pinned at those depths.  ``start >= max(cap)`` pins the depths
+    at ``cap``.  Returns the last depths and the :class:`LeakageReport`.
     """
     caps = tuple(int(c) for c in (cap if np.iterable(cap) else [cap] * spec.l))
     band = max(1, *(c.degree for c in spec.couplings))
@@ -515,12 +541,13 @@ def auto_depth(spec, psi0_builder, plan: PropagationPlan, *, start: int = 16,
         depth *= 2
 
     def grow(radius):
-        nonlocal depth
-        if depth >= max(caps):
-            return None
+        nonlocal depth, depths
         while depth < min(radius, max(caps)):
             depth *= 2
-        depths = tuple(min(c, depth) for c in caps)
+        deeper = tuple(min(c, depth) for c in caps)
+        if deeper == depths:
+            return None         # every axis is at its cap or already reaches the radius
+        depths = deeper
         return build_general(spec, _tables(spec, depths), depths), LatticeBasis(spec.n, depths)
 
     _, report = propagate(build_general(spec, tables, depths), psi0, plan, grow=grow)

@@ -17,8 +17,8 @@ fitted by a polynomial once, by :meth:`PolynomialCoupling.fit`.
 The assembled operator is Hermitian and sparse: :class:`LatticeOperator`
 holds it as one CSR matrix of both triangles, whose ``nnz`` is its one entry
 count.  Its rows and columns follow the node order of :class:`LatticeBasis`,
-the one place that order is decided: by shell max_i k_i, so that the nodes
-within any radius of the origin come first.
+the one place that order is decided: by shell sum_i k_i, the l1 distance
+from the origin, so that the nodes within any distance come first.
 """
 
 from __future__ import annotations
@@ -187,10 +187,13 @@ class LatticeBasis:
     """Truncated basis |n, K> with K = (k_1..k_l), 0 <= k_i <= depths[i].
 
     Flat layout is node-major: ``flat = node * N + n``.  Nodes are ordered by
-    shell s = max_i k_i, row-major within a shell, so the box of radius r
-    (every node with s <= r) is a prefix of the layout.  The origin K = 0 is
-    node 0, and in 1-D node k is k_1.  Only the trace over the node index is
-    read from a lattice, and it does not depend on this order.
+    shell s = sum_i k_i, lexicographically within a shell, so the box of
+    radius r (every node with s <= r, the l1 ball a wavefront from the
+    origin fills) is a prefix of the layout.  A deeper lattice keeps this
+    one's nodes in place through shell min_i D_i over the axes it deepens;
+    past it, it adds nodes within shells.  The origin K = 0 is node 0, and
+    in 1-D node k is k_1.  Only the trace over the node index is read from a
+    lattice, and it does not depend on this order.
     """
 
     n_system: int
@@ -222,7 +225,7 @@ class LatticeBasis:
     @cached_property
     def _multi(self) -> np.ndarray:
         grid = np.indices(self.shape).reshape(self.l, -1).T     # row-major
-        multi = grid[np.argsort(grid.max(axis=1), kind="stable")]
+        multi = grid[np.argsort(grid.sum(axis=1), kind="stable")]
         multi.setflags(write=False)
         return multi
 
@@ -249,6 +252,10 @@ class LatticeBasis:
     def node_multi_indices(self) -> np.ndarray:
         """(node_count, l) array of multi-indices in node order (read-only)."""
         return self._multi
+
+    def node_shells(self) -> np.ndarray:
+        """Shell sum_i k_i of each node, in node order: never decreasing."""
+        return self._multi.sum(axis=1)
 
 
 class LatticeOperator:

@@ -16,18 +16,18 @@ Both averaging routes run through one driver, :func:`_average`: Monte
 Carlo passes it its draws, quadrature its Gauss nodes, each node's
 amplitudes scaled so that the plain mean is the weighted sum.  The driver
 runs each chunk of realizations as one task, from its disorder values to
-its fold, on up to one thread per available core; the calling thread
-merges their moments in chunk order, so both outputs are bitwise the same
-for any number of threads.  The population of a level that h0 and every
-coupling leave uncoupled (under pure dephasing, every level) is the same
-at every time: each chunk folds it once, from the initial amplitudes.  The
-chunk is asked only for the entries that move, one time tile at a time,
-and folds each tile while it is in cache, so no (T, N, B) array is held.
-An entry takes one of two routes: a coherence between two levels that no
-H(lambda) of the chunk couples (under pure dephasing, every coherence) is
-one phase per realization, written straight from its own factor tables;
-any other entry is a product of the amplitudes of one ``eigh`` of the
-whole chunk.
+its fold, on up to one thread per available core (a lone chunk on the
+calling thread); the calling thread merges their moments in chunk order,
+so both outputs are bitwise the same for any number of threads.  The
+population of a level that h0 and every coupling leave uncoupled (under
+pure dephasing, every level) is the same at every time: each chunk folds
+it once, from the initial amplitudes.  The chunk is asked only for the
+entries that move, one time tile at a time, and folds each tile while it
+is in cache, so no (T, N, B) array is held.  An entry takes one of two
+routes: a coherence between two levels that no H(lambda) of the chunk
+couples (under pure dephasing, every coherence) is one phase per
+realization, written straight from its own factor tables; any other entry
+is a product of the amplitudes of one ``eigh`` of the whole chunk.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -335,7 +335,8 @@ def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
     is one task on up to one pool thread per available core, from its
     disorder values to the fold of its last time tile.  The calling thread
     only submits the chunks and merges their moments in chunk order, so the
-    result is bitwise the same for any number of threads.  A chunk that
+    result is bitwise the same for any number of threads.  A lone chunk
+    runs on the calling thread, and no pool is started.  A chunk that
     raises cancels the chunks queued behind it.  Returns the times, the
     (T, N, N) mean and sum of squared deviations, and the [r, c] entries
     that every realization conserves.
@@ -354,21 +355,24 @@ def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
     still = _conserved(spec, rows, cols)
     count = 0
     starts = range(0, total, _CHUNK)
-    workers = min(_workers(), len(starts))
-    # futures of chunk moments: one per pool thread and one queued behind them
-    running = collections.deque()
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for s0 in starts:
-                if len(running) > workers:
+    if len(starts) == 1:        # a pool thread would only add its start-up
+        _merge(mean, m2, count, *_chunk(spec, c_fn, times, points, 0, total, rows, cols, still))
+    else:
+        workers = min(_workers(), len(starts))
+        # futures of chunk moments: one per pool thread and one queued behind them
+        running = collections.deque()
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                for s0 in starts:
+                    if len(running) > workers:
+                        count = _merge(mean, m2, count, *running.popleft().result())
+                    running.append(pool.submit(_chunk, spec, c_fn, times, points,
+                                               s0, min(s0 + _CHUNK, total), rows, cols, still))
+                while running:
                     count = _merge(mean, m2, count, *running.popleft().result())
-                running.append(pool.submit(_chunk, spec, c_fn, times, points,
-                                           s0, min(s0 + _CHUNK, total), rows, cols, still))
-            while running:
-                count = _merge(mean, m2, count, *running.popleft().result())
-        except BaseException:
-            pool.shutdown(cancel_futures=True)      # a failed chunk: queued ones never start
-            raise
+            except BaseException:
+                pool.shutdown(cancel_futures=True)      # a failed chunk: queued ones never start
+                raise
     conserved = [[int(r), int(c)] for r, c in zip(rows[still], cols[still])]
     return (times, _hermitian(mean, rows, cols, spec.n), _hermitian(m2, rows, cols, spec.n),
             conserved)

@@ -338,6 +338,7 @@ def _cut_gaussian_dimer():
 @pytest.mark.parametrize("spec, t_max", [
     (qubit_spec(DisorderDistribution.gaussian(1.0)), 6.0),
     (_cut_gaussian_dimer(), 20.0),
+    (_cut_gaussian_dimer(), 30.0),
 ])
 def test_growth_matches_the_pinned_final_lattice(spec, t_max):
     # one propagation on a growing lattice gives the rho of a propagation on
@@ -357,6 +358,8 @@ def _recording_builds(monkeypatch) -> list:
     build_fn = dynamics.build_general
 
     def build(spec, tables, depths):
+        # a growth that rebuilt the lattice it has would plan on it again, and again
+        assert tuple(depths) not in [d for d, _ in built], f"depths {depths} built twice"
         op = build_fn(spec, tables, depths)
         built.append((tuple(depths), op))
         return op
@@ -377,6 +380,47 @@ def test_grown_lattice_is_the_pinned_lattice(monkeypatch):
     grown, (pinned, _) = built[-1][1].csr, lattice_at(spec, builder, depths)
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(grown, field), getattr(pinned.csr, field))
+
+
+def test_growth_past_a_capped_axis_matches_the_pinned_lattice(monkeypatch):
+    # axis 0 stops at its cap of 96 while axis 1 grows on: boxes of radius
+    # past 96 meet the capped boundary, which no growth moves, and the
+    # trigger waits for the growing axis.  No lattice is built twice.
+    spec = _cut_gaussian_dimer()
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    builder = lambda b, _: localized_initial(c, b)
+    plan = PropagationPlan.linspace(20.0, 41)
+    built = _recording_builds(monkeypatch)
+    depths, grown = auto_depth(spec, builder, plan, cap=(96, 4096))
+    assert depths == (96, 256) and grown.growth == ((16, 16), (96, 128), (96, 256))
+    assert [d for d, _ in built] == list(grown.growth)
+    assert grown.box[0] == 96 and 0 < grown.max_leakage <= plan.leakage_threshold
+    _, pinned = propagate(*lattice_at(spec, builder, depths), plan)
+    assert np.abs(grown.rho - pinned.rho).max() <= 1e-13
+
+
+def test_growth_carries_the_state_node_by_node():
+    # an (8, 8) lattice shares with a deeper one only the shells up to 8; a
+    # state spread out to shell 12 (as an expanded start can be:
+    # exp(0.3 i lam_1 lam_2) reaches shell 34 on auto_depth's (32, 32) start)
+    # moves to the deeper lattice by multi-index, not by position
+    spec = _cut_gaussian_dimer()
+    origin = lambda b, _: localized_initial(np.ones(2) / np.sqrt(2), b)
+    (small, psi_small), (big, psi_big) = (lattice_at(spec, origin, d) for d in [(8, 8), (40, 40)])
+    multi = psi_small.basis.node_multi_indices()
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(multi.shape[0], 2)) + 1j * rng.normal(size=(multi.shape[0], 2))
+    amps[(multi.sum(axis=1) > 12) | (multi.max(axis=1) > 6)] = 0.0
+    amps /= np.linalg.norm(amps)
+    moved = np.zeros((psi_big.basis.node_count, 2), complex)
+    moved[psi_big.basis.node_index(multi)] = amps
+    plan = PropagationPlan.linspace(1.0, 11)
+    bigger = [(big, psi_big.basis)]
+    _, grown = propagate(small, LatticeState(psi_small.basis, amps.ravel()), plan,
+                         grow=lambda radius: bigger.pop() if bigger else None)
+    _, pinned = propagate(big, LatticeState(psi_big.basis, moved.ravel()), plan)
+    assert grown.growth == ((8, 8), (40, 40))
+    assert np.abs(grown.rho - pinned.rho).max() <= 1e-13
 
 
 def test_start_search_builds_no_operator_for_a_rejected_depth(monkeypatch):

@@ -15,6 +15,7 @@ from enslat import (
     DisorderDistribution,
     EnsembleSpec,
     LatticeBasis,
+    LatticeOperator,
     PolynomialCoupling,
     TableTooShort,
     boundary_shell,
@@ -28,6 +29,7 @@ from enslat import (
     save_triplets,
     table_orders,
 )
+from enslat.dynamics import _Boxes
 from conftest import dimer_spec, qubit_spec
 
 
@@ -67,19 +69,31 @@ def test_origin_is_node_zero():
 def test_basis_layout_by_shell(depths, n, extra):
     basis = LatticeBasis(n, depths)
     multi = basis.node_multi_indices()
-    # shells never decrease along the nodes, so every box is a prefix
-    assert np.all(np.diff(multi.max(axis=1)) >= 0)
-    # so is the whole lattice, in one grown from it: the axes shorter than its
-    # radius stay at their caps, the others grow by as much as their caps allow
-    radius = max(depths)
-    grown = LatticeBasis(n, [d if d < radius else d + e for d, e in zip(depths, extra)])
-    assert np.array_equal(grown.node_multi_indices()[:basis.node_count], multi)
+    shells = multi.sum(axis=1)
+    # shells sum_i k_i never decrease along the nodes, so every box is a
+    # prefix, and box r holds the N * #{K : sum_i k_i <= r} entries of its ball
+    assert np.all(np.diff(shells) >= 0)
+    grid = list(itertools.product(*map(range, basis.shape)))
+    if min(depths) >= 1:
+        boxes = _Boxes(LatticeOperator(basis.size, lambda: [(np.arange(basis.size),) * 2
+                                                            + (np.ones(basis.size),)]), basis)
+        for r in range(sum(depths) + 2):
+            assert boxes.rows(r) == n * sum(sum(k) <= r for k in grid)
+    # a grown lattice keeps the nodes through shell min_i D_i over the axes
+    # that grow, and no further: shell m + 1 gains (m + 1) e_i on such an axis
+    grown = LatticeBasis(n, [d + e for d, e in zip(depths, extra)])
+    m = min((d for d, e in zip(depths, extra) if e), default=sum(depths))
+    kept = np.count_nonzero(shells <= m)
+    assert np.array_equal(grown.node_multi_indices()[:kept], multi[:kept])
+    if grown.depths != basis.depths:
+        assert (np.count_nonzero(grown.node_multi_indices().sum(axis=1) == m + 1)
+                > np.count_nonzero(shells == m + 1))
     # the origin is node 0; in 1-D node k is k_1
     assert basis.node_index((0,) * basis.l) == 0
     if basis.l == 1:
         assert np.array_equal(multi[:, 0], np.arange(depths[0] + 1))
     # every multi-index of the box once, and flat_index / unflatten invert each other
-    assert sorted(map(tuple, multi)) == list(itertools.product(*map(range, basis.shape)))
+    assert sorted(map(tuple, multi)) == grid
     assert np.array_equal(basis.node_index(multi), np.arange(basis.node_count))
     for flat in range(basis.size):
         a, k = basis.unflatten(flat)
@@ -436,7 +450,7 @@ def test_boundary_shell_validation():
 
 
 def test_operator_rejects_imaginary_diagonal():
-    from enslat import LatticeOperator, NotHermitian
+    from enslat import NotHermitian
     with pytest.raises(NotHermitian):
         LatticeOperator(2, lambda: [(np.array([0]), np.array([0]), np.array([1.0 + 1e-10j]))])
     with pytest.raises(ValueError):
@@ -444,14 +458,14 @@ def test_operator_rejects_imaginary_diagonal():
 
 
 def test_triplet_dump_is_byte_stable(tmp_path):
-    # the upper triangle in (row, col) order: this digest is that of the dump
-    # written when the operator was still stored as upper-triangle triplets
+    # the upper triangle in (row, col) order, nodes by shell sum_i k_i: the
+    # dump of the max_i k_i layout, every index relabelled by its multi-index
     spec = dimer_spec(1.5, 0.9, 0.3, 0.8)
     op = build_general(spec, [recurrence_analytic(spec.distributions[0], 5)] * 2, (3, 4))
     path = tmp_path / "op.txt"
     save_triplets(op, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "40ea1ca7a0431b5c155568b314a670a84e71c74348323ec4f615c8f9ab744fe0")
+        "dd58b9c460ef6b890ae834e4d47e444598426032b4da68b4e6a0af1c190d5c17")
 
 
 def test_assembly_memory_is_a_few_operators():

@@ -3,6 +3,7 @@
 import pathlib
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -225,6 +226,38 @@ def test_mc_calling_thread_only_merges(monkeypatch):
             for name, threads in seen.items():
                 assert len(threads) == (-(-total // oracle._CHUNK) if name in names else 0)
                 assert threading.current_thread() not in threads and len(set(threads)) <= w
+
+
+def test_single_chunk_runs_on_the_calling_thread(monkeypatch):
+    # one chunk of samples or of nodes opens no pool, and its average is
+    # bitwise the one it gives when the chunk runs on a pool thread
+    (spec, c), times = _three_level_ensemble(), np.linspace(0.0, 4.0, 41)
+    cfg = OracleConfig(samples=1900, seed=6, quad_order=[38, 50])
+    task, threads = oracle._chunk, []
+
+    def on_a_pool_thread(*args):
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(task, *args).result()
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return task(*args)
+
+    def no_pool(*args):
+        raise AssertionError("a pool for one chunk")
+
+    for average in (mc_average, quad_average):
+        monkeypatch.setattr(oracle, "_chunk", on_a_pool_thread)
+        pooled = average(spec, c, times, cfg)
+        monkeypatch.setattr(oracle, "_chunk", spy)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "ThreadPoolExecutor", no_pool)
+            threads.clear()
+            here = average(spec, c, times, cfg)
+        assert threads == [threading.current_thread()]
+        assert np.array_equal(here.rho, pooled.rho)
+        if average is mc_average:
+            assert (here.errors > 0).any() and np.array_equal(here.errors, pooled.errors)
 
 
 @pytest.mark.parametrize("where", ["initial state", "tile loop"])
