@@ -42,9 +42,6 @@ from .lattice import (
     PolynomialCoupling,
     boundary_shell,
     build_general,
-    build_linear,
-    load_triplets,
-    save_triplets,
     table_orders,
 )
 from .states import (

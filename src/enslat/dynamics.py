@@ -51,8 +51,7 @@ from scipy.linalg.blas import zaxpy, zgemm
 
 from .errors import LeakageExceeded, NormDefectExceeded, NumericalBreakdown
 from .lattice import LatticeBasis, LatticeOperator, boundary_shell, build_general, table_orders
-# same function as build_general, unused here: perfbench/tracing.py rebinds it in this module
-from .lattice import build_linear  # noqa: F401
+from .lattice import build_linear  # noqa: F401  unused; perfbench/tracing.py rebinds it here
 from .measures import recurrence_table
 from .reduction import partial_trace
 from .states import LatticeState
@@ -117,14 +116,13 @@ class LeakageReport:
     ran on, the l1 ball sum_i k_i <= r, ``box_growths`` how often it grew,
     ``redos`` how many windows were run again on a larger box, and
     ``active_fraction`` the products' share of the work a whole-lattice run
-    would do, sum(box size * products) / (operator dim * products).  ``initial_norm_defect`` is the Parseval norm defect of
-    an expanded start (see :func:`~enslat.states.expanded_initial`), None
-    for a localized one.
+    would do, sum(box size * products) / (operator dim * products).
+    ``initial_norm_defect`` is the Parseval norm defect of an expanded start
+    (see :func:`~enslat.states.expanded_initial`), None for a localized one.
     """
 
     times: np.ndarray
     leakage: np.ndarray
-    threshold: float
     centre: float = 0.0
     half_width: float = 0.0
     windows: int = 0
@@ -409,10 +407,9 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
     def report(n: int) -> LeakageReport:
         dim = boxes.basis.size
         active = work / (dim * stats["matvecs"]) if stats["matvecs"] else 1.0
-        return LeakageReport(times[:n].copy(), leak[:n].copy(), plan.leakage_threshold,
-                             boxes.centre, boxes.half, **stats, rho=rho[:n].copy(), op_dim=dim,
-                             op_nnz=boxes.nnz, growth=tuple(growth),
-                             box=tuple(min(r, d) for d in boxes.basis.depths),
+        return LeakageReport(times[:n].copy(), leak[:n].copy(), boxes.centre, boxes.half,
+                             **stats, rho=rho[:n].copy(), op_dim=dim, op_nnz=boxes.nnz,
+                             growth=tuple(growth), box=tuple(min(r, d) for d in boxes.basis.depths),
                              active_fraction=active,
                              initial_norm_defect=psi0.info.get("norm_defect"))
 

@@ -37,12 +37,9 @@ __all__ = [
     "EnsembleSpec",
     "LatticeBasis",
     "LatticeOperator",
-    "build_linear",
     "build_general",
     "table_orders",
     "boundary_shell",
-    "save_triplets",
-    "load_triplets",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -242,13 +239,6 @@ class LatticeBasis:
         node = self._node_of[np.ravel_multi_index(tuple(np.moveaxis(k, -1, 0)), self.shape)]
         return int(node) if k.ndim == 1 else node
 
-    def flat_index(self, n: int, multi):
-        return self.node_index(multi) * self.n_system + int(n)
-
-    def unflatten(self, flat: int) -> tuple[int, tuple]:
-        node, n = divmod(int(flat), self.n_system)
-        return n, tuple(int(k) for k in self._multi[node])
-
     def node_multi_indices(self) -> np.ndarray:
         """(node_count, l) array of multi-indices in node order (read-only)."""
         return self._multi
@@ -289,9 +279,6 @@ class LatticeOperator:
         """Stored entries of the CSR matrix, both triangles."""
         return self.csr.nnz
 
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
 
 def _row_counts(dim: int, rows, cols, vals) -> np.ndarray:
     """Check a block of upper-triangle entries and count its nonzeros per row."""
@@ -310,7 +297,7 @@ def _place(rows, cols, vals, free, indices, data):
     """Put the nonzero entries of a block, and below the diagonal their
     conjugates, in the next free places of their rows, in entry order."""
     keep = vals != 0
-    # + 0.0 turns negative zeros positive, so a dump prints "0" for them
+    # + 0.0 turns negative zeros positive, so the CSR's bytes do not depend on signed zeros
     rows, cols, vals = rows[keep], cols[keep], vals[keep] + 0.0
     off = rows != cols
     for r, c, v in ((rows, cols, vals), (cols[off], rows[off], vals[off].conj())):
@@ -425,43 +412,17 @@ def build_general(spec: EnsembleSpec, tables, depths) -> LatticeOperator:
     return LatticeOperator(basis.size, blocks)
 
 
-build_linear = build_general      # former name of the linear-coupling assembler
+build_linear = build_general   # not exported: cli and dynamics import it for the tracer to rebind
 
 
 def boundary_shell(basis: LatticeBasis, width: int = 1) -> np.ndarray:
     """Flat indices of all states whose multi-index has any k_i > D_i - width.
 
     The population on this shell is the truncation-leakage monitor used by the
-    propagator.
+    propagator.  On an axis of depth 0 every node lies on the boundary.
     """
-    if width < 1 or width > min(basis.depths):
-        raise ValueError(f"width must be in [1, {min(basis.depths)}]")
-    multi = basis.node_multi_indices()
-    shell = np.zeros(basis.node_count, dtype=bool)
-    for i, d in enumerate(basis.depths):
-        shell |= multi[:, i] > d - width
-    nodes = np.where(shell)[0]
-    return (nodes[:, None] * basis.n_system + np.arange(basis.n_system)[None, :]).ravel()
-
-
-def save_triplets(op: LatticeOperator, path) -> None:
-    """Dump the upper triangle as text: header ``dim entries``, then
-    ``row col re im`` per line, in (row, col) order."""
-    upper = sp.triu(op.csr, format="coo")
-    with open(path, "w") as fh:
-        fh.write(f"{op.dim} {upper.nnz}\n")
-        for r, c, v in zip(upper.row, upper.col, upper.data):
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def load_triplets(path) -> LatticeOperator:
-    """Inverse of :func:`save_triplets`."""
-    with open(path) as fh:
-        dim, nnz = (int(tok) for tok in fh.readline().split())
-        rows = np.empty(nnz, np.int64)
-        cols = np.empty(nnz, np.int64)
-        vals = np.empty(nnz, complex)
-        for i in range(nnz):
-            r, c, re, im = fh.readline().split()
-            rows[i], cols[i], vals[i] = int(r), int(c), complex(float(re), float(im))
-    return LatticeOperator(dim, lambda: [(rows, cols, vals)])
+    if not 1 <= width <= max(1, min(basis.depths)):
+        raise ValueError(f"width must be in [1, {max(1, min(basis.depths))}]")
+    inner = np.subtract(basis.depths, width)      # the largest k_i off the boundary, per axis
+    nodes = np.flatnonzero(np.any(basis.node_multi_indices() > inner, axis=1))
+    return (nodes[:, None] * basis.n_system + np.arange(basis.n_system)).ravel()

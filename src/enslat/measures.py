@@ -26,12 +26,12 @@ expansions share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j1, ndtr, ndtri
+from scipy.special import erfcx, j1, ndtr, ndtri
 
 from .errors import (
     EmptySupport,
@@ -78,11 +78,11 @@ class DisorderDistribution:
     cutoff : tuple(float, float) or None
         Hard support window; the density is renormalized to unit mass on it.
         The constructor intersects it with the native support and raises
-        :class:`EmptySupport` when the result is empty or carries no mass.  A
-        tabulated density is re-tabulated on the window instead, so its
-        cutoff reads None and its grid spans the window.  A cut curbs the
-        growth of the lattice couplings: sqrt(beta_k) saturates at a quarter
-        of the window width.
+        :class:`EmptySupport` when the result is empty or its mass is below
+        the smallest normal float.  A tabulated density is re-tabulated on
+        the window instead, so its cutoff reads None and its grid spans the
+        window.  A cut curbs the growth of the lattice couplings: sqrt(beta_k)
+        saturates at a quarter of the window width.
     """
 
     family: str
@@ -114,7 +114,7 @@ class DisorderDistribution:
             raise ValueError(f"{self.family} width must be positive")
         elif self.cutoff is not None:
             object.__setattr__(self, "cutoff", self._window(*self.native_support()))
-            if self.window_mass() <= 0:
+            if not self.window_mass() >= np.finfo(float).tiny:     # a gaussian's past 37.5 sigma
                 raise EmptySupport(f"cutoff window {self.cutoff} carries zero mass")
 
     def _window(self, nlo: float, nhi: float) -> tuple[float, float]:
@@ -212,10 +212,18 @@ class DisorderDistribution:
         return cum[idx] + dx * (p0 + 0.5 * dx * (dens[idx + 1] - p0) / (lam[idx + 1] - lam[idx]))
 
     def window_mass(self) -> float:
-        """Native probability mass inside the cutoff window (1 if uncut)."""
+        """Native probability mass inside the cutoff window (1 if uncut).
+
+        A window above 0 takes its mirror's mass, F(-lo) - F(-hi): every named
+        family is symmetric about 0, and below 0 F is small, so the difference
+        does not cancel as it does near F = 1.  A gaussian window on one side
+        of 0 takes it from the tail, Q(a) - Q(b) (:func:`_gaussian_tail`).
+        """
         if self.cutoff is None:
             return 1.0
-        lo, hi = self.cutoff
+        lo, hi = self.cutoff if self.cutoff[0] <= 0 else (-self.cutoff[1], -self.cutoff[0])
+        if self.family == "gaussian" and hi <= 0:
+            return float(_gaussian_tail(-hi / self.width) - _gaussian_tail(-lo / self.width))
         return float(self._cdf_native(hi) - self._cdf_native(lo))
 
     def pdf(self, x):
@@ -246,6 +254,16 @@ class DisorderDistribution:
         return f"DisorderDistribution[{core}]"
 
 
+def _gaussian_tail(x: float) -> float:
+    """Q(x) = P(X > x) of the unit gaussian for x >= 0, to a few ulp out to 37.5:
+    erfcx(x/sqrt 2) exp(-x**2/2) / 2, with x**2 split exactly (Dekker).  ndtr(-x)
+    magnifies the rounding of x/sqrt 2 by x**2, to 5.7e-14 relative at x = 30."""
+    x = min(x, 40.0)                    # Q(40) underflows; an infinite x would not split
+    head = 134217729.0 * x - (134217729.0 * x - x)          # the upper 26 bits of x
+    err = ((head * head - x * x) + 2.0 * head * (x - head)) + (x - head) ** 2  # x*x's rounding
+    return 0.5 * erfcx(x * np.sqrt(0.5)) * np.exp(-0.5 * (x * x)) * (1.0 - 0.5 * err)
+
+
 @dataclass(frozen=True, eq=False)
 class RecurrenceTable:
     """Monic three-term recurrence coefficients of one measure, to order K.
@@ -269,11 +287,6 @@ class RecurrenceTable:
             raise NumericalBreakdown("all beta_k must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def hops(self) -> np.ndarray:
-        """Lattice hopping amplitudes sqrt(beta_1)..sqrt(beta_K)."""
-        return np.sqrt(self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +504,13 @@ def quantile(dist: DisorderDistribution, u):
     psi = pi - |phi|, from the cube root of psi^3 / 6 = 2 pi min(u, 1 - u),
     which holds near the ends.  The start lies below the root and the
     equation is convex in psi below pi, so the steps settle fast: the
-    fourth reaches rounding.
+    fourth reaches rounding.  A window above 0 draws as minus its mirror
+    below 0 at 1 - u: near F = 1 the window's CDF values would cancel, and
+    its draws collapse onto a few values, some infinite.
     """
+    if dist.cutoff is not None and dist.cutoff[0] > 0:
+        mirror = replace(dist, cutoff=(-dist.cutoff[1], -dist.cutoff[0]))
+        return -quantile(mirror, 1.0 - np.asarray(u, dtype=float))
     u = np.clip(np.asarray(u, dtype=float), 1e-16, 1.0 - 1e-16)
     w = dist.width
     if dist.cutoff is not None:

@@ -60,10 +60,6 @@ class LatticeState:
                 f"amplitudes have shape {amps.shape}, basis size is {self.basis.size}")
         self.amplitudes = amps
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def node_amplitudes(self) -> np.ndarray:
         """Amplitudes reshaped to (node_count, N)."""
         return self.amplitudes.reshape(self.basis.node_count, self.basis.n_system)

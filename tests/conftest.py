@@ -35,6 +35,11 @@ def dimer_spec(e1, e2, v, sigma, cutoff_sigmas=None) -> EnsembleSpec:
                         (dist, dist))
 
 
+def flat_index(basis: LatticeBasis, n: int, multi) -> int:
+    """Flat index of level n on the node of a multi-index: node-major."""
+    return basis.node_index(multi) * basis.n_system + n
+
+
 def as_operator(h) -> LatticeOperator:
     """The LatticeOperator of a Hermitian sparse matrix, built from its upper triangle."""
     up = sp.triu(h, format="coo")
@@ -57,7 +62,7 @@ def propagate_dense(h: np.ndarray, psi0: LatticeState, times) -> list[LatticeSta
     """Reference path: exact evolution by dense eigendecomposition.
 
     Cross-check for the Chebyshev propagator.  ``h`` is the dense Hermitian
-    matrix it diagonalizes, such as ``op.to_dense()`` of a
+    matrix it diagonalizes, such as ``op.csr.toarray()`` of a
     :class:`LatticeOperator`; dimensions above 2000 are refused.
     """
     basis = psi0.basis

@@ -22,7 +22,7 @@ from enslat import (
     PropagationPlan,
     analytic_qubit,
     auto_depth,
-    build_linear,
+    build_general,
     chain_to_ensemble,
     characteristic_function,
     expanded_initial,
@@ -48,7 +48,7 @@ def _report(tag: str, ok: bool, detail: str):
 def _chain_qubit(dist, times, depths, tol=1e-12):
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
     table = recurrence_table(dist, depths[0] + 1)
-    op = build_linear(spec, [table], depths)
+    op = build_general(spec, [table], depths)
     basis = LatticeBasis(2, depths)
     psi0 = localized_initial(C_HALF, basis)
     plan = PropagationPlan(times, tol=tol)
@@ -143,7 +143,7 @@ def test_criterion_3_dimer_populations():
                              PolynomialCoupling.linear(np.diag([0.0, 1.0]))), (dist, dist))
     d = 384
     table = recurrence_table(dist, d + 1)
-    op = build_linear(spec, [table, table], (d, d))
+    op = build_general(spec, [table, table], (d, d))
     basis = LatticeBasis(2, (d, d))
     psi0 = localized_initial(np.array([1.0, 0.0]), basis)
     times = np.linspace(0.0, t_2ps, 161)
@@ -195,7 +195,7 @@ def test_criterion_4_conservation():
     for spec, c, dist in cases:
         d = 128
         table = recurrence_table(dist, d + 1)
-        op = build_linear(spec, [table], (d,))
+        op = build_general(spec, [table], (d,))
         basis = LatticeBasis(spec.n, (d,))
         times = np.linspace(0.0, 6.0, 61)
         states, _ = propagate(op, localized_initial(c, basis), PropagationPlan(times),
@@ -272,7 +272,7 @@ def test_criterion_6_reverse_map():
     spec = chain_to_ensemble(g, np.zeros((1, 1)), 0)
     d = 4 * int(g * t_max)              # depth >= 4 g t_max
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(1, (d,))
     times = np.linspace(0.0, t_max, 201)
     states, _ = propagate(op, localized_initial(np.array([1.0]), basis),
@@ -285,7 +285,7 @@ def test_criterion_6_reverse_map():
     qspec = chain_to_ensemble(0.5, cell, 1)
     dq = 64
     tq = recurrence_analytic(qspec.distributions[0], dq + 1)
-    opq = build_linear(qspec, [tq], [dq])
+    opq = build_general(qspec, [tq], [dq])
     basq = LatticeBasis(2, (dq,))
     tgrid = np.linspace(0.0, 8.0, 81)
     sts, _ = propagate(opq, localized_initial(C_HALF, basq), PropagationPlan(tgrid),
@@ -332,7 +332,7 @@ def test_criterion_7_propagator_properties():
     plan = PropagationPlan.linspace(t_max, 11, tol=tol, leakage_threshold=np.inf)
     states, _ = propagate(h, psi0, plan, keep_states=True)
 
-    norm_err = max(abs(s.norm - 1.0) for s in states)
+    norm_err = max(abs(np.linalg.norm(s.amplitudes) - 1.0) for s in states)
     energies = [np.vdot(s.amplitudes, h.csr @ s.amplitudes).real for s in states]
     energy_err = (max(energies) - min(energies)) / max(abs(energies[0]), 1.0)
     # backward: forward under the negated operator, exp(-i(-H)t) = exp(+iHt)
@@ -383,7 +383,7 @@ def test_criterion_8_disorder_dependent_initial_state():
                           np.abs(d1[:21] - want1[:21]).max()))
 
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
-    op = build_linear(spec, [table], (d,))
+    op = build_general(spec, [table], (d,))
     times = np.linspace(0.0, 6.0, 61)
     states, _ = propagate(op, psi0, PropagationPlan(times), keep_states=True)
     chain = trajectory_from_states(times, states)

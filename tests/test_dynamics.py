@@ -21,7 +21,7 @@ from enslat import (
     PropagationPlan,
     auto_depth,
     boundary_shell,
-    build_linear,
+    build_general,
     characteristic_function,
     expanded_initial,
     localized_initial,
@@ -30,7 +30,8 @@ from enslat import (
     recurrence_analytic,
     trajectory_from_states,
 )
-from conftest import as_operator, lattice_at, propagate_dense, qubit_spec
+from conftest import (as_operator, dimer_spec, flat_index, lattice_at, propagate_dense,
+                      qubit_spec)
 
 
 def random_hermitian_lattice(rng, n_nodes=200, n=2, extra=300):
@@ -71,7 +72,7 @@ def test_diagonal_evolution_is_pure_phase():
     zero = EnsembleSpec(spec.h0, (PolynomialCoupling.linear(np.zeros((2, 2))),),
                         spec.distributions)
     table = recurrence_analytic(zero.distributions[0], 9)
-    op = build_linear(zero, [table], [8])
+    op = build_general(zero, [table], [8])
     basis = LatticeBasis(2, (8,))
     psi0 = localized_initial(np.array([0.6, 0.8]), basis)
     plan = PropagationPlan(np.array([0.0, 0.7, 1.9]))
@@ -92,12 +93,12 @@ def test_qubit_chain_overlap_is_characteristic_function(family, width):
     spec = qubit_spec(dist, e0=0.0, e1=1.0)
     d = 160
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([0.0, 1.0]), basis)
     plan = PropagationPlan.linspace(6.0, 31)
     states, _ = propagate(op, psi0, plan, keep_states=True)
-    overlap = np.array([s.amplitudes[basis.flat_index(1, (0,))] for s in states])
+    overlap = np.array([s.amplitudes[flat_index(basis, 1, (0,))] for s in states])
     phi = characteristic_function(dist, plan.times)
     assert np.abs(overlap - np.conj(phi) * np.exp(-1j * plan.times)).max() < 1e-11
 
@@ -124,7 +125,7 @@ def test_unitarity(rng):
     plan = PropagationPlan.linspace(t_max, 11, leakage_threshold=np.inf)
     states, _ = propagate(as_operator(h), psi0, plan, keep_states=True)
     for s in states:
-        assert abs(s.norm - 1.0) <= 10 * plan.tol * max(t_max, 1.0)
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 10 * plan.tol * max(t_max, 1.0)
 
 
 def _last(op, amps, basis, t):
@@ -177,12 +178,12 @@ def test_leakage_report_clean_run():
     spec = qubit_spec(dist)
     d = 40
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 13)
     _, report = propagate(op, psi0, plan)
-    assert report.max_leakage <= report.threshold
+    assert report.max_leakage <= plan.leakage_threshold
     assert report.leakage[0] == 0.0
     assert report.max_leakage < 1e-12     # ballistic front stays well inside
 
@@ -192,7 +193,7 @@ def test_leakage_exceeded_carries_partial_trajectory():
     spec = qubit_spec(dist)
     d = 4                                  # front reaches the boundary fast
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([0.0, 1.0]), basis)
     plan = PropagationPlan.linspace(20.0, 41)
@@ -204,6 +205,23 @@ def test_leakage_exceeded_carries_partial_trajectory():
     assert err.report.leakage[-1] == err.leakage
 
 
+def test_depth_zero_axis_lies_on_the_boundary():
+    # an axis of depth 0 puts every node on the boundary shell: the lattice
+    # propagates as the dense reference does, and the monitor trips at t = 0
+    spec = dimer_spec(1.0, 0.0, 0.3, 0.5)
+    op, psi0 = lattice_at(spec, lambda b, _: localized_initial(np.array([1.0, 0.0]), b), (0, 6))
+    assert boundary_shell(psi0.basis).size == psi0.basis.size
+    times = np.linspace(0.0, 3.0, 7)
+    states, report = propagate(op, psi0, PropagationPlan(times, leakage_threshold=np.inf),
+                               keep_states=True)
+    for got, want in zip(states, propagate_dense(op.csr.toarray(), psi0, times)):
+        assert np.abs(got.amplitudes - want.amplitudes).max() < 1e-13
+    assert np.abs(report.leakage - 1.0).max() < 1e-12      # the whole norm
+    with pytest.raises(LeakageExceeded) as exc:
+        propagate(op, psi0, PropagationPlan(times))
+    assert exc.value.time == 0.0
+
+
 # ---------------------------------------------------------------------------
 # streaming: each output is traced as it is made
 # ---------------------------------------------------------------------------
@@ -211,7 +229,7 @@ def test_leakage_exceeded_carries_partial_trajectory():
 def test_streamed_trace_equals_traced_states():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     d = 160
-    op = build_linear(spec, [recurrence_analytic(spec.distributions[0], d + 1)], [d])
+    op = build_general(spec, [recurrence_analytic(spec.distributions[0], d + 1)], [d])
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
     plan = PropagationPlan.linspace(6.0, 41)
     streamed, report = propagate(op, psi0, plan)
@@ -250,7 +268,7 @@ def _peak_traced_bytes(fn):
 def test_streaming_memory_does_not_grow_with_outputs():
     dist = DisorderDistribution.semicircle(1.0)
     d = 9_999                                       # dim 20,000; the front stays far inside
-    h = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
+    h = build_general(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
     vec = psi0.amplitudes.nbytes
     _, half = dynamics._spectral_bounds(h.csr)
@@ -294,7 +312,7 @@ def test_auto_depth_gaussian_qubit_converges():
     assert report.max_leakage == 0.0
     # the final lattice carries the horizon without tripping the monitor
     _, pinned = propagate(*lattice_at(spec, builder, depths), plan)
-    assert pinned.max_leakage <= pinned.threshold
+    assert pinned.max_leakage <= plan.leakage_threshold
 
 
 def test_auto_depth_hands_its_tables_to_the_builder(monkeypatch):
@@ -631,12 +649,12 @@ def test_leakage_exceeded_inside_a_window():
     dist = DisorderDistribution.semicircle(1.0)
     spec = qubit_spec(dist)
     d = 4
-    op = build_linear(spec, [recurrence_analytic(dist, d + 1)], [d])
+    op = build_general(spec, [recurrence_analytic(dist, d + 1)], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([0.0, 1.0]), basis)
     plan = PropagationPlan.linspace(6.0, 25, leakage_threshold=1e-3)
     shell = boundary_shell(basis, 1)
-    dense = propagate_dense(op.to_dense(), psi0, plan.times)
+    dense = propagate_dense(op.csr.toarray(), psi0, plan.times)
     leak = np.array([np.sum(np.abs(s.amplitudes[shell]) ** 2) for s in dense])
     first = int(np.argmax(leak > plan.leakage_threshold))
     assert 1 < first < plan.times.size - 1
@@ -667,7 +685,7 @@ class _ShapeAndMatmul:
 def test_propagator_needs_only_shape_and_matmul(monkeypatch):
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    op = build_linear(spec, [recurrence_analytic(spec.distributions[0], 33)], [32])
+    op = build_general(spec, [recurrence_analytic(spec.distributions[0], 33)], [32])
     psi0 = localized_initial(c, LatticeBasis(2, (32,)))
     plan = PropagationPlan.linspace(2.0, 9)
 
@@ -752,7 +770,7 @@ def test_box_windows_match_dense(lattice, steps):
     states, report = propagate(op, psi0, PropagationPlan(times, leakage_threshold=np.inf),
                                keep_states=True)
     # the centre is an exact global phase; removing it keeps the dense eigenvalues accurate
-    dense = propagate_dense(op.to_dense() - centre * np.eye(op.dim), psi0, times)
+    dense = propagate_dense(op.csr.toarray() - centre * np.eye(op.dim), psi0, times)
     for t, got, want in zip(times, states, dense):
         assert np.abs(got.amplitudes - np.exp(-1j * centre * t) * want.amplitudes).max() <= 1e-12
     assert report.active_fraction < 1          # the box started smaller than the lattice
@@ -765,14 +783,14 @@ def test_box_redone_when_front_outruns_it():
     # the box's edge and the window is run again on wider boxes
     dist = DisorderDistribution.semicircle(1.0)
     d = 150
-    op = build_linear(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
+    op = build_general(qubit_spec(dist), [recurrence_analytic(dist, d + 1)], [d])
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), LatticeBasis(2, (d,)))
     _, half = dynamics._spectral_bounds(op.csr)
     times = np.array([0.0, 40.0, 40.001, 80.0]) / half      # one output per window
     states, report = propagate(op, psi0, PropagationPlan(times), keep_states=True)
     assert report.windows == 3 and report.redos > 0
     assert report.box[0] < d
-    for got, want in zip(states, propagate_dense(op.to_dense(), psi0, times)):
+    for got, want in zip(states, propagate_dense(op.csr.toarray(), psi0, times)):
         assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 

@@ -20,17 +20,14 @@ from enslat import (
     TableTooShort,
     boundary_shell,
     build_general,
-    build_linear,
     gauss_rule,
-    load_triplets,
     orthonormal_values,
     recurrence_analytic,
     recurrence_table,
-    save_triplets,
     table_orders,
 )
 from enslat.dynamics import _Boxes
-from conftest import dimer_spec, qubit_spec
+from conftest import dimer_spec, flat_index, qubit_spec
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +40,9 @@ def test_basis_flat_index_roundtrip_exhaustive():
     for n in range(3):
         for k1 in range(3):
             for k2 in range(4):
-                flat = basis.flat_index(n, (k1, k2))
-                assert basis.unflatten(flat) == (n, (k1, k2))
+                flat = flat_index(basis, n, (k1, k2))
+                node, level = divmod(flat, 3)
+                assert (level, tuple(basis.node_multi_indices()[node])) == (n, (k1, k2))
                 seen.add(flat)
     assert seen == set(range(basis.size))
 
@@ -53,14 +51,14 @@ def test_basis_roundtrip_random(rng):
     basis = LatticeBasis(4, (7, 5, 3))
     for _ in range(200):
         flat = int(rng.integers(basis.size))
-        n, multi = basis.unflatten(flat)
-        assert basis.flat_index(n, multi) == flat
+        node, n = divmod(flat, 4)
+        assert flat_index(basis, n, basis.node_multi_indices()[node]) == flat
 
 
 def test_origin_is_node_zero():
     basis = LatticeBasis(2, (4, 4))
-    assert basis.flat_index(0, (0, 0)) == 0
-    assert basis.flat_index(1, (0, 0)) == 1
+    assert flat_index(basis, 0, (0, 0)) == 0
+    assert flat_index(basis, 1, (0, 0)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,15 +90,15 @@ def test_basis_layout_by_shell(depths, n, extra):
     assert basis.node_index((0,) * basis.l) == 0
     if basis.l == 1:
         assert np.array_equal(multi[:, 0], np.arange(depths[0] + 1))
-    # every multi-index of the box once, and flat_index / unflatten invert each other
+    # every multi-index of the box once, and node_index inverts the layout
     assert sorted(map(tuple, multi)) == grid
     assert np.array_equal(basis.node_index(multi), np.arange(basis.node_count))
     for flat in range(basis.size):
-        a, k = basis.unflatten(flat)
-        assert basis.flat_index(a, k) == flat
+        node, a = divmod(flat, n)
+        assert flat_index(basis, a, multi[node]) == flat
     # the boundary shell is exactly the nodes with some k_i = D_i
     if min(depths) >= 1:
-        want = [basis.flat_index(a, k) for k in map(tuple, multi) for a in range(n)
+        want = [flat_index(basis, a, k) for k in map(tuple, multi) for a in range(n)
                 if any(ki == d for ki, d in zip(k, depths))]
         assert sorted(boundary_shell(basis)) == sorted(want)
 
@@ -115,16 +113,16 @@ def test_qubit_chain_structure():
     spec = qubit_spec(DisorderDistribution.gaussian(sigma), e0=0.25, e1=1.0)
     d = 6
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    op = build_linear(spec, [table], [d])
-    h = op.to_dense()
+    op = build_general(spec, [table], [d])
+    h = op.csr.toarray()
     basis = LatticeBasis(2, (d,))
     for k in range(d + 1):
-        assert h[basis.flat_index(0, (k,)), basis.flat_index(0, (k,))] == 0.25
-        assert h[basis.flat_index(1, (k,)), basis.flat_index(1, (k,))] == 1.0
+        assert h[flat_index(basis, 0, (k,)), flat_index(basis, 0, (k,))] == 0.25
+        assert h[flat_index(basis, 1, (k,)), flat_index(basis, 1, (k,))] == 1.0
     for k in range(d):
-        i, j = basis.flat_index(1, (k,)), basis.flat_index(1, (k + 1,))
+        i, j = flat_index(basis, 1, (k,)), flat_index(basis, 1, (k + 1,))
         assert abs(h[i, j] - sigma * np.sqrt(k + 1)) < 1e-15
-        assert h[basis.flat_index(0, (k,)), basis.flat_index(0, (k + 1,))] == 0.0
+        assert h[flat_index(basis, 0, (k,)), flat_index(basis, 0, (k + 1,))] == 0.0
 
 
 def test_zero_coupling_is_block_diagonal():
@@ -132,8 +130,8 @@ def test_zero_coupling_is_block_diagonal():
     spec = EnsembleSpec(h0, (PolynomialCoupling.linear(np.zeros((2, 2))),),
                         (DisorderDistribution.gaussian(1.0),))
     table = recurrence_analytic(spec.distributions[0], 9)
-    op = build_linear(spec, [table], [8])
-    h = op.to_dense()
+    op = build_general(spec, [table], [8])
+    h = op.csr.toarray()
     expected = np.kron(np.eye(9), h0)
     assert np.abs(h - expected).max() < 1e-15
 
@@ -143,7 +141,7 @@ def test_block_count_chain():
     spec = qubit_spec(DisorderDistribution.uniform(1.0), e0=0.5, e1=1.5)
     d = 11
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     up = sp.triu(op.csr, format="coo")
     node_pairs = {(int(r) // 2, int(c) // 2) for r, c in zip(up.row, up.col)}
     on_node = {p for p in node_pairs if p[0] == p[1]}
@@ -164,8 +162,8 @@ def test_dimer_lattice_matches_quadrature_oracle():
     spec = dimer_spec(1.5, 0.9, 0.3, sigma)
     d = 3
     table = recurrence_table(spec.distributions[0], 40)
-    op = build_linear(spec, [table, table], (d, d))
-    h = op.to_dense()
+    op = build_general(spec, [table, table], (d, d))
+    h = op.csr.toarray()
     basis = LatticeBasis(2, (d, d))
 
     x, w = gauss_rule(table, 30)
@@ -176,8 +174,8 @@ def test_dimer_lattice_matches_quadrature_oracle():
         for k2 in range(d + 1):
             for q1 in range(d + 1):
                 for q2 in range(d + 1):
-                    blk = np.array([[h[basis.flat_index(a, (k1, k2)),
-                                       basis.flat_index(b, (q1, q2))]
+                    blk = np.array([[h[flat_index(basis, a, (k1, k2)),
+                                       flat_index(basis, b, (q1, q2))]
                                      for b in range(2)] for a in range(2)])
                     want = np.zeros((2, 2), complex)
                     if (k1, k2) == (q1, q2):
@@ -194,14 +192,14 @@ def test_hop_amplitudes_per_axis():
     spec = dimer_spec(1.5, 0.9, 0.3, sigma)
     d = 4
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    h = build_linear(spec, [table, table], (d, d)).to_dense()
+    h = build_general(spec, [table, table], (d, d)).csr.toarray()
     basis = LatticeBasis(2, (d, d))
     for k in range(d):
-        i = basis.flat_index(0, (k, 2))
-        j = basis.flat_index(0, (k + 1, 2))
+        i = flat_index(basis, 0, (k, 2))
+        j = flat_index(basis, 0, (k + 1, 2))
         assert abs(h[i, j] - sigma * np.sqrt(k + 1)) < 1e-14
-        i = basis.flat_index(1, (2, k))
-        j = basis.flat_index(1, (2, k + 1))
+        i = flat_index(basis, 1, (2, k))
+        j = flat_index(basis, 1, (2, k + 1))
         assert abs(h[i, j] - sigma * np.sqrt(k + 1)) < 1e-14
 
 
@@ -209,9 +207,9 @@ def test_build_linear_errors():
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     short = recurrence_analytic(spec.distributions[0], 4)
     with pytest.raises(TableTooShort):
-        build_linear(spec, [short], [8])
+        build_general(spec, [short], [8])
     with pytest.raises(DimensionMismatch):
-        build_linear(spec, [short, short], [3])
+        build_general(spec, [short, short], [3])
 
 
 def test_hermiticity_random_specs(rng):
@@ -224,7 +222,7 @@ def test_hermiticity_random_specs(rng):
         spec = EnsembleSpec(h0, (PolynomialCoupling.linear(c),),
                             (DisorderDistribution.uniform(0.9),))
         table = recurrence_analytic(spec.distributions[0], 7)
-        h = build_linear(spec, [table], [6]).to_dense()
+        h = build_general(spec, [table], [6]).csr.toarray()
         assert np.abs(h - h.conj().T).max() < 1e-12
 
 
@@ -233,7 +231,7 @@ def test_nearest_neighbour_sparsity(rng):
     spec = dimer_spec(1.0, 0.5, 0.2, 0.6)
     d = 5
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    op = build_linear(spec, [table, table], (d, d))
+    op = build_general(spec, [table, table], (d, d))
     basis = LatticeBasis(2, (d, d))
     multi = basis.node_multi_indices()
     up = sp.triu(op.csr, format="coo")
@@ -245,7 +243,7 @@ def test_nearest_neighbour_sparsity(rng):
 def test_no_duplicate_triplets():
     spec = dimer_spec(1.0, 0.5, 0.2, 0.6)
     table = recurrence_analytic(spec.distributions[0], 5)
-    op = build_linear(spec, [table, table], (4, 4))
+    op = build_general(spec, [table, table], (4, 4))
     up = sp.triu(op.csr, format="coo")
     keys = up.row.astype(np.int64) * op.dim + up.col
     assert np.unique(keys).size == keys.size
@@ -258,7 +256,7 @@ def test_spectral_containment_uniform():
     spec = qubit_spec(DisorderDistribution.uniform(v), e0=0.0, e1=1.0)
     d = 50
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    h = build_linear(spec, [table], [d]).to_dense()
+    h = build_general(spec, [table], [d]).csr.toarray()
     eigs = np.linalg.eigvalsh(h)
     cnorm = 1.0    # ||diag(0, 1)||
     lo = 0.0 - v * cnorm
@@ -279,8 +277,8 @@ def test_general_degree_one_equals_linear():
         (PolynomialCoupling((np.zeros((2, 2)), spec.couplings[0].matrices[1])),),
         spec.distributions)
     table = recurrence_analytic(spec.distributions[0], 2 * d)
-    h_lin = build_linear(spec, [table], [d]).to_dense()
-    h_gen = build_general(poly_spec, [table], [d]).to_dense()
+    h_lin = build_general(spec, [table], [d]).csr.toarray()
+    h_gen = build_general(poly_spec, [table], [d]).csr.toarray()
     assert np.abs(h_lin - h_gen).max() < 1e-12
 
 
@@ -294,7 +292,7 @@ def test_general_quadratic_coupling_values():
                         (dist,))
     d = 4
     table = recurrence_analytic(dist, 12)
-    h = build_general(spec, [table], [d]).to_dense()
+    h = build_general(spec, [table], [d]).csr.toarray()
     assert abs(h[0, 0] - 1.0) < 1e-12
     assert abs(h[0, 2] - np.sqrt(2.0)) < 1e-12
     # degree-2 band: nothing beyond |k - k'| = 2
@@ -344,7 +342,7 @@ def test_tabulated_coupling_matches_polynomial():
     op_pol = build_general(poly_spec, [table], [d])
     resid = tab_spec.couplings[0].fit_residual
     assert resid < 1e-13
-    assert np.abs(op_tab.to_dense() - op_pol.to_dense()).max() < max(1e-12, 10 * resid)
+    assert np.abs(op_tab.csr.toarray() - op_pol.csr.toarray()).max() < max(1e-12, 10 * resid)
     assert poly_spec.couplings[0].fit_residual is None      # exact, not fitted
     with pytest.raises(ValueError, match="fit degree must be non-negative"):
         PolynomialCoupling.fit(lam, vals, -1)
@@ -403,7 +401,7 @@ def test_general_blocks_match_quadrature(case):
     spec, depths = case
     tables = [recurrence_table(dist, d + c.degree + 1)
               for dist, c, d in zip(spec.distributions, spec.couplings, depths)]
-    h = build_general(spec, tables, depths).to_dense()
+    h = build_general(spec, tables, depths).csr.toarray()
     # the reference is laid out row-major: take its rows and columns in node order
     basis = LatticeBasis(spec.n, depths)
     row_major = np.ravel_multi_index(tuple(basis.node_multi_indices().T), basis.shape)
@@ -419,13 +417,13 @@ def test_general_blocks_match_quadrature(case):
 
 
 # ---------------------------------------------------------------------------
-# boundary shell and serialization
+# boundary shell and byte stability
 # ---------------------------------------------------------------------------
 
 def test_boundary_shell_chain():
     basis = LatticeBasis(2, (10,))
     idx = boundary_shell(basis, 1)
-    assert sorted(idx) == [basis.flat_index(n, (10,)) for n in range(2)]
+    assert sorted(idx) == [flat_index(basis, n, (10,)) for n in range(2)]
 
 
 def test_boundary_shell_2d():
@@ -457,15 +455,16 @@ def test_operator_rejects_imaginary_diagonal():
         LatticeOperator(2, lambda: [(np.array([1]), np.array([0]), np.array([1.0 + 0j]))])
 
 
-def test_triplet_dump_is_byte_stable(tmp_path):
-    # the upper triangle in (row, col) order, nodes by shell sum_i k_i: the
-    # dump of the max_i k_i layout, every index relabelled by its multi-index
+def test_csr_is_byte_stable():
+    # assembly pinned bit for bit: the CSR arrays of a small dimer lattice,
+    # nodes by shell sum_i k_i, columns sorted within rows, no signed zeros
     spec = dimer_spec(1.5, 0.9, 0.3, 0.8)
-    op = build_general(spec, [recurrence_analytic(spec.distributions[0], 5)] * 2, (3, 4))
-    path = tmp_path / "op.txt"
-    save_triplets(op, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "dd58b9c460ef6b890ae834e4d47e444598426032b4da68b4e6a0af1c190d5c17")
+    csr = build_general(spec, [recurrence_analytic(spec.distributions[0], 5)] * 2, (3, 4)).csr
+    digest = hashlib.sha256()
+    for part in (csr.indptr, csr.indices, csr.data):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == (
+        "13a3f06ed4eb7a0156b9f9350b886638bd7454c4b88b790bc83bdff14b0aacd1")
 
 
 def test_assembly_memory_is_a_few_operators():
@@ -486,15 +485,3 @@ def test_assembly_memory_is_a_few_operators():
     assert peak < 4 * csr_bytes
     assert list(vars(op)) == ["csr"]
 
-
-def test_triplet_file_roundtrip(tmp_path):
-    spec = qubit_spec(DisorderDistribution.gaussian(1.0), e0=0.5, e1=1.5)
-    table = recurrence_analytic(spec.distributions[0], 5)
-    op = build_linear(spec, [table], [4])
-    path = tmp_path / "op.txt"
-    save_triplets(op, path)
-    header = path.read_text().splitlines()[0]
-    assert header == f"{op.dim} {sp.triu(op.csr).nnz}"
-    back = load_triplets(path)
-    assert back.dim == op.dim
-    assert np.abs(back.to_dense() - op.to_dense()).max() < 1e-15

@@ -100,7 +100,7 @@ def test_analytic_semicircle():
     t = recurrence_analytic(DisorderDistribution.semicircle(1.0), 3)
     assert np.allclose(t.alpha, 0.0)
     assert np.allclose(t.beta, 0.25)
-    assert np.allclose(t.hops, 0.5)
+    assert np.allclose(np.sqrt(t.beta), 0.5)
 
 
 def test_analytic_uniform():
@@ -194,7 +194,7 @@ def test_stieltjes_default_grid_is_exact_to_the_full_order(dist, reference):
         assert np.abs(t.alpha).max() <= 1e-13
     else:
         fine = recurrence_stieltjes(dist, order, grid_points=40_000)
-        assert np.abs(t.hops / fine.hops - 1).max() <= 1e-13
+        assert np.abs(np.sqrt(t.beta) / np.sqrt(fine.beta) - 1).max() <= 1e-13
 
 
 _LAM = np.linspace(-4.0, 4.0, 161)
@@ -227,11 +227,11 @@ def test_default_grid_is_exact_to_order_2049(dist, closed_form, tol):
         if closed_form is not None:
             alpha, beta = closed_form
             exact = np.sqrt(beta(np.arange(1.0, order + 1)))
-            assert np.abs(t.hops / exact - 1).max() <= tol
+            assert np.abs(np.sqrt(t.beta) / exact - 1).max() <= tol
             assert np.abs(t.alpha - alpha).max() <= tol
         else:
             fine = recurrence_stieltjes(dist, order, grid_points=4 * grid_size(order))
-            assert np.abs(t.hops / fine.hops - 1).max() <= tol
+            assert np.abs(np.sqrt(t.beta) / np.sqrt(fine.beta) - 1).max() <= tol
     assert elapsed < 1.0
 
 
@@ -265,7 +265,7 @@ def _cut_measures(draw):
 def test_default_grid_matches_a_finer_grid(dist, order):
     t = recurrence_stieltjes(dist, order)
     fine = recurrence_stieltjes(dist, order, grid_points=4 * grid_size(order))
-    assert np.abs(t.hops / fine.hops - 1).max() <= 1e-13
+    assert np.abs(np.sqrt(t.beta) / np.sqrt(fine.beta) - 1).max() <= 1e-13
 
 
 def test_stieltjes_grid_validation():
@@ -317,7 +317,7 @@ def test_cutoff_gaussian_saturation():
     """
     d = DisorderDistribution.gaussian(1.0, cutoff=(-5.0, 5.0))
     t = recurrence_stieltjes(d, 200, grid_points=4000)
-    hops = t.hops
+    hops = np.sqrt(t.beta)
     assert hops.max() <= 2.5 * (1 + 2e-2)
     assert abs(hops.max() - 2.527816) < 1e-4        # frozen overshoot value
     assert np.abs(hops[150:] - 2.5).max() < 1e-4    # asymptote reached
@@ -343,6 +343,26 @@ def test_cutoff_empty_window():
         DisorderDistribution.gaussian(1.0, cutoff=(40.0, 50.0))
     # a window wider than the support is stored as the support
     assert DisorderDistribution.uniform(1.0, cutoff=(-3.0, 0.5)).support() == (-1.0, 0.5)
+
+
+def test_gaussian_tail_window_mass_matches_mpmath():
+    # a window on one side of 0 takes its mass from the gaussian tail, to
+    # 1e-14 relative from 1 sigma out to the 37.5 sigma where it leaves the
+    # normal floats, on either side; ndtr's difference was off by 7.1e-2 at
+    # (8, 100) above 0, and by 5.7e-14 at (-100, -30) below it
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a in [*np.arange(1.0, 37.5, 0.75), 37.5]:
+        for lo, hi in ((a, 100.0), (a, 2 * a), (a, a + 1)):
+            want = mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
+            for cut in ((lo, hi), (-hi, -lo)):
+                got = DisorderDistribution.gaussian(1.0, cutoff=cut).window_mass()
+                assert abs(float((got - want) / want)) <= 1e-14, cut
+    # (10, 100), of mass 7.6e-24, is a window; one whose mass is not a normal float is not
+    assert DisorderDistribution.gaussian(1.0, cutoff=(10.0, 100.0)).window_mass() > 7e-24
+    for cut in ((37.6, 100.0), (-100.0, -37.6)):
+        with pytest.raises(EmptySupport):
+            DisorderDistribution.gaussian(1.0, cutoff=cut)
 
 
 def test_cutoff_tabulated_clips_and_renormalizes():
@@ -446,6 +466,31 @@ def test_quantile_matches_cdf(rng):
         back = (dist._cdf_native(x) - flo) / (fhi - flo)
         assert np.abs(back - u).max() < 1e-12
     assert dist.support() == (0.5, 1.5) and dist.cutoff is None
+
+
+def test_window_above_zero_is_its_mirror(rng):
+    # every named family is symmetric about 0: a window above 0 has its
+    # mirror's mass and draws as minus the mirror's draw at 1 - u, bit for bit
+    u = np.concatenate([rng.random(2000), [0.0, 1e-16, 0.5, 1 - 1e-16, 1.0]])
+    for family, width, cut in (("gaussian", 1.0, (7.0, 100.0)), ("gaussian", 2.0, (1.0, 5.0)),
+                               ("cauchy", 1.0, (2.0, 40.0)), ("semicircle", 1.0, (0.2, 0.9)),
+                               ("uniform", 1.0, (0.1, 0.8))):
+        dist = DisorderDistribution(family, width, cutoff=cut)
+        mirror = DisorderDistribution(family, width, cutoff=(-cut[1], -cut[0]))
+        assert dist.window_mass() == mirror.window_mass()
+        x = quantile(dist, u)
+        assert np.array_equal(x, -quantile(mirror, 1.0 - u))
+        lo, hi = dist.support()
+        assert np.all(np.isfinite(x)) and x.min() >= lo - 1e-12 and x.max() <= hi + 1e-12
+
+
+def test_far_upper_gaussian_windows_draw_distinct_values():
+    # near F = 1 the upper window's CDF values cancelled: 2e5 midpoint
+    # uniforms gave 7 distinct draws on (8, 100), some of them infinite
+    u = (np.arange(200_000) + 0.5) / 200_000
+    for lo in (5.328, 7.0, 8.0, 10.0):
+        x = quantile(DisorderDistribution.gaussian(1.0, cutoff=(lo, 100.0)), u)
+        assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0) and x[0] >= lo - 1e-12
 
 
 def test_tabulated_cdf_table_is_built_once(rng):

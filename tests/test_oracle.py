@@ -25,7 +25,7 @@ from enslat import (
     TableTooShort,
     UnsupportedFamily,
     analytic_qubit,
-    build_linear,
+    build_general,
     chain_to_ensemble,
     characteristic_function,
     expanded_initial,
@@ -864,7 +864,7 @@ def test_chain_to_ensemble_roundtrip_hops():
     assert spec.distributions[0].width == 2 * g
     d = 10
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    h = build_linear(spec, [table], [d]).to_dense()
+    h = build_general(spec, [table], [d]).csr.toarray()
     off = np.diag(h, 1)
     assert np.allclose(off, g)                    # constant hops, exactly g
     assert np.abs(np.diag(h)).max() == 0.0
@@ -877,7 +877,7 @@ def test_chain_survival_amplitude_is_semicircle_cf():
     spec = chain_to_ensemble(g, np.zeros((1, 1)), 0)
     d = 60
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(1, (d,))
     psi0 = localized_initial(np.array([1.0]), basis)
     plan = PropagationPlan.linspace(10.0, 21)
@@ -893,7 +893,7 @@ def test_chain_qubit_cell_matches_mc():
     spec = chain_to_ensemble(g, cell, 1)
     d = 48
     table = recurrence_analytic(spec.distributions[0], d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(C_HALF, basis)
     plan = PropagationPlan.linspace(8.0, 17)

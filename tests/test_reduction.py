@@ -9,14 +9,14 @@ from enslat import (
     LatticeBasis,
     LatticeState,
     PropagationPlan,
-    build_linear,
+    build_general,
     localized_initial,
     partial_trace,
     propagate,
     recurrence_analytic,
     trajectory_from_states,
 )
-from conftest import qubit_spec
+from conftest import flat_index, qubit_spec
 
 
 def test_localized_trace_is_pure_projector():
@@ -33,8 +33,8 @@ def test_internode_coherence_is_invisible():
     # the dephasing mechanism is geometric, not dissipative
     basis = LatticeBasis(2, (3,))
     amps = np.zeros(basis.size, complex)
-    amps[basis.flat_index(0, (0,))] = 1 / np.sqrt(2)
-    amps[basis.flat_index(0, (1,))] = 1 / np.sqrt(2)
+    amps[flat_index(basis, 0, (0,))] = 1 / np.sqrt(2)
+    amps[flat_index(basis, 0, (1,))] = 1 / np.sqrt(2)
     rho = partial_trace(LatticeState(basis, amps))
     assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-15
 
@@ -44,7 +44,7 @@ def test_observable_average_identity_and_population():
     spec = qubit_spec(dist)
     d = 80
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     b_amp = 0.8
     psi0 = localized_initial(np.array([0.6, b_amp]), basis)
@@ -62,7 +62,7 @@ def test_coherence_trace_initial_value():
     spec = qubit_spec(dist)
     d = 60
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 25)
@@ -78,7 +78,7 @@ def test_purity_bounds_and_gaussian_decay():
     spec = qubit_spec(dist)
     d = 120
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(5.0, 26)
@@ -96,7 +96,7 @@ def test_purity_revives_for_bounded_support():
     spec = qubit_spec(dist)
     d = 70
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(10.0, 51)
@@ -113,7 +113,7 @@ def test_trajectory_validation():
     spec = qubit_spec(dist)
     d = 50
     table = recurrence_analytic(dist, d + 1)
-    op = build_linear(spec, [table], [d])
+    op = build_general(spec, [table], [d])
     basis = LatticeBasis(2, (d,))
     psi0 = localized_initial(np.array([1.0, 1.0]) / np.sqrt(2), basis)
     plan = PropagationPlan.linspace(6.0, 13)
