@@ -111,11 +111,10 @@ def _as_complex(entry, path: str) -> complex:
 def _matrix(block, path: str) -> np.ndarray:
     if not isinstance(block, list) or not block:
         _fail(path, "expected a matrix as a list of rows")
-    mat = np.array([[_as_complex(e, f"{path}[{i}][{j}]")
-                     for j, e in enumerate(row)] for i, row in enumerate(block)])
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        _fail(path, f"matrix must be square, got shape {mat.shape}")
-    return mat
+    if any(not isinstance(row, list) or len(row) != len(block) for row in block):
+        _fail(path, f"matrix must be square: need {len(block)} rows of {len(block)} entries each")
+    return np.array([[_as_complex(e, f"{path}[{i}][{j}]")
+                      for j, e in enumerate(row)] for i, row in enumerate(block)])
 
 
 def _matrix_to_yaml(mat: np.ndarray) -> list:
@@ -197,8 +196,10 @@ def _coupling(block, path: str, base_dir: str) -> PolynomialCoupling:
         if 1 + 2 * n * n != data.shape[1]:
             _fail(f"{path}.file", f"need 1 + 2*N^2 columns, got {data.shape[1]}")
         vals = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
-        vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-        return PolynomialCoupling.fit(lam, vals, degree)
+        try:        # each sample must be Hermitian, as h0 and every coefficient must
+            return PolynomialCoupling.fit(lam, vals, degree)
+        except (NotHermitian, ValueError) as exc:
+            _fail(f"{path}.file", str(exc))
     _fail(f"{path}.type", f"unknown coupling type {kind!r}")
 
 

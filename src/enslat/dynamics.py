@@ -108,7 +108,8 @@ class LeakageReport:
     ``centre`` and ``half_width`` describe the Gershgorin interval the
     expansion was scaled to; ``norm_drift`` is the largest
     |‖psi(t_j)‖ - ‖psi(0)‖| over the outputs (‖psi(t_j)‖ - 1 for a
-    normalized start).  ``growth`` holds the per-axis depths of each lattice
+    normalized start), each ‖psi(t_j)‖ read from its partial trace as
+    sqrt(tr rho(t_j)).  ``growth`` holds the per-axis depths of each lattice
     the run used; the interval and ``op_dim``, the dimension of the whole
     operator, and ``op_nnz``, the entries of its matrix, both triangles
     (1,184,260 on the shipped dimer), are the last one's.  The box record:
@@ -231,7 +232,7 @@ def _start_pair(phi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
-               ) -> tuple[np.ndarray, list[float], int]:
+               ) -> tuple[np.ndarray, int]:
     """exp(-i H tau) phi for every tau of one window, from one recurrence.
 
     ``coefs`` holds the :func:`_coefficients` of each tau.  Of ``mat`` only
@@ -245,7 +246,7 @@ def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
     separate scaling pass.  After each pair of terms one ZGEMM adds both into
     every output whose series has not ended (:func:`_add_terms`), each
     coefficient zero past its output's order.  Returns the outputs as the rows of one
-    (len(coefs), n) array, their norms and the number of products with ``mat``.
+    (len(coefs), n) array and the number of products with ``mat``.
     """
     rows, act = mat.shape
     sizes = np.array([c.size for c in coefs])
@@ -264,10 +265,7 @@ def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
             zaxpy(old, new, a=-step * centre / half)
         live = int(np.argmax(sizes > k))    # the outputs before it have ended
         _add_terms(outs[live:], pair, table[k:k + 2, live:])
-    norms = [float(np.linalg.norm(out)) for out in outs]
-    if not np.all(np.isfinite(norms)):
-        raise NumericalBreakdown("non-finite values during propagation")
-    return outs, norms, order - 1
+    return outs, order - 1
 
 
 class _Boxes:
@@ -417,17 +415,22 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
     leak = np.zeros(times.size)
     rho = np.zeros((times.size, basis.n_system, basis.n_system), dtype=complex)
     norm0 = float(np.linalg.norm(psi0.amplitudes))
+    if not np.isfinite(norm0):      # before _front, which drops what lies past the front
+        raise NumericalBreakdown("non-finite values in the initial state")
     r = _front(boxes.weights(psi0.amplitudes, boxes.outer), floor)
     # the start keeps its shells out to its front
-    start, block, norms = 0, psi0.amplitudes[None, :boxes.rows(r)].copy(), [norm0]
+    start, block = 0, psi0.amplitudes[None, :boxes.rows(r)].copy()
     mat, last = None, None
     while True:
         # the boundary shell's entries within the box; past it the outputs are zero
         edge = boxes.shell[:np.searchsorted(boxes.shell, block.shape[1])]
-        for j, (vec, nrm) in enumerate(zip(block, norms), start):
+        for j, vec in enumerate(block, start):
             leak[j] = float(np.sum(np.abs(vec[edge]) ** 2))
             rho[j] = partial_trace(vec.reshape(-1, basis.n_system))
-            stats["norm_drift"] = max(stats["norm_drift"], abs(nrm - norm0))
+            if not np.isfinite(rho[j]).all():
+                raise NumericalBreakdown("non-finite values during propagation")
+            stats["norm_drift"] = max(stats["norm_drift"],      # ||psi_j|| = sqrt(tr rho_j)
+                                      abs(math.sqrt(np.trace(rho[j]).real) - norm0))
             if keep_states:
                 full = np.zeros(boxes.basis.size, complex)
                 full[:vec.size] = vec
@@ -476,7 +479,7 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
             pair = _start_pair(phi, mat.shape[1])
             if r >= cone:
                 del phi         # no redo can need the start: the pair holds its one copy
-            block, norms, used = _chebyshev(mat, pair, coefs, boxes.centre, boxes.half)
+            block, used = _chebyshev(mat, pair, coefs, boxes.centre, boxes.half)
             del pair
             stats["matvecs"] += used
             work += boxes.rows(r) * used

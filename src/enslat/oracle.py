@@ -19,15 +19,16 @@ runs each chunk of realizations as one task, from its disorder values to
 its fold, on up to one thread per available core (a lone chunk on the
 calling thread); the calling thread merges their moments in chunk order,
 so both outputs are bitwise the same for any number of threads.  The
-population of a level that h0 and every coupling leave uncoupled (under
-pure dephasing, every level) is the same at every time: each chunk folds
-it once, from the initial amplitudes.  The chunk is asked only for the
-entries that move, one time tile at a time, and folds each tile while it
-is in cache, so no (T, N, B) array is held.  An entry takes one of two
-routes: a coherence between two levels that no H(lambda) of the chunk
-couples (under pure dephasing, every coherence) is one phase per
-realization, written straight from its own factor tables; any other entry
-is a product of the amplitudes of one ``eigh`` of the whole chunk.
+driver decides each entry's route once, from h0 and the coupling
+coefficients (see :func:`_alone`).  The population of a level that none
+of them couples to another (under pure dephasing, every level) is the same
+at every time: each chunk folds it once, from the initial amplitudes.  A
+coherence between two such levels (under pure dephasing, every coherence)
+is one phase per realization, written straight from its own factor
+tables; any other entry is a product of the amplitudes of one ``eigh`` of
+the whole chunk.  The chunk is asked only for the entries that move, one
+time tile at a time, and folds each tile while it is in cache, so no
+(T, N, B) array is held.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -209,18 +210,19 @@ def _alone(mats: np.ndarray) -> np.ndarray:
     return ~(off | off.T).any(axis=1)
 
 
-def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols):
+def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols, phased):
     """The rho entries (rows[p], cols[p]) of a batch (B, N, N), (B, N), one
     time tile at a time.
 
     Returns ``samples(tile)``, the (tile, P, B) values a_r conj(a_c) of each
     realization's amplitudes a(t) on a slice of the times, so no (T, N, B)
-    array is held.  An entry takes one of two routes:
+    array is held.  The mask ``phased`` (see :func:`_average`) gives each
+    entry one of two routes:
 
-    * both of its levels are alone (see :func:`_alone`) in every H(lambda)
-      of the batch, so each is its own eigenvector and the entry is
-      c_r conj(c_c) exp(-i (E_r - E_c) t): one row of :func:`_phase_rows`,
-      which holds c_r conj(c_c) in its coarse table;
+    * both of its levels are alone in every H(lambda), so each is its own
+      eigenvector, with the diagonal entry of H(lambda) as its eigenvalue,
+      and the entry is c_r conj(c_c) exp(-i (E_r - E_c) t): one row of
+      :func:`_phase_rows`, which holds c_r conj(c_c) in its coarse table;
     * any other entry is conj(a_c) a_r, from the amplitudes of one ``eigh``
       of the whole batch: with eigenvectors v_m and w_m = v_m (V^H c)_m,
       held as one contiguous (N, N, B) table, the amplitudes are
@@ -228,15 +230,12 @@ def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols)
       Phases run relative to each realization's lowest eigenvalue; the
       global phase dropped that way cancels in rho.
 
-    No ``eigh`` runs when no entry takes the second route, and a batch asked
-    for no entry builds no table.  Every phase comes from
-    :func:`_phase_rows`, so a time's entries are the same bit for bit under
-    any tiling.
+    No ``eigh`` runs when every entry is phased, and a batch asked for no
+    entry builds no table.  Every phase comes from :func:`_phase_rows`, so
+    a time's entries are the same bit for bit under any tiling.
     """
     nb, n = c0.shape
-    alone = _alone(hb)
     energy = hb.diagonal(axis1=1, axis2=2).real        # a level alone's eigenvalue
-    phased = alone[rows] & alone[cols]
     one_phase = [(p, _phase_rows(times, energy[:, r] - energy[:, c], c0[:, r] * c0[:, c].conj()))
                  for p, r, c in zip(np.flatnonzero(phased), rows[phased], cols[phased])]
     other = np.flatnonzero(~phased)
@@ -272,19 +271,6 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _conserved(spec: EnsembleSpec, rows, cols) -> np.ndarray:
-    """Which entries (rows[p], cols[p]) every realization conserves: the
-    populations of the levels that h0 and every coupling coefficient leave
-    alone (see :func:`_alone`).
-
-    Such a level r is an eigenvector of every H(lambda), so
-    rho_rr(t) = |c_r(lambda)|^2 at all times.  Only exact zeros off the
-    diagonal count.
-    """
-    alone = _alone(np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)]))
-    return (rows == cols) & alone[rows]
-
-
 def _moments(d):
     """Mean and sum of squared deviations over the last axis of the samples d,
     by the corrected two-pass rule (exact zero for identical samples); d is
@@ -296,7 +282,8 @@ def _moments(d):
     return mean, np.clip(m2, 0.0, None, out=m2)
 
 
-def _chunk(spec: EnsembleSpec, c_fn, times, points, start: int, stop: int, rows, cols, still):
+def _chunk(spec: EnsembleSpec, c_fn, times, points, start: int, stop: int, rows, cols,
+           still, phased):
     """Moments of realizations start..stop-1, from their disorder values to
     the fold of their last time tile: one pool task, which calls NumPy,
     ``points`` and ``c_fn`` only.
@@ -304,18 +291,20 @@ def _chunk(spec: EnsembleSpec, c_fn, times, points, start: int, stop: int, rows,
     ``points(start, stop)`` gives the chunk's (B, l) disorder values and a
     (B,) scale, or None; each realization's amplitudes are multiplied by its
     scale once :func:`~enslat.states.realization_amplitudes` has checked
-    their norm.  An entry the mask ``still`` marks (see :func:`_conserved`)
-    is folded once, from |c_r|^2, and its moments are given to every time.
-    Only the entries that move are asked of :func:`_evolve_batch`; each time
-    tile, of 16 (N + moving entries) B bytes per time, is folded while it is
-    in cache.  When none moves, no tile is evolved.
+    their norm.  ``still`` and ``phased`` are the entry masks of
+    :func:`_average`.  An entry ``still`` marks is folded once, from
+    |c_r|^2, and its moments are given to every time.  Only the entries that
+    move are asked of :func:`_evolve_batch`; each time tile, of
+    16 (N + moving entries) B bytes per time, is folded while it is in
+    cache.  When none moves, no tile is evolved.
     """
     lam, scale = points(start, stop)
     c0 = realization_amplitudes(c_fn, lam, spec.n)
     if scale is not None:
         c0 = c0 * scale[:, None]
     moves = ~still
-    samples = _evolve_batch(spec.hamiltonian(lam), c0, times, rows[moves], cols[moves])
+    samples = _evolve_batch(spec.hamiltonian(lam), c0, times, rows[moves], cols[moves],
+                            phased[moves])
     mean = np.empty((times.size, rows.size), complex)
     m2 = np.empty((times.size, rows.size))
     if moves.any():
@@ -331,15 +320,20 @@ def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
     """Mean and sum of squared deviations of rho over ``total`` realizations,
     whose disorder values ``points(start, stop)`` gives (see :func:`_chunk`).
 
-    The one driver of both averages.  Each chunk of ``_CHUNK`` realizations
-    is one task on up to one pool thread per available core, from its
-    disorder values to the fold of its last time tile.  The calling thread
-    only submits the chunks and merges their moments in chunk order, so the
-    result is bitwise the same for any number of threads.  A lone chunk
-    runs on the calling thread, and no pool is started.  A chunk that
-    raises cancels the chunks queued behind it.  Returns the times, the
-    (T, N, N) mean and sum of squared deviations, and the [r, c] entries
-    that every realization conserves.
+    The one driver of both averages.  It routes each entry once, from the
+    levels that h0 and every coupling coefficient leave alone (see
+    :func:`_alone`), each an eigenvector of every H(lambda): the population
+    of one is conserved, rho_rr(t) = |c_r(lambda)|^2 (mask ``still``), a
+    coherence between two is one phase (mask ``phased``, which holds
+    ``still``), and any other entry comes from one ``eigh``.  Each chunk of
+    ``_CHUNK`` realizations is one task on up to one pool thread per
+    available core, from its disorder values to the fold of its last time
+    tile.  The calling thread only submits the chunks and merges their
+    moments in chunk order, so the result is bitwise the same for any number
+    of threads.  A lone chunk runs on the calling thread, and no pool is
+    started.  A chunk that raises cancels the chunks queued behind it.
+    Returns the times, the (T, N, N) mean and sum of squared deviations,
+    and the [r, c] entries that every realization conserves.
     """
     if spec.n > MAX_DENSE_N:
         raise SystemTooLarge(f"dense oracle limited to N <= {MAX_DENSE_N}")
@@ -347,16 +341,19 @@ def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty 1-D array of finite values")
     rows, cols = np.triu_indices(spec.n)
+    alone = _alone(np.array([spec.h0, *(m for c in spec.couplings for m in c.matrices)]))
+    phased = alone[rows] & alone[cols]
+    still = phased & (rows == cols)
 
     # chunked Welford/Chan accumulation over the entries n <= m: robust to
     # cancellation, exactly zero spread for degenerate (zero-variance) ensembles
     mean = np.zeros((times.size, rows.size), dtype=complex)
     m2 = np.zeros((times.size, rows.size))
-    still = _conserved(spec, rows, cols)
     count = 0
     starts = range(0, total, _CHUNK)
     if len(starts) == 1:        # a pool thread would only add its start-up
-        _merge(mean, m2, count, *_chunk(spec, c_fn, times, points, 0, total, rows, cols, still))
+        _merge(mean, m2, count,
+               *_chunk(spec, c_fn, times, points, 0, total, rows, cols, still, phased))
     else:
         workers = min(_workers(), len(starts))
         # futures of chunk moments: one per pool thread and one queued behind them
@@ -366,8 +363,8 @@ def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
                 for s0 in starts:
                     if len(running) > workers:
                         count = _merge(mean, m2, count, *running.popleft().result())
-                    running.append(pool.submit(_chunk, spec, c_fn, times, points,
-                                               s0, min(s0 + _CHUNK, total), rows, cols, still))
+                    running.append(pool.submit(_chunk, spec, c_fn, times, points, s0,
+                                               min(s0 + _CHUNK, total), rows, cols, still, phased))
                 while running:
                     count = _merge(mean, m2, count, *running.popleft().result())
             except BaseException:
@@ -391,11 +388,7 @@ def mc_average(spec: EnsembleSpec, c_fn, times, cfg: OracleConfig) -> DensityTra
     The population of a level that h0 and every coupling coefficient leave
     uncoupled (each level under pure dephasing) is conserved by every
     realization: it is folded once per chunk and holds one value at every
-    time.  ``info["conserved_entries"]`` lists these [r, c] entries.  Only
-    the other entries are evolved (see :func:`_evolve_batch`): a coherence
-    between two levels that no H(lambda) of the chunk couples is one phase
-    per realization, and any other entry comes from one eigendecomposition
-    of each realization.
+    time.  ``info["conserved_entries"]`` lists these [r, c] entries.
 
     ``c_fn`` may be a constant amplitude vector or a vectorized callable of
     the disorder (see :func:`~enslat.states.realization_amplitudes`);

@@ -798,9 +798,26 @@ NAN = float("nan")
     ("fractional-fit_degree", "system.couplings[0].fit_degree"),
     ("string-fit_degree", "system.couplings[0].fit_degree"),
     ("bool-fit_degree", "system.couplings[0].fit_degree"),
+    ("non-hermitian-coupling-file", "system.couplings[0].file"),
+    ("coupling-file-one-column-short", "system.couplings[0].file"),
+    ("unknown-coupling-type", "system.couplings[0].type"),
+    ("non-square-h0", "system.h0"),
+    ("ragged-h0", "system.h0"),
+    ("non-numeric-pair", "system.h0[1][1]"),
+    ("distribution-not-a-mapping", "system.distributions[0]: expected a mapping"),
+    ("distribution-without-family", "system.distributions[0]: expected a mapping"),
+    ("named-family-without-width", "system.distributions[0].width"),
+    ("one-distribution-too-many", "system.distributions"),
+    ("one-amplitude-too-few", "initial.amplitudes"),
+    ("tabulated-initial-on-two-variables", "initial: tabulated initial states"),
+    ("initial-file-one-column-short", "initial.file"),
+    ("unknown-initial-kind", "initial.kind"),
+    ("unknown-method", "method"),
+    ("root-not-a-mapping", "config root must be a mapping"),
 ])
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
-    # a number that is not finite, or not a number at all, is a config error
+    # a malformed value (a number that is not finite or not a number at all,
+    # a matrix or table of the wrong shape, an unknown kind) is a config error
     # under --validate and a run alike, never a numeric failure or a traceback
     lam = np.linspace(-3.0, 3.0, 61)
     table = np.column_stack([lam, np.exp(-lam ** 2)])
@@ -832,6 +849,38 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, case, key):
         degree = {"negative": -1, "fractional": 2.7, "string": "x", "bool": True}
         cfg["system"]["couplings"][0] = {"type": "tabulated", "file": "f.txt",
                                          "fit_degree": degree[case.split("-")[0]]}
+    elif "coupling-file" in case:     # lambda * [[0, 1], [0, 0]], or one column short
+        columns = [lam, lam * 0, lam * 0, lam] + [lam * 0] * 5
+        np.savetxt(tmp_path / "f.txt", np.column_stack(columns[:-1 if "short" in case else 9]))
+        cfg["system"]["couplings"][0] = {"type": "tabulated", "file": "f.txt"}
+    elif case == "unknown-coupling-type":
+        cfg["system"]["couplings"][0]["type"] = "cubic"
+    elif case.endswith("h0") or case == "non-numeric-pair":
+        h0 = {"non-square-h0": [[0, 0, 0], [0, 1, 0]], "ragged-h0": [[0, 0], [0]],
+              "non-numeric-pair": [[0, 0], [0, ["one", 0]]]}
+        cfg["system"]["h0"] = h0[case]
+    elif case.startswith("distribution") or case.startswith("named-family"):
+        dist = {"distribution-not-a-mapping": "gaussian",
+                "distribution-without-family": {"width": 1.0},
+                "named-family-without-width": {"family": "gaussian"}}
+        cfg["system"]["distributions"][0] = dist[case]
+    elif case == "one-distribution-too-many":
+        cfg["system"]["distributions"] *= 2
+    elif case == "one-amplitude-too-few":
+        cfg["initial"]["amplitudes"] = [1.0]
+    elif case == "tabulated-initial-on-two-variables":
+        cfg.update(DIMER)
+        cfg["initial"] = {"kind": "tabulated", "file": "c.txt"}
+    elif case == "initial-file-one-column-short":
+        (tmp_path / "c.txt").write_text(f"-5 {INV} 0 {INV}\n5 {INV} 0 {INV}\n")
+        cfg["system"]["distributions"][0]["cutoff"] = [-5.0, 5.0]
+        cfg["initial"] = {"kind": "tabulated", "file": "c.txt"}
+    elif case == "unknown-initial-kind":
+        cfg["initial"]["kind"] = "thermal"
+    elif case == "unknown-method":
+        cfg["method"] = "exact"
+    elif case == "root-not-a-mapping":
+        cfg = [cfg]
     else:
         del cfg["system"]["couplings"][0]["matrix"]
     path.write_text(yaml.safe_dump(cfg))

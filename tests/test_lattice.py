@@ -210,6 +210,8 @@ def test_build_linear_errors():
         build_general(spec, [short], [8])
     with pytest.raises(DimensionMismatch):
         build_general(spec, [short, short], [3])
+    with pytest.raises(DimensionMismatch, match="1 disorder variables but 2 depths"):
+        build_general(spec, [short], [3, 3])
 
 
 def test_hermiticity_random_specs(rng):
@@ -322,6 +324,16 @@ def test_general_quadrature_validation():
     with pytest.raises(TableTooShort):
         build_general(spec, [recurrence_analytic(dist, need - 1)], [8])
     build_general(spec, [recurrence_analytic(dist, need)], [8])
+    # a spec needs one coupling and one distribution per disorder variable
+    coupling = spec.couplings[0]
+    with pytest.raises(ValueError, match="need at least one disorder variable"):
+        EnsembleSpec(np.zeros((1, 1)), (), ())
+    with pytest.raises(DimensionMismatch, match="2 couplings vs 1 distributions"):
+        EnsembleSpec(np.zeros((1, 1)), (coupling, coupling), (dist,))
+    with pytest.raises(TypeError, match=r"distributions\[0\] is not a DisorderDistribution"):
+        EnsembleSpec(np.zeros((1, 1)), (coupling,), ("uniform",))
+    with pytest.raises(ValueError, match="depths >= 0"):
+        LatticeBasis(1, (3, -1))
 
 
 def test_tabulated_coupling_matches_polynomial():

@@ -278,8 +278,8 @@ def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
 
     evolve = oracle._evolve_batch
 
-    def evolve_failing_fourth(hb, c0, times, rows, cols):
-        samples = evolve(hb, c0, times, rows, cols)
+    def evolve_failing_fourth(hb, c0, times, rows, cols, phased):
+        samples = evolve(hb, c0, times, rows, cols, phased)
         if len(calls) < 4:
             return samples
 
@@ -448,37 +448,44 @@ def test_mc_conserved_entries_fold_once(monkeypatch):
     assert np.abs(pops[0] - np.abs(c) ** 2).max() <= 1e-15
 
     # neither average asks _evolve_batch for a conserved entry: each chunk of
-    # realizations or of nodes asks for the coherence alone
-    asked = []
+    # realizations or of nodes asks for the coherence alone, as one phase.
+    # The routes are decided once per average, from h0 and the coefficients
+    asked, scanned = [], []
 
-    def spy(hb, c0, times, rows, cols, fn=oracle._evolve_batch):
-        asked.append((rows.tolist(), cols.tolist()))
-        return fn(hb, c0, times, rows, cols)
+    def spy(hb, c0, times, rows, cols, phased, fn=oracle._evolve_batch):
+        asked.append((rows.tolist(), cols.tolist(), phased.tolist()))
+        return fn(hb, c0, times, rows, cols, phased)
+
+    def alone(mats, fn=oracle._alone):
+        scanned.append(mats.shape)
+        return fn(mats)
     monkeypatch.setattr(oracle, "_evolve_batch", spy)
+    monkeypatch.setattr(oracle, "_alone", alone)
     for average in (mc_average, quad_average):
         asked.clear()
+        scanned.clear()
         average(spec, c, times, OracleConfig(samples=samples, seed=seed))
-        assert asked and all(entries == ([0], [1]) for entries in asked)
+        assert asked and all(entries == ([0], [1], [True]) for entries in asked)
+        assert scanned == [(3, 2, 2)]
 
     # against a chunk that evolves all entries at every time: per chunk, the
     # coherence's moments are bitwise equal; over the run, so is every SEM
     rows, cols = np.triu_indices(2)
-    none = np.zeros(rows.size, dtype=bool)
-    assert oracle._conserved(spec, rows, cols).tolist() == [True, False, True]
+    none, still, phased = np.zeros(3, dtype=bool), np.array([True, False, True]), np.ones(3, bool)
 
     def draws(start, stop):
         u = _numpy_philox_uniforms(seed, range(start, stop), spec.l)
         return quantile(spec.distributions[0], u[:, 0])[:, None], None
     for s0 in range(0, samples, oracle._CHUNK):
         args = (spec, c, times, draws, s0, min(s0 + oracle._CHUNK, samples), rows, cols)
-        nb, mean, m2 = oracle._chunk(*args, oracle._conserved(spec, rows, cols))
-        ref = oracle._chunk(*args, none)
+        nb, mean, m2 = oracle._chunk(*args, still, phased)
+        ref = oracle._chunk(*args, none, phased)
         assert nb == ref[0]
         assert np.array_equal(mean[:, 1], ref[1][:, 1]) and np.array_equal(m2[:, 1], ref[2][:, 1])
         assert np.array_equal(mean[:, [0, 2]], np.broadcast_to(mean[0, [0, 2]], (times.size, 2)))
-    monkeypatch.setattr(oracle, "_conserved", lambda spec, rows, cols: none)
+    chunk = oracle._chunk
+    monkeypatch.setattr(oracle, "_chunk", lambda *args: chunk(*args[:-2], none, args[-1]))
     ref = mc_average(spec, c, times, OracleConfig(samples=samples, seed=seed))
-    assert ref.info["conserved_entries"] == []
     assert np.array_equal(traj.rho[:, 0, 1], ref.rho[:, 0, 1])
     assert np.array_equal(traj.errors, ref.errors)
     assert np.abs(traj.rho - ref.rho).max() <= 1e-16
@@ -500,8 +507,6 @@ def test_conserved_reads_every_coefficient():
     couplings = (PolynomialCoupling.linear(np.diag([1.0, 0.0, 0.0, 1.0])),
                  PolynomialCoupling((np.zeros((4, 4)), np.eye(4), quad)))
     spec = EnsembleSpec(h0, couplings, (DisorderDistribution.gaussian(1.0),) * 2)
-    rows, cols = np.triu_indices(4)
-    assert np.flatnonzero(oracle._conserved(spec, rows, cols)).tolist() == [9]
     traj = mc_average(spec, np.full(4, 0.5), np.linspace(0.0, 1.0, 3), OracleConfig(samples=50))
     assert traj.info["conserved_entries"] == [[3, 3]]
 
@@ -577,7 +582,7 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
         c0 = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
         hb, c0 = a + a.conj().transpose(0, 2, 1), c0 / np.linalg.norm(c0, axis=1)[:, None]
         rows, cols = np.triu_indices(3)
-        samples = oracle._evolve_batch(hb, c0, geom, rows, cols)
+        samples = oracle._evolve_batch(hb, c0, geom, rows, cols, np.zeros(rows.size, bool))
         amps = _direct_amplitudes(hb, c0, geom)
         direct = np.stack([np.conjugate(amps[:, c]) * amps[:, r] for r, c in zip(rows, cols)],
                           axis=1)
@@ -610,10 +615,11 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
     c0 = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
     c0 /= np.linalg.norm(c0, axis=1)[:, None]
     rows, cols = np.triu_indices(n)
+    phased = np.isin(rows, alone) & np.isin(cols, alone)
     uniform, geometric = np.linspace(0.0, 3.0, 23), 0.01 * np.geomspace(1.0, 300.0, 23)
     assert oracle._fine_length(uniform) is not None and oracle._fine_length(geometric) is None
     for times in (uniform, geometric):
-        samples = oracle._evolve_batch(hb, c0, times, rows, cols)
+        samples = oracle._evolve_batch(hb, c0, times, rows, cols, phased)
         got = samples(slice(0, times.size))
         assert got.shape == (times.size, rows.size, nb)
         tiles = [slice(j, j + 5) for j in range(0, times.size, 5)]
@@ -659,7 +665,7 @@ def test_evolve_batch_holds_no_phase_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        samples = oracle._evolve_batch(hb, c0, times, rows, cols)
+        samples = oracle._evolve_batch(hb, c0, times, rows, cols, np.array([True]))
         shapes = [samples(t).shape for t in tiles]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -734,6 +740,11 @@ def test_oracle_config_takes_numpy_integers():
     cfg = OracleConfig(samples=np.int64(3), seed=np.uint64(2 ** 64 - 1),
                        quad_order=np.array([4, 5]))
     assert cfg.quad_order == (4, 5)
+    # an integer is still refused outside its range
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        OracleConfig(samples=0)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        OracleConfig(seed=2 ** 64)
 
 
 def test_mc_system_too_large():
@@ -901,6 +912,25 @@ def test_chain_qubit_cell_matches_mc():
     chain = trajectory_from_states(plan.times, states)
     mc = mc_average(spec, C_HALF, plan.times, OracleConfig(samples=30_000, seed=21))
     assert np.all(np.abs(chain.rho - mc.rho) <= 4 * mc.errors + 1e-10)
+
+
+def test_chain_to_ensemble_rebuilds_the_shipped_semicircle_qubit():
+    # configs/qubit_semicircle.yaml is the ensemble image of a lattice whose
+    # one-site cell is the qubit diag(0, 1), level 1 hopping with g = 1/2:
+    # h0, both coupling coefficients and the semicircle of width 2g = 1
+    from enslat.cli import parse_spec
+    shipped = parse_spec(yaml.safe_load((CONFIGS / "qubit_semicircle.yaml").read_text()),
+                         str(CONFIGS))
+    spec = chain_to_ensemble(0.5, np.diag([0.0, 1.0]), 1)
+    assert np.array_equal(spec.h0, shipped.h0)
+    assert len(spec.couplings) == len(shipped.couplings) == 1
+    got, want = spec.couplings[0].matrices, shipped.couplings[0].matrices
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    (got,), (want,) = spec.distributions, shipped.distributions
+    assert (got.family, got.width, got.grid, got.cutoff) == ("semicircle", 1.0, None, None)
+    assert (want.family, want.width, want.grid, want.cutoff) == ("semicircle", 1.0, None, None)
 
 
 def test_chain_to_ensemble_validation():
