@@ -9,11 +9,11 @@ spectrum, and
     exp(-i H tau) phi = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(a tau) T_k((H - c)/a) phi.
 
 One recurrence serves a window of consecutive output times: the vectors
-T_k phi are shared and only the Bessel coefficients differ.  Each term costs
-one product with the operator and two vector updates for the recurrence; the
-outputs take the terms two at a time, in one matrix product (ZGEMM) that
-reads the pair once and updates every output in place, so each output is
-read and written once per two terms.
+T_k phi are shared, and one pass of Miller's recurrence gives the window's
+Bessel coefficients.  Each term costs one product with the operator and two
+vector updates for the recurrence; the outputs take the terms two at a time,
+in one matrix product (ZGEMM) that reads the pair once and updates every
+output in place, so each output is read and written once per two terms.
 The series is cut where the Bessel tail bound 2 sum_{k >= K} |J_k(a tau)|
 meets the budget, an a-priori error bound that needs no inner products.
 
@@ -75,7 +75,8 @@ class PropagationPlan:
 
     ``times`` must be strictly increasing and start at 0; ``tol`` is the
     error budget per Chebyshev window (the expansion is cut where its Bessel
-    tail bound reaches ``1e-3 * tol``).
+    tail bound reaches ``1e-3 * tol``), positive and finite.  A boundary-shell
+    population above ``leakage_threshold`` (>= 0; inf for no check) raises.
     """
 
     times: np.ndarray
@@ -90,8 +91,10 @@ class PropagationPlan:
             raise ValueError("times must start at 0")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not self.leakage_threshold >= 0:
+            raise ValueError(f"leakage_threshold must be >= 0, got {self.leakage_threshold!r}")
         object.__setattr__(self, "times", times)
 
     @classmethod
@@ -168,45 +171,47 @@ def _spectral_bounds(m: sp.csr_matrix) -> tuple[float, float]:
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def _bessel(n: int, x: float) -> np.ndarray:
-    """J_k(x) for k < n by Miller's recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, run
-    down from past n and |x| and normalized by J_0 + 2 sum_k J_2k = 1.  Up to
-    |x| = 100 each is within a few units of rounding of max |J|; scipy's ``jv``
-    is off by 17 at x = 30, an error that every window of the same step repeats."""
-    if abs(x) < 1e-100:                 # J_1 = x/2 is below any rounding of J_0 = 1
-        return np.eye(1, n).ravel()
-    top = n + 32 + int(abs(x)) // 4
-    vals = [0.0] * top
-    nxt, cur = 0.0, 1.0
-    for k in range(top, 0, -1):
-        nxt, cur = cur, 2.0 * k / x * cur - nxt
-        if abs(cur) > 1e150:            # rescale; what it shrinks to nothing is negligible
-            vals[k:] = [v * 1e-150 for v in vals[k:]]
-            nxt, cur = nxt * 1e-150, cur * 1e-150
-        vals[k - 1] = cur
-    return np.array(vals[:n]) / (2.0 * math.fsum(vals[::2]) - vals[0])
+def _coefficients(taus: np.ndarray, centre: float, half: float, budget: float) -> tuple:
+    """The coefficient table of one window, terms x outputs, and each output's order.
 
-
-def _coefficients(tau: float, centre: float, half: float, budget: float) -> np.ndarray:
-    """e^{-i c tau} (2 - delta_k0) (-1)^k J_k(a tau) for k < K.
-
-    These expand exp(-i H tau) phi in the vectors p_k = i^k T_k((H - c)/a) phi;
-    K is the smallest order whose tail bound 2 sum_{k >= K} |J_k(a tau)| is
-    within ``budget``.
+    Column j holds e^{-i c tau_j} (2 - delta_k0) (-1)^k J_k(a tau_j) for k < K_j, then
+    zeros, in an even number of rows: the coefficients of exp(-i H tau_j) phi in
+    p_k = i^k T_k((H - c)/a) phi.  K_j is the smallest order whose tail bound
+    2 sum_{k >= K} |J_k(a tau_j)| is within ``budget``.  One pass of Miller's
+    recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, from past the table and |x| and
+    normalized by J_0 + 2 sum_k J_2k = 1, serves every x = a tau.  It gives J_k for
+    k <= n, the first n with (|x|/2)^n/n! <= 1e-3 * budget, a bound on |J_n(x)|, so
+    every tail is within budget by row n.  Up to |x| = 100 each J_k is within a few
+    units of rounding of max |J|; scipy's ``jv`` is off by 17 at x = 30, in every
+    window of that step.
     """
-    x = half * tau
-    n = int(abs(x)) + 32
-    while True:
-        bessel = _bessel(n, x)
-        if abs(bessel[-1]) <= 1e-3 * budget:   # past k = |x| the terms fall off monotonically
-            break
-        n *= 2
-    tail = 2.0 * np.cumsum(np.abs(bessel[::-1]))[::-1]
-    order = max(int(np.argmax(tail <= budget)), 1)
-    coef = bessel[:order] * np.exp(-1j * centre * tau)
-    coef[1:] *= 2.0
-    coef[1::2] *= -1.0
-    return coef
+    x = half * taus
+    big = float(np.max(np.abs(x), initial=0.0))
+    n = 1
+    while big and n * math.log(big / 2) - math.lgamma(n + 1) > math.log(1e-3 * budget):
+        n += 1
+    bessel = np.zeros((n + 1, x.size))
+    bessel[0] = 1.0                     # where J_1 = x/2 is below any rounding of J_0 = 1
+    run = np.flatnonzero(np.abs(x) >= 1e-100)
+    if run.size:
+        top = n + 33 + int(big) // 4
+        vals = np.zeros((top + 2, run.size))    # J_{top+1} = 0, J_top = 1 unnormalized
+        vals[top] = 1.0
+        ratio = (2.0 * np.arange(top + 1))[:, None] / x[run]
+        for k in range(top, 0, -1):
+            np.multiply(ratio[k], vals[k], out=vals[k - 1])
+            vals[k - 1] -= vals[k + 1]
+            if np.abs(vals[k - 1]).max() > 1e150:   # rescale; what it shrinks away is negligible
+                vals[k - 1:, np.abs(vals[k - 1]) > 1e150] *= 1e-150
+        bessel[:, run] = vals[:n + 1] / [2.0 * math.fsum(v) - v[0] for v in vals[::2].T.tolist()]
+    tail = 2.0 * np.cumsum(np.abs(bessel[::-1]), axis=0)[::-1]
+    orders = np.maximum(np.argmax(tail <= budget, axis=0), 1)
+    rows = int(orders.max())
+    table = bessel[:rows + rows % 2] * np.exp(-1j * centre * taus)
+    table[1:] *= 2.0
+    table[1::2] *= -1.0
+    table[np.arange(table.shape[0])[:, None] >= orders] = 0.0
+    return table, orders
 
 
 def _add_terms(outs: np.ndarray, terms: np.ndarray, coef: np.ndarray) -> None:
@@ -226,16 +231,15 @@ def _start_pair(phi: np.ndarray, n: int) -> np.ndarray:
     """The (2, n) recurrence array of :func:`_chebyshev` for the start phi:
     phi's first n entries in row 0, zero past its end, and zeros in row 1."""
     pair = np.zeros((2, n), complex)
-    head = min(n, phi.size)
-    pair[0, :head] = phi[:head]
+    pair[0, :phi.size] = phi[:n]
     return pair
 
 
-def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
-               ) -> tuple[np.ndarray, int]:
+def _chebyshev(mat, pair: np.ndarray, table: np.ndarray, orders: np.ndarray, centre: float,
+               half: float) -> tuple[np.ndarray, int]:
     """exp(-i H tau) phi for every tau of one window, from one recurrence.
 
-    ``coefs`` holds the :func:`_coefficients` of each tau.  Of ``mat`` only
+    ``table`` and ``orders`` are the window's :func:`_coefficients`.  Of ``mat`` only
     ``shape`` is read and ``@`` applied.  It may be the leading block of rows
     of H, of shape (m, n): a box (see :class:`_Boxes`).  Every vector has the
     box's length n.  ``pair`` is the :func:`_start_pair` of phi, and the
@@ -244,17 +248,12 @@ def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
     obeys p_{k+1} = p_{k-1} + (2i/a)(H - c) p_k: two ``axpy`` updates per term,
     in place over the older row of ``pair`` (p_k in row k % 2), and no
     separate scaling pass.  After each pair of terms one ZGEMM adds both into
-    every output whose series has not ended (:func:`_add_terms`), each
-    coefficient zero past its output's order.  Returns the outputs as the rows of one
-    (len(coefs), n) array and the number of products with ``mat``.
+    every output whose series has not ended (:func:`_add_terms`), by the table's
+    two rows.  Returns the outputs as the rows of one (len(orders), n) array and
+    the number of products with ``mat``.
     """
-    rows, act = mat.shape
-    sizes = np.array([c.size for c in coefs])
-    order = int(sizes.max())
-    table = np.zeros((order + order % 2, sizes.size), complex)   # terms x outputs, even length
-    for j, c in enumerate(coefs):
-        table[:c.size, j] = c
-    outs = np.zeros((sizes.size, act), complex)
+    order = int(orders.max())
+    outs = np.zeros((orders.size, mat.shape[1]), complex)
     for k in range(0, order, 2):
         # p_j over p_{j-2}, and p_1 = (i/a)(H - c) p_0 over zeros; an update by a
         # product (m entries) reaches the first m.  With a == 0 (H = c I) there
@@ -263,7 +262,7 @@ def _chebyshev(mat, pair: np.ndarray, coefs, centre: float, half: float
             new, old, step = pair[j % 2], pair[1 - j % 2], 1j if j == 1 else 2j
             zaxpy(mat @ old, new, a=step / half)
             zaxpy(old, new, a=-step * centre / half)
-        live = int(np.argmax(sizes > k))    # the outputs before it have ended
+        live = int(np.argmax(orders > k))   # the outputs before it have ended
         _add_terms(outs[live:], pair, table[k:k + 2, live:])
     return outs, order - 1
 
@@ -361,20 +360,21 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
     the trace and the leakage read that prefix, past which the state is
     zero, and ``keep_states`` pads each state to the lattice.  Consecutive
     grid times are grouped into windows with a * (t_last - t_start) <= 32,
-    each served by one Chebyshev recurrence from the state at t_start.  The
+    each served by one Chebyshev recurrence from the state at t_start and by
+    one table of coefficients (:func:`_coefficients`), made whenever the
+    window is planned: once, and again on a grown lattice or for a redo.  The
     norm is preserved to the expansion tolerance (the evolution is unitary;
     leakage is *monitored*, not absorbed).
 
     Each window runs on the box of the lattice the wavefront occupies (see
     :class:`_Boxes`), leaving at most (``_TAIL`` * tol)**2 of the population
-    outside.  The box is the smaller
-    of the light cone (the base state's support plus the window's products
-    times the band width), inside which the result is exact, and the
-    measured front plus its projected advance and ``_SHELLS`` shells.  A
-    window whose outputs put more than that population on the box's outer
-    band shells is run again on a wider box.  The start keeps its shells out
-    to its front.  The Gershgorin interval, and so every window's order, is
-    that of the whole operator.
+    outside.  The box is the smaller of the light cone (the base state's
+    support plus the window's products times the band width), inside which
+    the result is exact, and the measured front plus its projected advance
+    and ``_SHELLS`` shells.  A window whose outputs put more than that
+    population on the box's outer band shells is run again on a wider box.
+    The start keeps its shells out to its front.  The Gershgorin interval,
+    and so every window's order, is that of the whole operator.
 
     Before a window whose box and band pass shell min_i D_i, where a box
     first meets a boundary, ``grow(radius)`` may return the operator and
@@ -457,9 +457,9 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
             stop = base + 2
             while stop < times.size and boxes.half * (times[stop] - times[base]) <= _WINDOW:
                 stop += 1
-            coefs = [_coefficients(tau, boxes.centre, boxes.half, _TAIL * plan.tol)
-                     for tau in times[base + 1:stop] - times[base]]
-            products = max(c.size for c in coefs) - 1
+            table, orders = _coefficients(times[base + 1:stop] - times[base], boxes.centre,
+                                          boxes.half, _TAIL * plan.tol)
+            products = int(orders.max()) - 1
             cone = reach + products * boxes.band
             margin = (products * boxes.band if speed is None
                       else int(np.ceil(speed * (times[stop - 1] - times[base])))) + _SHELLS
@@ -479,7 +479,7 @@ def propagate(h: LatticeOperator, psi0: LatticeState, plan: PropagationPlan, *,
             pair = _start_pair(phi, mat.shape[1])
             if r >= cone:
                 del phi         # no redo can need the start: the pair holds its one copy
-            block, used = _chebyshev(mat, pair, coefs, boxes.centre, boxes.half)
+            block, used = _chebyshev(mat, pair, table, orders, boxes.centre, boxes.half)
             del pair
             stats["matvecs"] += used
             work += boxes.rows(r) * used

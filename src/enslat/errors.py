@@ -26,7 +26,8 @@ class NumericalBreakdown(EnslatError):
 
 
 class EmptySupport(EnslatError, ValueError):
-    """Requested cutoff window is empty on the support, or carries no probability mass."""
+    """Requested cutoff window is empty on the support, or carries no probability mass
+    (or, for a grid, mass past the reach where its density is a normal float)."""
 
 
 # --- lattice ---

@@ -332,8 +332,10 @@ def _panel_edges(dist: DisorderDistribution, npoints: int) -> np.ndarray:
     """The one panel layout, for every measure and every grid size.
 
     - On each piece of the support where the density is a normal float (the
-      window, within +-37.5 sigma for the gaussian; a tabulated density's
-      runs of segments with mass), ceil(npoints / 24) panels, at least 16,
+      window, within +-37.5 sigma for the gaussian, which raises EmptySupport
+      for a window with more than 1e-16 of its mass past that, rather than
+      clip it; a tabulated density's runs of segments with mass),
+      ceil(npoints / 24) panels, at least 16,
       with Chebyshev-Lobatto edges: they crowd its ends on the 1/k**2 scale
       of a degree-k polynomial there.  The outermost panel at each end is
       graded geometrically, for sqrt-type ends (semicircle).
@@ -349,6 +351,11 @@ def _panel_edges(dist: DisorderDistribution, npoints: int) -> np.ndarray:
         (lo, hi), w, reach = dist.support(), dist.width, 4.0
         if dist.family == "gaussian":
             reach = 37.5
+            past = sum(_gaussian_tail(max(a / w, reach)) - _gaussian_tail(b / w)
+                       for a, b in ((lo, hi), (-hi, -lo)) if b > reach * w)
+            if past > 1e-16 * dist.window_mass():
+                raise EmptySupport(f"{dist!r} holds {past / dist.window_mass():.1e} of its mass "
+                                   "past 37.5 sigma, where its density leaves the normal floats")
             lo, hi = max(lo, -reach * w), min(hi, reach * w)
         octaves = w * 2.0 ** np.arange(-3, max(-2, int(np.ceil(np.log2(max(-lo, hi) / w))) + 1))
         pieces = [(lo, hi)]
@@ -381,6 +388,8 @@ def discretize(dist: DisorderDistribution, npoints: int):
     ------
     UnboundedSupport
         If the support is infinite (no cutoff on gaussian/cauchy).
+    EmptySupport
+        For a gaussian window with mass past 37.5 sigma (:func:`_panel_edges`).
     """
     if not dist.bounded:
         raise UnboundedSupport(f"{dist.family} support is unbounded; set a cutoff")

@@ -1,8 +1,10 @@
 """Chebyshev propagation: correctness against the dense reference, conservation
 laws, leakage, auto depth, and the operator contract the benchmark relies on."""
 
+import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -481,6 +483,16 @@ def test_plan_validation():
         PropagationPlan(np.array([0.0, 1.0]), tol=0.0)
     with pytest.raises(ValueError, match="1-D grid"):
         PropagationPlan(np.zeros((2, 2)))
+    # an infinite tol cuts every series at one term, with no error; a NaN
+    # threshold never raises: both would silently break a run
+    for tol in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PropagationPlan(np.array([0.0, 1.0]), tol=tol)
+    for threshold in (np.nan, -1e-8):
+        with pytest.raises(ValueError, match="leakage_threshold must be >= 0"):
+            PropagationPlan(np.array([0.0, 1.0]), leakage_threshold=threshold)
+    for threshold in (0.0, np.inf):     # inf switches the check off
+        assert PropagationPlan(np.array([0.0, 1.0]), leakage_threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +547,67 @@ def test_chebyshev_matches_dense(lattice, grid, seed):
 
 
 def _window(mat, phi, taus, centre, half):
-    coefs = [dynamics._coefficients(tau, centre, half, dynamics._TAIL * 1e-12) for tau in taus]
+    table, orders = dynamics._coefficients(np.asarray(taus), centre, half, dynamics._TAIL * 1e-12)
     outs, used = dynamics._chebyshev(mat, dynamics._start_pair(phi, mat.shape[1]),
-                                     coefs, centre, half)
-    return outs, used, [c.size for c in coefs]
+                                     table, orders, centre, half)
+    return outs, used, orders.tolist()
+
+
+def test_window_table_matches_mpmath():
+    # one window of every scale of x = a tau, from 0 to past the longest
+    # window, and each x alone, where the bound on |J_n| is tightest: each J_k
+    # within 8 units of rounding of max |J|, each order the smallest K whose
+    # tail 2 sum_{k >= K} |J_k| is within the budget
+    mpmath.mp.dps = 40
+    xs = np.array([0.0, 1e-3, 0.05, 0.7, 3.3, 12.0, 30.0, 31.9, 64.0, 100.0])
+    exact = [np.array([mpmath.besselj(k, x) for k in range(int(1.5 * x) + 60)]) for x in xs]
+    for budget, window in itertools.product((1e-15, 1e-12, 1e-6),
+                                            [range(xs.size), *([j] for j in range(xs.size))]):
+        table, orders = dynamics._coefficients(xs[list(window)], 0.0, 1.0, budget)
+        assert table.shape[0] % 2 == 0 and table.shape[0] - 1 <= orders.max() <= table.shape[0]
+        assert not table.imag.any()
+        for col, order, bessel in zip(table.T.real, orders, [exact[j] for j in window]):
+            tails = 2 * np.cumsum(np.abs(bessel[::-1]))[::-1]
+            assert order == max(next(k for k, tail in enumerate(tails) if tail <= budget), 1)
+            k = np.arange(order)
+            got = col[:order] * (-1.0) ** k / np.where(k == 0, 1.0, 2.0)
+            err = max(abs(float(g - b)) for g, b in zip(got, bessel))
+            assert err <= 8 * np.finfo(float).eps * float(max(abs(bessel)))
+            assert not col[order:].any()
+
+
+def _counting_tables(monkeypatch) -> list:
+    """Wrap ``dynamics._coefficients``; returns the list of output counts it was called with."""
+    calls = []
+    coefficients = dynamics._coefficients
+
+    def counted(taus, *args):
+        calls.append(len(taus))
+        return coefficients(taus, *args)
+
+    monkeypatch.setattr(dynamics, "_coefficients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["grown", "redone"])
+def test_one_coefficient_table_per_planned_window(monkeypatch, case):
+    # a window's table is made each time the window is planned: once, again on
+    # a grown lattice and again for a redo; never once per output
+    calls = _counting_tables(monkeypatch)
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    if case == "grown":
+        plan = PropagationPlan.linspace(6.0, 41)
+        _, report = auto_depth(qubit_spec(DisorderDistribution.gaussian(1.0)),
+                               lambda b, _: localized_initial(c, b), plan)
+        assert len(report.growth) > 1 and len(calls) < plan.times.size - 1
+    else:       # the set-up of test_box_redone_when_front_outruns_it
+        dist = DisorderDistribution.semicircle(1.0)
+        op = build_general(qubit_spec(dist), [recurrence_analytic(dist, 151)], [150])
+        times = np.array([0.0, 40.0, 40.001, 80.0]) / dynamics._spectral_bounds(op.csr)[1]
+        _, report = propagate(op, localized_initial(c, LatticeBasis(2, (150,))),
+                              PropagationPlan(times))
+        assert report.redos > 0
+    assert len(calls) == report.windows + len(report.growth) - 1 + report.redos
 
 
 @pytest.mark.parametrize("taus", [[0.3, 1.7, 4.0], [4.0, 0.3, 2.5, 0.0, 1.1]],

@@ -2,6 +2,7 @@
 
 import time
 
+import mpmath
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from enslat import (
     quantile,
     recurrence_analytic,
     recurrence_stieltjes,
+    recurrence_table,
 )
 
 
@@ -253,6 +255,7 @@ def _cut_measures(draw):
     else:
         try:
             dist = DisorderDistribution(family, width=width, cutoff=(lo, hi))
+            recurrence_stieltjes(dist, 1)   # the grid refuses a gaussian's mass past 37.5 sigma
         except EmptySupport:
             assume(False)
     lo, hi = dist.support()
@@ -350,7 +353,6 @@ def test_gaussian_tail_window_mass_matches_mpmath():
     # 1e-14 relative from 1 sigma out to the 37.5 sigma where it leaves the
     # normal floats, on either side; ndtr's difference was off by 7.1e-2 at
     # (8, 100) above 0, and by 5.7e-14 at (-100, -30) below it
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for a in [*np.arange(1.0, 37.5, 0.75), 37.5]:
         for lo, hi in ((a, 100.0), (a, 2 * a), (a, a + 1)):
@@ -363,6 +365,26 @@ def test_gaussian_tail_window_mass_matches_mpmath():
     for cut in ((37.6, 100.0), (-100.0, -37.6)):
         with pytest.raises(EmptySupport):
             DisorderDistribution.gaussian(1.0, cutoff=cut)
+
+
+def test_far_tail_gaussian_window_is_exact_or_refused():
+    # the grid stops at 37.5 sigma, where the density leaves the normal floats,
+    # so a window with more than 1e-16 of its mass past that is refused.  Its
+    # table, against the mean lambda = phi(a)/Q(a) of the window (a, 100) and
+    # its variance, read 1.1e-10 and 2.8e-6 off at a = 37 when clipped
+    mpmath.mp.dps = 40
+    for a in (30.0, 36.0, 36.6, 37.0, 37.3, 37.45):
+        lam = mpmath.npdf(a) / mpmath.ncdf(-a)
+        var = 1 + a * lam - lam ** 2
+        for cut, mean in (((a, 100.0), lam), ((-100.0, -a), -lam)):
+            try:
+                table = recurrence_table(DisorderDistribution.gaussian(1.0, cutoff=cut), 4)
+            except EmptySupport as err:
+                assert a > 36.0 and "past 37.5 sigma" in str(err), cut
+                continue
+            assert a < 37.0, cut
+            assert abs(float((table.alpha[0] - mean) / lam)) <= 1e-14, cut
+            assert abs(float((table.beta[0] - var) / var)) <= 1e-12, cut
 
 
 def test_cutoff_tabulated_clips_and_renormalizes():
