@@ -27,7 +27,7 @@ class NumericalBreakdown(EnslatError):
 
 class EmptySupport(EnslatError, ValueError):
     """Requested cutoff window is empty on the support, or carries no probability mass
-    (or, for a grid, mass past the reach where its density is a normal float)."""
+    (or, for a gaussian, mass past the 37.5 sigma where its density is a normal float)."""
 
 
 # --- lattice ---

@@ -42,19 +42,19 @@ __all__ = [
     "boundary_shell",
 ]
 
-HERMITICITY_TOL = 1e-12
-
 
 def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
+    """(A + A^dag) / 2 of a matrix A within 1e-12 of it: one matrix, whichever
+    triangle is read, and A itself, bit for bit, when A is Hermitian."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} has non-finite entries")
     defect = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    if defect > HERMITICITY_TOL:
+    if defect > 1e-12:
         raise NotHermitian(f"{name} is not Hermitian (max |A - A^dag| = {defect:.3e})")
-    return mat
+    return (mat + mat.conj().T) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +84,7 @@ class PolynomialCoupling:
     @classmethod
     def linear(cls, matrix) -> "PolynomialCoupling":
         """``matrix * lambda``: the coefficients ``(0, matrix)``."""
-        matrix = _check_hermitian(matrix, "coupling matrix")
-        return cls((np.zeros_like(matrix), matrix))
+        return cls((np.zeros_like(matrix, dtype=complex), matrix))
 
     @classmethod
     def fit(cls, lam, values, degree: int = 8) -> "PolynomialCoupling":

@@ -57,6 +57,7 @@ __all__ = [
 
 _NAMED_FAMILIES = ("gaussian", "cauchy", "semicircle", "uniform")
 _SEMICIRCLE_STEPS = 5   # Newton steps of the semicircle quantile; the fourth reaches rounding
+_GAUSS_REACH = 37.5     # sigmas out to which a gaussian's density is a normal float
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -78,10 +79,11 @@ class DisorderDistribution:
     cutoff : tuple(float, float) or None
         Hard support window; the density is renormalized to unit mass on it.
         The constructor intersects it with the native support and raises
-        :class:`EmptySupport` when the result is empty or its mass is below
-        the smallest normal float.  A tabulated density is re-tabulated on
-        the window instead, so its cutoff reads None and its grid spans the
-        window.  A cut curbs the growth of the lattice couplings: sqrt(beta_k)
+        :class:`EmptySupport` when the result is empty, its mass is below the
+        smallest normal float, or, for a gaussian, more than 1e-16 of its mass
+        lies past +-37.5 sigma, where every grid stops (from about 36.5 sigma).
+        A tabulated density is re-tabulated on the window, so its cutoff reads
+        None.  A cut curbs the growth of the lattice couplings: sqrt(beta_k)
         saturates at a quarter of the window width.
     """
 
@@ -114,8 +116,15 @@ class DisorderDistribution:
             raise ValueError(f"{self.family} width must be positive")
         elif self.cutoff is not None:
             object.__setattr__(self, "cutoff", self._window(*self.native_support()))
-            if not self.window_mass() >= np.finfo(float).tiny:     # a gaussian's past 37.5 sigma
+            (lo, hi), w, mass = self.cutoff, self.width, self.window_mass()
+            if not mass >= np.finfo(float).tiny:     # a gaussian's past 37.5 sigma
                 raise EmptySupport(f"cutoff window {self.cutoff} carries zero mass")
+            past = sum(_gaussian_tail(max(a / w, _GAUSS_REACH)) - _gaussian_tail(b / w)
+                       for a, b in ((lo, hi), (-hi, -lo))
+                       if b > _GAUSS_REACH * w) if self.family == "gaussian" else 0.0
+            if past > 1e-16 * mass:
+                raise EmptySupport(f"{self!r} holds {past / mass:.1e} of its mass past 37.5 "
+                                   "sigma, where its density leaves the normal floats")
 
     def _window(self, nlo: float, nhi: float) -> tuple[float, float]:
         """The cutoff intersected with the native support [nlo, nhi]: the one
@@ -332,34 +341,34 @@ def _panel_edges(dist: DisorderDistribution, npoints: int) -> np.ndarray:
     """The one panel layout, for every measure and every grid size.
 
     - On each piece of the support where the density is a normal float (the
-      window, within +-37.5 sigma for the gaussian, which raises EmptySupport
-      for a window with more than 1e-16 of its mass past that, rather than
-      clip it; a tabulated density's runs of segments with mass),
-      ceil(npoints / 24) panels, at least 16,
-      with Chebyshev-Lobatto edges: they crowd its ends on the 1/k**2 scale
-      of a degree-k polynomial there.  The outermost panel at each end is
-      graded geometrically, for sqrt-type ends (semicircle).
+      window, clipped to +-37.5 sigma for the gaussian, whose constructor
+      refuses one with more than 1e-16 of its mass past that; a tabulated
+      density's runs of segments with mass), ceil(npoints / 24) panels, at
+      least 16, with Chebyshev-Lobatto edges: they crowd its ends on the
+      1/k**2 scale of a degree-k polynomial there.  The outermost panel at
+      each end is graded geometrically, for sqrt-type ends (semicircle).
     - Edges at the density's own scale w: 0, +-w 2**j for j >= -3, and every
       w/2 within +-4w (+-37.5w for the gaussian, whose polynomials oscillate
       below w wherever they live); a tabulated density's breakpoints instead.
+    - A gaussian window on one side of 0 decays from its end nearer 0 as
+      exp(-|near| y / w**2), faster than on the scale w past about 3 sigma:
+      edges at near +- (w**2 / |near|) 2**j, j = -3..6, resolve that length.
     """
     if dist.family == "tabulated":
         lam, dens = dist.grid
         runs = np.flatnonzero(np.diff(np.concatenate(([0], dens[:-1] + dens[1:] > 0, [0]))))
         pieces, edges = [(lam[a], lam[b]) for a, b in zip(runs[::2], runs[1::2])], [lam]
     else:
-        (lo, hi), w, reach = dist.support(), dist.width, 4.0
+        (lo, hi), w, reach, edges = dist.support(), dist.width, 4.0, []
         if dist.family == "gaussian":
-            reach = 37.5
-            past = sum(_gaussian_tail(max(a / w, reach)) - _gaussian_tail(b / w)
-                       for a, b in ((lo, hi), (-hi, -lo)) if b > reach * w)
-            if past > 1e-16 * dist.window_mass():
-                raise EmptySupport(f"{dist!r} holds {past / dist.window_mass():.1e} of its mass "
-                                   "past 37.5 sigma, where its density leaves the normal floats")
+            reach = _GAUSS_REACH
             lo, hi = max(lo, -reach * w), min(hi, reach * w)
+            if lo > 0 or hi < 0:        # a tail window: edges at its decay length
+                near = lo if lo > 0 else hi
+                edges = [near + np.outer([-1, 1], w * w / near * 2.0 ** np.arange(-3, 7)).ravel()]
         octaves = w * 2.0 ** np.arange(-3, max(-2, int(np.ceil(np.log2(max(-lo, hi) / w))) + 1))
         pieces = [(lo, hi)]
-        edges = [[0.0], octaves, -octaves, w * np.arange(-2 * reach, 2 * reach + 1) / 2]
+        edges += [[0.0], octaves, -octaves, w * np.arange(-2 * reach, 2 * reach + 1) / 2]
     n = max(_MIN_PANELS, int(np.ceil(npoints / _GL_POINTS)))
     for a, b in pieces:
         cheb = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
@@ -377,19 +386,14 @@ def discretize(dist: DisorderDistribution, npoints: int):
     and those of the graded ends and of the density's own scale.  Nodes of
     zero weight are dropped: the polynomials would overflow there.
 
-    Each node is placed from its panel's nearer edge, so it is rounded once,
-    to half an ulp; ``mid + half * x`` rounds twice, to up to two ulps.  On a
-    narrow piece far from the origin (a tabulated density's island of width
-    0.01 at 10) that error is 1e-13 of the piece's width, and the Stieltjes
-    table of order 177 moved by 1.4e-13 relative; placed from the edge it
-    matches an extended-precision grid to 1e-14.
+    Each node is placed from its panel's nearer edge, rounded once; placed as
+    ``mid + half * x``, rounded twice, it moved the order-177 table of a
+    tabulated island of width 0.01 at 10 by 1.4e-13 relative.
 
     Raises
     ------
     UnboundedSupport
         If the support is infinite (no cutoff on gaussian/cauchy).
-    EmptySupport
-        For a gaussian window with mass past 37.5 sigma (:func:`_panel_edges`).
     """
     if not dist.bounded:
         raise UnboundedSupport(f"{dist.family} support is unbounded; set a cutoff")

@@ -199,15 +199,12 @@ def _phase_rows(times: np.ndarray, g: np.ndarray, scale=None):
 
 
 def _alone(mats: np.ndarray) -> np.ndarray:
-    """Which levels of a stack of (..., N, N) matrices are alone: level r is
-    alone when its row and its column are exact zeros off the diagonal in
-    every matrix of the stack, so no matrix couples it to another level.
-    Row and column are both read, since the Hermitian check of a spec lets
-    through a small entry on one side only.
-    """
+    """Which levels of a stack of (..., N, N) Hermitian matrices are alone: those
+    whose row is exact zeros off the diagonal in every matrix, so none couples
+    them to another level.  A spec stores Hermitian parts: a row is its column."""
     n = mats.shape[-1]
     off = (mats != 0).reshape(-1, n, n).any(axis=0) & ~np.eye(n, dtype=bool)
-    return ~(off | off.T).any(axis=1)
+    return ~off.any(axis=1)
 
 
 def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols, phased):

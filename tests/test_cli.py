@@ -480,11 +480,19 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
                                 "couplings": [{"type": "linear", "matrix": np.eye(3).tolist()}],
                                 "distributions": [{"family": "gaussian", "width": 1.0}]}},
      "system: coupling 0 has shape (3, 3), expected (2, 2)"),
+    # a gaussian window with 5e-12 of its mass past 37.5 sigma, under every route
+    *((method, {"family": "gaussian", "width": 1.0, "cutoff": list(cut)}, {},
+       f"system.distributions[0]: DisorderDistribution[gaussian(width=1.0), cutoff={cut}] "
+       "holds 5.0e-12 of its mass past 37.5 sigma")
+      for cut in ((36.8, 100.0), (-100.0, -36.8))
+      for method in ("chain", "quad", "mc", "compare")),
 ], ids=["spectral-mc", "spectral-compare", "spectral-uncut-cauchy", "tabulated-uncut-gaussian",
         "unnormalized", "unreadable-gate", "uncut-cauchy", "empty-cut-window", "65-levels",
         "output-not-a-mapping", "numeric-not-a-mapping", "output-directory-not-a-string",
         "output-directory-null", "output-formats-not-a-list", "output-formats-null",
-        "coupling-of-the-wrong-size"])
+        "coupling-of-the-wrong-size",
+        *(f"{side}-tail-window-past-the-grid-{method}" for side in ("upper", "lower")
+          for method in ("chain", "quad", "mc", "compare"))])
 def test_validate_passes_exactly_what_run_starts(tmp_path, capsys, method, dist, changes,
                                                  failure):
     # --validate makes the checks a run makes before its first route; a run
@@ -504,6 +512,24 @@ def test_validate_passes_exactly_what_run_starts(tmp_path, capsys, method, dist,
     assert len(failures) == 1 and failures[0].startswith(failure)
     assert rc == 2 and err == f"config error: {failures[0]}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_rounding_defect_in_h0_runs_as_its_hermitian_part(tmp_path, capsys):
+    # an imaginary diagonal of 3e-13 passes the Hermitian check, and the spec
+    # stores h0's Hermitian part: every route runs, and writes what the real h0 writes
+    written = []
+    for h0 in ([[[0.0, 3e-13], 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]):
+        out = tmp_path / str(len(written))
+        path = qubit_config(tmp_path, method="compare", samples=500, n_steps=12,
+                            extra={"output": {"directory": str(out)}})
+        cfg = yaml.safe_load(path.read_text())
+        cfg["system"]["h0"] = h0
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["--config", str(path), "--validate"]) == 0
+        assert main(["--config", str(path)]) == 0
+        written.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+    capsys.readouterr()
+    assert len(written[0]) == 6 and written[0] == written[1]
 
 
 def test_spectral_state_runs_under_every_route(tmp_path):

@@ -4,10 +4,10 @@ import time
 
 import mpmath
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from enslat.measures import _trapz, grid_size
+from enslat.measures import _gaussian_tail, _trapz, grid_size
 import pytest
 
 from enslat import (
@@ -255,7 +255,6 @@ def _cut_measures(draw):
     else:
         try:
             dist = DisorderDistribution(family, width=width, cutoff=(lo, hi))
-            recurrence_stieltjes(dist, 1)   # the grid refuses a gaussian's mass past 37.5 sigma
         except EmptySupport:
             assume(False)
     lo, hi = dist.support()
@@ -263,12 +262,75 @@ def _cut_measures(draw):
     return dist
 
 
+_TAIL = DisorderDistribution.gaussian(1.0, cutoff=(5.327978945865641, 100.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(dist=_cut_measures(), order=st.integers(1, 600))
+@example(dist=_TAIL, order=81)      # 1.6e-13 off before the grid had edges at the
+@example(dist=_TAIL, order=87)      # decay length of a tail window; 1.6e-12 here
 def test_default_grid_matches_a_finer_grid(dist, order):
     t = recurrence_stieltjes(dist, order)
     fine = recurrence_stieltjes(dist, order, grid_points=4 * grid_size(order))
     assert np.abs(np.sqrt(t.beta) / np.sqrt(fine.beta) - 1).max() <= 1e-13
+
+
+def _mp_cdf(dist):
+    """The measure's CDF in mpmath, never read from the code under test; a
+    window above 0 through its mirror, where the native CDF is small."""
+    if dist.family == "tabulated":
+        lam, dens = ([mpmath.mpf(v) for v in a.tolist()] for a in dist.grid)
+        cum = [mpmath.mpf(0)]
+        for i in range(len(lam) - 1):
+            cum.append(cum[-1] + (lam[i + 1] - lam[i]) * (dens[i] + dens[i + 1]) / 2)
+
+        def tabulated(x):
+            i = np.searchsorted(dist.grid[0], float(x), side="right") - 1
+            i = min(max(i, 0), len(lam) - 2)
+            dx = min(max(x, lam[0]), lam[-1]) - lam[i]
+            slope = (dens[i + 1] - dens[i]) / (lam[i + 1] - lam[i])
+            return (cum[i] + dx * (dens[i] + dx * slope / 2)) / cum[-1]
+        return tabulated
+    w = mpmath.mpf(dist.width)
+
+    def native(x):
+        if dist.family == "gaussian":
+            return mpmath.ncdf(x / w)
+        if dist.family == "cauchy":
+            return 0.5 + mpmath.atan(x / w) / mpmath.pi
+        u = min(max(x / w, -1), 1)
+        if dist.family == "semicircle":
+            return 0.5 + (u * mpmath.sqrt(1 - u * u) + mpmath.asin(u)) / mpmath.pi
+        return (u + 1) / 2
+    if dist.cutoff is None:
+        return native
+    lo, hi = (mpmath.mpf(v) for v in dist.cutoff)
+    if lo > 0:
+        return lambda x: (native(-lo) - native(-x)) / (native(-lo) - native(-hi))
+    return lambda x: (native(x) - native(lo)) / (native(hi) - native(lo))
+
+
+@st.composite
+def _named_measures(draw):
+    family = draw(st.sampled_from(["gaussian", "cauchy", "semicircle", "uniform"]))
+    width = draw(st.floats(0.01, 100.0))
+    cutoff = (-30.0 * width, 30.0 * width) if family == "cauchy" else None
+    return DisorderDistribution(family, width=width, cutoff=cutoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=st.one_of(_cut_measures(), _named_measures()), order=st.integers(1, 200))
+def test_gauss_rules_bracket_the_measure(dist, order):
+    # Chebyshev-Markov-Stieltjes (Szego, Orthogonal Polynomials, ch. 3): the
+    # Gauss rule (x_k, w_k) of a measure has sum_{j<k} w_j <= F(x_k) <=
+    # sum_{j<=k} w_j, with F the measure's own CDF: a check of each table
+    # against the measure the Monte Carlo route draws from, not another table
+    nodes, weights = gauss_rule(recurrence_table(dist, order), order)
+    with mpmath.workdps(40):
+        cdf = _mp_cdf(dist)
+        f = np.array([float(cdf(mpmath.mpf(float(x)))) for x in nodes])
+    upto = np.cumsum(weights)
+    assert np.all(upto - weights - f <= 1e-14) and np.all(f - upto <= 1e-14)
 
 
 def test_stieltjes_grid_validation():
@@ -349,22 +411,33 @@ def test_cutoff_empty_window():
 
 
 def test_gaussian_tail_window_mass_matches_mpmath():
-    # a window on one side of 0 takes its mass from the gaussian tail, to
-    # 1e-14 relative from 1 sigma out to the 37.5 sigma where it leaves the
-    # normal floats, on either side; ndtr's difference was off by 7.1e-2 at
-    # (8, 100) above 0, and by 5.7e-14 at (-100, -30) below it
+    # the gaussian tail Q(x) is within 1e-14 relative of mpmath from 0 out to
+    # the 37.5 sigma where it leaves the normal floats
     mpmath.mp.dps = 40
+    for x in [*np.arange(0.0, 37.5, 0.25), 37.5]:
+        want = mpmath.ncdf(-x)
+        assert abs(float((_gaussian_tail(x) - want) / want)) <= 1e-14, x
+    # a window on one side of 0 takes its mass from that tail, to 1e-14
+    # relative, on either side, for every window the constructor accepts;
+    # ndtr's difference was off by 7.1e-2 at (8, 100) above 0, and by 5.7e-14
+    # at (-100, -30) below it
     for a in [*np.arange(1.0, 37.5, 0.75), 37.5]:
         for lo, hi in ((a, 100.0), (a, 2 * a), (a, a + 1)):
             want = mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
             for cut in ((lo, hi), (-hi, -lo)):
-                got = DisorderDistribution.gaussian(1.0, cutoff=cut).window_mass()
+                try:
+                    got = DisorderDistribution.gaussian(1.0, cutoff=cut).window_mass()
+                except EmptySupport:
+                    assert a > 36.0, cut
+                    continue
                 assert abs(float((got - want) / want)) <= 1e-14, cut
-    # (10, 100), of mass 7.6e-24, is a window; one whose mass is not a normal float is not
+    # (10, 100), of mass 7.6e-24, is a window; one with more than 1e-16 of its
+    # mass past 37.5 sigma, or a mass that is not a normal float, is not
     assert DisorderDistribution.gaussian(1.0, cutoff=(10.0, 100.0)).window_mass() > 7e-24
-    for cut in ((37.6, 100.0), (-100.0, -37.6)):
-        with pytest.raises(EmptySupport):
-            DisorderDistribution.gaussian(1.0, cutoff=cut)
+    for a in (36.8, 37.0, 37.45, 37.6):
+        for cut in ((a, 100.0), (-100.0, -a)):
+            with pytest.raises(EmptySupport):
+                DisorderDistribution.gaussian(1.0, cutoff=cut)
 
 
 def test_far_tail_gaussian_window_is_exact_or_refused():

@@ -512,11 +512,15 @@ def test_conserved_reads_every_coefficient():
 
 
 def test_alone_reads_rows_and_columns():
-    # an entry on one side of the diagonal couples both of its levels, since
-    # the Hermitian check of a spec lets a small one-sided entry through
-    mats = np.zeros((2, 3, 3))
-    mats[0] = np.diag([1.0, 2.0, 3.0])
-    mats[1, 0, 1] = 1e-300
+    # an entry on one side of the diagonal couples both of its levels: the
+    # Hermitian check of a spec lets a small one-sided entry through, and the
+    # spec stores the Hermitian part, so the row of each level is its column
+    h0 = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    h0[0, 1] = 1e-300
+    spec = EnsembleSpec(h0, (PolynomialCoupling.linear(np.diag([0.0, 0.0, 1.0])),),
+                        (DisorderDistribution.gaussian(1.0),))
+    assert np.array_equal(spec.h0, spec.h0.conj().T) and spec.h0[1, 0] == 5e-301
+    mats = np.array([spec.h0, *spec.couplings[0].matrices])
     assert oracle._alone(mats).tolist() == [False, False, True]
 
 

@@ -1,7 +1,10 @@
 """Partial trace and disorder-averaged observables."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from enslat import (
     DensityTrajectory,
@@ -16,7 +19,8 @@ from enslat import (
     recurrence_analytic,
     trajectory_from_states,
 )
-from conftest import flat_index, qubit_spec
+from enslat.cli import parse_initial, parse_spec
+from conftest import flat_index, lattice_at, qubit_spec
 
 
 def test_localized_trace_is_pure_projector():
@@ -133,3 +137,22 @@ def test_trajectory_shape_checks():
     with pytest.raises(ValueError):
         DensityTrajectory(np.array([0.0]), np.zeros((1, 2, 2)),
                           errors=np.zeros((1, 2)))
+
+
+def test_coherence_is_the_return_amplitude_of_the_moving_level():
+    # the paper's picture: coherence is lost as the walker leaves the origin.
+    # On the shipped gaussian qubit level 0 never leaves node 0, so
+    # rho_01(t) = c_0 conj(c_1) exp(-i E_0 t) conj(psi_{1,0}(t) / c_1), with
+    # psi_{1,0} level 1's amplitude on node 0
+    path = Path(__file__).resolve().parents[1] / "configs" / "qubit_gaussian.yaml"
+    cfg = yaml.safe_load(path.read_text())
+    spec = parse_spec(cfg, str(path.parent))
+    _, c = parse_initial(cfg, spec, str(path.parent))
+    times = np.linspace(0.0, cfg["time"]["t_max"], cfg["time"]["n_steps"])
+    op, psi0 = lattice_at(spec, lambda basis, _: localized_initial(c, basis), (128,))
+    states, report = propagate(op, psi0, PropagationPlan(times, tol=1e-12), keep_states=True)
+    amps = np.array([s.node_amplitudes() for s in states])        # (T, nodes, N)
+    assert not amps[:, 1:, 0].any()
+    e0 = spec.h0[0, 0].real
+    want = c[0] * np.conj(c[1]) * np.exp(-1j * e0 * times) * np.conj(amps[:, 0, 1] / c[1])
+    assert np.abs(report.rho[:, 0, 1] - want).max() <= 1e-13
