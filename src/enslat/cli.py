@@ -340,7 +340,14 @@ def _resolve_numeric(cfg: dict, n_vars: int | None = None) -> dict:
         _fail("numeric.seed", f"expected an integer in [0, 2**64), got {num['seed']!r}")
     _positive_int(num["depth_cap"], "numeric.depth_cap")
     _positive_number(num["tol"], "numeric.tol")
-    _positive_number(num["leakage_threshold"], "numeric.leakage_threshold")
+    threshold = num["leakage_threshold"]
+    try:                # the plan's own rule decides the range: >= 0, inf for no check
+        if isinstance(threshold, bool):
+            raise TypeError
+        PropagationPlan(np.zeros(1), leakage_threshold=float(threshold))
+    except (TypeError, ValueError):
+        _fail("numeric.leakage_threshold",
+              f"expected a number >= 0, or .inf for no check; got {threshold!r}")
     return num
 
 

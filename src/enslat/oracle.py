@@ -24,11 +24,12 @@ coefficients (see :func:`_alone`).  The population of a level that none
 of them couples to another (under pure dephasing, every level) is the same
 at every time: each chunk folds it once, from the initial amplitudes.  A
 coherence between two such levels (under pure dephasing, every coherence)
-is one phase per realization, written straight from its own factor
-tables; any other entry is a product of the amplitudes of one ``eigh`` of
-the whole chunk.  The chunk is asked only for the entries that move, one
-time tile at a time, and folds each tile while it is in cache, so no
-(T, N, B) array is held.
+is one phase per realization, and each chunk folds it straight from its two
+factor tables (see :func:`_phase_moments`): one matrix product for its mean
+at every time, and no (T, B) array of samples.  Any other entry is a
+product of the amplitudes of one ``eigh`` of the whole chunk, evolved one
+time tile at a time and folded while the tile is in cache, so no (T, N, B)
+array is held.
 
 :func:`chain_to_ensemble` is the reverse map: a constant-coupling
 semi-infinite lattice is the chain image of semicircle-distributed disorder,
@@ -73,6 +74,7 @@ _CHUNK = 4096       # fixed chunk size keeps the summation order reproducible
 # the GIL: at 256 KB two threads ran slower than one, and 4 MB spilled the cache.
 _TILE_BYTES = 1 << 20
 _UNIFORM_ULPS = 4       # a time grid this close to t_0 + j dt gets factorized phases
+_ONE_PASS = 1e9 * 2.0 ** -53    # a one-pass m2 is kept where B u S / m2 <= 1e-9 (_phase_moments)
 
 
 @dataclass(frozen=True)
@@ -152,50 +154,108 @@ def _fine_length(times: np.ndarray):
     return math.isqrt(nt - 1) + 1 if nt else None
 
 
-def _phase_rows(times: np.ndarray, g: np.ndarray, scale=None):
-    """Phases exp(-i t g) of one gap per realization, g of shape (B,), each
-    times its realization's ``scale`` when one is given.
+def _direct(times: np.ndarray, g: np.ndarray, scale=None) -> np.ndarray:
+    """The (T, B) phases exp(-i t g) of the times, each times its realization's
+    ``scale`` when one is given: one ``exp`` per entry."""
+    out = np.exp(-1j * np.multiply.outer(times, g))
+    if scale is not None:
+        out *= scale
+    return out
 
-    Returns ``phase(tile, out=None)``, the (tile, B) rows of a slice of the
-    times, written into ``out`` when one is given.  On a uniform grid
-    t_j = t_0 + j dt the phase factorizes: with j = q b + r and
-    b = ceil(sqrt(T)),
+
+def _phase_tables(times: np.ndarray, g: np.ndarray, scale=None):
+    """The two factor tables of the phases exp(-i t g) of one gap per
+    realization, g of shape (B,), each times its realization's ``scale``
+    when one is given; None unless the grid is uniform.
+
+    On a uniform grid t_j = t_0 + j dt the phase factorizes: with j = q b + r
+    and b = ceil(sqrt(T)),
 
         exp(-i g t_j) = exp(-i g t_{qb}) exp(-i g (t_r - t_0)),
 
-    so a realization costs ceil(T / b) + b ``exp`` calls, not T, and only
-    those two tables are held; a tile is one product per coarse time it
-    spans, of a coarse row and a slice of fine rows.  The scale is folded
-    into the coarse table once, so it costs a tile nothing.  The coarse
-    factor is scale times the direct phase of the grid's own times t_{qb},
-    and the fine factor of r = 0 is exactly 1, so at every j = q b (t_0
-    included) the row equals scale times the direct phase bitwise.
-    Elsewhere it is off by a few ulp of g t.  Any other grid takes the
-    direct ``exp`` per tile, then the scale.
+    so row j is coarse[q] * fine[r], of the ceil(T / b) x B coarse table and
+    the b x B fine one, and a realization costs ceil(T / b) + b ``exp``
+    calls, not T.  The scale is folded into the coarse table once.  The
+    coarse factor is scale times the direct phase of the grid's own times
+    t_{qb}, and the fine factor of r = 0 is exactly 1, so at every j = q b
+    (t_0 included) the row equals scale times the direct phase bitwise.
+    Elsewhere it is off by a few ulp of g t.
     """
     b = _fine_length(times)
     if b is None:
-        def direct(tile: slice, out=None) -> np.ndarray:
-            out = np.exp(-1j * np.multiply.outer(times[tile], g), out=out)
-            if scale is not None:
-                out *= scale
-            return out
-        return direct
+        return None
     coarse = np.multiply.outer(times[::b], -1j * g)
     fine = np.multiply.outer(times[:b] - times[0], -1j * g)
     np.exp(coarse, out=coarse)          # in place: no second table-sized temporary
     np.exp(fine, out=fine)
     if scale is not None:
         coarse *= scale
+    return coarse, fine
 
-    def phase(tile: slice, out=None) -> np.ndarray:
+
+def _phase_rows(times: np.ndarray, g: np.ndarray):
+    """Phases exp(-i t g) of one gap per realization, g of shape (B,).
+
+    Returns ``phase(tile)``, the (tile, B) rows of a slice of the times.  On a
+    uniform grid a tile is one product per coarse time it spans, of a coarse
+    row and a slice of fine rows of :func:`_phase_tables`, and only those two
+    tables are held.  Any other grid takes the direct ``exp`` per tile.
+    """
+    tables = _phase_tables(times, g)
+    if tables is None:
+        return lambda tile: _direct(times[tile], g)
+    coarse, fine = tables
+    b = fine.shape[0]
+
+    def phase(tile: slice) -> np.ndarray:
         t0, t1, _ = tile.indices(times.size)
-        out = np.empty((t1 - t0, g.size), complex) if out is None else out
+        out = np.empty((t1 - t0, g.size), complex)
         for q in range(t0 // b, -(-t1 // b)):           # one product per coarse time
             j0, j1 = max(t0, q * b), min(t1, (q + 1) * b)
             np.multiply(coarse[q], fine[j0 - q * b:j1 - q * b], out=out[j0 - t0:j1 - t0])
         return out
     return phase
+
+
+def _phase_moments(times: np.ndarray, g: np.ndarray, scale: np.ndarray):
+    """Mean and sum of squared deviations, over B realizations, of the samples
+    scale * exp(-i g t) at every time, folded straight from their factor
+    tables: g and scale of shape (B,).
+
+    The mean of the times a coarse and a fine table span is one matrix
+    product, (coarse @ fine.T) / B, read row-major.  A sample's |.|^2 is
+    |scale|^2 at every time, so the sum of squared deviations is
+    S - B |mean|^2, with S = sum_b |scale_b|^2.  Chan, Golub & LeVeque
+    (Amer. Statist. 37, 242, 1983) bound that one-pass form's relative error
+    by about B u S / m2, u = 2**-53: a time keeps it only where that bound is
+    at most 1e-9.  Every other time (t = 0 when every realization has one
+    scale, as under one initial state; a degenerate or very narrow ensemble)
+    has its samples built from the same tables and folded by
+    :func:`_moments`, bit for bit as a (T, B) array of them would be.  No (T, B) array is held: on a uniform grid the
+    two tables of :func:`_phase_tables` span every time, and any other grid
+    is folded one cache tile at a time, with the tile's direct phases as its
+    coarse table and one row of ones as its fine table.
+    """
+    nb = g.size
+    s = np.sum(scale.real ** 2 + scale.imag ** 2)
+    tables = _phase_tables(times, g, scale)
+    if tables is None:
+        ones = np.ones((1, nb), complex)
+        blocks = ((tile, _direct(times[tile], g, scale), ones)
+                  for tile in _time_tiles(times.size, 16 * nb))
+    else:
+        blocks = [(slice(0, times.size), *tables)]
+    mean = np.empty(times.size, complex)
+    m2 = np.empty(times.size)
+    for tile, coarse, fine in blocks:
+        b = fine.shape[0]
+        mu = (coarse @ fine.T).ravel()[:times[tile].size] / nb
+        dev = s - nb * (mu.real ** 2 + mu.imag ** 2)
+        redo = np.flatnonzero(~(dev >= _ONE_PASS * nb * s))       # a NaN too
+        if redo.size:
+            mu[redo], dev[redo] = _moments(coarse[redo // b] * fine[redo % b])
+        mean[tile], m2[tile] = mu, dev
+    return mean, m2
 
 
 def _alone(mats: np.ndarray) -> np.ndarray:
@@ -207,55 +267,40 @@ def _alone(mats: np.ndarray) -> np.ndarray:
     return ~off.any(axis=1)
 
 
-def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols, phased):
+def _evolve_batch(hb: np.ndarray, c0: np.ndarray, times: np.ndarray, rows, cols):
     """The rho entries (rows[p], cols[p]) of a batch (B, N, N), (B, N), one
-    time tile at a time.
+    time tile at a time, from the amplitudes of one ``eigh`` of the batch.
 
     Returns ``samples(tile)``, the (tile, P, B) values a_r conj(a_c) of each
     realization's amplitudes a(t) on a slice of the times, so no (T, N, B)
-    array is held.  The mask ``phased`` (see :func:`_average`) gives each
-    entry one of two routes:
-
-    * both of its levels are alone in every H(lambda), so each is its own
-      eigenvector, with the diagonal entry of H(lambda) as its eigenvalue,
-      and the entry is c_r conj(c_c) exp(-i (E_r - E_c) t): one row of
-      :func:`_phase_rows`, which holds c_r conj(c_c) in its coarse table;
-    * any other entry is conj(a_c) a_r, from the amplitudes of one ``eigh``
-      of the whole batch: with eigenvectors v_m and w_m = v_m (V^H c)_m,
-      held as one contiguous (N, N, B) table, the amplitudes are
-      sum_m w_m phase_m(tile), each column level conjugated once per tile.
-      Phases run relative to each realization's lowest eigenvalue; the
-      global phase dropped that way cancels in rho.
-
-    No ``eigh`` runs when every entry is phased, and a batch asked for no
-    entry builds no table.  Every phase comes from :func:`_phase_rows`, so
-    a time's entries are the same bit for bit under any tiling.
+    array is held.  With eigenvectors v_m and w_m = v_m (V^H c)_m, held as
+    one contiguous (N, N, B) table, the amplitudes are sum_m w_m phase_m(tile),
+    each column level conjugated once per tile.  Phases run relative to each
+    realization's lowest eigenvalue; the global phase dropped that way
+    cancels in rho.  Every phase comes from :func:`_phase_rows`, so a time's
+    entries are the same bit for bit under any tiling.  Each chunk calls this
+    once with its whole batch, the benchmark's tracer counts the realizations
+    evolved here, and a batch asked for no entry runs no ``eigh`` and builds
+    no table.
     """
     nb, n = c0.shape
-    energy = hb.diagonal(axis1=1, axis2=2).real        # a level alone's eigenvalue
-    one_phase = [(p, _phase_rows(times, energy[:, r] - energy[:, c], c0[:, r] * c0[:, c].conj()))
-                 for p, r, c in zip(np.flatnonzero(phased), rows[phased], cols[phased])]
-    other = np.flatnonzero(~phased)
-    if other.size:
+    if rows.size:
         evals, vecs = np.linalg.eigh(hb)
         ceig = (vecs.transpose(1, 2, 0).conj() * c0.T[:, None, :]).sum(axis=0)  # V^H c
         w = np.multiply(vecs.transpose(2, 1, 0), ceig[:, None, :],
                         out=np.empty((n, n, nb), complex))
         phases = [_phase_rows(times, evals[:, m] - evals[:, 0]) for m in range(1, n)]
-        columns = np.unique(cols[other])
+        columns = np.unique(cols)
 
     def samples(tile: slice) -> np.ndarray:
-        out = np.empty((times[tile].size, rows.size, nb), complex)
-        for p, phase in one_phase:
-            phase(tile, out=out[:, p])
-        if other.size:
-            a = np.empty((out.shape[0], n, nb), complex)
-            a[...] = w[0]                   # the lowest eigenvalue: its phase is exactly 1
-            for m, phase in enumerate(phases, 1):
-                a += w[m] * phase(tile)[:, None, :]
-            ac = {c: np.conjugate(a[:, c]) for c in columns}
-            for p in other:
-                np.multiply(ac[cols[p]], a[:, rows[p]], out=out[:, p])
+        a = np.empty((times[tile].size, n, nb), complex)
+        a[...] = w[0]                       # the lowest eigenvalue: its phase is exactly 1
+        for m, phase in enumerate(phases, 1):
+            a += w[m] * phase(tile)[:, None, :]
+        ac = {c: np.conjugate(a[:, c]) for c in columns}
+        out = np.empty((a.shape[0], rows.size, nb), complex)
+        for p, (r, c) in enumerate(zip(rows, cols)):
+            np.multiply(ac[c], a[:, r], out=out[:, p])
         return out
     return samples
 
@@ -290,24 +335,32 @@ def _chunk(spec: EnsembleSpec, c_fn, times, points, start: int, stop: int, rows,
     scale once :func:`~enslat.states.realization_amplitudes` has checked
     their norm.  ``still`` and ``phased`` are the entry masks of
     :func:`_average`.  An entry ``still`` marks is folded once, from
-    |c_r|^2, and its moments are given to every time.  Only the entries that
-    move are asked of :func:`_evolve_batch`; each time tile, of
-    16 (N + moving entries) B bytes per time, is folded while it is in
-    cache.  When none moves, no tile is evolved.
+    |c_r|^2, and its moments are given to every time.  Any other phased
+    entry, between levels r and c alone, is c_r conj(c_c) exp(-i (E_r - E_c) t)
+    with E the diagonal of H(lambda), and :func:`_phase_moments` folds it
+    from its two factor tables.  Only the other entries are asked of
+    :func:`_evolve_batch`; each time tile, of 16 (N + those entries) B bytes
+    per time, is folded while it is in cache.  When there are none, no tile
+    is evolved.
     """
     lam, scale = points(start, stop)
     c0 = realization_amplitudes(c_fn, lam, spec.n)
     if scale is not None:
         c0 = c0 * scale[:, None]
-    moves = ~still
-    samples = _evolve_batch(spec.hamiltonian(lam), c0, times, rows[moves], cols[moves],
-                            phased[moves])
+    hb = spec.hamiltonian(lam)
+    dense = ~phased
+    samples = _evolve_batch(hb, c0, times, rows[dense], cols[dense])
     mean = np.empty((times.size, rows.size), complex)
     m2 = np.empty((times.size, rows.size))
-    if moves.any():
-        row_bytes = 16 * (spec.n + np.count_nonzero(moves)) * (stop - start)
+    if dense.any():
+        row_bytes = 16 * (spec.n + np.count_nonzero(dense)) * (stop - start)
         for tile in _time_tiles(times.size, row_bytes):
-            mean[tile, moves], m2[tile, moves] = _moments(samples(tile))
+            mean[tile, dense], m2[tile, dense] = _moments(samples(tile))
+    energy = hb.diagonal(axis1=1, axis2=2).real        # a level alone's eigenvalue
+    for p in np.flatnonzero(phased & ~still):
+        r, c = rows[p], cols[p]
+        mean[:, p], m2[:, p] = _phase_moments(times, energy[:, r] - energy[:, c],
+                                              c0[:, r] * c0[:, c].conj())
     pops = c0.T[rows[still]]
     mean[:, still], m2[:, still] = _moments(pops * pops.conj())
     return stop - start, mean, m2
@@ -321,14 +374,14 @@ def _average(spec: EnsembleSpec, c_fn, times, total: int, points):
     levels that h0 and every coupling coefficient leave alone (see
     :func:`_alone`), each an eigenvector of every H(lambda): the population
     of one is conserved, rho_rr(t) = |c_r(lambda)|^2 (mask ``still``), a
-    coherence between two is one phase (mask ``phased``, which holds
-    ``still``), and any other entry comes from one ``eigh``.  Each chunk of
-    ``_CHUNK`` realizations is one task on up to one pool thread per
-    available core, from its disorder values to the fold of its last time
-    tile.  The calling thread only submits the chunks and merges their
-    moments in chunk order, so the result is bitwise the same for any number
-    of threads.  A lone chunk runs on the calling thread, and no pool is
-    started.  A chunk that raises cancels the chunks queued behind it.
+    coherence between two is one phase, folded from its factor tables (mask
+    ``phased``, which holds ``still``), and any other entry comes from one
+    ``eigh``.  Each chunk of ``_CHUNK`` realizations is one task on up to one
+    pool thread per available core, from its disorder values to the fold of
+    its last time tile.  The calling thread only submits the chunks and
+    merges their moments in chunk order, so the result is bitwise the same
+    for any number of threads.  A lone chunk runs on the calling thread, and
+    no pool is started.  A chunk that raises cancels the chunks queued behind it.
     Returns the times, the (T, N, N) mean and sum of squared deviations,
     and the [r, c] entries that every realization conserves.
     """

@@ -16,6 +16,7 @@ import enslat.oracle
 from enslat import (
     DisorderDistribution,
     LatticeBasis,
+    OracleConfig,
     PolynomialCoupling,
     PropagationPlan,
     build_general,
@@ -172,6 +173,22 @@ def test_manifest_roundtrip_bitwise(tmp_path):
     assert result.manifest["result"]["propagator"]["growth"] == man["result"]["propagator"]["growth"]
 
 
+def test_unchecked_leakage_manifest_reruns_bitwise(tmp_path):
+    # leakage_threshold: .inf switches the leakage check off; the manifest
+    # keeps it, and a rerun from the manifest writes the same files
+    path = qubit_config(tmp_path, method="compare", depths="auto", samples=300, n_steps=12)
+    cfg = yaml.safe_load(path.read_text())
+    cfg["numeric"]["leakage_threshold"] = float("inf")
+    path.write_text(yaml.safe_dump(cfg))
+    assert run(str(path)).exit_code == 0
+    man_path = tmp_path / "out" / "manifest.yaml"
+    assert yaml.safe_load(man_path.read_text())["config"]["numeric"]["leakage_threshold"] == np.inf
+    assert run(str(man_path), out_dir=str(tmp_path / "rt")).exit_code == 0
+    written = [{f.name: f.read_bytes() for f in sorted((tmp_path / d).glob("*.csv"))}
+               for d in ("out", "rt")]
+    assert len(written[0]) == 6 and written[0] == written[1]
+
+
 def test_method_and_seed_override(tmp_path):
     path = qubit_config(tmp_path, method="chain", samples=300, n_steps=6)
     rc = main(["--config", str(path), "--method", "mc", "--seed", "123",
@@ -197,7 +214,9 @@ def test_exit_code_2_on_bad_config(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("depths", "sixteen"), ("depths", -3), ("depths", 0), ("depths", 2.5), ("depths", True),
     ("depths", [16, 16]), ("depths", [0]), ("depth_cap", 0), ("depth_cap", "many"),
-    ("tol", 0.0), ("tol", "small"), ("leakage_threshold", -1e-8), ("seed", -1), ("seed", "one"),
+    ("tol", 0.0), ("tol", "small"), ("leakage_threshold", -1e-8),
+    ("leakage_threshold", float("nan")), ("leakage_threshold", True),
+    ("leakage_threshold", "high"), ("seed", -1), ("seed", "one"),
 ])
 def test_bad_numeric_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     path = qubit_config(tmp_path, n_steps=5)
@@ -480,6 +499,9 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
                                 "couplings": [{"type": "linear", "matrix": np.eye(3).tolist()}],
                                 "distributions": [{"family": "gaussian", "width": 1.0}]}},
      "system: coupling 0 has shape (3, 3), expected (2, 2)"),
+    # what PropagationPlan accepts: 0, and inf for no check
+    *(("compare", None, {"numeric": {"samples": 500, "leakage_threshold": value}}, None)
+      for value in (0.0, float("inf"))),
     # a gaussian window with 5e-12 of its mass past 37.5 sigma, under every route
     *((method, {"family": "gaussian", "width": 1.0, "cutoff": list(cut)}, {},
        f"system.distributions[0]: DisorderDistribution[gaussian(width=1.0), cutoff={cut}] "
@@ -490,7 +512,7 @@ def test_validate_rejects_spectral_state_on_two_variables(tmp_path):
         "unnormalized", "unreadable-gate", "uncut-cauchy", "empty-cut-window", "65-levels",
         "output-not-a-mapping", "numeric-not-a-mapping", "output-directory-not-a-string",
         "output-directory-null", "output-formats-not-a-list", "output-formats-null",
-        "coupling-of-the-wrong-size",
+        "coupling-of-the-wrong-size", "leakage-threshold-zero", "leakage-threshold-inf",
         *(f"{side}-tail-window-past-the-grid-{method}" for side in ("upper", "lower")
           for method in ("chain", "quad", "mc", "compare"))])
 def test_validate_passes_exactly_what_run_starts(tmp_path, capsys, method, dist, changes,
@@ -1009,6 +1031,28 @@ def test_traced_spans_fire(tmp_path, monkeypatch):
     assert {"cli.run", "dynamics.auto_depth", "oracle.quad", "oracle.mc", "oracle.analytic",
             "cli.output"} <= spans
     assert tracer.counts["dynamics.matvecs"] > 0
+
+
+def test_tracer_counts_every_realization(monkeypatch):
+    # perfbench/tracing.py counts oracle.realizations as the batch size of
+    # each oracle._evolve_batch call.  The shipped qubit's coherence is folded
+    # from its factor tables and asks _evolve_batch for no entry, yet every
+    # chunk hands it its whole batch: the count is every sample, then every node
+    tracer = _load_tracing().Tracer()
+    monkeypatch.setattr(enslat.oracle, "_evolve_batch",
+                        tracer._count_realizations(enslat.oracle._evolve_batch))
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = yaml.safe_load((configs / "qubit_gaussian.yaml").read_text())
+    spec = enslat.cli.parse_spec(cfg, str(configs))
+    c = enslat.cli.parse_initial(cfg, spec, str(configs))[1]
+    times = np.linspace(0.0, cfg["time"]["t_max"], cfg["time"]["n_steps"])
+    num = cfg["numeric"]
+    config = OracleConfig(samples=num["samples"], seed=num["seed"], quad_order=num["quad_order"])
+    enslat.oracle.mc_average(spec, c, times, config)
+    assert tracer.counts["oracle.realizations"] == num["samples"] == 100_000
+    enslat.oracle.quad_average(spec, c, times, config)
+    assert tracer.counts["oracle.realizations"] == 100_000 + num["quad_order"] == 100_048
+    assert tracer.counts["oracle.batches"] == -(-100_000 // enslat.oracle._CHUNK) + 1
 
 
 def test_no_unused_imports():

@@ -260,10 +260,12 @@ def test_single_chunk_runs_on_the_calling_thread(monkeypatch):
             assert (here.errors > 0).any() and np.array_equal(here.errors, pooled.errors)
 
 
-@pytest.mark.parametrize("where", ["initial state", "tile loop"])
+@pytest.mark.parametrize("where", ["initial state", "tile loop", "fold"])
 def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
     # the fourth of eight chunks fails in its pool task while others are in
-    # flight: its initial state is not normalized, or its tile loop raises
+    # flight: its initial state is not normalized, its tile loop raises (a
+    # qubit whose h0 couples its levels, so its coherence is evolved), or the
+    # fold of its phased coherence raises
     monkeypatch.setattr(oracle, "_CHUNK", 64)
     monkeypatch.setattr(oracle, "_workers", lambda: 2)
     calls = []
@@ -276,10 +278,10 @@ def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
         c = np.tile(C_HALF.astype(complex), (lam.shape[0], 1))
         return 2 * c if where == "initial state" and len(calls) == 4 else c
 
-    evolve = oracle._evolve_batch
+    evolve, fold = oracle._evolve_batch, oracle._phase_moments
 
-    def evolve_failing_fourth(hb, c0, times, rows, cols, phased):
-        samples = evolve(hb, c0, times, rows, cols, phased)
+    def evolve_failing_fourth(hb, c0, times, rows, cols):
+        samples = evolve(hb, c0, times, rows, cols)
         if len(calls) < 4:
             return samples
 
@@ -287,9 +289,18 @@ def test_mc_chunk_failure_propagates_and_leaves_no_thread(monkeypatch, where):
             raise Boom("raised in a tile loop")
         return tile_loop_fails
 
+    def fold_failing_fourth(times, g, scale):
+        if len(calls) < 4:
+            return fold(times, g, scale)
+        raise Boom("raised in a fold")
+
+    spec = qubit_spec(DisorderDistribution.uniform(1.0))
     if where == "tile loop":
         monkeypatch.setattr(oracle, "_evolve_batch", evolve_failing_fourth)
-    spec = qubit_spec(DisorderDistribution.uniform(1.0))
+        spec = EnsembleSpec(np.array([[0.0, 0.3], [0.3, 1.0]]), spec.couplings,
+                            spec.distributions)
+    elif where == "fold":
+        monkeypatch.setattr(oracle, "_phase_moments", fold_failing_fourth)
     before = threading.enumerate()
     for average in (mc_average, quad_average):      # 512 samples, or 512 nodes
         calls.clear()
@@ -324,22 +335,37 @@ def test_mc_memory_below_one_chunk_of_amplitudes(monkeypatch):
     assert peak < 16 * times.size * spec.n * oracle._CHUNK
 
 
-def test_mc_sem_zero_exactly_on_constant_entries():
-    # gaussian qubit config: populations are constant at every time and the
-    # coherence at t = 0, so those entries (and no others) have zero SEM at
-    # any sample count
+@pytest.mark.parametrize("config", ["qubit_gaussian", "qubit_cauchy", "qubit_semicircle",
+                                    "qubit_uniform", "zero-coupling"])
+def test_mc_sem_zero_exactly_on_constant_entries(config):
+    # each shipped qubit config: populations are constant at every time and
+    # the coherence at t = 0, so those entries (and no others) have zero SEM
+    # at any sample count.  The coherence's spread first grows as
+    # |c_0 c_1| sigma t = sigma t / 2, sigma the disorder's standard
+    # deviation, so its SEM at the first step dt is about sigma dt / (2 sqrt(n)).
+    # The gaussian qubit with its coupling zeroed is constant at every time:
+    # the fold of its coherence falls back to the two-pass rule at every
+    # time, and the ensemble reads as degenerate
     from enslat.cli import parse_initial, parse_spec
-    cfg = yaml.safe_load(open(CONFIGS / "qubit_gaussian.yaml"))
+    zero = config == "zero-coupling"
+    cfg = yaml.safe_load((CONFIGS / f"{'qubit_gaussian' if zero else config}.yaml").read_text())
+    if zero:
+        cfg["system"]["couplings"][0]["matrix"] = [[0, 0], [0, 0]]
     spec = parse_spec(cfg, str(CONFIGS))
     c = parse_initial(cfg, spec, str(CONFIGS))[1]
     times = np.linspace(0.0, cfg["time"]["t_max"], cfg["time"]["n_steps"])
     constant = np.zeros((times.size, 2, 2), dtype=bool)
     constant[:, [0, 1], [0, 1]] = True
     constant[0] = True
+    if zero:
+        constant[:] = True
     for samples in (500, 100_000):
         traj = mc_average(spec, c, times, OracleConfig(samples=samples, seed=1))
         assert np.array_equal(traj.errors == 0.0, constant)
-        assert traj.errors[~constant].min() > 1e-2 / np.sqrt(samples)
+        assert traj.info["degenerate_distribution"] is zero
+        if not zero:
+            sigma = np.sqrt(recurrence_table(spec.distributions[0], 1).beta[0])
+            assert traj.errors[~constant].min() > 0.4 * sigma * times[1] / np.sqrt(samples)
 
 
 def _hermitian_from(draw, n):
@@ -447,25 +473,33 @@ def test_mc_conserved_entries_fold_once(monkeypatch):
     assert np.array_equal(pops, np.broadcast_to(pops[0], pops.shape))
     assert np.abs(pops[0] - np.abs(c) ** 2).max() <= 1e-15
 
-    # neither average asks _evolve_batch for a conserved entry: each chunk of
-    # realizations or of nodes asks for the coherence alone, as one phase.
-    # The routes are decided once per average, from h0 and the coefficients
-    asked, scanned = [], []
+    # neither average asks _evolve_batch for an entry: each chunk of
+    # realizations or of nodes hands it the whole batch, asks it for nothing,
+    # and folds the coherence, one phase per realization, from its factor
+    # tables.  The routes are decided once per average, from h0 and the coefficients
+    asked, folded, scanned = [], [], []
 
-    def spy(hb, c0, times, rows, cols, phased, fn=oracle._evolve_batch):
-        asked.append((rows.tolist(), cols.tolist(), phased.tolist()))
-        return fn(hb, c0, times, rows, cols, phased)
+    def spy(hb, c0, times, rows, cols, fn=oracle._evolve_batch):
+        asked.append((hb.shape[0], rows.tolist(), cols.tolist()))
+        return fn(hb, c0, times, rows, cols)
+
+    def fold(times, g, scale, fn=oracle._phase_moments):
+        folded.append(g.size)
+        return fn(times, g, scale)
 
     def alone(mats, fn=oracle._alone):
         scanned.append(mats.shape)
         return fn(mats)
     monkeypatch.setattr(oracle, "_evolve_batch", spy)
+    monkeypatch.setattr(oracle, "_phase_moments", fold)
     monkeypatch.setattr(oracle, "_alone", alone)
     for average in (mc_average, quad_average):
         asked.clear()
+        folded.clear()
         scanned.clear()
         average(spec, c, times, OracleConfig(samples=samples, seed=seed))
-        assert asked and all(entries == ([0], [1], [True]) for entries in asked)
+        assert asked and all(entries[1:] == ([], []) for entries in asked)
+        assert folded == [nb for nb, *_ in asked]
         assert scanned == [(3, 2, 2)]
 
     # against a chunk that evolves all entries at every time: per chunk, the
@@ -568,25 +602,30 @@ def test_factorized_phases_match_direct_exp(nt, t0, span, gt_max, seed):
         # any tiling of the time axis gives the same rows
         tiles = [slice(j, j + 7) for j in range(0, nt, 7)]
         assert np.array_equal(np.concatenate([phase(t) for t in tiles]), got)
-        # a scale is folded into the coarse table: there, scale * direct bit for bit
-        scaled = oracle._phase_rows(times, gaps[:, m], scale)
-        got = scaled(slice(0, nt))
-        assert np.all(np.abs(got - scale * direct) <= bound)
-        assert np.array_equal(got[::b], direct[::b] * scale)
-        assert np.array_equal(np.concatenate([scaled(t) for t in tiles]), got)
+        # the rows are those of the two tables, and a scale is folded into
+        # the coarse table: at the coarse times, scale * direct bit for bit
+        coarse, fine = oracle._phase_tables(times, gaps[:, m])
+        assert coarse.shape == (-(-nt // b), 64) and fine.shape == (b, 64)
+        j = np.arange(nt)
+        assert np.array_equal(coarse[j // b] * fine[j % b], got)
+        coarse, fine = oracle._phase_tables(times, gaps[:, m], scale)
+        scaled = coarse[j // b] * fine[j % b]
+        assert np.all(np.abs(scaled - scale * direct) <= bound)
+        assert np.array_equal(scaled[::b], direct[::b] * scale)
 
-    # a grid that is not uniform takes the direct exp: entries bit for bit
+    # a grid that is not uniform has no tables and takes the direct exp:
+    # entries bit for bit
     if nt >= 3:
         geom = t0 + np.geomspace(span / 100, span, nt)
         assert oracle._fine_length(geom) is None
+        assert oracle._phase_tables(geom, gaps[:, 1], scale) is None
         direct = np.exp(-1j * np.multiply.outer(geom, gaps[:, 1]))
-        assert np.array_equal(oracle._phase_rows(geom, gaps[:, 1], scale)(slice(0, nt)),
-                              direct * scale)
+        assert np.array_equal(oracle._phase_rows(geom, gaps[:, 1])(slice(0, nt)), direct)
         a = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
         c0 = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
         hb, c0 = a + a.conj().transpose(0, 2, 1), c0 / np.linalg.norm(c0, axis=1)[:, None]
         rows, cols = np.triu_indices(3)
-        samples = oracle._evolve_batch(hb, c0, geom, rows, cols, np.zeros(rows.size, bool))
+        samples = oracle._evolve_batch(hb, c0, geom, rows, cols)
         amps = _direct_amplitudes(hb, c0, geom)
         direct = np.stack([np.conjugate(amps[:, c]) * amps[:, r] for r, c in zip(rows, cols)],
                           axis=1)
@@ -607,7 +646,9 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
     # uniform grid (factorized phases) and a geometric one (direct exp), and
     # a time's entries are the same bit for bit under two tilings.  A
     # block-diagonal batch leaves each level of a one-level block alone; an
-    # entry between two levels alone is one phase, any other is dense
+    # entry between two levels alone is one phase per realization, and its
+    # fold gives the mean and the sum of squared deviations of the dense
+    # entries over the batch
     rng = np.random.default_rng(n)
     nb = 12
     a = rng.normal(size=(nb, n, n)) + 1j * rng.normal(size=(nb, n, n))
@@ -620,26 +661,36 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
     c0 /= np.linalg.norm(c0, axis=1)[:, None]
     rows, cols = np.triu_indices(n)
     phased = np.isin(rows, alone) & np.isin(cols, alone)
+    energy = hb.diagonal(axis1=1, axis2=2).real
     uniform, geometric = np.linspace(0.0, 3.0, 23), 0.01 * np.geomspace(1.0, 300.0, 23)
     assert oracle._fine_length(uniform) is not None and oracle._fine_length(geometric) is None
     for times in (uniform, geometric):
-        samples = oracle._evolve_batch(hb, c0, times, rows, cols, phased)
+        samples = oracle._evolve_batch(hb, c0, times, rows, cols)
         got = samples(slice(0, times.size))
         assert got.shape == (times.size, rows.size, nb)
         tiles = [slice(j, j + 5) for j in range(0, times.size, 5)]
         assert np.array_equal(np.concatenate([samples(t) for t in tiles]), got)
+        dense = np.empty_like(got)
         for b in range(nb):
             for k, t in enumerate(times):
                 psi = expm(-1j * t * hb[b]) @ c0[b]
-                rho = np.outer(psi, psi.conj())[rows, cols]
-                assert np.abs(got[k, :, b] - rho).max() <= 1e-12
+                dense[k, :, b] = np.outer(psi, psi.conj())[rows, cols]
+        assert np.abs(got - dense).max() <= 1e-12
+        for p in np.flatnonzero(phased):
+            r, c = rows[p], cols[p]
+            mean, m2 = oracle._phase_moments(times, energy[:, r] - energy[:, c],
+                                             c0[:, r] * c0[:, c].conj())
+            ref = dense[:, p]
+            assert np.abs(mean - ref.mean(axis=1)).max() <= 1e-13
+            dev = np.abs(ref - ref.mean(axis=1)[:, None]) ** 2
+            assert np.abs(m2 - dev.sum(axis=1)).max() <= 1e-12
     if n == 1:
         # one level, so no entry moves: the chunks of both averages build no
         # phase table and run no tile loop, and both still give rho = 1
         spec = EnsembleSpec(np.array([[0.3]]), (PolynomialCoupling.linear(np.eye(1)),),
                             (DisorderDistribution.gaussian(1.0),))
         calls = []
-        for name in ("_phase_rows", "_time_tiles"):
+        for name in ("_phase_tables", "_phase_rows", "_time_tiles"):
             def spy(*args, fn=getattr(oracle, name)):
                 calls.append(fn)
                 return fn(*args)
@@ -650,34 +701,65 @@ def test_evolve_batch_matches_dense_evolution(monkeypatch, n, block):
             assert calls == []
 
 
-def test_evolve_batch_holds_no_phase_array():
-    # one qubit chunk asked for its coherence, as the Monte Carlo chunks ask,
-    # read one time tile at a time: the peak is the two factor tables of the
-    # coherence and one (tile, P, B) tile of entries.  A (T, B) phase array
-    # is half the (T, N, B) amplitudes, and neither fits
+def test_phase_moments_hold_no_phase_array():
+    # the fold of one qubit chunk's coherence, as the Monte Carlo chunks fold
+    # it: on a uniform grid the peak is its two factor tables and a few (B,)
+    # rows, and on a geometric one a few cache tiles of direct phases.  A
+    # (T, B) phase array is half the (T, N, B) amplitudes, and neither fits
     nb, nt = 4096, 200
     spec = qubit_spec(DisorderDistribution.gaussian(1.0))
     hb = spec.hamiltonian(np.random.default_rng(5).normal(size=(nb, 1)))
-    c0 = np.tile(C_HALF.astype(complex), (nb, 1))
-    times = np.linspace(0.0, 6.0, nt)
-    rows, cols = np.array([0]), np.array([1])
-    b = oracle._fine_length(times)
-    tables = 16 * nb * (-(-nt // b) + b)
-    tiles = oracle._time_tiles(nt, 16 * rows.size * nb)
-    tile = 16 * rows.size * nb * (tiles[0].stop - tiles[0].start)
-    assert len(tiles) > 1
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        samples = oracle._evolve_batch(hb, c0, times, rows, cols, np.array([True]))
-        shapes = [samples(t).shape for t in tiles]
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    bound = tables + 4 * hb.nbytes + 3 * tile
-    assert bound < 16 * nt * nb                     # one (T, B) phase array
-    assert sum(s[0] for s in shapes) == nt and {s[1:] for s in shapes} == {(rows.size, nb)}
-    assert peak <= bound
+    g, scale = hb[:, 0, 0].real - hb[:, 1, 1].real, np.full(nb, 0.5 + 0j)
+    uniform, geometric = np.linspace(0.0, 6.0, nt), 0.01 * np.geomspace(1.0, 600.0, nt)
+    row, b = 16 * nb, oracle._fine_length(uniform)
+    tile = oracle._time_tiles(nt, row)[0]
+    assert oracle._fine_length(geometric) is None and tile.stop - tile.start < nt
+    for times, bound in ((uniform, row * (-(-nt // b) + b + 16)),
+                         (geometric, 4 * row * (tile.stop - tile.start))):
+        assert bound < row * nt                     # one (T, B) phase array
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mean, m2 = oracle._phase_moments(times, g, scale)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert mean.shape == m2.shape == (nt,)
+        assert peak <= bound
+
+
+@pytest.mark.parametrize("case", ["uniform", "geometric", "weighted", "degenerate"])
+def test_phase_moments_keep_the_two_pass_fold_where_one_pass_is_unsure(case):
+    # against _moments of the (T, 1, B) samples of the same tables, as a
+    # chunk's time tile held them: a time whose one-pass sum of squares has
+    # an error bound B u S / m2 of at most 1e-9 is within that bound, and
+    # within 1e-15 in the mean; every other time is the two-pass value bit
+    # for bit.  With one c_r conj(c_c) for every realization, as on the
+    # shipped qubits, t = 0 is such a time, and with one gap (a degenerate
+    # ensemble) every time is.  Quadrature weights every node's scale
+    nb, nt = 4096, 200
+    rng = np.random.default_rng(11)
+    g = np.full(nb, -1.0) if case == "degenerate" else rng.normal(size=nb)
+    scale = np.full(nb, 0.5 + 0.0j)
+    if case == "weighted":
+        scale *= rng.uniform(0.5, 1.5, nb)
+    times = 0.01 * np.geomspace(1.0, 600.0, nt) if case == "geometric" else np.linspace(0, 6, nt)
+    times[0] = 0.0
+    tables = oracle._phase_tables(times, g, scale)
+    assert (tables is None) == (case == "geometric")
+    if tables is None:
+        samples = oracle._direct(times, g, scale)
+    else:
+        coarse, fine = tables
+        samples = np.concatenate([np.multiply(coarse[q], fine) for q in range(coarse.shape[0])])
+    ref_mean, ref_m2 = (a[:, 0] for a in oracle._moments(samples[:nt, None, :].copy()))
+    mean, m2 = oracle._phase_moments(times, g, scale)
+    bound = nb * 2.0 ** -53 * np.sum(np.abs(scale) ** 2)
+    sure, unsure = ref_m2 > 2e9 * bound, ref_m2 < 0.5e9 * bound    # clear of 1e9, either way
+    assert unsure[0] == (case != "weighted") and unsure.all() == (case == "degenerate")
+    assert np.all(((mean == ref_mean) & (m2 == ref_m2))[unsure])
+    assert np.abs(mean - ref_mean).max() <= 1e-15
+    assert np.all(np.abs(m2 - ref_m2)[sure] <= 1e-9 * ref_m2[sure])
 
 
 def test_mc_initial_state_callable_errors_propagate():
